@@ -62,7 +62,11 @@ class RunConfig:
 def _resolve_config(args) -> RunConfig:
     budget = getattr(args, "budget", None)
     if budget is None:
-        budget = int(os.environ.get("MAXRAM_BUDGET", DEFAULT_BUDGET))
+        raw = os.environ.get("MAXRAM_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ParseError(f"MAXRAM_BUDGET is not an integer: {raw!r}") from exc
     if budget < 1:
         raise PreconditionError("budget must be positive")
     threads = args.threads
@@ -120,6 +124,11 @@ def _cmd_extract(args, config: RunConfig) -> int:
     if args.baton is None:
         if not isinstance(obj, dict) or not {"k", "n", "elements"} <= obj.keys():
             raise ParseError("subset file needs k, n and elements")
+        if not all(
+            isinstance(obj[key], int) and not isinstance(obj[key], bool)
+            for key in ("k", "n")
+        ):
+            raise ParseError("subset file: k and n must be integers")
         subset = GridSubset(
             n=obj["n"],
             k=obj["k"],
@@ -336,7 +345,7 @@ def main(argv=None) -> int:
     except (PreconditionError, DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,23 @@
 """Finite metric spaces, point sets, and exact ell-infinity geometry.
 
-Everything here is exact: coordinates and distances are Fractions, and
-every embedding claim is checked by recomputing distances. Floats never
-appear on a correctness path.
+Everything here is exact. At the boundary, coordinates and distances are
+Fractions. Inside, each point set caches its coordinates scaled by the
+LCM of their denominators (PointSet.scaled_coords), and copy search
+compares integer distances from one scaled matrix. CopyEmbedding
+rechecks every copy exactly, pair by pair, from the scaled coordinates.
+Floats never appear on a correctness path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
 
@@ -68,9 +75,10 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_points(cls, points: "PointSet") -> "FiniteMetricSpace":
-        pts = points.points
+        scale = points.scaled_coords[0]
         rows = tuple(
-            tuple(chebyshev_distance(p, q) for q in pts) for p in pts
+            tuple(Fraction(v, scale) for v in row)
+            for row in _scaled_distance_matrix(points).tolist()
         )
         return cls(rows)
 
@@ -98,6 +106,34 @@ class PointSet:
 
     def index_of(self, point) -> int:
         return self.points.index(_as_vec(point))
+
+    @cached_property
+    def scaled_coords(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(scale, coords): scale is the LCM of every coordinate's
+        denominator, and coords[i] is points[i] times scale, in ints."""
+        scale = math.lcm(*(c.denominator for p in self.points for c in p))
+        coords = tuple(
+            tuple(c.numerator * (scale // c.denominator) for c in p)
+            for p in self.points
+        )
+        return scale, coords
+
+
+def _scaled_distance_matrix(points: PointSet) -> np.ndarray:
+    """Chebyshev distances between points, times points.scaled_coords[0].
+
+    The entries are exact integers: int64 when every coordinate difference
+    fits with headroom, otherwise an object array of Python ints.
+    """
+    _, coords = points.scaled_coords
+    bound = max((abs(c) for p in coords for c in p), default=0)
+    dtype = np.int64 if 2 * bound < 2**62 else object
+    arr = np.array(coords, dtype=dtype).reshape(len(coords), points.dim)
+    dist = np.zeros((len(coords), len(coords)), dtype=dtype)
+    for axis in range(points.dim):
+        col = arr[:, axis]
+        dist = np.maximum(dist, np.abs(col[:, None] - col[None, :]))
+    return dist
 
 
 def grid_points(k: int, n: int) -> PointSet:
@@ -177,15 +213,15 @@ class CopyEmbedding:
         for i in self.indices:
             if not (0 <= i < len(self.points)):
                 raise PreconditionError(f"index {i} out of range")
+        scale, coords = self.points.scaled_coords
         for a, b in itertools.combinations(range(d), 2):
-            got = chebyshev_distance(
-                self.points.points[self.indices[a]],
-                self.points.points[self.indices[b]],
-            )
-            if got != self.source.dist[a][b]:
+            x, y = coords[self.indices[a]], coords[self.indices[b]]
+            got = max((abs(u - v) for u, v in zip(x, y)), default=0)
+            want = self.source.dist[a][b]
+            if got * want.denominator != want.numerator * scale:
                 raise PreconditionError(
                     f"distance mismatch at pair ({a},{b}): "
-                    f"{got} != {self.source.dist[a][b]}"
+                    f"{Fraction(got, scale)} != {want}"
                 )
 
     def mapped_points(self) -> tuple[Vec, ...]:
@@ -210,14 +246,21 @@ def find_copies(
 ) -> list[CopyEmbedding]:
     """All ordered isometric embeddings of `space` into `points`.
 
-    Enumeration is lexicographic in the index tuple, with partial-distance
-    pruning; pruning never changes the output set. With distinct_supports,
-    only the first embedding per support set is kept (a configuration and
-    its reversal otherwise count separately).
+    Enumeration is lexicographic in the index tuple. The candidates for
+    abstract point t are the points whose rows of the scaled distance
+    matrix hold the required distance to every point already chosen, so
+    no partial tuple that fails a pair is ever extended. With
+    distinct_supports, only the first embedding per support set is kept
+    (a configuration and its reversal otherwise count separately).
     """
     d = space.size
-    n_pts = len(points)
-    pts = points.points
+    scale = points.scaled_coords[0]
+    targets = [[v * scale for v in row] for row in space.dist]
+    if any(v.denominator != 1 for row in targets for v in row):
+        # Some distance is not a multiple of 1/scale; no two points have it.
+        return []
+    targets = [[v.numerator for v in row] for row in targets]
+    dist = _scaled_distance_matrix(points)
     out: list[CopyEmbedding] = []
     seen: set[frozenset] = set()
     chosen: list[int] = []
@@ -232,19 +275,21 @@ def find_copies(
                 seen.add(key)
             out.append(CopyEmbedding(space, points, tuple(chosen)))
             return limit is not None and len(out) >= limit
-        for cand in range(n_pts):
-            if cand in chosen:
-                continue
-            ok = True
-            for j, prev in enumerate(chosen):
-                if chebyshev_distance(pts[cand], pts[prev]) != space.dist[depth][j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if descend():
-                    return True
-                chosen.pop()
+        if depth == 0:
+            candidates = range(len(points))
+        else:
+            # Distances to chosen points are positive, so no chosen point
+            # survives the filter.
+            row = targets[depth]
+            mask = dist[chosen[0]] == row[0]
+            for j in range(1, depth):
+                mask &= dist[chosen[j]] == row[j]
+            candidates = np.flatnonzero(mask).tolist()
+        for cand in candidates:
+            chosen.append(cand)
+            if descend():
+                return True
+            chosen.pop()
         return False
 
     descend()

@@ -107,6 +107,13 @@ def test_extract_k_mismatch_and_malformed_subset(tmp_path, capsys):
     assert main(["extract", "--subset", str(bad)]) == 2
 
 
+def test_extract_string_grid_side_is_exit_2(tmp_path, capsys):
+    subset = tmp_path / "subset.json"
+    write_json(subset, {"k": "2", "n": 1, "elements": [[0], [1], [2]]})
+    assert main(["extract", "--subset", str(subset)]) == 2
+    assert "error: subset file: k and n must be integers" in capsys.readouterr().err
+
+
 def test_extract_with_a_baton_goes_through_anchors(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     write_json(pts, {"points": [["0"], ["1"], ["2"], ["3"]]})
@@ -232,6 +239,12 @@ def test_chi_respects_the_budget_environment_variable(monkeypatch, tmp_path, cap
     capsys.readouterr()
 
 
+def test_non_integer_budget_variable_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("MAXRAM_BUDGET", "abc")
+    assert main(["chi", "--grid", "1,1"]) == 2
+    assert "error: MAXRAM_BUDGET is not an integer: 'abc'" in capsys.readouterr().err
+
+
 def test_chi_grid_parse_error(capsys):
     assert main(["chi", "--grid", "two,2"]) == 2
     assert "--grid" in capsys.readouterr().err
@@ -299,6 +312,13 @@ def test_validate_bad_json_and_missing_file(tmp_path, capsys):
     garbled.write_text("{")
     assert main(["validate", str(garbled)]) == 2
     assert main(["validate", str(tmp_path / "ghost.json")]) == 2
+
+
+def test_validate_a_directory_is_exit_2(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 # -- shared options ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Max-norm primitives: distances, point sets, batons, copy search."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from maxram import (
     grid_points,
     random_metric_space,
 )
+from maxram.metric import _scaled_distance_matrix
 
 F = Fraction
 
@@ -241,26 +243,97 @@ def test_find_copies_empty_when_no_copy_exists():
     assert find_copies(space, pts(0, 1, 2)) == []
 
 
+# Mersenne primes above 2**62. A coordinate with denominator p*q scales
+# past int64, so the kernel falls back to Python ints.
+BIG_PRIMES = (2**89 - 1, 2**107 - 1)
+
+
 @st.composite
-def small_search_instance(draw):
-    size = draw(st.integers(2, 3))
-    space = random_metric_space(random.Random(draw(st.integers(0, 10**6))), size)
+def search_instance(draw, coord):
+    """A point set, a space to look for in it, and the search options.
+
+    Half the spaces are random metrics; the others are drawn from a
+    subset of the points in some order, so that copies exist.
+    """
     dim = draw(st.integers(1, 2))
-    coord = st.integers(0, 6)
     raw = draw(
-        st.lists(
-            st.tuples(*[coord] * dim), min_size=2, max_size=6, unique=True
+        st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=6, unique=True)
+    )
+    points = PointSet(dim, tuple(raw))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 3))
+        space = random_metric_space(random.Random(draw(st.integers(0, 10**6))), size)
+    else:
+        order = draw(st.permutations(raw))
+        picked = tuple(order[: draw(st.integers(2, 3))])
+        space = FiniteMetricSpace.from_points(PointSet(dim, picked))
+    limit = draw(st.none() | st.integers(1, 4))
+    return space, points, draw(st.booleans()), limit
+
+
+def expected_copies(space, points, distinct_supports, limit):
+    """find_copies' contract, stated over the unpruned enumeration."""
+    out, seen = [], set()
+    for tup in find_copies_naive(space, points):
+        if distinct_supports:
+            if frozenset(tup) in seen:
+                continue
+            seen.add(frozenset(tup))
+        out.append(tup)
+    return out[:limit]
+
+
+def check_against_oracle(instance):
+    space, points, distinct_supports, limit = instance
+    got = find_copies(space, points, limit=limit, distinct_supports=distinct_supports)
+    assert [e.indices for e in got] == expected_copies(
+        space, points, distinct_supports, limit
+    )
+    naive = set(find_copies_naive(space, points))
+    wrong = next(
+        (
+            t
+            for t in itertools.permutations(range(len(points)), space.size)
+            if t not in naive
+        ),
+        None,
+    )
+    if wrong is not None:
+        with pytest.raises(PreconditionError, match=r"^distance mismatch at pair \("):
+            CopyEmbedding(space, points, wrong)
+
+
+@given(search_instance(st.fractions(min_value=-4, max_value=4, max_denominator=6)))
+@settings(max_examples=150, deadline=None)
+def test_find_copies_agrees_with_unpruned_enumeration(instance):
+    check_against_oracle(instance)
+
+
+@given(
+    search_instance(
+        st.builds(
+            lambda whole, a, b: whole + F(a, BIG_PRIMES[0]) + F(b, BIG_PRIMES[1]),
+            st.integers(-3, 3),
+            st.integers(1, 3),
+            st.integers(1, 3),
         )
     )
-    return space, PointSet(dim, tuple(tuple(F(c) for c in p) for p in raw))
+)
+@settings(max_examples=60, deadline=None)
+def test_find_copies_agrees_with_oracle_past_int64(instance):
+    points = instance[1]
+    assert _scaled_distance_matrix(points).dtype == object
+    check_against_oracle(instance)
 
 
-@given(small_search_instance())
-@settings(max_examples=80, deadline=None)
-def test_find_copies_agrees_with_unpruned_enumeration(instance):
-    space, points = instance
-    pruned = sorted(e.indices for e in find_copies(space, points))
-    assert pruned == find_copies_naive(space, points)
+def test_mismatch_message_keeps_exact_rationals():
+    p, q = BIG_PRIMES
+    space = FiniteMetricSpace(((0, F(1, q)), (F(1, q), 0)))
+    line = pts(0, F(1, p))
+    with pytest.raises(
+        PreconditionError, match=rf"^distance mismatch at pair \(0,1\): 1/{p} != 1/{q}$"
+    ):
+        CopyEmbedding(space, line, (0, 1))
 
 
 # -- diameter, connectivity threshold, grid decomposition ----------------
