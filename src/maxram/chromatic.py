@@ -5,11 +5,15 @@ forbidden space contributes its support as a hyperedge. A coloring is
 proper when no hyperedge is monochromatic, and the chromatic number is
 found by iterative deepening with a shared node budget: once every level
 below t is exhausted, a coloring found at level t is provably optimal.
+
+Vertices are colored in one static order, so each edge is checked once,
+at its last vertex in that order: the colors such closing edges block are
+gathered once per search node. The node budget counts every color tried,
+blocked ones included.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .colorings import pigeonhole_lower_bound
@@ -64,12 +68,18 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _blocks(vertex: int, color: int, colors, edges_of) -> bool:
-    """Would assigning this color complete a monochromatic edge?"""
-    for edge in edges_of[vertex]:
-        if all(v == vertex or colors[v] == color for v in edge):
-            return True
-    return False
+def _blocked(rests, colors) -> set[int]:
+    """Colors that would complete a monochromatic edge, given the rests of
+    the edges the vertex closes (all of them already colored)."""
+    blocked = set()
+    for rest in rests:
+        c = colors[rest[0]]
+        for u in rest:
+            if colors[u] != c:
+                break
+        else:
+            blocked.add(c)
+    return blocked
 
 
 def _greedy_clique(vertex_count: int, pair_adj) -> int:
@@ -81,11 +91,12 @@ def _greedy_clique(vertex_count: int, pair_adj) -> int:
     return len(clique)
 
 
-def _greedy_colors(order, edges_of, vertex_count: int) -> list[int]:
+def _greedy_colors(order, closing, vertex_count: int) -> list[int]:
     colors = [-1] * vertex_count
     for v in order:
+        blocked = _blocked(closing[v], colors)
         c = 0
-        while _blocks(v, c, colors, edges_of):
+        while c in blocked:
             c += 1
         colors[v] = c
     return colors
@@ -101,7 +112,9 @@ def exact_chromatic(
 
     Levels are tried in increasing order starting from the best known
     lower bound, with vertices in decreasing degree and new colors only
-    introduced one at a time. extra_lower_bound lets callers feed in an
+    introduced one at a time. Each edge is checked once, at its last vertex
+    in that static order. The budget counts every color tried, including
+    colors a closing edge blocks. extra_lower_bound lets callers feed in an
     externally proved bound (it is trusted for the starting level but
     cross-checked against any coloring found). If the budget runs out the
     greedy coloring is returned with optimal=False and the largest level
@@ -128,11 +141,13 @@ def exact_chromatic(
         if len(edge) == 2:
             pair_adj[edge[0]].add(edge[1])
             pair_adj[edge[1]].add(edge[0])
-    edges_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for edge in edges:
-        for v in edge:
-            edges_of[v].append(edge)
     order = sorted(range(n), key=lambda v: (-degree[v], v))
+    position = {v: pos for pos, v in enumerate(order)}
+    # closing[v]: the other vertices of each edge whose last vertex is v
+    closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for edge in edges:
+        last = max(edge, key=position.__getitem__)
+        closing[last].append(tuple(u for u in edge if u != last))
 
     clique = _greedy_clique(n, pair_adj)
     candidates = [(2, "edge:2"), (1, "trivial:1")]
@@ -152,11 +167,12 @@ def exact_chromatic(
         if pos == n:
             return True
         v = order[pos]
+        blocked = _blocked(closing[v], colors)
         for c in range(min(used + 1, limit)):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            if not _blocks(v, c, colors, edges_of):
+            if c not in blocked:
                 colors[v] = c
                 if assign(pos + 1, max(used, c + 1), limit):
                     return True
@@ -186,7 +202,7 @@ def exact_chromatic(
     except _BudgetExceeded:
         proven = level if level > base_lb else base_lb
         witness = f"exhausted:{level - 1}" if level > base_lb else base_witness
-        fallback = _greedy_colors(order, edges_of, n)
+        fallback = _greedy_colors(order, closing, n)
         used = max(fallback) + 1
         return ColoringCertificate(
             colors=tuple(fallback),
@@ -196,20 +212,6 @@ def exact_chromatic(
             lower_bound_witness=witness,
             budget_exhausted=True,
         )
-
-
-def naive_chromatic(hypergraph: CopyHypergraph) -> int:
-    """Brute-force chromatic number by full enumeration. Oracle use only."""
-    n = hypergraph.vertex_count
-    if n > 10:
-        raise PreconditionError("naive enumeration is capped at 10 vertices")
-    if not hypergraph.edges:
-        return 1
-    for count in range(1, n + 1):
-        for assignment in itertools.product(range(count), repeat=n):
-            if is_proper(hypergraph, assignment):
-                return count
-    raise DomainError("no proper coloring exists")
 
 
 def _isometric_to_unit_baton(space: FiniteMetricSpace, k: int) -> bool:

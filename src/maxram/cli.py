@@ -119,20 +119,26 @@ def _cmd_copies(args, config: RunConfig) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _cmd_extract(args, config: RunConfig) -> int:
     obj = read_json(args.subset)
     if args.baton is None:
         if not isinstance(obj, dict) or not {"k", "n", "elements"} <= obj.keys():
             raise ParseError("subset file needs k, n and elements")
-        if not all(
-            isinstance(obj[key], int) and not isinstance(obj[key], bool)
-            for key in ("k", "n")
-        ):
+        if not (_is_int(obj["k"]) and _is_int(obj["n"])):
             raise ParseError("subset file: k and n must be integers")
+        elements = obj["elements"]
+        if not isinstance(elements, list) or not all(
+            isinstance(e, list) and all(_is_int(c) for c in e) for e in elements
+        ):
+            raise ParseError("subset file: elements must be a list of integer lists")
         subset = GridSubset(
             n=obj["n"],
             k=obj["k"],
-            elems=frozenset(tuple(e) for e in obj["elements"]),
+            elems=frozenset(tuple(e) for e in elements),
         )
         if args.k is not None and args.k != subset.k:
             raise PreconditionError(f"--k {args.k} does not match the file ({subset.k})")

@@ -1,14 +1,16 @@
 """Forbidden-copy hypergraphs and the exact coloring search."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxram import (
     Baton,
+    ColoringCertificate,
     CopyHypergraph,
     DomainError,
     FiniteMetricSpace,
@@ -19,7 +21,6 @@ from maxram import (
     grid_chromatic,
     grid_points,
     is_proper,
-    naive_chromatic,
 )
 
 F = Fraction
@@ -29,6 +30,140 @@ UNIT_PAIR = Baton.unit(1).as_metric_space()
 
 def line(*coords) -> PointSet:
     return PointSet(1, tuple((F(c),) for c in coords))
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def naive_chromatic(hypergraph: CopyHypergraph) -> int:
+    """Brute-force chromatic number by full enumeration."""
+    n = hypergraph.vertex_count
+    if n > 10:
+        raise PreconditionError("naive enumeration is capped at 10 vertices")
+    if not hypergraph.edges:
+        return 1
+    for count in range(1, n + 1):
+        for assignment in itertools.product(range(count), repeat=n):
+            if is_proper(hypergraph, assignment):
+                return count
+    raise DomainError("no proper coloring exists")
+
+
+class _OracleBudgetExceeded(Exception):
+    pass
+
+
+def _rescan_blocks(vertex, color, colors, edges_of) -> bool:
+    for edge in edges_of[vertex]:
+        if all(v == vertex or colors[v] == color for v in edge):
+            return True
+    return False
+
+
+def rescan_chromatic(
+    hypergraph: CopyHypergraph,
+    budget: int = 10**7,
+    extra_lower_bound: int = 1,
+    extra_witness: str = "",
+) -> ColoringCertificate:
+    """Reference search: every candidate color rescans every edge incident
+    to the vertex. It keeps exact_chromatic's vertex order, node count,
+    budget cut and greedy fallback, so the two agree field by field."""
+    n = hypergraph.vertex_count
+    if n < 1:
+        raise PreconditionError("hypergraph needs at least one vertex")
+    edges = hypergraph.edges
+    if not edges:
+        return ColoringCertificate(
+            colors=(0,) * n,
+            color_count=1,
+            optimal=True,
+            lower_bound=1,
+            lower_bound_witness="trivial:1",
+        )
+    degree = [0] * n
+    pair_adj: list[set[int]] = [set() for _ in range(n)]
+    edges_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for edge in edges:
+        for v in edge:
+            degree[v] += 1
+            edges_of[v].append(edge)
+        if len(edge) == 2:
+            pair_adj[edge[0]].add(edge[1])
+            pair_adj[edge[1]].add(edge[0])
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+
+    clique_order = sorted(range(n), key=lambda v: (-len(pair_adj[v]), v))
+    clique_members: list[int] = []
+    for v in clique_order:
+        if all(u in pair_adj[v] for u in clique_members):
+            clique_members.append(v)
+    clique = len(clique_members)
+    candidates = [(2, "edge:2"), (1, "trivial:1")]
+    if clique >= 2:
+        candidates.insert(0, (clique, f"clique:{clique}"))
+    if extra_lower_bound > 1:
+        candidates.append((extra_lower_bound, extra_witness))
+    base_lb, base_witness = max(candidates, key=lambda c: c[0])
+    if base_lb > n:
+        raise DomainError("supplied lower bound exceeds the vertex count")
+
+    colors = [-1] * n
+    nodes = 0
+
+    def assign(pos: int, used: int, limit: int) -> bool:
+        nonlocal nodes
+        if pos == n:
+            return True
+        v = order[pos]
+        for c in range(min(used + 1, limit)):
+            nodes += 1
+            if nodes > budget:
+                raise _OracleBudgetExceeded
+            if not _rescan_blocks(v, c, colors, edges_of):
+                colors[v] = c
+                if assign(pos + 1, max(used, c + 1), limit):
+                    return True
+                colors[v] = -1
+        return False
+
+    try:
+        for level in range(base_lb, n + 1):
+            colors = [-1] * n
+            if assign(0, 0, level):
+                used = max(colors) + 1
+                if used < base_lb:
+                    raise DomainError(
+                        f"found a {used}-coloring below the supplied "
+                        f"lower bound {base_lb}"
+                    )
+                witness = base_witness if level == base_lb else f"exhausted:{level - 1}"
+                return ColoringCertificate(
+                    colors=tuple(colors),
+                    color_count=used,
+                    optimal=True,
+                    lower_bound=used,
+                    lower_bound_witness=witness,
+                )
+        raise DomainError("no proper coloring exists at any level")
+    except _OracleBudgetExceeded:
+        proven = level if level > base_lb else base_lb
+        witness = f"exhausted:{level - 1}" if level > base_lb else base_witness
+        fallback = [-1] * n
+        for v in order:
+            c = 0
+            while _rescan_blocks(v, c, fallback, edges_of):
+                c += 1
+            fallback[v] = c
+        used = max(fallback) + 1
+        return ColoringCertificate(
+            colors=tuple(fallback),
+            color_count=used,
+            optimal=used == proven,
+            lower_bound=proven,
+            lower_bound_witness=witness,
+            budget_exhausted=True,
+        )
 
 
 # -- hypergraph construction -------------------------------------------------
@@ -191,6 +326,56 @@ def test_exact_matches_naive_on_random_line_instances(seed):
     assert is_proper(hg, cert.colors)
 
 
+@st.composite
+def chromatic_instances(draw):
+    """A random hypergraph with mixed edge sizes 2-4, a node budget from 1 to
+    unlimited, and a supplied lower bound that may exceed chi or even n."""
+    n = draw(st.integers(4, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+    edges = draw(
+        st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=3 * n, unique=True)
+    )
+    hg = CopyHypergraph(
+        point_set=line(*range(n)), source=UNIT_PAIR, edges=tuple(sorted(edges))
+    )
+    budget = draw(st.one_of(st.integers(1, 2000), st.just(10**7)))
+    return hg, budget, draw(st.integers(1, n + 2))
+
+
+def _outcome(solve, hg, budget, extra):
+    try:
+        return solve(
+            hg, budget=budget, extra_lower_bound=extra, extra_witness=f"given:{extra}"
+        )
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+FIVE_CYCLE = CopyHypergraph(
+    point_set=line(0, 1, 2, 3, 4),
+    source=UNIT_PAIR,
+    edges=((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)),
+)
+
+
+@given(chromatic_instances())
+@example((FIVE_CYCLE, 10**7, 6))  # bound above the vertex count
+@example((FIVE_CYCLE, 10**7, 4))  # bound above chi = 3
+@example((FIVE_CYCLE, 3, 2))  # budget cut in the first level: greedy fallback
+@settings(max_examples=200, deadline=None)
+def test_exact_matches_the_rescan_oracle_field_by_field(instance):
+    hg, budget, extra = instance
+    got = _outcome(exact_chromatic, hg, budget, extra)
+    assert got == _outcome(rescan_chromatic, hg, budget, extra)
+    if isinstance(got, ColoringCertificate):
+        assert is_proper(hg, got.colors)
+
+
+def test_a_supplied_bound_above_chi_is_caught_by_the_coloring_found():
+    with pytest.raises(DomainError, match="found a 3-coloring below .* bound 4"):
+        exact_chromatic(FIVE_CYCLE, extra_lower_bound=4, extra_witness="bogus:4")
+
+
 # -- grid_chromatic ----------------------------------------------------------------
 
 
@@ -220,3 +405,17 @@ def test_grid_chromatic_budget_flag_propagates():
     report = grid_chromatic(2, 2, budget=5)
     assert report.certificate.budget_exhausted
     assert is_proper(report.hypergraph, report.certificate.colors)
+
+
+def test_grid_chromatic_proves_chi_4_for_the_one_two_baton_on_the_5_plane():
+    """The (1,2)-baton {0, 1, 3} on {0..5}^2: no 3-coloring exists, which the
+    search proves by exhausting level 3."""
+    space = Baton((F(1), F(2))).as_metric_space()
+    report = grid_chromatic(5, 2, space=space)
+    assert report.pigeonhole is None
+    cert = report.certificate
+    assert cert.color_count == 4
+    assert cert.optimal
+    assert not cert.budget_exhausted
+    assert cert.lower_bound_witness == "exhausted:3"
+    assert is_proper(report.hypergraph, cert.colors)

@@ -114,6 +114,15 @@ def test_extract_string_grid_side_is_exit_2(tmp_path, capsys):
     assert "error: subset file: k and n must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elements", [[1, 2], "ab", [[0], [True]], [[0], [0.5]]])
+def test_extract_non_integer_list_elements_are_exit_2(tmp_path, capsys, elements):
+    subset = tmp_path / "subset.json"
+    write_json(subset, {"k": 2, "n": 1, "elements": elements})
+    assert main(["extract", "--subset", str(subset)]) == 2
+    err = capsys.readouterr().err
+    assert "error: subset file: elements must be a list of integer lists" in err
+
+
 def test_extract_with_a_baton_goes_through_anchors(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     write_json(pts, {"points": [["0"], ["1"], ["2"], ["3"]]})
