@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError
 from .metric import Baton
 
@@ -300,6 +298,8 @@ def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):
     denom = math.lcm(*(v.denominator for v in a))
     scaled = [v.numerator * (denom // v.denominator) for v in a]
     if m >= 2 and 2 * max(abs(v) for v in scaled) < 2**62:
+        import numpy as np  # on first use, so `maxram cover` never loads numpy
+
         arr = np.array(scaled, dtype=np.int64)
         for l in range(1, m // 2 + 1):
             bad = arr[2 * l : m + 1] > arr[l] + arr[l : m - l + 1]

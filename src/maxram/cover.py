@@ -1,8 +1,11 @@
 """Covering the discrete torus Z_m^n by translates of the cube {0..d-1}^n.
 
 Coverings are exact set-cover instances over bitmask coverage tables.
-Three constructions are provided: branch-and-bound minimum covers with a
-node budget, the lexicographic greedy, and the randomized construction
+Point (c_0, ..., c_{n-1}) is bit sum c_i * m^(n-1-i), and every box the
+module needs (cubes, the coverers of a point, the packing bound's
+neighbourhoods) comes from the one builder _box_mask. Three
+constructions are provided: branch-and-bound minimum covers with a node
+budget, the lexicographic greedy, and the randomized construction
 (floor(n * ln d * (m/d)^n) uniform translates plus one patch per point
 left uncovered) whose expected leftover count is below (m/d)^n.
 """
@@ -57,25 +60,27 @@ def torus_points(inst: CoverInstance) -> list[IntVec]:
     return list(itertools.product(range(inst.m), repeat=inst.n))
 
 
-def _point_index(point: IntVec, m: int) -> int:
-    idx = 0
-    for c in point:
-        idx = idx * m + c
-    return idx
+def _box_mask(inst: CoverInstance, corner: IntVec, side: int) -> int:
+    """Bitmask of the points corner + {0..side-1}^n (mod m), row-major.
+
+    Built from the last axis outward: the box on axes i.. is the OR of
+    copies of the box on axes i+1.., one shifted to each of its side
+    coordinates on axis i. A side of m or more is the whole axis.
+    """
+    m = inst.m
+    side = min(side, m)
+    mask, stride = 1, 1
+    for c in reversed(corner):
+        row = 0
+        for t in range(side):
+            row |= mask << ((c + t) % m * stride)
+        mask, stride = row, stride * m
+    return mask
 
 
 def cover_mask(inst: CoverInstance, translate: IntVec) -> int:
     """Bitmask of the points covered by translate + {0..d-1}^n (mod m)."""
-    m, d, n = inst.m, inst.d, inst.n
-    nbytes = (m**n + 7) // 8
-    buf = bytearray(nbytes)
-    indices = [0]
-    for axis in range(n):
-        coords = [(translate[axis] + t) % m for t in range(d)]
-        indices = [idx * m + c for idx in indices for c in coords]
-    for idx in indices:
-        buf[idx >> 3] |= 1 << (idx & 7)
-    return int.from_bytes(bytes(buf), "little")
+    return _box_mask(inst, translate, inst.d)
 
 
 def _coverage_table(inst: CoverInstance) -> tuple[list[IntVec], list[int]]:
@@ -95,7 +100,12 @@ def is_cover(inst: CoverInstance, translates) -> bool:
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
     """Largest-new-coverage greedy; ties broken by lexicographic translate."""
-    translates, masks = _coverage_table(inst)
+    return _greedy(inst, *_coverage_table(inst))
+
+
+def _greedy(
+    inst: CoverInstance, translates: list[IntVec], masks: list[int]
+) -> CoverSolution:
     full = (1 << inst.point_count) - 1
     uncovered = full
     chosen: list[IntVec] = []
@@ -177,71 +187,65 @@ def random_cover_within_expectation(
     return best, max_retries, False
 
 
-def _window_masks(inst: CoverInstance, points: list[IntVec]) -> list[int]:
-    """window[p] = bitmask of points co-coverable with p by one translate."""
-    m, d = inst.m, inst.d
-    npts = len(points)
-    if 2 * d - 1 >= m:
-        # The window wraps all the way around every axis.
-        full = (1 << npts) - 1
-        return [full] * npts
-    nbytes = (npts + 7) // 8
-    out = []
-    for p in points:
-        indices = [0]
-        for axis in range(inst.n):
-            coords = sorted({(p[axis] + off) % m for off in range(-(d - 1), d)})
-            indices = [idx * m + c for idx in indices for c in coords]
-        buf = bytearray(nbytes)
-        for idx in indices:
-            buf[idx >> 3] |= 1 << (idx & 7)
-        out.append(int.from_bytes(buf, "little"))
-    return out
-
-
 def exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
     """Minimum cover by branch and bound.
 
     The first translate is pinned to the origin (the torus is transitive,
-    so some minimum cover contains it). Branching picks the uncovered
-    point with the fewest covering translates and tries its coverers by
-    decreasing fresh coverage. Pruning uses the better of the counting
-    bound and a greedy packing of pairwise non-co-coverable points. The
-    greedy cover seeds the incumbent; if the node budget runs out the
-    incumbent is returned with optimal=False.
+    so some minimum cover contains it). Every point p has exactly d^n
+    coverers, the translates p - {0..d-1}^n, so branching takes the
+    lowest-index uncovered point and tries its coverers by decreasing
+    fresh coverage, ties by index. Pruning uses the better of the
+    counting bound and a greedy packing: uncovered points, taken in index
+    order, whose windows p + {-(d-1)..d-1}^n are pairwise disjoint, that
+    is, each pair more than 2(d-1) apart cyclically on some axis. No
+    translate covers two of them. The greedy cover seeds the incumbent;
+    if the node budget runs out the incumbent is returned with
+    optimal=False.
     """
-    points = torus_points(inst)
+    d, n = inst.d, inst.n
     translates, masks = _coverage_table(inst)
-    npts = inst.point_count
-    full = (1 << npts) - 1
-    coverers: list[list[int]] = [[] for _ in range(npts)]
-    for ti, mask in enumerate(masks):
-        probe = mask
-        while probe:
-            low = probe & -probe
-            coverers[low.bit_length() - 1].append(ti)
-            probe ^= low
-    windows = _window_masks(inst, points)
-    dpow = inst.d**inst.n
+    full = (1 << inst.point_count) - 1
+    dpow = d**n
 
-    greedy = greedy_cover(inst)
+    greedy = _greedy(inst, translates, masks)
     best_size = greedy.size
     best_sol = [tuple(v) for v in greedy.translates]
     nodes = 0
     exhausted = False
 
+    # near[p]: the points whose windows meet p's window, those within
+    # cyclic distance 2(d-1) of p on every axis; kept per point. Translate
+    # i sits at point i, so translates[p] is p's coordinates.
+    reach = 2 * (d - 1)
+    near: dict[int, int] = {}
+
     def packing_bound(uncovered: int) -> int:
+        """Take the lowest uncovered point that no taken point is near,
+        until none is left; O(1) big-int steps per point taken."""
         count = 0
-        taken = 0
         probe = uncovered
         while probe:
-            low = probe & -probe
-            pi = low.bit_length() - 1
-            if not (windows[pi] & taken):
-                count += 1
-                taken |= windows[pi]
-            probe ^= low
+            count += 1
+            p = (probe & -probe).bit_length() - 1
+            if p not in near:
+                corner = tuple(c - reach for c in translates[p])
+                near[p] = _box_mask(inst, corner, 2 * reach + 1)
+            probe &= ~near[p]
         return count
+
+    coverers: dict[int, list[int]] = {}
+
+    def coverers_of(point: int) -> list[int]:
+        """The translates point - {0..d-1}^n, by index; kept per point."""
+        if point not in coverers:
+            corner = tuple(c - (d - 1) for c in translates[point])
+            box = _box_mask(inst, corner, d)
+            out = coverers[point] = []
+            while box:
+                low = box & -box
+                out.append(low.bit_length() - 1)
+                box ^= low
+        return coverers[point]
 
     def search(uncovered: int, chosen: list[int]) -> None:
         nonlocal nodes, exhausted, best_size, best_sol
@@ -256,22 +260,15 @@ def exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
                 best_size = len(chosen)
                 best_sol = [translates[i] for i in chosen]
             return
-        lb = max(
-            ceil_div(uncovered.bit_count(), dpow), packing_bound(uncovered)
-        )
-        if len(chosen) + lb >= best_size:
+        slack = best_size - len(chosen)
+        if (
+            ceil_div(uncovered.bit_count(), dpow) >= slack
+            or packing_bound(uncovered) >= slack
+        ):
             return
-        target, target_count = -1, None
-        probe = uncovered
-        while probe:
-            low = probe & -probe
-            pi = low.bit_length() - 1
-            cnt = len(coverers[pi])
-            if target_count is None or cnt < target_count:
-                target, target_count = pi, cnt
-            probe ^= low
+        target = (uncovered & -uncovered).bit_length() - 1
         order = sorted(
-            coverers[target],
+            coverers_of(target),
             key=lambda ti: (-(masks[ti] & uncovered).bit_count(), ti),
         )
         for ti in order:
@@ -298,25 +295,6 @@ def exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
         optimal=True,
         lower_bound=best_size,
     )
-
-
-def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:
-    """Subset enumeration by increasing size; oracle for small instances."""
-    translates, masks = _coverage_table(inst)
-    full = (1 << inst.point_count) - 1
-    for size in range(1, len(translates) + 1):
-        for combo in itertools.combinations(range(len(translates)), size):
-            acc = 0
-            for i in combo:
-                acc |= masks[i]
-            if acc == full:
-                return CoverSolution(
-                    translates=[translates[i] for i in combo],
-                    size=size,
-                    optimal=True,
-                    lower_bound=size,
-                )
-    raise AssertionError("full translate set always covers")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DimensionMismatch, PreconditionError
 
 Vec = tuple[Fraction, ...]
@@ -125,6 +123,8 @@ def _scaled_distance_matrix(points: PointSet) -> np.ndarray:
     The entries are exact integers: int64 when every coordinate difference
     fits with headroom, otherwise an object array of Python ints.
     """
+    import numpy as np  # on first use, so `maxram cover` never loads numpy
+
     _, coords = points.scaled_coords
     bound = max((abs(c) for p in coords for c in p), default=0)
     dtype = np.int64 if 2 * bound < 2**62 else object
@@ -259,6 +259,8 @@ def find_copies(
     if any(v.denominator != 1 for row in targets for v in row):
         # Some distance is not a multiple of 1/scale; no two points have it.
         return []
+    import numpy as np
+
     targets = [[v.numerator for v in row] for row in targets]
     dist = _scaled_distance_matrix(points)
     out: list[CopyEmbedding] = []

@@ -21,6 +21,7 @@ from cert_fixtures import (
     leaf_paths,
     mutate_leaf,
 )
+from cover_oracles import naive_minimum_cover
 from maxram import (
     Baton,
     CoverInstance,
@@ -40,7 +41,6 @@ from maxram import (
     frechet_embed,
     greedy_cover,
     grid_chromatic,
-    naive_minimum_cover,
     pigeonhole_lower_bound,
     random_cover_within_expectation,
     random_metric_space,
@@ -307,7 +307,7 @@ def test_c10_cover_solver_against_its_oracles():
 
     # Counting <= exact <= greedy on every instance with at most 81
     # points; the solve completes (9,2,2 is deferred to the budgeted
-    # block below, its optimality proof alone takes half a minute).
+    # block below, its optimality proof alone takes about 13 s).
     for n in range(1, 7):
         for m in range(2, 10):
             if m**n > 81:

@@ -1,10 +1,15 @@
 """End-to-end command line runs, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import maxram
 from maxram import Baton, validate_certificate
 from maxram.cli import main
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
@@ -296,6 +301,28 @@ def test_cover_table_csv(capsys):
     assert main(["cover", "table", "--max", "2"]) == 0
     out = capsys.readouterr().out
     assert out == "n,lower,upper,exact\n1,2,2,true\n2,3,3,true\n"
+
+
+def test_cover_and_its_validation_never_import_numpy(tmp_path):
+    """numpy is loaded on first use, and covers never use it."""
+    path = tmp_path / "cover.json"
+    script = f"""
+import sys
+from maxram.cli import main
+assert "numpy" not in sys.modules, "import maxram.cli"
+assert main(["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
+             "--output", {str(path)!r}]) == 0
+assert main(["validate", {str(path)!r}]) == 0
+assert "numpy" not in sys.modules, "cover and validate"
+"""
+    src = str(Path(maxram.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 # -- validate ---------------------------------------------------------------

@@ -1,26 +1,170 @@
 """Torus coverings by cube translates: masks, greedy, random, exact search."""
 
-import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from cover_oracles import naive_minimum_cover
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxram import (
     CoverInstance,
+    CoverSolution,
     PreconditionError,
     cn_table,
     counting_lower_bound,
     exact_cover,
     greedy_cover,
     is_cover,
-    naive_minimum_cover,
     random_cover_within_expectation,
     random_translates_cover,
     randomized_cover,
 )
-from maxram.cover import cover_mask, torus_points
+from maxram.cover import _box_mask, cover_mask, torus_points
+from maxram.rational import ceil_div
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def product_index_mask(inst: CoverInstance, coords_per_axis) -> int:
+    """Bitmask of the product of per-axis coordinate lists, row-major."""
+    indices = [0]
+    for coords in coords_per_axis:
+        indices = [idx * inst.m + c for idx in indices for c in coords]
+    buf = bytearray((inst.point_count + 7) // 8)
+    for idx in indices:
+        buf[idx >> 3] |= 1 << (idx & 7)
+    return int.from_bytes(bytes(buf), "little")
+
+
+def product_cover_mask(inst: CoverInstance, translate) -> int:
+    """The cube translate + {0..d-1}^n, built index by index."""
+    m, d = inst.m, inst.d
+    return product_index_mask(
+        inst, [[(c + t) % m for t in range(d)] for c in translate]
+    )
+
+
+def product_window_masks(inst: CoverInstance, points) -> list[int]:
+    """window[p] = bitmask of points co-coverable with p by one translate."""
+    m, d = inst.m, inst.d
+    if 2 * d - 1 >= m:
+        # The window wraps all the way around every axis.
+        return [(1 << len(points)) - 1] * len(points)
+    return [
+        product_index_mask(
+            inst,
+            [sorted({(c + off) % m for off in range(-(d - 1), d)}) for c in p],
+        )
+        for p in points
+    ]
+
+
+def rescan_exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
+    """The branch and bound before the box-mask rewrite, kept as the oracle.
+
+    It finds each point's coverers by walking every coverage mask, scans
+    all uncovered points for the one with the fewest coverers, and builds
+    the packing bound by testing every uncovered point's window against
+    the union of the windows taken so far.
+    """
+    points = torus_points(inst)
+    translates = points
+    masks = [product_cover_mask(inst, v) for v in translates]
+    npts = inst.point_count
+    full = (1 << npts) - 1
+    coverers: list[list[int]] = [[] for _ in range(npts)]
+    for ti, mask in enumerate(masks):
+        probe = mask
+        while probe:
+            low = probe & -probe
+            coverers[low.bit_length() - 1].append(ti)
+            probe ^= low
+    windows = product_window_masks(inst, points)
+    dpow = inst.d**inst.n
+
+    # Largest-new-coverage greedy, ties by lexicographic translate.
+    greedy = []
+    uncovered = full
+    while uncovered:
+        gains = [(mask & uncovered).bit_count() for mask in masks]
+        best_i = gains.index(max(gains))
+        greedy.append(translates[best_i])
+        uncovered &= ~masks[best_i]
+    best_size = len(greedy)
+    best_sol = greedy
+    nodes = 0
+    exhausted = False
+
+    def packing_bound(uncovered: int) -> int:
+        count = 0
+        taken = 0
+        probe = uncovered
+        while probe:
+            low = probe & -probe
+            pi = low.bit_length() - 1
+            if not (windows[pi] & taken):
+                count += 1
+                taken |= windows[pi]
+            probe ^= low
+        return count
+
+    def search(uncovered: int, chosen: list[int]) -> None:
+        nonlocal nodes, exhausted, best_size, best_sol
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_sol = [translates[i] for i in chosen]
+            return
+        lb = max(
+            ceil_div(uncovered.bit_count(), dpow), packing_bound(uncovered)
+        )
+        if len(chosen) + lb >= best_size:
+            return
+        target, target_count = -1, None
+        probe = uncovered
+        while probe:
+            low = probe & -probe
+            pi = low.bit_length() - 1
+            cnt = len(coverers[pi])
+            if target_count is None or cnt < target_count:
+                target, target_count = pi, cnt
+            probe ^= low
+        order = sorted(
+            coverers[target],
+            key=lambda ti: (-(masks[ti] & uncovered).bit_count(), ti),
+        )
+        for ti in order:
+            chosen.append(ti)
+            search(uncovered & ~masks[ti], chosen)
+            chosen.pop()
+            if exhausted:
+                return
+
+    search(full & ~masks[0], [0])
+
+    counting = counting_lower_bound(inst)
+    if exhausted:
+        return CoverSolution(
+            translates=best_sol,
+            size=best_size,
+            optimal=False,
+            lower_bound=counting,
+            budget_exhausted=True,
+        )
+    return CoverSolution(
+        translates=best_sol,
+        size=best_size,
+        optimal=True,
+        lower_bound=best_size,
+    )
 
 
 def small_instances():
@@ -75,6 +219,21 @@ def test_cover_mask_bit_count_is_d_to_the_n(inst, data):
         data.draw(st.integers(0, inst.m - 1)) for _ in range(inst.n)
     )
     assert cover_mask(inst, t).bit_count() == inst.d**inst.n
+
+
+def test_box_mask_matches_the_product_index_builders():
+    for m in range(1, 8):
+        for d in range(1, m + 1):
+            for n in (1, 2, 3):
+                if m**n > 150:
+                    continue
+                inst = CoverInstance(m, d, n)
+                points = torus_points(inst)
+                windows = product_window_masks(inst, points)
+                for p, window in zip(points, windows):
+                    assert _box_mask(inst, p, d) == product_cover_mask(inst, p)
+                    corner = tuple(c - (d - 1) for c in p)
+                    assert _box_mask(inst, corner, 2 * d - 1) == window, (inst, p)
 
 
 def test_is_cover_fixtures():
@@ -185,6 +344,30 @@ def test_exact_cover_budget_exhaustion_keeps_the_incumbent():
     full = exact_cover(inst)
     assert full.optimal and full.size == 5
     assert full.size <= sol.size
+
+
+@st.composite
+def budgeted_instances(draw):
+    """(m, d, n) with m^n <= 100 and a node budget from 1 to 10^5."""
+    # Most instances with a real search are planes.
+    n = draw(st.sampled_from((2, 2, 2, 3, 3, 4, 1, 5, 6)))
+    m = draw(st.sampled_from(range(2, math.floor(100 ** (1 / n) + 1e-9) + 1)))
+    d = draw(st.sampled_from(range(1, m + 1)))
+    budget = draw(st.one_of(st.integers(1, 300), st.integers(1, 10**5)))
+    return CoverInstance(m, d, n), budget
+
+
+@given(budgeted_instances())
+@example((CoverInstance(3, 2, 3), 10**5))  # 2d-1 >= m: every window is the torus
+@example((CoverInstance(5, 2, 2), 10**5))  # 4d-3 >= m > 2d-1: near boxes wrap
+@example((CoverInstance(7, 2, 2), 10**5))  # neither wraps
+@example((CoverInstance(9, 2, 2), 1))  # budget cut below the first node
+@settings(max_examples=100, deadline=None)
+def test_exact_matches_the_rescan_oracle_field_by_field(instance):
+    inst, budget = instance
+    got = exact_cover(inst, budget=budget)
+    assert got == rescan_exact_cover(inst, budget=budget)
+    assert is_cover(inst, got.translates)
 
 
 def test_exact_cover_single_translate_instance():
