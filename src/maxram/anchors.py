@@ -8,6 +8,10 @@ gamma. The p_i come from a denominator q approximating all steps
 simultaneously to within q^-(1+1/k); interior values interpolate each
 anchor from below in increments of delta/(2m).
 
+anchor_sequence_at is the construction for one given q; the builder
+only chooses q, and the certificate validator rebuilds at the stated q
+through the same function.
+
 All arithmetic is exact. The only concession to speed is that the
 all-pairs subadditivity sweep runs on scaled integers (numpy when they
 fit in int64), which loses nothing.
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .extraction import AnchorSet
 from .metric import Baton
 
 _RETRY_LIMIT = 64
@@ -97,6 +102,19 @@ def approximation_bound_holds(error: Fraction, q: int, k: int) -> bool:
     return error**k * Fraction(q) ** (k + 1) < 1
 
 
+def _numerators_at(steps: tuple[Fraction, ...], q: int) -> tuple[int, ...] | None:
+    """The half-up numerators round(q*step_i), or None when one of them
+    misses the simultaneous approximation bound."""
+    numerators = tuple(_round_half_up(q * s) for s in steps)
+    k = len(steps)
+    if all(
+        approximation_bound_holds(abs(s - Fraction(p, q)), q, k)
+        for s, p in zip(steps, numerators)
+    ):
+        return numerators
+    return None
+
+
 def dirichlet_approx(steps, q0: int) -> DirichletWitness:
     """Least q > q0 whose nearest-integer numerators satisfy the
     simultaneous approximation bound; a linear scan, checked exactly.
@@ -107,24 +125,17 @@ def dirichlet_approx(steps, q0: int) -> DirichletWitness:
     steps = tuple(Fraction(s) for s in steps)
     if not steps or any(s <= 0 for s in steps):
         raise PreconditionError("steps must be positive")
-    k = len(steps)
     q = q0
     while True:
         q += 1
-        numerators = tuple(_round_half_up(q * s) for s in steps)
-        errors = (abs(s - Fraction(p, q)) for s, p in zip(steps, numerators))
-        if all(approximation_bound_holds(e, q, k) for e in errors):
+        numerators = _numerators_at(steps, q)
+        if numerators is not None:
             return DirichletWitness(q, numerators)
 
 
 @dataclass(frozen=True)
 class AnchorSequence:
-    """The built sequence plus the data needed to audit it.
-
-    marks are the partial sums of p and select the positions where the
-    original steps are realized; values aliases a so the sequence plugs
-    into the general baton extractor.
-    """
+    """The built sequence plus the data needed to audit it."""
 
     p: tuple[int, ...]
     m: int
@@ -147,20 +158,11 @@ class AnchorSequence:
             raise PreconditionError("q must be a positive integer")
 
     @property
-    def values(self) -> tuple[Fraction, ...]:
-        return self.a
-
-    @property
-    def marks(self) -> tuple[int, ...]:
-        out = [0]
-        for v in self.p:
-            out.append(out[-1] + v)
-        return tuple(out)
-
-    def marked_steps(self) -> tuple[Fraction, ...]:
-        return tuple(
-            self.a[b] - self.a[a] for a, b in zip(self.marks, self.marks[1:])
-        )
+    def anchor_set(self) -> AnchorSet:
+        """The values a, marked at the partial sums of p: the positions
+        where the original steps are realized. This is what the general
+        baton extractor reads."""
+        return AnchorSet(self.a, tuple(itertools.accumulate(self.p, initial=0)))
 
 
 def scaled_round(q: int, gamma: Fraction) -> int:
@@ -182,75 +184,83 @@ def _threshold_q0(delta: Fraction, theta: Fraction, k: int) -> int:
     return q0 + 1
 
 
-def _build_from_witness(
-    gammas: GammaSet, witness: DirichletWitness, delta: Fraction
-) -> tuple[tuple[Fraction, ...], int]:
-    q = witness.q
-    m = sum(witness.numerators)
-    boundaries = [scaled_round(q, g) for g in gammas.values]
-    assert boundaries[0] == 0
-    assert boundaries[-1] == m, "top anchor index must equal sum(p)"
-    unit = delta / (2 * m)
-    a = [Fraction(0)] * (m + 1)
-    for i in range(1, len(boundaries)):
-        gamma = gammas.values[i]
-        for l in range(boundaries[i - 1] + 1, boundaries[i] + 1):
-            a[l] = gamma - (boundaries[i] - l) * unit
-    return tuple(a), m
+def _parameters(baton: Baton) -> tuple[GammaSet, Fraction, Fraction, int]:
+    """The combination set, delta (least gap between consecutive
+    combinations, gamma_next included), theta (largest over least positive
+    combination) and the threshold q0 they give."""
+    if baton.k < 1:
+        raise PreconditionError("anchor sequences need at least one step")
+    gammas = gamma_set(baton)
+    with_next = gammas.values + (gammas.gamma_next,)
+    delta = min(b - a for a, b in zip(with_next, with_next[1:]))
+    theta = gammas.values[-1] / gammas.values[1]
+    return gammas, delta, theta, _threshold_q0(delta, theta, baton.k)
+
+
+def anchor_sequence_at(baton: Baton, q: int) -> AnchorSequence:
+    """The anchor sequence the construction assigns to denominator q.
+
+    q = 1 with integer steps is the fast path: p_i = step_i, a_l = l,
+    q0 = 0. Otherwise q must exceed the threshold q0, and the half-up
+    numerators p_i = round(q*step_i) must satisfy the simultaneous
+    approximation bound; then m = sum(p), each combination gamma anchors
+    at index round(q*gamma), and the values below an anchor interpolate
+    up to it in increments of delta/(2m). Raises PreconditionError saying
+    which condition q fails. The result is not verified.
+    """
+    gammas, delta, theta, q0 = _parameters(baton)
+    steps = baton.steps
+    if q == 1 and all(s.denominator == 1 for s in steps):
+        p, q0 = tuple(int(s) for s in steps), 0
+        a = [Fraction(l) for l in range(sum(p) + 1)]
+    else:
+        if q <= q0:
+            raise PreconditionError(f"must exceed q0 = {q0}, got q = {q}")
+        p = _numerators_at(steps, q)
+        if p is None:
+            raise PreconditionError(
+                f"the half-up numerators at q = {q} miss the approximation bound"
+            )
+        m = sum(p)
+        boundaries = [scaled_round(q, g) for g in gammas.values]
+        if boundaries[-1] != m:
+            raise PreconditionError(
+                f"at q = {q} the top combination anchors at index "
+                f"{boundaries[-1]}, not at sum(p) = {m}"
+            )
+        unit = delta / (2 * m)
+        a = [Fraction(0)] * (m + 1)
+        for i in range(1, len(boundaries)):
+            gamma = gammas.values[i]
+            for l in range(boundaries[i - 1] + 1, boundaries[i] + 1):
+                a[l] = gamma - (boundaries[i] - l) * unit
+    return AnchorSequence(
+        p=p, m=sum(p), a=tuple(a), delta=delta, theta=theta, q0=q0, q=q
+    )
 
 
 def build_anchor_sequence(baton: Baton, faithful: bool = False) -> AnchorSequence:
     """Build an anchor sequence for the baton's steps.
 
-    Integer steps short-circuit to p_i = step_i, a_l = l (witness q = 1),
-    which satisfies every clause directly and avoids enormous q. Pass
-    faithful=True to force the full approximation construction on any
-    input. The result is verified before being returned; a failing
-    verification (possible only through rounding ties, which the theory
-    excludes) retries with the next admissible q.
+    Integer steps short-circuit to the q = 1 fast path of
+    anchor_sequence_at, which satisfies every clause directly and avoids
+    enormous q. Pass faithful=True to force the full approximation
+    construction on any input: the sequence at the least q > q0 that
+    dirichlet_approx admits. The result is verified before being
+    returned; a failing verification (possible only through rounding
+    ties, which the theory excludes) retries with the next admissible q.
     """
-    if baton.k < 1:
-        raise PreconditionError("anchor sequences need at least one step")
-    steps = baton.steps
-    k = len(steps)
-    gammas = gamma_set(baton)
-    seq_with_next = gammas.values + (gammas.gamma_next,)
-    delta = min(b - a for a, b in zip(seq_with_next, seq_with_next[1:]))
-    theta = gammas.values[-1] / gammas.values[1]
-
-    if not faithful and all(s.denominator == 1 for s in steps):
-        m = int(sum(steps))
-        seq = AnchorSequence(
-            p=tuple(int(s) for s in steps),
-            m=m,
-            a=tuple(Fraction(l) for l in range(m + 1)),
-            delta=delta,
-            theta=theta,
-            q0=0,
-            q=1,
-        )
+    if not faithful and all(s.denominator == 1 for s in baton.steps):
+        seq = anchor_sequence_at(baton, 1)
         report = verify_anchor_sequence(seq, baton)
         assert report.ok, f"integer fast path failed verification: {report}"
         return seq
-
-    q0 = _threshold_q0(delta, theta, k)
-    floor = q0
+    q = _parameters(baton)[3]
     for _ in range(_RETRY_LIMIT):
-        witness = dirichlet_approx(steps, floor)
-        a, m = _build_from_witness(gammas, witness, delta)
-        seq = AnchorSequence(
-            p=witness.numerators,
-            m=m,
-            a=a,
-            delta=delta,
-            theta=theta,
-            q0=q0,
-            q=witness.q,
-        )
-        report = verify_anchor_sequence(seq, baton)
-        if report.ok:
+        q = dirichlet_approx(baton.steps, q).q
+        seq = anchor_sequence_at(baton, q)
+        if verify_anchor_sequence(seq, baton).ok:
             return seq
-        floor = witness.q
     raise AssertionError("no admissible q passed verification")
 
 

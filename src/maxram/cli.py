@@ -52,10 +52,8 @@ DEFAULT_BUDGET = 10**7
 class RunConfig:
     """Resolved run parameters shared by the subcommands."""
 
-    command: str
     seed: int = 0
     budget: int = DEFAULT_BUDGET
-    threads: int = 1
     output: str | None = None
 
 
@@ -69,14 +67,9 @@ def _resolve_config(args) -> RunConfig:
             raise ParseError(f"MAXRAM_BUDGET is not an integer: {raw!r}") from exc
     if budget < 1:
         raise PreconditionError("budget must be positive")
-    threads = args.threads
-    if threads < 1:
-        raise PreconditionError("threads must be at least 1")
     return RunConfig(
-        command=args.command,
         seed=getattr(args, "seed", 0),
         budget=budget,
-        threads=threads,
         output=getattr(args, "output", None),
     )
 
@@ -147,7 +140,7 @@ def _cmd_extract(args, config: RunConfig) -> int:
         baton = _parse_steps(args.baton)
         sequence = build_anchor_sequence(baton, faithful=args.faithful)
         points = point_set_from_obj(obj)
-        embedding = extract_general_baton(points, baton, sequence)
+        embedding = extract_general_baton(points, baton, sequence.anchor_set)
     _emit_json(copy_embedding_certificate(embedding), config)
     return 0
 
@@ -254,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxram",
         description="Max-norm geometry: extraction, anchors, colorings, covers.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; execution is sequential",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .anchors import build_anchor_sequence
-from .cover import CoverInstance, CoverSolution, random_cover_within_expectation, random_translates_cover, torus_points
+from .cover import (
+    CoverInstance,
+    cover_mask,
+    random_cover_within_expectation,
+    torus_points,
+)
 from .errors import DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, Vec, connectivity_threshold, diameter
 from .rational import ceil_div
@@ -145,34 +150,38 @@ def cube_tiling_coloring(n: int) -> PeriodicColoring:
     )
 
 
-def covering_of_torus(m: int, d: int, n: int, seed: int = 0) -> CoverSolution:
-    """Randomized covering of (Z_m)^n by d-cubes; see cover for the details."""
-    return random_translates_cover(CoverInstance(m=m, d=d, n=n), seed)
-
-
 def _ownership_classes(
     inst: CoverInstance, translates, unit: Fraction
 ) -> tuple[tuple[tuple[Vec, ...], ...], tuple[Vec, ...]]:
     """Group torus cells by the first covering translate that reaches them.
 
-    Cells scale by `unit` into box corners. Translates shadowed entirely
-    by earlier ones own nothing and contribute no class.
+    Each translate owns the cells of its cube mask that no earlier
+    translate covers, listed in index order; cells scale by `unit` into
+    box corners. Translates shadowed entirely by earlier ones own nothing
+    and contribute no class.
     """
-    m, d = inst.m, inst.d
-    owned: list[list[Vec]] = [[] for _ in translates]
-    for cell in torus_points(inst):
-        for idx, t in enumerate(translates):
-            if all((c - a) % m < d for c, a in zip(cell, t)):
-                owned[idx].append(tuple(Fraction(c) * unit for c in cell))
-                break
-        else:
-            raise DomainError(f"cell {cell} not covered by any translate")
+    cells = torus_points(inst)  # in index order
+    corner = [c * unit for c in range(inst.m)]
+    covered = 0
     classes = []
     anchors = []
-    for t, vecs in zip(translates, owned):
-        if vecs:
-            classes.append(tuple(vecs))
-            anchors.append(tuple(Fraction(c) * unit for c in t))
+    for t in translates:
+        owned = cover_mask(inst, t) & ~covered
+        if not owned:
+            continue
+        covered |= owned
+        bits = format(owned, "b")[::-1]
+        vecs = []
+        index = bits.find("1")
+        while index >= 0:
+            vecs.append(tuple(corner[c] for c in cells[index]))
+            index = bits.find("1", index + 1)
+        classes.append(tuple(vecs))
+        anchors.append(tuple(corner[c] for c in t))
+    uncovered = ~covered & ((1 << inst.point_count) - 1)
+    if uncovered:
+        cell = cells[(uncovered & -uncovered).bit_length() - 1]
+        raise DomainError(f"cell {cell} not covered by any translate")
     return tuple(classes), tuple(anchors)
 
 

@@ -46,12 +46,16 @@ class GridSubset:
         return PointSet(self.n, pts)
 
 
-def _fiber(elems: frozenset[IntVec], tail: IntVec) -> set[int]:
-    return {e[-1] for e in elems if e[:-1] == tail}
+def _shifted(x: IntVec, fiber: set[int], k: int) -> IntVec:
+    """shift_map's rule for x, given `fiber`, the heads over x's tail."""
+    head = x[-1]
+    if any(j not in fiber for j in range(head + 1, k + 1)):
+        return x[:-1] + (head + 1,)
+    return x
 
 
 def shift_map(subset: GridSubset, x: IntVec) -> IntVec:
-    """One application of the head-shift map.
+    """One application of the head-shift map to an element of the subset.
 
     x moves to (tail, head+1) when some value j > head is missing from
     the fiber over its tail; otherwise x is a fixed point. The map is
@@ -60,11 +64,8 @@ def shift_map(subset: GridSubset, x: IntVec) -> IntVec:
     x = tuple(x)
     if x not in subset.elems:
         raise DomainError(f"{x} is not in the subset")
-    tail, head = x[:-1], x[-1]
-    missing = set(range(subset.k + 1)) - _fiber(subset.elems, tail)
-    if any(j > head for j in missing):
-        return tail + (head + 1,)
-    return x
+    fiber = {e[-1] for e in subset.elems if e[:-1] == x[:-1]}
+    return _shifted(x, fiber, subset.k)
 
 
 def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:
@@ -87,11 +88,7 @@ def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:
     preimage: dict[IntVec, IntVec] = {}
     classes: dict[int, set[IntVec]] = {i: set() for i in range(k + 1)}
     for e in elems:
-        tail, head = e[:-1], e[-1]
-        missing_above = any(
-            j > head for j in set(range(k + 1)) - fibers[tail]
-        )
-        img = tail + (head + 1,) if missing_above else e
+        img = _shifted(e, fibers[e[:-1]], k)
         assert img not in preimage, "shift map lost injectivity"
         preimage[img] = e
         classes[img[-1]].add(img)
@@ -190,32 +187,24 @@ def anchor_set_one_alpha(alpha) -> AnchorSet:
     return AnchorSet(tuple(values), (0, 1, m + 1))
 
 
-def _int_coord(value: Fraction, where: str) -> int:
-    if value.denominator != 1:
-        raise DomainError(f"{where}: {value} is not an anchor value")
-    return value.numerator
-
-
 def extract_general_baton(
-    subset: PointSet, baton: Baton, anchors
+    subset: PointSet, baton: Baton, anchors: AnchorSet
 ) -> CopyEmbedding:
     """Extract a copy of `baton` from a dense subset of anchor-grid points.
 
-    `anchors` provides .values and .marks (AnchorSet, or an anchor
-    sequence exposing the same surface). Each coordinate of every point
-    must be an anchor value; with more than (len(values)-1)^n points a
-    copy is guaranteed. The copy is found by pulling the subset back to
-    the integer grid, extracting a unit baton, and pushing the marked
-    positions forward.
+    Each coordinate of every point must be one of the anchor values (an
+    anchor sequence supplies its values through `.anchor_set`); with more
+    than (len(values)-1)^n points a copy is guaranteed. The copy is found
+    by pulling the subset back to the integer grid, extracting a unit
+    baton, and pushing the marked positions forward.
     """
-    values = tuple(Fraction(v) for v in anchors.values)
-    marks = tuple(anchors.marks)
+    values, marks = anchors.values, anchors.marks
     if baton.k + 1 != len(marks):
         raise PreconditionError("anchor marks do not match the baton length")
     if anchors.marked_steps() != baton.steps:
         raise PreconditionError("anchor marked gaps do not match the baton steps")
     index_of_value = {v: i for i, v in enumerate(values)}
-    top = len(values) - 1
+    top = anchors.top_index
     n = subset.dim
     if len(subset) <= top**n:
         raise PreconditionError(

@@ -298,26 +298,6 @@ def find_copies(
     return out
 
 
-def find_copies_naive(
-    space: FiniteMetricSpace, points: PointSet
-) -> list[tuple[int, ...]]:
-    """Unpruned full enumeration of embeddings; oracle for find_copies."""
-    d = space.size
-    out = []
-    for tup in itertools.permutations(range(len(points)), d):
-        ok = True
-        for a, b in itertools.combinations(range(d), 2):
-            if (
-                chebyshev_distance(points.points[tup[a]], points.points[tup[b]])
-                != space.dist[a][b]
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(tup)
-    return sorted(out)
-
-
 def diameter(space: FiniteMetricSpace) -> Fraction:
     if space.size < 2:
         raise PreconditionError("diameter needs at least 2 points")

@@ -11,22 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .anchors import (
-    AnchorSequence,
-    DirichletWitness,
-    _build_from_witness,
-    _round_half_up,
-    _threshold_q0,
-    approximation_bound_holds,
-    gamma_set,
-    verify_anchor_sequence,
-)
+from .anchors import anchor_sequence_at, verify_anchor_sequence
 from .chromatic import copy_hypergraph, exact_chromatic, is_proper
 from .colorings import PeriodicColoring
 from .cover import CoverInstance, counting_lower_bound, exact_cover, is_cover
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .io import metric_space_from_obj, read_json, vec_from_obj
 from .metric import Baton, chebyshev_distance, connectivity_threshold, diameter, grid_points
 from .rational import parse_rational
@@ -103,67 +93,30 @@ def _check_copy_list(obj) -> list[str]:
 
 
 def _check_anchor_sequence(obj) -> list[str]:
+    """Rebuild the sequence at the stated q and compare field by field."""
     failures: list[str] = []
-    steps = vec_from_obj(obj["steps"])
-    baton = Baton(steps=steps)
+    baton = Baton(steps=vec_from_obj(obj["steps"]))
     if baton.k < 1:
         raise ParseError("steps must be non-empty")
-    k = baton.k
-    p = tuple(_int_value(v, "p") for v in _list_field(obj, "p"))
-    m = _int_field(obj, "m")
     q = _int_field(obj, "q")
-    q0 = _int_field(obj, "q0")
-    delta = parse_rational(obj["delta"])
-    theta = parse_rational(obj["theta"])
-    a = vec_from_obj(obj["a"])
-
-    gammas = gamma_set(baton)
-    with_next = gammas.values + (gammas.gamma_next,)
-    delta_true = min(y - x for x, y in zip(with_next, with_next[1:]))
-    theta_true = gammas.values[-1] / gammas.values[1]
-    if delta != delta_true:
-        failures.append("delta: recomputed value differs")
-    if theta != theta_true:
-        failures.append("theta: recomputed value differs")
-    if m != sum(p):
-        failures.append("m: does not equal sum(p)")
-        return failures
-
-    if q == 1:
-        if q0 != 0:
-            failures.append("q0: must be 0 for the integer fast path")
-        if any(s.denominator != 1 for s in steps) or p != tuple(
-            int(s) for s in steps
-        ):
-            failures.append("p: fast path requires p equal to integer steps")
-        if a != tuple(Fraction(l) for l in range(m + 1)):
-            failures.append("a: fast path requires a_l = l")
-    else:
-        if q0 != _threshold_q0(delta_true, theta_true, k):
-            failures.append("q0: recomputed threshold differs")
-        if q <= q0:
-            failures.append("q: must exceed q0")
-        witness = DirichletWitness(q, p)
-        if p != tuple(_round_half_up(q * s) for s in steps):
-            failures.append("p: not the half-up rounding of q*steps")
-        elif any(
-            not approximation_bound_holds(e, q, k) for e in witness.errors(steps)
-        ):
-            failures.append("q: approximation bound fails")
-        else:
-            try:
-                a_true, m_true = _build_from_witness(gammas, witness, delta_true)
-            except AssertionError:
-                failures.append("a: rebuild from the witness failed")
-            else:
-                if m != m_true:
-                    failures.append("m: rebuild from the witness differs")
-                if a != a_true:
-                    failures.append("a: rebuild from the witness differs")
-
+    stated = {
+        "p": tuple(_int_value(v, "p") for v in _list_field(obj, "p")),
+        "m": _int_field(obj, "m"),
+        "q0": _int_field(obj, "q0"),
+        "delta": parse_rational(obj["delta"]),
+        "theta": parse_rational(obj["theta"]),
+        "a": vec_from_obj(obj["a"]),
+    }
+    try:
+        seq = anchor_sequence_at(baton, q)
+    except PreconditionError as exc:
+        return [f"q: {exc}"]
+    where = "on the fast path" if seq.q0 == 0 else f"at q = {q}"
+    for name, value in stated.items():
+        if value != getattr(seq, name):
+            failures.append(f"{name}: rebuild {where} differs")
     if failures:
         return failures
-    seq = AnchorSequence(p=p, m=m, a=a, delta=delta, theta=theta, q0=q0, q=q)
     report = verify_anchor_sequence(seq, baton)
     expected = {name: bool(result) for name, result in report.clauses().items()}
     stored = obj["verification"]

@@ -32,7 +32,6 @@ from maxram import (
     ceil_div,
     chebyshev_distance,
     counting_lower_bound,
-    covering_of_torus,
     cube_tiling_coloring,
     exact_cover,
     extract_general_baton,
@@ -44,6 +43,7 @@ from maxram import (
     pigeonhole_lower_bound,
     random_cover_within_expectation,
     random_metric_space,
+    random_translates_cover,
     validate_certificate,
     verify_anchor_sequence,
 )
@@ -274,7 +274,7 @@ def test_c09_random_covers_meet_the_expectation_bound():
 
         sol = None
         for seed in range(1000):
-            candidate = covering_of_torus(3, 2, n, seed=seed)
+            candidate = random_translates_cover(inst, seed)
             assert candidate.s_random == s
             if candidate.size <= expected_bound[n]:
                 sol = candidate

@@ -11,6 +11,7 @@ from maxram import (
     Baton,
     DirichletWitness,
     PreconditionError,
+    anchor_sequence_at,
     approximation_bound_holds,
     build_anchor_sequence,
     dirichlet_approx,
@@ -166,6 +167,46 @@ def test_threshold_is_least(delta, theta, k):
 # -- building sequences -----------------------------------------------------
 
 
+def integer_batons():
+    return st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+        lambda steps: Baton(tuple(F(v) for v in steps))
+    )
+
+
+@given(st.one_of(integer_batons(), small_batons()), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_anchor_sequence_at_returns_the_built_sequence_at_its_q(baton, faithful):
+    seq = build_anchor_sequence(baton, faithful=faithful)
+    fast = not faithful and all(s.denominator == 1 for s in baton.steps)
+    assert (seq.q == 1) == fast
+    assert anchor_sequence_at(baton, seq.q) == seq
+
+
+@given(st.one_of(integer_batons(), small_batons()))
+@settings(max_examples=40, deadline=None)
+def test_anchor_sequence_at_rejects_inadmissible_q(baton):
+    seq = build_anchor_sequence(baton, faithful=True)
+    integral = all(s.denominator == 1 for s in baton.steps)
+    for q in (seq.q0, seq.q0 // 2, 0):
+        if q == 1 and integral:
+            continue  # the fast path
+        with pytest.raises(PreconditionError, match=f"must exceed q0 = {seq.q0}"):
+            anchor_sequence_at(baton, q)
+    # the builder takes the least admissible q > q0, so every q between
+    # them misses the approximation bound
+    for q in range(seq.q0 + 1, min(seq.q, seq.q0 + 20)):
+        with pytest.raises(PreconditionError, match="approximation bound"):
+            anchor_sequence_at(baton, q)
+
+
+def test_anchor_sequence_at_rejects_q_27_for_the_half_integer_pair():
+    baton = Baton((F(1), F(3, 2)))
+    with pytest.raises(PreconditionError, match="at q = 27 miss the approximation"):
+        anchor_sequence_at(baton, 27)
+    assert anchor_sequence_at(baton, 28) == build_anchor_sequence(baton, faithful=True)
+
+
+
 def test_integer_steps_take_the_fast_path():
     seq = build_anchor_sequence(Baton((F(2), F(3))))
     assert (seq.q, seq.q0) == (1, 0)
@@ -174,8 +215,8 @@ def test_integer_steps_take_the_fast_path():
     assert seq.a == tuple(F(l) for l in range(6))
     assert seq.delta == 1
     assert seq.theta == F(5, 2)
-    assert seq.marks == (0, 2, 5)
-    assert seq.marked_steps() == (F(2), F(3))
+    assert seq.anchor_set.marks == (0, 2, 5)
+    assert seq.anchor_set.marked_steps() == (F(2), F(3))
 
 
 def test_faithful_single_unit_step():
@@ -196,7 +237,7 @@ def test_faithful_half_integer_pair():
     for gamma, index in ((F(1), 28), (F(3, 2), 42), (F(2), 56), (F(5, 2), 70)):
         assert scaled_round(seq.q, gamma) == index
         assert seq.a[index] == gamma
-    assert seq.marked_steps() == baton.steps
+    assert seq.anchor_set.marked_steps() == baton.steps
 
 
 def test_block_interpolation_gaps():
@@ -234,8 +275,8 @@ def test_built_sequences_verify_and_realize_the_steps(baton):
     seq = build_anchor_sequence(baton)
     report = verify_anchor_sequence(seq, baton)
     assert report.ok
-    assert seq.marked_steps() == baton.steps
-    assert len(seq.values) == seq.m + 1
+    assert seq.anchor_set.marked_steps() == baton.steps
+    assert seq.anchor_set.values == seq.a
 
 
 # -- AnchorSequence validation ------------------------------------------------

@@ -360,11 +360,16 @@ def test_validate_a_directory_is_exit_2(tmp_path, capsys):
 # -- shared options ---------------------------------------------------------------
 
 
-def test_threads_flag_is_validated_but_sequential(capsys, b2_metric):
-    assert main(["--threads", "0", "embed", "--metric", b2_metric]) == 2
-    capsys.readouterr()
-    code, obj = run_json(capsys, ["--threads", "4", "embed", "--metric", b2_metric])
-    assert code == 0 and obj["kind"] == "copy_embedding"
+def test_threads_flag_is_rejected_by_argparse(capsys, b2_metric):
+    """--threads did nothing and is gone: argparse rejects it with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "embed", "--metric", b2_metric])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: maxram")
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--metric", b2_metric, "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_artifacts_do_not_depend_on_runtime_chatter(tmp_path, capsys):

@@ -17,14 +17,16 @@ from maxram import (
     PointSet,
     PreconditionError,
     avoidance_coloring,
-    covering_of_torus,
     cube_tiling_coloring,
     is_cover,
     pigeonhole_lower_bound,
+    random_cover_within_expectation,
+    random_translates_cover,
     super_ramsey_params,
     upper_bound_value,
 )
 from maxram.colorings import _ownership_classes
+from maxram.cover import torus_points
 
 F = Fraction
 
@@ -155,8 +157,68 @@ def test_color_of_is_periodic(n, data):
 
 
 def test_covering_of_torus_covers():
-    sol = covering_of_torus(3, 2, 2, seed=1)
+    sol = random_translates_cover(CoverInstance(3, 2, 2), seed=1)
     assert is_cover(CoverInstance(3, 2, 2), sol.translates)
+
+
+def loop_ownership_classes(inst, translates, unit):
+    """The cell-by-cell ownership loop: each cell of the torus goes to the
+    first translate t with (c - t) % m < d on every axis. Oracle for
+    _ownership_classes."""
+    m, d = inst.m, inst.d
+    owned = [[] for _ in translates]
+    for cell in torus_points(inst):
+        for idx, t in enumerate(translates):
+            if all((c - a) % m < d for c, a in zip(cell, t)):
+                owned[idx].append(tuple(F(c) * unit for c in cell))
+                break
+        else:
+            raise DomainError(f"cell {cell} not covered by any translate")
+    classes, anchors = [], []
+    for t, vecs in zip(translates, owned):
+        if vecs:
+            classes.append(tuple(vecs))
+            anchors.append(tuple(F(c) * unit for c in t))
+    return tuple(classes), tuple(anchors)
+
+
+def ownership_or_error(fn, inst, translates, unit):
+    try:
+        return fn(inst, translates, unit)
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def ownership_inputs(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3 if m <= 5 else 2))
+    d = draw(st.integers(1, m))
+    inst = CoverInstance(m=m, d=d, n=n)
+    point = st.tuples(*[st.integers(0, m - 1)] * n)
+    translates = draw(st.lists(point, max_size=12))
+    if draw(st.booleans()):
+        translates += torus_points(inst)  # make it a cover
+    unit = draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+    return inst, translates, unit
+
+
+@given(ownership_inputs())
+@settings(max_examples=150, deadline=None)
+def test_ownership_matches_the_cell_by_cell_loop(args):
+    assert ownership_or_error(_ownership_classes, *args) == ownership_or_error(
+        loop_ownership_classes, *args
+    )
+
+
+@pytest.mark.parametrize(
+    "m, d, n, unit", [(191, 126, 2, F(1, 64)), (3, 2, 5, F(1)), (3, 2, 3, F(1))]
+)
+def test_ownership_matches_the_loop_on_coloring_covers(m, d, n, unit):
+    inst = CoverInstance(m=m, d=d, n=n)
+    translates = random_cover_within_expectation(inst, seed=0)[0].translates
+    expected = loop_ownership_classes(inst, translates, unit)
+    assert _ownership_classes(inst, translates, unit) == expected
 
 
 def test_ownership_drops_fully_shadowed_translates():

@@ -226,12 +226,13 @@ def test_general_extraction_on_random_dense_planar_subsets(seed, alpha):
 
 
 def test_general_extraction_accepts_anchor_sequences_too():
-    """Anything exposing values/marks/marked_steps can drive extraction."""
+    """An anchor sequence drives extraction through its anchor set."""
     from maxram import build_anchor_sequence
 
     baton = Baton((F(1), F(3, 2)))
-    seq = build_anchor_sequence(baton)
-    subset = PointSet(1, tuple((v,) for v in seq.values))
-    emb = extract_general_baton(subset, baton, seq)
+    anchors = build_anchor_sequence(baton).anchor_set
+    assert isinstance(anchors, AnchorSet)
+    subset = PointSet(1, tuple((v,) for v in anchors.values))
+    emb = extract_general_baton(subset, baton, anchors)
     pos = [p[0] for p in emb.mapped_points()]
     assert pos[1] - pos[0] == 1 and pos[2] - pos[1] == F(3, 2)

@@ -19,13 +19,32 @@ from maxram import (
     connectivity_threshold,
     diameter,
     find_copies,
-    find_copies_naive,
     frechet_embed,
     grid_decompose,
     grid_points,
     random_metric_space,
 )
 from maxram.metric import _scaled_distance_matrix
+
+
+def find_copies_naive(
+    space: FiniteMetricSpace, points: PointSet
+) -> list[tuple[int, ...]]:
+    """Unpruned full enumeration of embeddings; oracle for find_copies."""
+    d = space.size
+    out = []
+    for tup in itertools.permutations(range(len(points)), d):
+        ok = True
+        for a, b in itertools.combinations(range(d), 2):
+            if (
+                chebyshev_distance(points.points[tup[a]], points.points[tup[b]])
+                != space.dist[a][b]
+            ):
+                ok = False
+                break
+        if ok:
+            out.append(tup)
+    return sorted(out)
 
 F = Fraction
 
