@@ -30,12 +30,9 @@ from .chromatic import (
 )
 from .colorings import (
     PeriodicColoring,
-    SuperRamseyParams,
-    UpperBound,
     avoidance_coloring,
     cube_tiling_coloring,
     pigeonhole_lower_bound,
-    super_ramsey_params,
     upper_bound_value,
 )
 from .cover import (
@@ -49,7 +46,6 @@ from .cover import (
     is_cover,
     random_cover_within_expectation,
     random_translates_cover,
-    randomized_cover,
 )
 from .errors import DimensionMismatch, DomainError, ParseError, PreconditionError
 from .extraction import (
@@ -70,9 +66,7 @@ from .metric import (
     diameter,
     find_copies,
     frechet_embed,
-    grid_decompose,
     grid_points,
-    random_metric_space,
 )
 from .rational import ceil_div, format_rational, parse_rational
 from .validate import ValidationReport, validate_certificate
@@ -100,8 +94,6 @@ __all__ = [
     "PeriodicColoring",
     "PointSet",
     "PreconditionError",
-    "SuperRamseyParams",
-    "UpperBound",
     "ValidationReport",
     "VerificationReport",
     "anchor_sequence_at",
@@ -128,19 +120,15 @@ __all__ = [
     "gamma_set",
     "greedy_cover",
     "grid_chromatic",
-    "grid_decompose",
     "grid_points",
     "is_cover",
     "is_proper",
     "parse_rational",
     "pigeonhole_lower_bound",
     "random_cover_within_expectation",
-    "random_metric_space",
     "random_translates_cover",
-    "randomized_cover",
     "scaled_round",
     "shift_map",
-    "super_ramsey_params",
     "upper_bound_value",
     "validate_certificate",
     "verify_anchor_sequence",

@@ -14,11 +14,10 @@ the gap can then never appear monochromatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .anchors import build_anchor_sequence
 from .cover import (
     CoverInstance,
     cover_mask,
@@ -26,7 +25,7 @@ from .cover import (
     torus_points,
 )
 from .errors import DomainError, PreconditionError
-from .metric import Baton, FiniteMetricSpace, Vec, connectivity_threshold, diameter
+from .metric import FiniteMetricSpace, Vec, connectivity_threshold, diameter
 from .rational import ceil_div
 
 
@@ -192,7 +191,6 @@ def avoidance_coloring(
     seed: int = 0,
     d_prime=None,
     l_prime=None,
-    max_retries: int = 1000,
 ) -> PeriodicColoring:
     """A periodic coloring of R^n with no monochromatic copy of the space.
 
@@ -237,7 +235,7 @@ def avoidance_coloring(
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
 
-    solution, _, met = random_cover_within_expectation(inst, seed, max_retries)
+    solution, _, met = random_cover_within_expectation(inst, seed)
     classes, anchors = _ownership_classes(inst, solution.translates, unit)
     warnings = []
     if gap >= window:
@@ -264,71 +262,21 @@ def pigeonhole_lower_bound(k: int, n: int) -> int:
     return ceil_div((k + 1) ** n, k**n)
 
 
-@dataclass(frozen=True)
-class UpperBound:
-    variant: str
-    value: float | int
-    asymptotic_only: bool
-    trivial_bound_better: bool
-    details: dict = field(default_factory=dict)
+def upper_bound_value(space: FiniteMetricSpace, n: int) -> float:
+    """The analytic estimate n * ln n * (1 + l/d)^n on the colors needed to
+    avoid the space in dimension n, with d its diameter and l its
+    bottleneck connectivity threshold.
 
-
-def upper_bound_value(
-    space: FiniteMetricSpace, n: int, variant: str = "U2", seed: int = 0
-) -> UpperBound:
-    """Color-count upper bounds for avoiding the space in dimension n.
-
-    U1 is the analytic estimate n * ln n * (1 + l/d)^n, a float that only
-    says something for large n. U2 actually builds the covering coloring
-    and reports its class count; it needs integral d and l with l < d,
-    since otherwise the 2^n cube tiling is already at least as good.
+    It only says something for large n; avoidance_coloring builds an
+    actual coloring and certifies its class count.
     """
-    d = diameter(space)
-    l = connectivity_threshold(space)
-    name = variant.lower()
-    if name == "u1":
-        value = n * math.log(n) * float(1 + l / d) ** n
-        return UpperBound(
-            variant="U1",
-            value=value,
-            asymptotic_only=True,
-            trivial_bound_better=value > float(2**n),
-            details={"ratio": float(1 + l / d)},
-        )
-    if name == "u2":
-        if d.denominator != 1 or l.denominator != 1 or l >= d:
-            raise PreconditionError(
-                "U2 needs integral diameter and threshold with threshold < "
-                "diameter; use the asymptotic coloring otherwise"
-            )
-        coloring = avoidance_coloring(space, n, mode="randomized", seed=seed)
-        value = coloring.class_count
-        return UpperBound(
-            variant="U2",
-            value=value,
-            asymptotic_only=False,
-            trivial_bound_better=value > 2**n,
-            details={"window": int(d), "gap": int(l), "period": int(d + l)},
-        )
-    raise PreconditionError(f"unknown bound variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class SuperRamseyParams:
-    """Exponential growth parameters realized by an anchor sequence.
-
-    A baton with anchor sequence of top index m forces more than
-    chi^n = ((m+1)/m)^n colors in dimension n, with F = m + 1 the number
-    of anchor values involved.
-    """
-
-    F: int
-    chi: Fraction
-    m: int
-
-
-def super_ramsey_params(baton: Baton, faithful: bool = False) -> SuperRamseyParams:
-    seq = build_anchor_sequence(baton, faithful=faithful)
-    return SuperRamseyParams(
-        F=seq.m + 1, chi=Fraction(seq.m + 1, seq.m), m=seq.m
-    )
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    ratio = float(1 + connectivity_threshold(space) / diameter(space))
+    try:
+        value = n * math.log(n) * ratio**n
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the estimate overflows a float at n = {n}")
+    return value

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -253,6 +252,8 @@ def find_copies(
     distinct_supports, only the first embedding per support set is kept
     (a configuration and its reversal otherwise count separately).
     """
+    if limit is not None and limit < 1:
+        raise PreconditionError("limit must be positive")
     d = space.size
     scale = points.scaled_coords[0]
     targets = [[v * scale for v in row] for row in space.dist]
@@ -331,43 +332,3 @@ def connectivity_threshold(space: FiniteMetricSpace) -> Fraction:
             if not in_tree[v] and space.dist[nxt][v] < best[v]:
                 best[v] = space.dist[nxt][v]
     return bottleneck
-
-
-def grid_decompose(point_set: PointSet) -> list[Baton]:
-    """Per-axis consecutive-gap batons whose product grid contains the set.
-
-    Axis i contributes the gaps between its sorted distinct projected
-    values; the grid of all value combinations (equivalently, each baton
-    translated to the axis minimum) contains every input point. An axis
-    with a single value yields the degenerate empty baton.
-    """
-    if len(point_set) == 0:
-        raise PreconditionError("grid_decompose needs a nonempty point set")
-    out = []
-    for axis in range(point_set.dim):
-        values = sorted({p[axis] for p in point_set.points})
-        gaps = tuple(b - a for a, b in zip(values, values[1:]))
-        out.append(Baton(gaps))
-    return out
-
-
-def random_metric_space(rng: random.Random, size: int) -> FiniteMetricSpace:
-    """Random exact metric: random symmetric weights, shortest-path closure.
-
-    The closure fixes every triangle violation, and positive weights keep
-    off-diagonal distances positive.
-    """
-    if size < 1:
-        raise PreconditionError("size must be >= 1")
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = Fraction(rng.randint(4, 24), rng.randint(1, 4))
-            dist[i][j] = dist[j][i] = w
-    for l in range(size):
-        for i in range(size):
-            for j in range(size):
-                via = dist[i][l] + dist[l][j]
-                if i != j and via < dist[i][j]:
-                    dist[i][j] = via
-    return FiniteMetricSpace(tuple(tuple(row) for row in dist))

@@ -22,6 +22,7 @@ from cert_fixtures import (
     mutate_leaf,
 )
 from cover_oracles import naive_minimum_cover
+from metric_generators import random_metric_space
 from maxram import (
     Baton,
     CoverInstance,
@@ -42,7 +43,6 @@ from maxram import (
     grid_chromatic,
     pigeonhole_lower_bound,
     random_cover_within_expectation,
-    random_metric_space,
     random_translates_cover,
     validate_certificate,
     verify_anchor_sequence,

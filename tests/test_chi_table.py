@@ -12,9 +12,9 @@ import pathlib
 
 from maxram import (
     Baton,
+    avoidance_coloring,
     grid_chromatic,
     pigeonhole_lower_bound,
-    upper_bound_value,
 )
 
 TABLE = pathlib.Path(__file__).parent / "data" / "chi_values.csv"
@@ -45,5 +45,5 @@ def test_every_row_rederives():
             upper = 2**n
         else:
             space = Baton.unit(k).as_metric_space()
-            upper = upper_bound_value(space, n, variant="U2").value
+            upper = avoidance_coloring(space, n).class_count
         assert upper == int(row["upper"]), (k, n)

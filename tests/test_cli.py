@@ -86,6 +86,17 @@ def test_copies_counts_and_validates(tmp_path, capsys, b2_metric):
     assert code == 0 and limited["count"] == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_copies_limit_below_one_is_exit_2(tmp_path, capsys, b2_metric, limit):
+    pts = tmp_path / "pts.json"
+    write_json(pts, {"points": [["0"], ["1"], ["2"]]})
+    argv = ["copies", "--metric", b2_metric, "--points", str(pts), "--limit", limit]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: limit must be positive\n"
+    assert captured.out == ""
+
+
 # -- extract ---------------------------------------------------------------
 
 
@@ -166,6 +177,23 @@ def test_anchors_artifacts_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_anchors_verifies_the_sequence_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = maxram.anchors.verify_anchor_sequence
+
+    def counted(seq, baton):
+        calls.append(seq.m)
+        return original(seq, baton)
+
+    monkeypatch.setattr(maxram.anchors, "verify_anchor_sequence", counted)
+    monkeypatch.setattr(maxram.cli, "verify_anchor_sequence", counted, raising=False)
+    out = tmp_path / "anchor.json"
+    assert main(["anchors", "--steps", "1,3/2", "--faithful", "-o", str(out)]) == 0
+    assert calls == [70]
+    monkeypatch.undo()
+    assert validate_certificate(str(out)).ok
+
+
 def test_anchors_bad_steps_exit_2(capsys):
     assert main(["anchors", "--steps", ""]) == 2
     assert main(["anchors", "--steps", "1,zebra"]) == 2
@@ -209,6 +237,24 @@ def test_color_u1_emits_the_analytic_bound(capsys, b2_metric):
     assert obj["asymptotic_only"] is True
     assert obj["trivial_bound_better"] is True
     assert isinstance(obj["value"], float)
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "2000", "1000000"])
+def test_color_u1_out_of_range_n_is_exit_2(capsys, b2_metric, n):
+    assert main(["color", "--metric", b2_metric, "--n", n, "--variant", "u1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_color_u1_compares_with_2_to_the_n_past_the_float_range(capsys, b2_metric):
+    # 1500 * ln 1500 * 1.5^1500 is about 1.5e268, a float; 2^1500 is not.
+    code, obj = run_json(
+        capsys, ["color", "--metric", b2_metric, "--n", "1500", "--variant", "u1"]
+    )
+    assert code == 0
+    assert 1e268 < obj["value"] < 2e268
+    assert obj["trivial_bound_better"] is False
 
 
 # -- bounds ---------------------------------------------------------------
@@ -348,6 +394,16 @@ def test_validate_bad_json_and_missing_file(tmp_path, capsys):
     garbled.write_text("{")
     assert main(["validate", str(garbled)]) == 2
     assert main(["validate", str(tmp_path / "ghost.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["validate", "{}"], ["embed", "--metric", "{}"]])
+def test_non_utf8_input_is_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"distance_matrix": [["0"]], "note": "caf\u00e9"}'.encode("latin-1"))
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+    assert captured.out == ""
 
 
 def test_validate_a_directory_is_exit_2(tmp_path, capsys):

@@ -22,7 +22,6 @@ from maxram import (
     pigeonhole_lower_bound,
     random_cover_within_expectation,
     random_translates_cover,
-    super_ramsey_params,
     upper_bound_value,
 )
 from maxram.colorings import _ownership_classes
@@ -30,7 +29,6 @@ from maxram.cover import torus_points
 
 F = Fraction
 
-UNIT_PAIR = Baton.unit(1).as_metric_space()
 B2 = Baton.unit(2).as_metric_space()
 HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
 
@@ -348,39 +346,9 @@ def test_pigeonhole_is_the_exact_ceiling(k, n):
     assert b >= 2
 
 
-def test_u2_builds_the_covering_coloring():
-    bound = upper_bound_value(B2, n=2, variant="U2")
-    assert bound.variant == "U2"
-    assert bound.value == 4
-    assert not bound.asymptotic_only
-    assert not bound.trivial_bound_better
-    assert bound.details == {"window": 2, "gap": 1, "period": 3}
-
-
-def test_u2_preconditions():
-    with pytest.raises(PreconditionError, match="threshold <"):
-        upper_bound_value(UNIT_PAIR, n=2, variant="U2")
-    with pytest.raises(PreconditionError, match="integral"):
-        upper_bound_value(HALF_PAIR, n=2, variant="U2")
-    with pytest.raises(PreconditionError, match="variant"):
-        upper_bound_value(B2, n=2, variant="U3")
-
-
 def test_u1_is_a_float_estimate():
-    bound = upper_bound_value(B2, n=4, variant="u1")
-    assert bound.asymptotic_only
-    assert bound.value == pytest.approx(4 * math.log(4) * 1.5**4, rel=1e-12)
-    assert bound.trivial_bound_better  # 28.07... > 16
-    small = upper_bound_value(B2, n=1, variant="U1")
-    assert small.value == 0.0 and not small.trivial_bound_better
+    value = upper_bound_value(B2, n=4)
+    assert value == pytest.approx(4 * math.log(4) * 1.5**4, rel=1e-12)
+    assert value > 2**4  # 28.07...: the cube tiling is better here
+    assert upper_bound_value(B2, n=1) == 0.0
 
-
-# -- growth parameters ----------------------------------------------------------
-
-
-def test_super_ramsey_params_integer_and_faithful():
-    quick = super_ramsey_params(Baton((F(2), F(3))))
-    assert (quick.F, quick.m, quick.chi) == (6, 5, F(6, 5))
-    full = super_ramsey_params(Baton((F(1), F(3, 2))), faithful=True)
-    assert (full.F, full.m, full.chi) == (71, 70, F(71, 70))
-    assert full.chi > 1

@@ -18,7 +18,6 @@ from maxram import (
     is_cover,
     random_cover_within_expectation,
     random_translates_cover,
-    randomized_cover,
 )
 from maxram.cover import _box_mask, cover_mask, torus_points
 from maxram.rational import ceil_div
@@ -292,9 +291,21 @@ def test_random_cover_is_deterministic_per_seed():
     )
 
 
-def test_randomized_cover_falls_back_to_greedy_when_d_is_one():
-    inst = CoverInstance(2, 1, 2)
-    assert randomized_cover(inst).translates == greedy_cover(inst).translates
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+@example(2, 2, 0)
+def test_randomized_cover_falls_back_to_greedy_when_d_is_one(m, n, seed):
+    # ln 1 = 0, so nothing is drawn and every point is patched in index
+    # order, the order in which the greedy takes them.
+    inst = CoverInstance(m, 1, n)
+    sol, greedy = random_translates_cover(inst, seed), greedy_cover(inst)
+    assert sol.s_random == 0
+    assert (sol.translates, sol.size, sol.optimal, sol.lower_bound) == (
+        greedy.translates,
+        greedy.size,
+        greedy.optimal,
+        greedy.lower_bound,
+    )
 
 
 def test_expectation_retry_meets_the_allowance():
@@ -400,7 +411,7 @@ def test_cn_table_reports_open_rows_when_budgeted_out():
 def test_every_construction_covers(inst, seed):
     for sol in (
         greedy_cover(inst),
-        randomized_cover(inst, seed),
+        random_translates_cover(inst, seed),
         exact_cover(inst),
     ):
         assert is_cover(inst, sol.translates)

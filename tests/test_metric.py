@@ -20,11 +20,10 @@ from maxram import (
     diameter,
     find_copies,
     frechet_embed,
-    grid_decompose,
     grid_points,
-    random_metric_space,
 )
 from maxram.metric import _scaled_distance_matrix
+from metric_generators import random_metric_space
 
 
 def find_copies_naive(
@@ -404,33 +403,6 @@ def test_threshold_is_a_connectivity_certificate(seed, size):
 
     assert components(t, strict=False) == 1
     assert components(t, strict=True) > 1
-
-
-def test_grid_decompose_gaps_and_degenerate_axis():
-    ps = PointSet(2, ((F(0), F(5)), (F(1), F(5)), (F(3), F(5))))
-    axis_batons = grid_decompose(ps)
-    assert axis_batons[0].steps == (F(1), F(2))
-    assert axis_batons[1].steps == ()
-    with pytest.raises(PreconditionError):
-        grid_decompose(PointSet(1, ()))
-
-
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_grid_decompose_grid_contains_the_points(data):
-    dim = data.draw(st.integers(1, 3))
-    coord = st.fractions(min_value=0, max_value=4, max_denominator=2)
-    raw = data.draw(
-        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8, unique=True)
-    )
-    ps = PointSet(dim, tuple(raw))
-    batons = grid_decompose(ps)
-    axes = []
-    for axis, b in enumerate(batons):
-        low = min(p[axis] for p in ps.points)
-        axes.append({low + v for v in b.positions()})
-    for p in ps.points:
-        assert all(p[axis] in axes[axis] for axis in range(dim))
 
 
 # -- random_metric_space ------------------------------------------------
