@@ -2,7 +2,9 @@
 
 A coloring here is an exact partition of space: the fundamental cell
 [0, period)^n is tiled by half-open boxes of a fixed side, and every box
-is owned by exactly one color class. Classes built from a torus covering
+is owned by exactly one color class. Boxes and window anchors are integer
+box-lattice indices (corner / box side); rationals appear only where a
+certificate is written or read. Classes built from a torus covering
 have all their boxes inside one anchored window per period, which is the
 whole certificate: two same-colored points either share a window copy
 (every coordinate differs by less than the window) or straddle periods
@@ -20,12 +22,13 @@ from functools import cached_property
 
 from .cover import (
     CoverInstance,
+    IntVec,
     cover_mask,
     random_cover_within_expectation,
     torus_points,
 )
 from .errors import DomainError, PreconditionError
-from .metric import FiniteMetricSpace, Vec, connectivity_threshold, diameter
+from .metric import FiniteMetricSpace, connectivity_threshold, diameter
 from .rational import ceil_div
 
 
@@ -34,19 +37,20 @@ class PeriodicColoring:
     """A periodic box coloring given by ownership of lattice cells.
 
     The fundamental domain [0, period)^n splits into half-open boxes of
-    side box_size on the box lattice. classes[i] lists the boxes owned by
-    color i (as their lower corners), and window_anchors[i] is the corner
-    of a half-open window of side `window` that contains all of them
-    modulo the period. color_of extends the assignment to all of R^n by
-    periodicity.
+    side box_size on the box lattice; a box is named by its integer index
+    vector, its lower corner divided by box_size. classes[i] lists the
+    boxes owned by color i, and window_anchors[i] is the index of the
+    corner of a half-open window of side `window` that contains all of
+    them modulo the period. color_of extends the assignment to all of R^n
+    by periodicity.
     """
 
     dim: int
     period: Fraction
     box_size: Fraction
-    classes: tuple[tuple[Vec, ...], ...]
+    classes: tuple[tuple[IntVec, ...], ...]
     window: Fraction
-    window_anchors: tuple[Vec, ...]
+    window_anchors: tuple[IntVec, ...]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -63,13 +67,14 @@ class PeriodicColoring:
         for vecs in self.classes:
             if not vecs:
                 raise PreconditionError("empty color class")
+        cells = self.cells_per_axis
         for vec in self.window_anchors + tuple(v for c in self.classes for v in c):
             if len(vec) != self.dim:
                 raise PreconditionError("offset dimension mismatch")
             for c in vec:
-                if not 0 <= c < self.period:
+                if not 0 <= c < cells:
                     raise PreconditionError("offsets must lie in [0, period)")
-                if (c / self.box_size).denominator != 1:
+                if type(c) is not int:
                     raise PreconditionError("offsets must sit on the box lattice")
 
     @property
@@ -81,8 +86,8 @@ class PeriodicColoring:
         return int(self.period / self.box_size)
 
     @cached_property
-    def _owner(self) -> dict[Vec, int]:
-        table: dict[Vec, int] = {}
+    def _owner(self) -> dict[IntVec, int]:
+        table: dict[IntVec, int] = {}
         for color, vecs in enumerate(self.classes):
             for vec in vecs:
                 if vec in table:
@@ -94,13 +99,10 @@ class PeriodicColoring:
         """Color of an arbitrary point of R^dim."""
         if len(point) != self.dim:
             raise PreconditionError("point dimension mismatch")
-        cell = []
-        for c in point:
-            reduced = Fraction(c) % self.period
-            cell.append(int(reduced // self.box_size) * self.box_size)
-        owner = self._owner.get(tuple(cell))
+        cell = tuple(int(Fraction(c) % self.period // self.box_size) for c in point)
+        owner = self._owner.get(cell)
         if owner is None:
-            raise DomainError(f"box {tuple(cell)} has no color")
+            raise DomainError(f"box {cell} has no color")
         return owner
 
     def check_partition(self) -> bool:
@@ -115,15 +117,20 @@ class PeriodicColoring:
         return True
 
     def check_windows(self) -> bool:
-        """All boxes of each class fit in that class's anchored window."""
-        slack = self.window - self.box_size
+        """All boxes of each class fit in that class's anchored window.
+
+        Box o sits in the window at a exactly when its offset
+        (o - a) mod cells, counted in boxes, is below window // box_size:
+        the box's far edge must not pass the window's.
+        """
+        cells = self.cells_per_axis
+        reach = self.window // self.box_size
         for color, (vecs, anchor) in enumerate(zip(self.classes, self.window_anchors)):
             for vec in vecs:
-                for o, a in zip(vec, anchor):
-                    if (o - a) % self.period > slack:
-                        raise DomainError(
-                            f"class {color}: box {vec} outside window at {anchor}"
-                        )
+                if any((o - a) % cells >= reach for o, a in zip(vec, anchor)):
+                    raise DomainError(
+                        f"class {color}: box {vec} outside window at {anchor}"
+                    )
         return True
 
 
@@ -137,30 +144,27 @@ def cube_tiling_coloring(n: int) -> PeriodicColoring:
     if n < 1:
         raise PreconditionError("need n >= 1")
     one = Fraction(1)
-    vertices = torus_points(CoverInstance(m=2, d=1, n=n))
-    offsets = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    vertices = tuple(torus_points(CoverInstance(m=2, d=1, n=n)))
     return PeriodicColoring(
         dim=n,
         period=Fraction(2),
         box_size=one,
-        classes=tuple((v,) for v in offsets),
+        classes=tuple((v,) for v in vertices),
         window=one,
-        window_anchors=offsets,
+        window_anchors=vertices,
     )
 
 
 def _ownership_classes(
-    inst: CoverInstance, translates, unit: Fraction
-) -> tuple[tuple[tuple[Vec, ...], ...], tuple[Vec, ...]]:
+    inst: CoverInstance, translates
+) -> tuple[tuple[tuple[IntVec, ...], ...], tuple[IntVec, ...]]:
     """Group torus cells by the first covering translate that reaches them.
 
     Each translate owns the cells of its cube mask that no earlier
-    translate covers, listed in index order; cells scale by `unit` into
-    box corners. Translates shadowed entirely by earlier ones own nothing
-    and contribute no class.
+    translate covers, listed in index order. Translates shadowed entirely
+    by earlier ones own nothing and contribute no class.
     """
     cells = torus_points(inst)  # in index order
-    corner = [c * unit for c in range(inst.m)]
     covered = 0
     classes = []
     anchors = []
@@ -173,10 +177,10 @@ def _ownership_classes(
         vecs = []
         index = bits.find("1")
         while index >= 0:
-            vecs.append(tuple(corner[c] for c in cells[index]))
+            vecs.append(cells[index])
             index = bits.find("1", index + 1)
         classes.append(tuple(vecs))
-        anchors.append(tuple(corner[c] for c in t))
+        anchors.append(tuple(t))
     uncovered = ~covered & ((1 << inst.point_count) - 1)
     if uncovered:
         cell = cells[(uncovered & -uncovered).bit_length() - 1]
@@ -236,7 +240,7 @@ def avoidance_coloring(
         raise PreconditionError(f"unknown mode {mode!r}")
 
     solution, _, met = random_cover_within_expectation(inst, seed)
-    classes, anchors = _ownership_classes(inst, solution.translates, unit)
+    classes, anchors = _ownership_classes(inst, solution.translates)
     warnings = []
     if gap >= window:
         warnings.append(

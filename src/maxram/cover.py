@@ -309,6 +309,8 @@ def cn_table(n_max: int, budget: int = 10**7, seed: int = 0) -> list[CnRow]:
     which starts from the greedy cover. When the exact search finishes
     within budget the two collapse to the true value.
     """
+    if n_max < 1:
+        raise PreconditionError("need n_max >= 1")
     rows = []
     for n in range(1, n_max + 1):
         inst = CoverInstance(3, 2, n)

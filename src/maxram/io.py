@@ -25,10 +25,10 @@ def vec_to_obj(vec) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def vec_from_obj(items) -> Vec:
+def vec_from_obj(items, coordinate=parse_rational) -> Vec:
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(parse_rational(c) for c in items)
+    return tuple(coordinate(c) for c in items)
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -129,15 +129,19 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
 def periodic_coloring_certificate(
     coloring: PeriodicColoring, space: FiniteMetricSpace
 ) -> dict:
+    """Boxes and anchors go out as corners: lattice index times box_size."""
+    corner = [
+        format_rational(i * coloring.box_size) for i in range(coloring.cells_per_axis)
+    ]
     return {
         "kind": "periodic_coloring",
         "dim": coloring.dim,
         "period": format_rational(coloring.period),
         "box_size": format_rational(coloring.box_size),
-        "classes": [[vec_to_obj(v) for v in vecs] for vecs in coloring.classes],
+        "classes": [[[corner[c] for c in v] for v in vecs] for vecs in coloring.classes],
         "class_count": coloring.class_count,
         "window": format_rational(coloring.window),
-        "anchors": [vec_to_obj(a) for a in coloring.window_anchors],
+        "anchors": [[corner[c] for c in a] for a in coloring.window_anchors],
         "distance_matrix": matrix_to_obj(space),
     }
 

@@ -125,11 +125,37 @@ def _check_anchor_sequence(obj) -> list[str]:
     return failures
 
 
+def _lattice_index(box_size):
+    """Read a coordinate as its box-lattice index, value / box_size.
+
+    Each distinct string literal is parsed once; other values, such as a
+    bool that parse_rational must reject, are parsed every time. An
+    off-lattice value stays a Fraction and a non-positive box_size scales
+    nothing, so PeriodicColoring rejects either with its own message.
+    """
+    scale = box_size if box_size > 0 else 1
+    memo: dict[str, object] = {}
+
+    def index(value):
+        if isinstance(value, str) and value in memo:
+            return memo[value]
+        q = parse_rational(value) / scale
+        found = q.numerator if q.denominator == 1 else q
+        if isinstance(value, str):
+            memo[value] = found
+        return found
+
+    return index
+
+
 def _check_periodic_coloring(obj) -> list[str]:
     failures: list[str] = []
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
+    box_size = parse_rational(obj["box_size"])
+    index = _lattice_index(box_size)
     classes = tuple(
-        tuple(vec_from_obj(v) for v in vecs) for vecs in _list_field(obj, "classes")
+        tuple(vec_from_obj(v, index) for v in vecs)
+        for vecs in _list_field(obj, "classes")
     )
     if _int_field(obj, "class_count") != len(classes):
         failures.append("class_count: does not match the classes")
@@ -137,10 +163,12 @@ def _check_periodic_coloring(obj) -> list[str]:
         coloring = PeriodicColoring(
             dim=_int_field(obj, "dim"),
             period=parse_rational(obj["period"]),
-            box_size=parse_rational(obj["box_size"]),
+            box_size=box_size,
             classes=classes,
             window=parse_rational(obj["window"]),
-            window_anchors=tuple(vec_from_obj(v) for v in _list_field(obj, "anchors")),
+            window_anchors=tuple(
+                vec_from_obj(v, index) for v in _list_field(obj, "anchors")
+            ),
         )
     except ValueError as exc:
         failures.append(f"coloring: {exc}")

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,25 @@ def test_color_randomized_coloring_validates(capsys, b2_metric):
     assert validate_certificate(obj).ok
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "2", "--asymptotic"],
+         "da0f2deeb98ba5064371a3a1f589bb443529e299ec749831ddc8c5d3871af7c1"),
+        (["--n", "5", "--seed", "1"],
+         "9b51a2dd6b0617f369d85321a0614f86a43663df880dc3a7ac64bd28f6db74b1"),
+    ],
+)
+def test_color_artifact_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    """Coloring certificates for the unit 2-baton, byte for byte: the
+    36,481-box asymptotic one and a randomized one in dimension 5."""
+    metric = tmp_path / "unit2.json"
+    metric.write_text(json.dumps({"points": [["0"], ["1"], ["2"]]}))
+    out = tmp_path / "color.json"
+    assert main(["color", "--metric", str(metric), *argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_color_needs_asymptotic_for_fractional_spaces(capsys, half_pair_metric):
     assert main(["color", "--metric", half_pair_metric, "--n", "1"]) == 2
     capsys.readouterr()
@@ -347,6 +367,14 @@ def test_cover_table_csv(capsys):
     assert main(["cover", "table", "--max", "2"]) == 0
     out = capsys.readouterr().out
     assert out == "n,lower,upper,exact\n1,2,2,true\n2,3,3,true\n"
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_cover_table_without_rows_is_exit_2(capsys, n_max):
+    assert main(["cover", "table", "--max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_cover_and_its_validation_never_import_numpy(tmp_path):

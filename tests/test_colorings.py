@@ -26,6 +26,8 @@ from maxram import (
 )
 from maxram.colorings import _ownership_classes
 from maxram.cover import torus_points
+from maxram.io import periodic_coloring_certificate
+from maxram.rational import format_rational
 
 F = Fraction
 
@@ -87,9 +89,9 @@ def test_coloring_validation_errors():
         dim=1,
         period=F(2),
         box_size=one,
-        classes=(((F(0),),), ((F(1),),)),
+        classes=(((0,),), ((1,),)),
         window=one,
-        window_anchors=((F(0),), (F(1),)),
+        window_anchors=((0,), (1,)),
     )
     PeriodicColoring(**good)
     with pytest.raises(PreconditionError, match="dim"):
@@ -99,27 +101,31 @@ def test_coloring_validation_errors():
     with pytest.raises(PreconditionError, match="whole number"):
         PeriodicColoring(**{**good, "period": F(3, 2), "window": F(3, 2)})
     with pytest.raises(PreconditionError, match="anchor"):
-        PeriodicColoring(**{**good, "window_anchors": ((F(0),),)})
+        PeriodicColoring(**{**good, "window_anchors": ((0,),)})
     with pytest.raises(PreconditionError, match="empty"):
-        PeriodicColoring(**{**good, "classes": (((F(0),),), ())})
-    with pytest.raises(PreconditionError, match="lattice"):
-        PeriodicColoring(**{**good, "classes": (((F(0),),), ((F(1, 2),),))})
+        PeriodicColoring(**{**good, "classes": (((0,),), ())})
+    with pytest.raises(PreconditionError, match="dimension"):
+        PeriodicColoring(**{**good, "classes": (((0,),), ((1, 0),))})
+    # boxes are integer lattice indices: any other value is off the lattice
+    for off in (F(1, 2), F(1), 1.0):
+        with pytest.raises(PreconditionError, match="lattice"):
+            PeriodicColoring(**{**good, "classes": (((0,),), ((off,),))})
     with pytest.raises(PreconditionError, match="period"):
-        PeriodicColoring(**{**good, "window_anchors": ((F(0),), (F(2),))})
+        PeriodicColoring(**{**good, "window_anchors": ((0,), (2,))})
+    with pytest.raises(PreconditionError, match="period"):
+        PeriodicColoring(**{**good, "window_anchors": ((0,), (-1,))})
 
 
 def test_partition_check_catches_double_and_missing_ownership():
     base = dict(dim=1, period=F(2), box_size=F(1), window=F(1))
     doubled = PeriodicColoring(
-        classes=(((F(0),),), ((F(0),),)),
-        window_anchors=((F(0),), (F(0),)),
+        classes=(((0,),), ((0,),)),
+        window_anchors=((0,), (0,)),
         **base,
     )
     with pytest.raises(DomainError, match="twice"):
         doubled.check_partition()
-    short = PeriodicColoring(
-        classes=(((F(0),),),), window_anchors=((F(0),),), **base
-    )
+    short = PeriodicColoring(classes=(((0,),),), window_anchors=((0,),), **base)
     with pytest.raises(DomainError, match="expected 2"):
         short.check_partition()
     with pytest.raises(DomainError, match="no color"):
@@ -131,9 +137,9 @@ def test_window_check_catches_a_stray_box():
         dim=1,
         period=F(3),
         box_size=F(1),
-        classes=(((F(0),), (F(2),)), ((F(1),),)),
+        classes=(((0,), (2,)), ((1,),)),
         window=F(1),
-        window_anchors=((F(0),), (F(1),)),
+        window_anchors=((0,), (1,)),
     )
     assert stray.check_partition()
     with pytest.raises(DomainError, match="outside window"):
@@ -151,6 +157,105 @@ def test_color_of_is_periodic(n, data):
     assert col.color_of(x) == col.color_of(y)
 
 
+def fraction_corner(col, vec):
+    return tuple(c * col.box_size for c in vec)
+
+
+def fraction_owner(col):
+    """The ownership table keyed by Fraction box corners; oracle for
+    PeriodicColoring._owner and check_partition."""
+    table = {}
+    for color, vecs in enumerate(col.classes):
+        for vec in vecs:
+            corner = fraction_corner(col, vec)
+            if corner in table:
+                raise DomainError(f"box {corner} owned twice")
+            table[corner] = color
+    total = sum(len(vecs) for vecs in col.classes)
+    if total != col.cells_per_axis**col.dim:
+        raise DomainError(f"{total} owned boxes")
+    return table
+
+
+def fraction_check_windows(col):
+    """Window containment on Fraction corners: a box fits when its corner
+    lies at most window - box_size past the anchor, modulo the period.
+    Oracle for PeriodicColoring.check_windows."""
+    slack = col.window - col.box_size
+    for vecs, anchor in zip(col.classes, col.window_anchors):
+        a = fraction_corner(col, anchor)
+        for vec in vecs:
+            o = fraction_corner(col, vec)
+            if any((x - y) % col.period > slack for x, y in zip(o, a)):
+                return False
+    return True
+
+
+def verdict(check):
+    try:
+        return bool(check())
+    except DomainError:
+        return False
+
+
+@st.composite
+def small_colorings(draw):
+    """Colorings with box p/q (p, q <= 4), at most 6 cells per axis, and a
+    window in twelfths, so windows that are not a whole number of boxes
+    come up often. Boxes land near their class's window edge, and may be
+    doubled or missing."""
+    box = F(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    cells = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 2))
+    window = F(draw(st.integers(int(12 * box), int(12 * cells * box))), 12)
+    spread = math.ceil(window / box) + 1
+    cell = st.tuples(*[st.integers(0, cells - 1)] * dim)
+    anchors = draw(st.lists(cell, min_size=1, max_size=4))
+    classes = []
+    for a in anchors:
+        offsets = st.tuples(*[st.integers(0, spread)] * dim)
+        vecs = draw(st.lists(offsets, min_size=1, max_size=cells**dim))
+        classes.append(
+            tuple(tuple((c + o) % cells for c, o in zip(a, v)) for v in vecs)
+        )
+    return PeriodicColoring(
+        dim=dim,
+        period=cells * box,
+        box_size=box,
+        classes=tuple(classes),
+        window=window,
+        window_anchors=tuple(anchors),
+    )
+
+
+@given(small_colorings())
+@settings(max_examples=300, deadline=None)
+def test_integer_checks_match_the_fraction_oracle(col):
+    assert verdict(col.check_windows) == fraction_check_windows(col)
+    assert verdict(col.check_partition) == verdict(lambda: fraction_owner(col))
+    if verdict(col.check_partition):
+        owner = fraction_owner(col)
+        for vec in col._owner:
+            assert col.color_of(fraction_corner(col, vec)) == owner[
+                fraction_corner(col, vec)
+            ]
+
+
+def test_window_of_one_and_a_half_boxes_holds_one_neighbour():
+    """Box 1, window 3/2: a box one cell past the anchor ends at 2 > 3/2."""
+    base = dict(dim=1, period=F(3), box_size=F(1), window=F(3, 2))
+    inside = PeriodicColoring(
+        classes=(((0,),), ((1,),), ((2,),)), window_anchors=((0,), (1,), (2,)), **base
+    )
+    assert inside.check_windows() and fraction_check_windows(inside)
+    stray = PeriodicColoring(
+        classes=(((0,), (1,)), ((2,),)), window_anchors=((0,), (2,)), **base
+    )
+    assert not fraction_check_windows(stray)
+    with pytest.raises(DomainError, match="outside window"):
+        stray.check_windows()
+
+
 # -- torus coverings and ownership -------------------------------------------
 
 
@@ -159,7 +264,7 @@ def test_covering_of_torus_covers():
     assert is_cover(CoverInstance(3, 2, 2), sol.translates)
 
 
-def loop_ownership_classes(inst, translates, unit):
+def loop_ownership_classes(inst, translates):
     """The cell-by-cell ownership loop: each cell of the torus goes to the
     first translate t with (c - t) % m < d on every axis. Oracle for
     _ownership_classes."""
@@ -168,7 +273,7 @@ def loop_ownership_classes(inst, translates, unit):
     for cell in torus_points(inst):
         for idx, t in enumerate(translates):
             if all((c - a) % m < d for c, a in zip(cell, t)):
-                owned[idx].append(tuple(F(c) * unit for c in cell))
+                owned[idx].append(cell)
                 break
         else:
             raise DomainError(f"cell {cell} not covered by any translate")
@@ -176,13 +281,13 @@ def loop_ownership_classes(inst, translates, unit):
     for t, vecs in zip(translates, owned):
         if vecs:
             classes.append(tuple(vecs))
-            anchors.append(tuple(F(c) * unit for c in t))
+            anchors.append(tuple(t))
     return tuple(classes), tuple(anchors)
 
 
-def ownership_or_error(fn, inst, translates, unit):
+def ownership_or_error(fn, inst, translates):
     try:
-        return fn(inst, translates, unit)
+        return fn(inst, translates)
     except DomainError as exc:
         return str(exc)
 
@@ -197,8 +302,7 @@ def ownership_inputs(draw):
     translates = draw(st.lists(point, max_size=12))
     if draw(st.booleans()):
         translates += torus_points(inst)  # make it a cover
-    unit = draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
-    return inst, translates, unit
+    return inst, translates
 
 
 @given(ownership_inputs())
@@ -213,30 +317,61 @@ def test_ownership_matches_the_cell_by_cell_loop(args):
     "m, d, n, unit", [(191, 126, 2, F(1, 64)), (3, 2, 5, F(1)), (3, 2, 3, F(1))]
 )
 def test_ownership_matches_the_loop_on_coloring_covers(m, d, n, unit):
+    """Ownership matches the loop, and the certificate lists each owned
+    cell as its corner, the cell scaled by the unit."""
     inst = CoverInstance(m=m, d=d, n=n)
     translates = random_cover_within_expectation(inst, seed=0)[0].translates
-    expected = loop_ownership_classes(inst, translates, unit)
-    assert _ownership_classes(inst, translates, unit) == expected
+    expected = loop_ownership_classes(inst, translates)
+    classes, anchors = _ownership_classes(inst, translates)
+    assert (classes, anchors) == expected
+    col = PeriodicColoring(
+        dim=n,
+        period=m * unit,
+        box_size=unit,
+        classes=classes,
+        window=d * unit,
+        window_anchors=anchors,
+    )
+    cert = periodic_coloring_certificate(col, B2)
+
+    def corners(vec):
+        return [format_rational(c * unit) for c in vec]
+
+    assert cert["classes"] == [[corners(v) for v in vecs] for vecs in expected[0]]
+    assert cert["anchors"] == [corners(a) for a in expected[1]]
 
 
 def test_ownership_drops_fully_shadowed_translates():
     inst = CoverInstance(m=2, d=2, n=1)
-    classes, anchors = _ownership_classes(inst, [(0,), (1,)], F(1))
-    assert classes == (((F(0),), (F(1),)),)
-    assert anchors == ((F(0),),)
+    classes, anchors = _ownership_classes(inst, [(0,), (1,)])
+    assert classes == (((0,), (1,)),)
+    assert anchors == ((0,),)
 
 
 def test_ownership_rejects_uncovered_cells():
     inst = CoverInstance(m=3, d=1, n=1)
     with pytest.raises(DomainError, match="not covered"):
-        _ownership_classes(inst, [(0,)], F(1))
+        _ownership_classes(inst, [(0,)])
 
 
 def test_ownership_scales_cells_by_the_unit():
+    """Ownership works on cell indices; the certificate scales them by the
+    box size into corner strings."""
     inst = CoverInstance(m=2, d=1, n=1)
-    classes, anchors = _ownership_classes(inst, [(0,), (1,)], F(3, 2))
-    assert classes == (((F(0),),), ((F(3, 2),),))
-    assert anchors == ((F(0),), (F(3, 2),))
+    classes, anchors = _ownership_classes(inst, [(0,), (1,)])
+    assert classes == (((0,),), ((1,),))
+    assert anchors == ((0,), (1,))
+    col = PeriodicColoring(
+        dim=1,
+        period=F(3),
+        box_size=F(3, 2),
+        classes=classes,
+        window=F(3, 2),
+        window_anchors=anchors,
+    )
+    cert = periodic_coloring_certificate(col, HALF_PAIR)
+    assert cert["classes"] == [[["0"]], [["3/2"]]]
+    assert cert["anchors"] == [["0"], ["3/2"]]
 
 
 # -- avoidance colorings ------------------------------------------------------

@@ -4,8 +4,14 @@ import copy
 
 import pytest
 
-from maxram import CoverInstance, exact_cover, validate_certificate
-from maxram.io import torus_cover_certificate, write_json
+from maxram import (
+    Baton,
+    CoverInstance,
+    avoidance_coloring,
+    exact_cover,
+    validate_certificate,
+)
+from maxram.io import periodic_coloring_certificate, torus_cover_certificate, write_json
 
 from cert_fixtures import canonical_certificates
 
@@ -177,6 +183,52 @@ def test_periodic_coloring_rejections(certs):
         c["distance_matrix"] = [["0", "1/2"], ["1/2", "0"]]
 
     assert "window: exceeds" in failing(cert, weaken_space)
+
+
+# Verdicts on malformed and non-canonical coloring certificates, as
+# (id, path to the edited field, new value, expected). None means the
+# certificate still validates; a string is part of the reported failure.
+BOX = ("classes", 1, 0, 0)
+COLORING_VERDICTS = [
+    ("json int coordinate", BOX, 1, None),
+    ("zero over five", ("classes", 0, 0, 0), "0/5", None),
+    ("leading zero", ("anchors", 1, 0), "01", None),
+    ("bool coordinate", BOX, True, "expected rational, got bool"),
+    # True == 1 with the same hash: a bool read after the int 1 is still a bool
+    ("bool after int one", ("classes", 1), [[1], [True]], "expected rational, got bool"),
+    ("off the lattice", BOX, "1/2", "box lattice"),
+    ("past the period", BOX, "2", "[0, period)"),
+    ("zero box", ("box_size",), "0", "need 0 < box_size"),
+    ("negative box", ("box_size",), "-1", "need 0 < box_size"),
+    ("classes not a list", ("classes",), 5, "classes must be a list"),
+    ("class is an int", ("classes", 0), 5, "malformed"),
+    ("vector is a string", ("classes", 0, 0), "0", "expected a coordinate list"),
+    ("bool dim", ("dim",), True, "dim must be an integer"),
+    ("huge dim", ("dim",), 10**6, "offset dimension mismatch"),
+    ("float period", ("period",), 2.0, "expected rational"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, expected", [v[1:] for v in COLORING_VERDICTS],
+    ids=[v[0] for v in COLORING_VERDICTS],
+)
+def test_coloring_verdicts_on_odd_literals(path, value, expected):
+    """The certificate `color --metric <unit pair> --n 1` writes, edited."""
+    pair = Baton.unit(1).as_metric_space()
+    cert = periodic_coloring_certificate(avoidance_coloring(pair, n=1), pair)
+    assert validate_certificate(cert).ok
+    mutant = copy.deepcopy(cert)
+    target = mutant
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    report = validate_certificate(mutant)
+    if expected is None:
+        assert report.ok, report.failures
+    else:
+        assert not report.ok
+        assert expected in " | ".join(report.failures)
 
 
 def test_chromatic_rejections(certs):
