@@ -3,15 +3,18 @@
 Everything here is exact. At the boundary, coordinates and distances are
 Fractions. Inside, each point set caches its coordinates scaled by the
 LCM of their denominators (PointSet.scaled_coords), and copy search
-compares integer distances from one scaled matrix. CopyEmbedding
-rechecks every copy exactly, pair by pair, from the scaled coordinates.
-Floats never appear on a correctness path.
+works on Python ints: per point, one bitmask of the points at each
+distance the search needs, so candidate sets are ANDs of bitmasks.
+Python ints are exact at any size, so one path serves every scale.
+CopyEmbedding rechecks every copy exactly, pair by pair, from the scaled
+coordinates. Floats never appear on a correctness path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,10 +75,13 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_points(cls, points: "PointSet") -> "FiniteMetricSpace":
-        scale = points.scaled_coords[0]
+        scale, coords = points.scaled_coords
         rows = tuple(
-            tuple(Fraction(v, scale) for v in row)
-            for row in _scaled_distance_matrix(points).tolist()
+            tuple(
+                Fraction(max((abs(u - v) for u, v in zip(x, y)), default=0), scale)
+                for y in coords
+            )
+            for x in coords
         )
         return cls(rows)
 
@@ -116,23 +122,42 @@ class PointSet:
         return scale, coords
 
 
-def _scaled_distance_matrix(points: PointSet) -> np.ndarray:
-    """Chebyshev distances between points, times points.scaled_coords[0].
+def _distance_masks(points: PointSet, wanted) -> list[dict[int, int]]:
+    """masks[i][v] has bit j set when points i and j are at Chebyshev
+    distance v, for each positive v in wanted (distances times
+    scaled_coords[0]).
 
-    The entries are exact integers: int64 when every coordinate difference
-    fits with headroom, otherwise an object array of Python ints.
+    Built per axis rather than per pair: on each axis, one bitmask per
+    coordinate value and prefix ORs over the sorted values give the points
+    within v of a point (AND over axes) and exactly v from it (OR over
+    axes); a point is at distance v when it is both.
     """
-    import numpy as np  # on first use, so `maxram cover` never loads numpy
-
     _, coords = points.scaled_coords
-    bound = max((abs(c) for p in coords for c in p), default=0)
-    dtype = np.int64 if 2 * bound < 2**62 else object
-    arr = np.array(coords, dtype=dtype).reshape(len(coords), points.dim)
-    dist = np.zeros((len(coords), len(coords)), dtype=dtype)
+    axes = []
     for axis in range(points.dim):
-        col = arr[:, axis]
-        dist = np.maximum(dist, np.abs(col[:, None] - col[None, :]))
-    return dist
+        at: dict[int, int] = {}
+        for j, p in enumerate(coords):
+            at[p[axis]] = at.get(p[axis], 0) | 1 << j
+        values = sorted(at)
+        prefix = [0]
+        for x in values:
+            prefix.append(prefix[-1] | at[x])
+        axes.append((at, values, prefix))
+    everyone = (1 << len(coords)) - 1
+    masks = []
+    for p in coords:
+        by_value = {}
+        for v in wanted:
+            within, edge = everyone, 0
+            for x, (at, values, prefix) in zip(p, axes):
+                # The value masks are disjoint, so XOR of prefixes is a range OR.
+                within &= prefix[bisect_right(values, x + v)] ^ prefix[
+                    bisect_left(values, x - v)
+                ]
+                edge |= at.get(x - v, 0) | at.get(x + v, 0)
+            by_value[v] = within & edge
+        masks.append(by_value)
+    return masks
 
 
 def grid_points(k: int, n: int) -> PointSet:
@@ -245,12 +270,14 @@ def find_copies(
 ) -> list[CopyEmbedding]:
     """All ordered isometric embeddings of `space` into `points`.
 
-    Enumeration is lexicographic in the index tuple. The candidates for
-    abstract point t are the points whose rows of the scaled distance
-    matrix hold the required distance to every point already chosen, so
-    no partial tuple that fails a pair is ever extended. With
-    distinct_supports, only the first embedding per support set is kept
-    (a configuration and its reversal otherwise count separately).
+    Enumeration is lexicographic in the index tuple. For each point and
+    each distance the space needs, one Python-int bitmask holds the points
+    at that scaled distance from it. The candidates for abstract point t
+    are the AND of the chosen points' masks for their distances to t, so
+    no partial tuple that fails a pair is ever extended; they are walked
+    lowest bit first, in ascending index order. With distinct_supports,
+    only the first embedding per support set is kept (a configuration and
+    its reversal otherwise count separately).
     """
     if limit is not None and limit < 1:
         raise PreconditionError("limit must be positive")
@@ -260,10 +287,8 @@ def find_copies(
     if any(v.denominator != 1 for row in targets for v in row):
         # Some distance is not a multiple of 1/scale; no two points have it.
         return []
-    import numpy as np
-
     targets = [[v.numerator for v in row] for row in targets]
-    dist = _scaled_distance_matrix(points)
+    masks = _distance_masks(points, {v for row in targets for v in row if v})
     out: list[CopyEmbedding] = []
     seen: set[frozenset] = set()
     chosen: list[int] = []
@@ -279,17 +304,18 @@ def find_copies(
             out.append(CopyEmbedding(space, points, tuple(chosen)))
             return limit is not None and len(out) >= limit
         if depth == 0:
-            candidates = range(len(points))
+            candidates = (1 << len(points)) - 1
         else:
             # Distances to chosen points are positive, so no chosen point
-            # survives the filter.
+            # survives the AND.
             row = targets[depth]
-            mask = dist[chosen[0]] == row[0]
+            candidates = masks[chosen[0]][row[0]]
             for j in range(1, depth):
-                mask &= dist[chosen[j]] == row[j]
-            candidates = np.flatnonzero(mask).tolist()
-        for cand in candidates:
-            chosen.append(cand)
+                candidates &= masks[chosen[j]][row[j]]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            chosen.append(low.bit_length() - 1)
             if descend():
                 return True
             chosen.pop()

@@ -37,17 +37,13 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi) with lo <= ln(d) <= hi and hi - lo < eps.
+def _log_ratio_bounds(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational (lo, hi) around ln((1+x)/(1-x)) = 2*atanh(x), 0 <= x < 1,
+    with hi - lo < eps.
 
-    Uses ln(d) = 2*atanh(x) with x = (d-1)/(d+1); partial sums of the
-    series are lower bounds and the geometric tail bounds the remainder.
+    Partial sums of the series are lower bounds and the geometric tail
+    bounds the remainder; each term shrinks by a factor of x^2.
     """
-    if d < 1:
-        raise ValueError("log_bounds needs d >= 1")
-    if d == 1:
-        return Fraction(0), Fraction(0)
-    x = Fraction(d - 1, d + 1)
     x2 = x * x
     term = x
     total = Fraction(0)
@@ -61,6 +57,24 @@ def log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
             return lo, lo + tail
         term *= x2
         j += 1
+
+
+def log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational (lo, hi) with lo <= ln(d) <= hi and hi - lo < eps.
+
+    Range-reduced: ln(d) = k*ln(2) + ln(d / 2^k) with 2^k <= d < 2^(k+1).
+    ln(2) is 2*atanh(1/3) and ln(d / 2^k) is 2*atanh(x) with
+    x = (d - 2^k)/(d + 2^k) < 1/3, so both series converge by a factor of
+    at least 9 per term whatever d is. Each part gets half of eps.
+    """
+    if d < 1:
+        raise ValueError("log_bounds needs d >= 1")
+    k = d.bit_length() - 1
+    lo, hi = _log_ratio_bounds(Fraction(d - 2**k, d + 2**k), eps / 2)
+    if k:
+        lo2, hi2 = _log_ratio_bounds(Fraction(1, 3), eps / (2 * k))
+        lo, hi = lo + k * lo2, hi + k * hi2
+    return lo, hi
 
 
 def floor_times_log(r: Fraction, d: int) -> int:

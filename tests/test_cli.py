@@ -337,6 +337,36 @@ def test_chi_with_custom_metric(tmp_path, capsys, b2_metric):
     assert validate_certificate(obj).ok
 
 
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["chi", "--grid", "3,3", "--metric", "{unit2}", "--budget", "1000"], 3,
+         "f2731c984b4a9560dfa1b56e481e1befb64000d4aab0c882933b454de763536d"),
+        (["chi", "--grid", "5,2", "--metric", "{baton12}", "--budget", "30000"], 3,
+         "cc668297cb534c76d0f74e3b943bf8a620231213f193d2db13d408fc2b098628"),
+        (["copies", "--metric", "{unit2}", "--points", "{grid}", "--distinct-supports"],
+         0, "00f858788464f494752d4c834f261f003e7604dda92575a9160f5ea67da4a3bd"),
+    ],
+)
+def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
+    """Copy order drives the edge order and the colors a search finds, so
+    these artifacts pin it byte for byte: two capped chi searches, and the
+    unit 2-baton's distinct-support copies in the grid {0..3}^2."""
+    inputs = {
+        "unit2": [["0"], ["1"], ["2"]],
+        "baton12": [["0"], ["1"], ["3"]],
+        "grid": [[str(a), str(b)] for a in range(4) for b in range(4)],
+    }
+    paths = {}
+    for name, points in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"points": points}))
+    out = tmp_path / "out.json"
+    assert main([a.format(**paths) for a in argv] + ["-o", str(out)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -- cover ---------------------------------------------------------------
 
 
@@ -377,6 +407,17 @@ def test_cover_table_without_rows_is_exit_2(capsys, n_max):
     assert captured.out == ""
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this maxram."""
+    src = str(Path(maxram.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+
+
 def test_cover_and_its_validation_never_import_numpy(tmp_path):
     """numpy is loaded on first use, and covers never use it."""
     path = tmp_path / "cover.json"
@@ -389,13 +430,36 @@ assert main(["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
 assert main(["validate", {str(path)!r}]) == 0
 assert "numpy" not in sys.modules, "cover and validate"
 """
-    src = str(Path(maxram.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
+    run = run_python(script)
+    assert run.returncode == 0, run.stderr
+
+
+def test_copy_search_and_its_validation_never_import_numpy(tmp_path):
+    """Copy search runs on Python ints: chi, copies, embed, extract and
+    color --metric, and the validation of what they write, leave numpy
+    unloaded."""
+    unit2 = tmp_path / "unit2.json"
+    unit2.write_text(json.dumps({"points": [["0"], ["1"], ["2"]]}))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"points": [[str(x)] for x in range(5)]}))
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps(
+        {"k": 2, "n": 2, "elements": [[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]]}
+    ))
+    runs = {
+        "chi": ["chi", "--grid", "3,2"],
+        "copies": ["copies", "--metric", str(unit2), "--points", str(line)],
+        "embed": ["embed", "--metric", str(unit2)],
+        "extract": ["extract", "--subset", str(subset), "--k", "2"],
+        "color": ["color", "--metric", str(unit2), "--n", "2"],
+    }
+    script = "import sys\nfrom maxram.cli import main\n"
+    for name, argv in runs.items():
+        out = str(tmp_path / f"{name}.json")
+        script += f"assert main({argv + ['-o', out]!r}) == 0, {name!r}\n"
+        script += f"assert main(['validate', {out!r}]) == 0, {name!r}\n"
+        script += f"assert 'numpy' not in sys.modules, {name!r}\n"
+    run = run_python(script)
     assert run.returncode == 0, run.stderr
 
 

@@ -22,7 +22,7 @@ from maxram import (
     frechet_embed,
     grid_points,
 )
-from maxram.metric import _scaled_distance_matrix
+from maxram.metric import _distance_masks
 from metric_generators import random_metric_space
 
 
@@ -262,7 +262,7 @@ def test_find_copies_empty_when_no_copy_exists():
 
 
 # Mersenne primes above 2**62. A coordinate with denominator p*q scales
-# past int64, so the kernel falls back to Python ints.
+# past int64.
 BIG_PRIMES = (2**89 - 1, 2**107 - 1)
 
 
@@ -340,8 +340,34 @@ def test_find_copies_agrees_with_unpruned_enumeration(instance):
 @settings(max_examples=60, deadline=None)
 def test_find_copies_agrees_with_oracle_past_int64(instance):
     points = instance[1]
-    assert _scaled_distance_matrix(points).dtype == object
+    assert any(abs(c) > 2**62 for p in points.scaled_coords[1] for c in p)
     check_against_oracle(instance)
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * dim),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ).map(lambda raw: PointSet(dim, tuple(raw)))
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_distance_masks_match_pairwise_distances(points):
+    """The per-axis bitmasks hold exactly the pairs at each distance."""
+    scale = points.scaled_coords[0]
+    dist = [
+        [chebyshev_distance(x, y) * scale for y in points.points]
+        for x in points.points
+    ]
+    wanted = {v.numerator for row in dist for v in row if v} | {1, 5 * scale}
+    masks = _distance_masks(points, wanted)
+    for i, row in enumerate(dist):
+        assert set(masks[i]) == wanted
+        for v in wanted:
+            assert masks[i][v] == sum(1 << j for j, got in enumerate(row) if got == v)
 
 
 def test_mismatch_message_keeps_exact_rationals():

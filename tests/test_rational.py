@@ -1,16 +1,57 @@
 """Rational parsing and formatting, and certified logarithm floors."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxram import ParseError, ceil_div, format_rational, parse_rational
 from maxram.rational import floor_times_log, log_bounds
 
 F = Fraction
+
+
+def series_log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Oracle for log_bounds: ln(d) = 2*atanh((d-1)/(d+1)) with no range
+    reduction. Correct for every d, but it needs about d/4 terms per
+    factor e of precision, so it is only usable for small d."""
+    if d == 1:
+        return F(0), F(0)
+    x = F(d - 1, d + 1)
+    x2 = x * x
+    term = x
+    total = F(0)
+    j = 0
+    while True:
+        total += term / (2 * j + 1)
+        tail = 2 * term * x2 / ((2 * j + 3) * (1 - x2))
+        if tail < eps:
+            lo = 2 * total
+            return lo, lo + tail
+        term *= x2
+        j += 1
+
+
+def series_floor_times_log(r: Fraction, d: int) -> int:
+    """floor(r * ln(d)) as floor_times_log finds it, from the oracle."""
+    if d == 1 or r == 0:
+        return 0
+    eps = F(1, 10**12)
+    while True:
+        lo, hi = series_log_bounds(d, eps)
+        if math.floor(r * lo) == math.floor(r * hi):
+            return math.floor(r * lo)
+        eps /= 2**10
+
+
+def decimal_log(d: int) -> Fraction:
+    """ln(d) to 60 significant digits; Decimal.ln rounds correctly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return F(Decimal(d).ln())
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -51,6 +92,36 @@ def test_log_bounds_bracket_the_float_log(d):
     assert hi - lo < eps
     assert float(lo) <= math.log(d) + 1e-12
     assert math.log(d) - 1e-12 <= float(hi)
+
+
+@given(
+    st.integers(2, 130),
+    st.fractions(min_value=0, max_value=1000, max_denominator=1000),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_bounds_agree_with_the_unreduced_series(d, r):
+    eps = F(1, 10**12)
+    lo, hi = log_bounds(d, eps)
+    slo, shi = series_log_bounds(d, eps)
+    assert lo <= shi and slo <= hi  # both brackets hold ln(d)
+    assert floor_times_log(r, d) == series_floor_times_log(r, d)
+
+
+@given(
+    st.integers(2, 10**4),
+    st.fractions(min_value=0, max_value=1000, max_denominator=1000),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_bounds_hold_the_log_for_d_up_to_ten_thousand(d, r):
+    eps = F(1, 10**12)
+    lo, hi = log_bounds(d, eps)
+    assert hi - lo < eps
+    ln_d, slack = decimal_log(d), F(1, 10**50)
+    assert lo <= ln_d + slack
+    assert ln_d - slack <= hi
+    exact = r * ln_d
+    if min(exact - math.floor(exact), math.ceil(exact) - exact) > F(1, 10**40):
+        assert floor_times_log(r, d) == math.floor(exact)
 
 
 def test_log_bounds_rejects_nonpositive():
