@@ -13,8 +13,8 @@ only chooses q, and the certificate validator rebuilds at the stated q
 through the same function.
 
 All arithmetic is exact. The only concession to speed is that the
-all-pairs subadditivity sweep runs on scaled integers (numpy when they
-fit in int64), which loses nothing.
+all-pairs subadditivity sweep runs on scaled integers packed into the
+lanes of one Python int, which loses nothing.
 """
 
 from __future__ import annotations
@@ -197,7 +197,9 @@ def _parameters(baton: Baton) -> tuple[GammaSet, Fraction, Fraction, int]:
     return gammas, delta, theta, _threshold_q0(delta, theta, baton.k)
 
 
-def anchor_sequence_at(baton: Baton, q: int) -> AnchorSequence:
+def anchor_sequence_at(
+    baton: Baton, q: int, max_m: int | None = None
+) -> AnchorSequence:
     """The anchor sequence the construction assigns to denominator q.
 
     q = 1 with integer steps is the fast path: p_i = step_i, a_l = l,
@@ -205,14 +207,16 @@ def anchor_sequence_at(baton: Baton, q: int) -> AnchorSequence:
     numerators p_i = round(q*step_i) must satisfy the simultaneous
     approximation bound; then m = sum(p), each combination gamma anchors
     at index round(q*gamma), and the values below an anchor interpolate
-    up to it in increments of delta/(2m). Raises PreconditionError saying
-    which condition q fails. The result is not verified.
+    up to it in increments of delta/(2m). With max_m given, an m above it
+    is refused before any of the m + 1 values is built. Raises
+    PreconditionError saying which condition q fails. The result is not
+    verified.
     """
     gammas, delta, theta, q0 = _parameters(baton)
     steps = baton.steps
-    if q == 1 and all(s.denominator == 1 for s in steps):
+    fast = q == 1 and all(s.denominator == 1 for s in steps)
+    if fast:
         p, q0 = tuple(int(s) for s in steps), 0
-        a = [Fraction(l) for l in range(sum(p) + 1)]
     else:
         if q <= q0:
             raise PreconditionError(f"must exceed q0 = {q0}, got q = {q}")
@@ -221,7 +225,14 @@ def anchor_sequence_at(baton: Baton, q: int) -> AnchorSequence:
             raise PreconditionError(
                 f"the half-up numerators at q = {q} miss the approximation bound"
             )
-        m = sum(p)
+    m = sum(p)
+    if max_m is not None and m > max_m:
+        raise PreconditionError(
+            f"at q = {q} the half-up numerators give m = {m}, above {max_m}"
+        )
+    if fast:
+        a = [Fraction(l) for l in range(m + 1)]
+    else:
         boundaries = [scaled_round(q, g) for g in gammas.values]
         if boundaries[-1] != m:
             raise PreconditionError(
@@ -235,7 +246,7 @@ def anchor_sequence_at(baton: Baton, q: int) -> AnchorSequence:
             for l in range(boundaries[i - 1] + 1, boundaries[i] + 1):
                 a[l] = gamma - (boundaries[i] - l) * unit
     return AnchorSequence(
-        p=p, m=sum(p), a=tuple(a), delta=delta, theta=theta, q0=q0, q=q
+        p=p, m=m, a=tuple(a), delta=delta, theta=theta, q0=q0, q=q
     )
 
 
@@ -304,23 +315,39 @@ class VerificationReport:
 
 
 def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):
-    """Lexicographically first (l, r), l <= r, with a[l+r] > a[l] + a[r]."""
+    """Lexicographically first (l, r), l <= r, with a[l+r] > a[l] + a[r].
+
+    One exact broadword sweep (Knuth, TAOCP 4A, 7.1.3). The scaled values,
+    shifted to t[i] = s[i] - min(s) in [0, D], sit in fixed-width lanes of
+    one int. For each l, lane r of
+
+        bias + packed + s[l]*ones - (packed >> w*l)
+
+    holds bias + s[l] + s[r] - s[l+r]. Clamping s[l] to [-(D+1), D+1]
+    keeps the sign of that sum and keeps every lane in [0, 2^w), so no
+    lane borrows from the next, and the lane's top bit is clear exactly
+    when (l, r) violates subadditivity.
+    """
+    if m < 2:
+        return None
     denom = math.lcm(*(v.denominator for v in a))
     scaled = [v.numerator * (denom // v.denominator) for v in a]
-    if m >= 2 and 2 * max(abs(v) for v in scaled) < 2**62:
-        import numpy as np  # on first use, so `maxram cover` never loads numpy
-
-        arr = np.array(scaled, dtype=np.int64)
-        for l in range(1, m // 2 + 1):
-            bad = arr[2 * l : m + 1] > arr[l] + arr[l : m - l + 1]
-            if bad.any():
-                return l, l + int(np.nonzero(bad)[0][0])
-        return None
+    low = min(scaled)
+    spread = max(scaled) - low
+    lane_bytes = ((2 * spread + 1).bit_length() + 8) // 8
+    width = 8 * lane_bytes
+    packed = int.from_bytes(
+        b"".join((v - low).to_bytes(lane_bytes, "little") for v in scaled), "little"
+    )
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * (m + 1), "little")
+    flags = ones << (width - 1)
+    base = packed + flags
     for l in range(1, m // 2 + 1):
-        al = scaled[l]
-        for r in range(l, m - l + 1):
-            if scaled[l + r] > al + scaled[r]:
-                return l, r
+        shift = min(max(scaled[l], -spread - 1), spread + 1)
+        lanes = (base + shift * ones - (packed >> width * l)) >> width * l
+        missing = ~lanes & (flags & ((1 << width * (m - 2 * l + 1)) - 1))
+        if missing:
+            return l, l + ((missing & -missing).bit_length() - 1) // width
     return None
 
 

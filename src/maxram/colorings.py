@@ -24,6 +24,7 @@ from .cover import (
     CoverInstance,
     IntVec,
     cover_mask,
+    mask_cells,
     random_cover_within_expectation,
     torus_points,
 )
@@ -121,13 +122,16 @@ class PeriodicColoring:
 
         Box o sits in the window at a exactly when its offset
         (o - a) mod cells, counted in boxes, is below window // box_size:
-        the box's far edge must not pass the window's.
+        the box's far edge must not pass the window's. Each axis of a
+        window is the set of lattice indices it holds, so a box is checked
+        by one set lookup per coordinate.
         """
         cells = self.cells_per_axis
         reach = self.window // self.box_size
         for color, (vecs, anchor) in enumerate(zip(self.classes, self.window_anchors)):
+            held = [frozenset((a + k) % cells for k in range(reach)) for a in anchor]
             for vec in vecs:
-                if any((o - a) % cells >= reach for o, a in zip(vec, anchor)):
+                if not all(map(frozenset.__contains__, held, vec)):
                     raise DomainError(
                         f"class {color}: box {vec} outside window at {anchor}"
                     )
@@ -173,13 +177,7 @@ def _ownership_classes(
         if not owned:
             continue
         covered |= owned
-        bits = format(owned, "b")[::-1]
-        vecs = []
-        index = bits.find("1")
-        while index >= 0:
-            vecs.append(cells[index])
-            index = bits.find("1", index + 1)
-        classes.append(tuple(vecs))
+        classes.append(tuple(mask_cells(owned, cells)))
         anchors.append(tuple(t))
     uncovered = ~covered & ((1 << inst.point_count) - 1)
     if uncovered:

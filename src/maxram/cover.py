@@ -60,6 +60,18 @@ def torus_points(inst: CoverInstance) -> list[IntVec]:
     return list(itertools.product(range(inst.m), repeat=inst.n))
 
 
+def mask_cells(mask: int, cells: list[IntVec]) -> list[IntVec]:
+    """The cells whose bits are set in mask, in index order; cells is
+    torus_points(inst). Only the set bits are visited."""
+    bits = format(mask, "b")[::-1]
+    found = []
+    index = bits.find("1")
+    while index >= 0:
+        found.append(cells[index])
+        index = bits.find("1", index + 1)
+    return found
+
+
 def _box_mask(inst: CoverInstance, corner: IntVec, side: int) -> int:
     """Bitmask of the points corner + {0..side-1}^n (mod m), row-major.
 
@@ -146,14 +158,14 @@ def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution
             seen.add(v)
             chosen.append(v)
             covered |= cover_mask(inst, v)
+    full = (1 << inst.point_count) - 1
     leftovers = []
-    for idx, point in enumerate(torus_points(inst)):
-        if not (covered >> idx) & 1:
-            leftovers.append(point)
+    if covered != full:
+        leftovers = mask_cells(full & ~covered, torus_points(inst))
     for point in leftovers:
         chosen.append(point)
         covered |= cover_mask(inst, point)
-    assert covered == (1 << inst.point_count) - 1
+    assert covered == full
     lb = counting_lower_bound(inst)
     return CoverSolution(
         translates=chosen,

@@ -10,7 +10,9 @@ statistics stays out of them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _escape
 
 from .anchors import AnchorSequence, VerificationReport
 from .chromatic import GridChromaticReport
@@ -28,7 +30,7 @@ def vec_to_obj(vec) -> list[str]:
 def vec_from_obj(items, coordinate=parse_rational) -> Vec:
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(coordinate(c) for c in items)
+    return tuple(map(coordinate, items))
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -36,7 +38,70 @@ def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\\n".
+
+    json only has a C encoder for indent=None, so the layout is joined
+    here from C-escaped strings instead. Dict keys must be str, and
+    circular references are not detected.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    """value as json.dumps lays it out at the level whose newline and
+    indentation is indent. Categories are tested list first: no type is
+    both a list and a str, dict or number, and bool comes before int."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = None
+        if all(type(v) is list for v in value):
+            items = _string_lists(value, inner)
+        if items is None:
+            items = [_escape(v) if type(v) is str else _encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_escape(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _string_lists(lists, indent: str) -> list[str] | None:
+    """Each list of str laid out at indent, in one pass: the bulk of a
+    coloring certificate. None when some item is not a str."""
+    inner = indent + "  "
+    sep = "," + inner
+    try:
+        return [
+            "[" + inner + sep.join(map(_escape, v)) + indent + "]" if v else "[]"
+            for v in lists
+        ]
+    except TypeError:  # encode_basestring_ascii takes only str
+        return None
 
 
 def write_json(path, obj) -> None:

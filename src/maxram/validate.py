@@ -108,7 +108,9 @@ def _check_anchor_sequence(obj) -> list[str]:
         "a": vec_from_obj(obj["a"]),
     }
     try:
-        seq = anchor_sequence_at(baton, q)
+        # The stated values bound the rebuild: a q whose numerators sum
+        # past them is refused before its m + 1 values are built.
+        seq = anchor_sequence_at(baton, q, max_m=len(stated["a"]) - 1)
     except PreconditionError as exc:
         return [f"q: {exc}"]
     where = "on the fast path" if seq.q0 == 0 else f"at q = {q}"
@@ -128,17 +130,20 @@ def _check_anchor_sequence(obj) -> list[str]:
 def _lattice_index(box_size):
     """Read a coordinate as its box-lattice index, value / box_size.
 
-    Each distinct string literal is parsed once; other values, such as a
-    bool that parse_rational must reject, are parsed every time. An
-    off-lattice value stays a Fraction and a non-positive box_size scales
-    nothing, so PeriodicColoring rejects either with its own message.
+    Each distinct string literal is parsed once. Only str keys are
+    stored, so other values, such as a bool that parse_rational must
+    reject, miss the memo and are parsed every time. An off-lattice value
+    stays a Fraction and a non-positive box_size scales nothing, so
+    PeriodicColoring rejects either with its own message.
     """
     scale = box_size if box_size > 0 else 1
     memo: dict[str, object] = {}
 
     def index(value):
-        if isinstance(value, str) and value in memo:
+        try:
             return memo[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable list
+            pass
         q = parse_rational(value) / scale
         found = q.numerator if q.denominator == 1 else q
         if isinstance(value, str):
@@ -198,11 +203,14 @@ def _check_chromatic(obj) -> list[str]:
     optimal = _bool_field(obj, "optimal")
     lower_bound = _int_field(obj, "lower_bound")
 
-    points = grid_points(k, n)
-    hypergraph = copy_hypergraph(points, space)
-    if len(colors) != hypergraph.vertex_count:
+    # The count comes first, so a stated grid larger than the color list
+    # is refused without building its points; (k+1)^n >= 2^n bounds n.
+    if k < 0 or n < 1:
+        raise PreconditionError("grid needs k >= 0 and n >= 1")
+    if (k > 0 and n > len(colors).bit_length()) or (k + 1) ** n != len(colors):
         failures.append("colors: one color per grid point required")
         return failures
+    hypergraph = copy_hypergraph(grid_points(k, n), space)
     if not is_proper(hypergraph, colors):
         failures.append("colors: a copy is monochromatic")
     if set(colors) != set(range(color_count)):

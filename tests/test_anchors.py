@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxram import (
@@ -372,7 +372,9 @@ def test_clauses_mapping_matches_the_report():
 # -- the subadditivity sweep ---------------------------------------------------
 
 
-def brute_first_violation(a, m):
+def naive_first_subadditive_violation(a, m):
+    """The all-pairs loop: lexicographically first (l, r), l <= r, with
+    a[l+r] > a[l] + a[r]."""
     for l in range(1, m // 2 + 1):
         for r in range(l, m - l + 1):
             if a[l + r] > a[l] + a[r]:
@@ -399,11 +401,52 @@ def test_sweep_agrees_with_brute_force(gaps, data):
         a[idx] += a[-1] * 2
     a = tuple(a)
     m = len(a) - 1
-    assert _first_subadditive_violation(a, m) == brute_first_violation(a, m)
+    assert _first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
 
 
-def test_sweep_python_fallback_for_huge_numerators():
-    """Values too large for the int64 fast path take the pure loop."""
+SWEEP_VALUES = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-(2**70), 2**70).map(F),
+    st.integers(2**62, 2**66).map(F),
+    st.fractions(min_value=-(2**64), max_value=2**64, max_denominator=7),
+)
+
+
+@st.composite
+def sweep_sequences(draw):
+    """Any values, or concave (so subadditive) ones with a few nudged,
+    so that both None and a first violating pair come up."""
+    m = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(SWEEP_VALUES, min_size=m + 1, max_size=m + 1)))
+    top = draw(st.sampled_from([60, 2**63, 3**50]))
+    a = [F(l * (2 * top - l), draw(st.sampled_from([1, 3, 7]))) for l in range(m + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        if m:
+            a[draw(st.integers(1, m))] += draw(SWEEP_VALUES)
+    return tuple(a)
+
+
+@given(sweep_sequences())
+@settings(max_examples=400, deadline=None)
+@example(tuple(F(l * (120 - l)) for l in range(61)))  # concave: no violation
+@example((F(0), F(-1), F(-2)))  # negative values: a[2] > a[1] + a[1]
+@example((F(0), F(2**65), F(2**66) + 1))  # past 2^62: violation at (1, 1)
+def test_lane_sweep_matches_the_all_pairs_loop(a):
+    m = len(a) - 1
+    assert _first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
+
+
+def test_lane_sweep_sees_both_outcomes():
+    concave = tuple(F(l * (120 - l), 7) for l in range(61))
+    assert _first_subadditive_violation(concave, 60) is None
+    bumped = concave[:40] + (concave[40] + 20,) + concave[41:]
+    assert _first_subadditive_violation(bumped, 60) == (1, 39)
+    assert naive_first_subadditive_violation(bumped, 60) == (1, 39)
+
+
+def test_sweep_is_exact_above_int64():
+    """Numerators past 2^63 sit in wider lanes; the result is unchanged."""
     big = F(2**63)
     a = (F(0), F(2**61), big)
     assert _first_subadditive_violation(a, 2) == (1, 1)

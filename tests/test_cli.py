@@ -1,10 +1,13 @@
 """End-to-end command line runs, in process via main(argv)."""
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,6 +370,40 @@ def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, dig
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def seeded_dense_subset(seed: int) -> dict:
+    """K^N + 1 points of {0..K}^N, K = 3 and N = 5, drawn by the seed."""
+    grid = list(itertools.product(range(4), repeat=5))
+    chosen = random.Random(seed).sample(grid, 3**5 + 1)
+    return {"k": 3, "n": 5, "elements": [list(p) for p in sorted(chosen)]}
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["anchors", "--steps", "1,1/2,1/3", "--faithful"], 0,
+         "945f1618f9c1ea8556c10ddd0a49b877b5028112cb0f59ef8b6edf277569e044"),
+        (["extract", "--subset", "{subset}", "--k", "3"], 0,
+         "dbc89b9de4cf526a5ef839c67ad7e333ceac85b84aafaa4527028ac741cbf186"),
+        (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], 0,
+         "bccfe2e1c4c4b04fc5f53ec4aa24cf57a8242c909d43dca9d9634ec70c84ba61"),
+        (["cover", "--m", "45", "--d", "15", "--n", "2", "--exact"], 0,
+         "5426f24a59b10b4442d5be04b23454cefe9a3a207f1862c6b0be6444c020c0e4"),
+        (["cover", "--m", "9", "--d", "2", "--n", "2", "--exact", "--budget", "150000"],
+         3, "bc0b0b0fa33d8e96fd6b58e2ece7b7c40829a8060194eb8689aad6277005d6ef"),
+    ],
+)
+def test_certificate_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
+    """The anchor sequence for steps 1, 1/2, 1/3 (m = 2453), a unit
+    3-baton extracted from the seed-1 dense subset of {0..3}^5, and three
+    exact torus covers, the last one capped, byte for byte."""
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps(seeded_dense_subset(1)))
+    out = tmp_path / "out.json"
+    assert main([a.format(subset=subset) for a in argv] + ["-o", str(out)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -- cover ---------------------------------------------------------------
 
 
@@ -418,49 +455,54 @@ def run_python(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cover_and_its_validation_never_import_numpy(tmp_path):
-    """numpy is loaded on first use, and covers never use it."""
-    path = tmp_path / "cover.json"
-    script = f"""
-import sys
-from maxram.cli import main
-assert "numpy" not in sys.modules, "import maxram.cli"
-assert main(["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
-             "--output", {str(path)!r}]) == 0
-assert main(["validate", {str(path)!r}]) == 0
-assert "numpy" not in sys.modules, "cover and validate"
-"""
-    run = run_python(script)
-    assert run.returncode == 0, run.stderr
-
-
-def test_copy_search_and_its_validation_never_import_numpy(tmp_path):
-    """Copy search runs on Python ints: chi, copies, embed, extract and
-    color --metric, and the validation of what they write, leave numpy
-    unloaded."""
+def test_no_subcommand_or_its_validation_imports_numpy(tmp_path):
+    """Every subcommand runs on Python ints and Fractions alone, and so
+    does validate of every certificate they write: anchor sequences, the
+    anchors behind extract --baton, colorings, covers and copy searches
+    leave numpy unloaded."""
     unit2 = tmp_path / "unit2.json"
     unit2.write_text(json.dumps({"points": [["0"], ["1"], ["2"]]}))
     line = tmp_path / "line.json"
     line.write_text(json.dumps({"points": [[str(x)] for x in range(5)]}))
+    anchored = tmp_path / "anchored.json"
+    anchored.write_text(json.dumps({"points": [[str(x)] for x in range(4)]}))
     subset = tmp_path / "subset.json"
     subset.write_text(json.dumps(
         {"k": 2, "n": 2, "elements": [[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]]}
     ))
+    # (argv, whether the output is a certificate for validate)
     runs = {
-        "chi": ["chi", "--grid", "3,2"],
-        "copies": ["copies", "--metric", str(unit2), "--points", str(line)],
-        "embed": ["embed", "--metric", str(unit2)],
-        "extract": ["extract", "--subset", str(subset), "--k", "2"],
-        "color": ["color", "--metric", str(unit2), "--n", "2"],
+        "embed": (["embed", "--metric", str(unit2)], True),
+        "copies": (["copies", "--metric", str(unit2), "--points", str(line)], True),
+        "extract": (["extract", "--subset", str(subset), "--k", "2"], True),
+        "extract-baton": (["extract", "--subset", str(anchored), "--baton", "1,2"],
+                          True),
+        "anchors": (["anchors", "--steps", "1,3/2", "--faithful"], True),
+        "anchors-fast": (["anchors", "--steps", "2,3"], True),
+        "color": (["color", "--metric", str(unit2), "--n", "2"], True),
+        "color-asymptotic": (["color", "--metric", str(unit2), "--n", "1",
+                              "--asymptotic"], True),
+        "color-u1": (["color", "--metric", str(unit2), "--n", "3",
+                      "--variant", "u1"], False),
+        "bounds": (["bounds", "--k", "2", "--n", "2"], False),
+        "chi": (["chi", "--grid", "3,2"], True),
+        "cover": (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], True),
+        "cover-table": (["cover", "table", "--max", "2"], False),
     }
-    script = "import sys\nfrom maxram.cli import main\n"
-    for name, argv in runs.items():
-        out = str(tmp_path / f"{name}.json")
+    script = (
+        "import sys\nfrom maxram.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import maxram.cli'\n"
+    )
+    for name, (argv, certificate) in runs.items():
+        out = str(tmp_path / f"{name}.out")
         script += f"assert main({argv + ['-o', out]!r}) == 0, {name!r}\n"
-        script += f"assert main(['validate', {out!r}]) == 0, {name!r}\n"
+        if certificate:
+            script += f"assert main(['validate', {out!r}]) == 0, {name!r}\n"
         script += f"assert 'numpy' not in sys.modules, {name!r}\n"
     run = run_python(script)
     assert run.returncode == 0, run.stderr
+    anchor = read_json(tmp_path / "anchors.out")
+    assert anchor["kind"] == "anchor_sequence" and anchor["q0"] > 0
 
 
 # -- validate ---------------------------------------------------------------
@@ -479,6 +521,39 @@ def test_validate_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "invalid: torus_cover" in out
     assert "size" in out
+
+
+def validate_edited(tmp_path, capsys, argv, edits) -> str:
+    """Write argv's certificate, apply edits, validate it in bounded time
+    and return the validate output."""
+    path = tmp_path / "edited.json"
+    assert main(argv + ["-o", str(path)]) == 0
+    obj = read_json(path)
+    obj.update(edits)
+    path.write_text(dump_json(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", [10**9, 10**40])
+def test_validate_refuses_an_anchor_q_past_the_stated_values(tmp_path, capsys, q):
+    """At these q the half-up numerators of 1, 3/2 sum to m >= 2.5 * 10^9,
+    which the 71 stated values cannot hold; no rebuild is tried."""
+    argv = ["anchors", "--steps", "1,3/2", "--faithful"]
+    out = validate_edited(tmp_path, capsys, argv, {"q": q})
+    assert out.startswith("invalid: anchor_sequence\n")
+    assert f"  q: at q = {q} the half-up numerators give m = {5 * q // 2}" in out
+
+
+def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, capsys):
+    """{0..9}^9 has 10^9 points; the nine listed colors are refused
+    before any grid point is built."""
+    argv = ["chi", "--grid", "2,2"]
+    out = validate_edited(tmp_path, capsys, argv, {"k": 9, "n": 9})
+    assert out == "invalid: chromatic\n  colors: one color per grid point required\n"
 
 
 def test_validate_bad_json_and_missing_file(tmp_path, capsys):

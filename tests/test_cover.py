@@ -19,7 +19,7 @@ from maxram import (
     random_cover_within_expectation,
     random_translates_cover,
 )
-from maxram.cover import _box_mask, cover_mask, torus_points
+from maxram.cover import _box_mask, cover_mask, mask_cells, torus_points
 from maxram.rational import ceil_div
 
 
@@ -281,6 +281,48 @@ def test_random_cover_covers_and_counts_leftovers():
     assert sol.size == len(sol.translates)
     assert sol.leftover is not None and sol.leftover >= 0
     assert sol.size <= sol.s_random + sol.leftover
+
+
+def scan_uncovered(inst: CoverInstance, covered: int) -> list:
+    """The full leftover scan: test the bit of every torus point."""
+    return [p for idx, p in enumerate(torus_points(inst)) if not (covered >> idx) & 1]
+
+
+@given(
+    st.sampled_from(
+        [CoverInstance(3, 2, 2), CoverInstance(5, 2, 2), CoverInstance(7, 3, 2),
+         CoverInstance(4, 2, 3), CoverInstance(191, 63, 2)]
+    ),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+@example(CoverInstance(191, 63, 2), 2)  # 12 leftovers among 36,481 points
+def test_leftover_patches_match_the_full_scan(inst, seed):
+    """The patch translates are exactly the points the drawn translates
+    miss, in index order, as a scan of every point finds them."""
+    sol = random_translates_cover(inst, seed)
+    drawn = sol.translates[: sol.size - sol.leftover]
+    covered = 0
+    for t in drawn:
+        covered |= cover_mask(inst, t)
+    assert sol.translates[len(drawn):] == scan_uncovered(inst, covered)
+
+
+def test_leftover_fixtures_do_have_leftovers():
+    assert [random_translates_cover(CoverInstance(5, 2, 2), s).leftover
+            for s in range(3)] == [9, 6, 7]
+    assert random_translates_cover(CoverInstance(191, 63, 2), 2).leftover == 12
+    assert random_translates_cover(CoverInstance(191, 63, 2), 0).leftover == 0
+
+
+@given(st.sampled_from(small_instances()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mask_cells_lists_the_set_bits_in_index_order(inst, data):
+    mask = data.draw(st.integers(0, (1 << inst.point_count) - 1))
+    cells = torus_points(inst)
+    assert mask_cells(mask, cells) == [
+        p for idx, p in enumerate(cells) if (mask >> idx) & 1
+    ]
 
 
 def test_random_cover_is_deterministic_per_seed():

@@ -1,8 +1,11 @@
 """JSON artifact formats: canonical dumps, parsing, certificate shapes."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxram import (
     Baton,
@@ -46,6 +49,43 @@ def test_dump_json_is_canonical():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-2, 2)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["", "é", "\u2603", "\U0001f600", "\\", '"', "\n\t\x00\x7f"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.lists(st.text(max_size=3), max_size=3), max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+@example({"b": [True, 1, 1.0, False, 0], "a": {"x": [], "y": {}, "z": [[]]}})
+@example([["a", "b"], [], ["é"], [1]])
+@example([["a"], ("b",)])
+@example([[["1/2", "0"]], [["\u2603"]]])
+@example("top-level string")
+def test_dump_json_matches_the_indented_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        dump_json({"a": {1, 2}})
+    with pytest.raises(TypeError):
+        dump_json([Fraction(1, 2)])
 
 
 def test_write_and_read_json(tmp_path):
