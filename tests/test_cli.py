@@ -455,40 +455,26 @@ def run_python(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_no_subcommand_or_its_validation_imports_numpy(tmp_path):
-    """Every subcommand runs on Python ints and Fractions alone, and so
-    does validate of every certificate they write: anchor sequences, the
-    anchors behind extract --baton, colorings, covers and copy searches
-    leave numpy unloaded."""
-    unit2 = tmp_path / "unit2.json"
-    unit2.write_text(json.dumps({"points": [["0"], ["1"], ["2"]]}))
-    line = tmp_path / "line.json"
-    line.write_text(json.dumps({"points": [[str(x)] for x in range(5)]}))
-    anchored = tmp_path / "anchored.json"
-    anchored.write_text(json.dumps({"points": [[str(x)] for x in range(4)]}))
-    subset = tmp_path / "subset.json"
-    subset.write_text(json.dumps(
-        {"k": 2, "n": 2, "elements": [[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]]}
-    ))
-    # (argv, whether the output is a certificate for validate)
-    runs = {
-        "embed": (["embed", "--metric", str(unit2)], True),
-        "copies": (["copies", "--metric", str(unit2), "--points", str(line)], True),
-        "extract": (["extract", "--subset", str(subset), "--k", "2"], True),
-        "extract-baton": (["extract", "--subset", str(anchored), "--baton", "1,2"],
-                          True),
-        "anchors": (["anchors", "--steps", "1,3/2", "--faithful"], True),
-        "anchors-fast": (["anchors", "--steps", "2,3"], True),
-        "color": (["color", "--metric", str(unit2), "--n", "2"], True),
-        "color-asymptotic": (["color", "--metric", str(unit2), "--n", "1",
-                              "--asymptotic"], True),
-        "color-u1": (["color", "--metric", str(unit2), "--n", "3",
-                      "--variant", "u1"], False),
-        "bounds": (["bounds", "--k", "2", "--n", "2"], False),
-        "chi": (["chi", "--grid", "3,2"], True),
-        "cover": (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], True),
-        "cover-table": (["cover", "table", "--max", "2"], False),
+def metric_files(tmp_path) -> dict[str, str]:
+    """Write the small inputs the no-numpy runs read; return their paths."""
+    files = {
+        "unit2": {"points": [["0"], ["1"], ["2"]]},
+        "line": {"points": [[str(x)] for x in range(5)]},
+        "anchored": {"points": [[str(x)] for x in range(4)]},
+        "subset": {"k": 2, "n": 2,
+                   "elements": [[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]]},
     }
+    paths = {}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+def assert_runs_without_numpy(tmp_path, runs) -> None:
+    """Run each (argv, certificate) of runs, and validate each certificate,
+    in one fresh interpreter; numpy must stay unloaded throughout."""
     script = (
         "import sys\nfrom maxram.cli import main\n"
         "assert 'numpy' not in sys.modules, 'import maxram.cli'\n"
@@ -501,6 +487,45 @@ def test_no_subcommand_or_its_validation_imports_numpy(tmp_path):
         script += f"assert 'numpy' not in sys.modules, {name!r}\n"
     run = run_python(script)
     assert run.returncode == 0, run.stderr
+
+
+def test_cover_and_its_validation_never_import_numpy(tmp_path):
+    """Covers and their tables run on Python ints, and so does validate."""
+    assert_runs_without_numpy(tmp_path, {
+        "cover": (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], True),
+        "cover-table": (["cover", "table", "--max", "2"], False),
+    })
+
+
+def test_copy_search_and_its_validation_never_import_numpy(tmp_path):
+    """Copy search runs on Python ints: chi, copies, embed, extract and
+    color --metric, and the validation of what they write, leave numpy
+    unloaded."""
+    f = metric_files(tmp_path)
+    assert_runs_without_numpy(tmp_path, {
+        "chi": (["chi", "--grid", "3,2"], True),
+        "copies": (["copies", "--metric", f["unit2"], "--points", f["line"]], True),
+        "embed": (["embed", "--metric", f["unit2"]], True),
+        "extract": (["extract", "--subset", f["subset"], "--k", "2"], True),
+        "color": (["color", "--metric", f["unit2"], "--n", "2"], True),
+        "color-asymptotic": (["color", "--metric", f["unit2"], "--n", "1",
+                              "--asymptotic"], True),
+        "color-u1": (["color", "--metric", f["unit2"], "--n", "3",
+                      "--variant", "u1"], False),
+    })
+
+
+def test_anchors_bounds_and_their_validation_never_import_numpy(tmp_path):
+    """Anchor sequences, the anchors behind extract --baton and bounds run
+    on Python ints and Fractions, and so does validate of what they write."""
+    f = metric_files(tmp_path)
+    assert_runs_without_numpy(tmp_path, {
+        "extract-baton": (["extract", "--subset", f["anchored"], "--baton", "1,2"],
+                          True),
+        "anchors": (["anchors", "--steps", "1,3/2", "--faithful"], True),
+        "anchors-fast": (["anchors", "--steps", "2,3"], True),
+        "bounds": (["bounds", "--k", "2", "--n", "2"], False),
+    })
     anchor = read_json(tmp_path / "anchors.out")
     assert anchor["kind"] == "anchor_sequence" and anchor["q0"] > 0
 
