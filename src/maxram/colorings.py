@@ -122,16 +122,13 @@ class PeriodicColoring:
 
         Box o sits in the window at a exactly when its offset
         (o - a) mod cells, counted in boxes, is below window // box_size:
-        the box's far edge must not pass the window's. Each axis of a
-        window is the set of lattice indices it holds, so a box is checked
-        by one set lookup per coordinate.
+        the box's far edge must not pass the window's.
         """
         cells = self.cells_per_axis
         reach = self.window // self.box_size
         for color, (vecs, anchor) in enumerate(zip(self.classes, self.window_anchors)):
-            held = [frozenset((a + k) % cells for k in range(reach)) for a in anchor]
             for vec in vecs:
-                if not all(map(frozenset.__contains__, held, vec)):
+                if any((o - a) % cells >= reach for o, a in zip(vec, anchor)):
                     raise DomainError(
                         f"class {color}: box {vec} outside window at {anchor}"
                     )

@@ -159,9 +159,7 @@ def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution
             chosen.append(v)
             covered |= cover_mask(inst, v)
     full = (1 << inst.point_count) - 1
-    leftovers = []
-    if covered != full:
-        leftovers = mask_cells(full & ~covered, torus_points(inst))
+    leftovers = mask_cells(full & ~covered, torus_points(inst))
     for point in leftovers:
         chosen.append(point)
         covered |= cover_mask(inst, point)

@@ -581,6 +581,19 @@ def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, caps
     assert out == "invalid: chromatic\n  colors: one color per grid point required\n"
 
 
+def test_validate_refuses_a_coloring_period_far_past_its_boxes(
+    tmp_path, capsys, half_pair_metric
+):
+    """Period and window of 3 * 10^12 make 1.28 * 10^14 boxes per axis
+    against the 128 listed; the window check costs one comparison per
+    listed box, whatever the window's reach."""
+    argv = ["color", "--metric", half_pair_metric, "--n", "1", "--asymptotic"]
+    huge = str(3 * 10**12)
+    out = validate_edited(tmp_path, capsys, argv, {"period": huge, "window": huge})
+    assert out.startswith("invalid: periodic_coloring\n")
+    assert "  classes: 128 owned boxes, expected 128000000000000\n" in out
+
+
 def test_validate_bad_json_and_missing_file(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{")
