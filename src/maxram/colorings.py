@@ -188,8 +188,6 @@ def avoidance_coloring(
     n: int,
     mode: str = "randomized",
     seed: int = 0,
-    d_prime=None,
-    l_prime=None,
 ) -> PeriodicColoring:
     """A periodic coloring of R^n with no monochromatic copy of the space.
 
@@ -201,17 +199,15 @@ def avoidance_coloring(
     diameter inside it, which the strict box bounds forbid.
 
     randomized mode needs d and l integral and covers (Z_{d+l})^n with
-    d-cubes directly. asymptotic mode shrinks the window to d_prime and
-    grows the gap to l_prime (defaults d*(1 - 1/64) and l*(1 + 1/64)),
-    then realizes the rational ratio exactly on a finer box lattice.
+    d-cubes directly. asymptotic mode shrinks the window to d*(1 - 1/64)
+    and grows the gap to l*(1 + 1/64), then realizes the rational ratio
+    exactly on a finer box lattice.
     """
     d = diameter(space)
     l = connectivity_threshold(space)
     if n < 1:
         raise PreconditionError("need n >= 1")
     if mode == "randomized":
-        if d_prime is not None or l_prime is not None:
-            raise PreconditionError("window overrides only apply in asymptotic mode")
         if d.denominator != 1 or l.denominator != 1:
             raise PreconditionError(
                 "randomized mode needs integral diameter and connectivity "
@@ -222,12 +218,8 @@ def avoidance_coloring(
         unit = Fraction(1)
         inst = CoverInstance(m=int(d + l), d=int(d), n=n)
     elif mode == "asymptotic":
-        window = Fraction(d_prime) if d_prime is not None else d * Fraction(63, 64)
-        gap = Fraction(l_prime) if l_prime is not None else l * Fraction(65, 64)
-        if not 0 < window <= d:
-            raise PreconditionError("need 0 < d_prime <= diameter")
-        if gap < l:
-            raise PreconditionError("need l_prime >= connectivity threshold")
+        window = d * Fraction(63, 64)
+        gap = l * Fraction(65, 64)
         ratio = window / (window + gap)
         unit = (window + gap) / ratio.denominator
         inst = CoverInstance(m=ratio.denominator, d=ratio.numerator, n=n)

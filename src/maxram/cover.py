@@ -175,22 +175,25 @@ def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution
     )
 
 
+_MAX_RETRIES = 1000
+
+
 def random_cover_within_expectation(
-    inst: CoverInstance, seed: int = 0, max_retries: int = 1000
+    inst: CoverInstance, seed: int = 0
 ) -> tuple[CoverSolution, int, bool]:
     """Retry seeds until total size <= s + ceil((m/d)^n), the integer form
     of the expectation guarantee. Returns (best solution, attempts, met)."""
     ratio = Fraction(inst.m, inst.d) ** inst.n
     allowance = ceil_div(ratio.numerator, ratio.denominator)
     best: CoverSolution | None = None
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         sol = random_translates_cover(inst, seed + attempt)
         if best is None or sol.size < best.size:
             best = sol
         if sol.size <= (sol.s_random or 0) + allowance:
             return sol, attempt + 1, True
     assert best is not None
-    return best, max_retries, False
+    return best, _MAX_RETRIES, False
 
 
 def exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:

@@ -19,6 +19,7 @@ from .chromatic import GridChromaticReport
 from .colorings import PeriodicColoring
 from .cover import CoverInstance, CoverSolution
 from .errors import ParseError
+from .extraction import GridSubset
 from .metric import Baton, CopyEmbedding, FiniteMetricSpace, PointSet, Vec
 from .rational import format_rational, parse_rational
 
@@ -119,6 +120,34 @@ def read_json(path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_value(value, label) -> int:
+    if not _is_int(value):
+        raise ParseError(f"{label} must be an integer")
+    return value
+
+
+def _int_field(obj, key) -> int:
+    return _int_value(obj[key], key)
+
+
+def _bool_field(obj, key) -> bool:
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be a boolean")
+    return value
+
+
+def _list_field(obj, key) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list")
+    return value
+
+
 def metric_space_from_obj(obj) -> FiniteMetricSpace:
     """Build a space from {"distance_matrix": ...} or {"points": ...}.
 
@@ -145,6 +174,20 @@ def point_set_from_obj(obj) -> PointSet:
         raise ParseError("points must be a non-empty list")
     points = tuple(vec_from_obj(row) for row in rows)
     return PointSet(dim=len(points[0]), points=points)
+
+
+def grid_subset_from_obj(obj) -> GridSubset:
+    """A subset of {0..k}^n from {"k": k, "n": n, "elements": [[int, ...], ...]}."""
+    if not isinstance(obj, dict) or not {"k", "n", "elements"} <= obj.keys():
+        raise ParseError("subset file needs k, n and elements")
+    if not (_is_int(obj["k"]) and _is_int(obj["n"])):
+        raise ParseError("subset file: k and n must be integers")
+    elements = obj["elements"]
+    if not isinstance(elements, list) or not all(
+        isinstance(e, list) and all(map(_is_int, e)) for e in elements
+    ):
+        raise ParseError("subset file: elements must be a list of integer lists")
+    return GridSubset(n=obj["n"], k=obj["k"], elems=frozenset(map(tuple, elements)))
 
 
 def copy_embedding_certificate(emb: CopyEmbedding) -> dict:

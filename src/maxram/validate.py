@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .anchors import anchor_sequence_at, verify_anchor_sequence
+from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
 from .chromatic import copy_hypergraph, exact_chromatic, is_proper
 from .colorings import PeriodicColoring
 from .cover import CoverInstance, counting_lower_bound, exact_cover, is_cover
 from .errors import ParseError, PreconditionError
+from .io import _bool_field, _int_field, _int_value, _list_field
 from .io import metric_space_from_obj, read_json, vec_from_obj
 from .metric import Baton, chebyshev_distance, connectivity_threshold, diameter, grid_points
 from .rational import parse_rational
@@ -27,30 +28,6 @@ class ValidationReport:
     kind: str
     ok: bool
     failures: tuple[str, ...]
-
-
-def _int_value(value, label) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{label} must be an integer")
-    return value
-
-
-def _int_field(obj, key) -> int:
-    return _int_value(obj[key], key)
-
-
-def _bool_field(obj, key) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise ParseError(f"{key} must be a boolean")
-    return value
-
-
-def _list_field(obj, key) -> list:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ParseError(f"{key} must be a list")
-    return value
 
 
 def _check_pairwise(points, space, label, failures) -> None:
@@ -98,6 +75,10 @@ def _check_anchor_sequence(obj) -> list[str]:
     baton = Baton(steps=vec_from_obj(obj["steps"]))
     if baton.k < 1:
         raise ParseError("steps must be non-empty")
+    try:
+        check_combination_count(baton.steps)
+    except PreconditionError as exc:
+        return [f"steps: {exc}"]
     q = _int_field(obj, "q")
     stated = {
         "p": tuple(_int_value(v, "p") for v in _list_field(obj, "p")),

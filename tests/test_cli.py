@@ -15,7 +15,8 @@ import pytest
 
 import maxram
 from maxram import Baton, validate_certificate
-from maxram.cli import main
+from maxram.anchors import MAX_COMBINATIONS
+from maxram.cli import build_parser, main
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 
 F = Fraction
@@ -313,21 +314,6 @@ def test_chi_budget_exhaustion_exits_3_but_writes(tmp_path, capsys):
     assert validate_certificate(str(out)).ok
 
 
-def test_chi_respects_the_budget_environment_variable(monkeypatch, tmp_path, capsys):
-    out = tmp_path / "chi.json"
-    monkeypatch.setenv("MAXRAM_BUDGET", "5")
-    assert main(["chi", "--grid", "2,2", "-o", str(out)]) == 3
-    monkeypatch.setenv("MAXRAM_BUDGET", "100000")
-    assert main(["chi", "--grid", "2,2", "-o", str(out)]) == 0
-    capsys.readouterr()
-
-
-def test_non_integer_budget_variable_is_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("MAXRAM_BUDGET", "abc")
-    assert main(["chi", "--grid", "1,1"]) == 2
-    assert "error: MAXRAM_BUDGET is not an integer: 'abc'" in capsys.readouterr().err
-
-
 def test_chi_grid_parse_error(capsys):
     assert main(["chi", "--grid", "two,2"]) == 2
     assert "--grid" in capsys.readouterr().err
@@ -434,6 +420,35 @@ def test_cover_table_csv(capsys):
     assert main(["cover", "table", "--max", "2"]) == 0
     out = capsys.readouterr().out
     assert out == "n,lower,upper,exact\n1,2,2,true\n2,3,3,true\n"
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (["--budget", "5", "--seed", "3", "-o", "{out}"], []),
+        ([], ["--budget", "5", "--seed", "3", "-o", "{out}"]),
+        (
+            ["--budget", "1", "--seed", "1", "-o", "{other}"],
+            ["--budget", "5", "--seed", "3", "-o", "{out}"],
+        ),
+    ],
+    ids=["before-table", "after-table", "after-overrides-before"],
+)
+def test_cover_table_reads_shared_flags_on_either_side_of_table(
+    tmp_path, capsys, before, after
+):
+    out, other = tmp_path / "table.csv", tmp_path / "other.csv"
+    argv = [
+        a.format(out=out, other=other)
+        for a in ["cover", *before, "table", "--max", "3", *after]
+    ]
+    args = build_parser().parse_args(argv)
+    assert (args.budget, args.seed, args.output) == (5, 3, str(out))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert not other.exists()
+    # A budget of 5 nodes leaves the n = 3 row unproved.
+    assert out.read_text().endswith("\n2,3,3,true\n3,4,5,false\n")
 
 
 @pytest.mark.parametrize("n_max", ["0", "-1"])
@@ -573,6 +588,25 @@ def test_validate_refuses_an_anchor_q_past_the_stated_values(tmp_path, capsys, q
     assert f"  q: at q = {q} the half-up numerators give m = {5 * q // 2}" in out
 
 
+def test_validate_refuses_steps_with_too_many_combinations(tmp_path, capsys):
+    """1, 1/2000, 1/2001 have about 1.2 * 10^7 bounded coefficient
+    combinations; they are counted, not enumerated."""
+    argv = ["anchors", "--steps", "1,3/2", "--faithful"]
+    out = validate_edited(tmp_path, capsys, argv, {"steps": ["1", "1/2000", "1/2001"]})
+    assert out.startswith("invalid: anchor_sequence\n  steps: ")
+    assert f"above {MAX_COMBINATIONS}" in out
+
+
+def test_anchors_with_too_many_combinations_is_exit_2(capsys):
+    start = time.perf_counter()
+    assert main(["anchors", "--steps", "1,1/2000,1/2001"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"above {MAX_COMBINATIONS}" in captured.err
+    assert captured.out == ""
+
+
 def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, capsys):
     """{0..9}^9 has 10^9 points; the nine listed colors are refused
     before any grid point is built."""
@@ -631,6 +665,34 @@ def test_threads_flag_is_rejected_by_argparse(capsys, b2_metric):
         main(["embed", "--metric", b2_metric, "--threads", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["chi", "--grid", "1,1"], ["cover", "--m", "3", "--d", "2", "--n", "1"],
+     ["cover", "table", "--max", "1"]],
+    ids=["chi", "cover", "cover-table"],
+)
+def test_budget_below_one_or_not_an_integer_is_exit_2(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --budget: must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["embed", "copies", "extract", "anchors", "color", "bounds", "chi", "cover",
+     "cover table", "validate"],
+)
+def test_help_exits_0_for_every_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: maxram {command}")
 
 
 def test_artifacts_do_not_depend_on_runtime_chatter(tmp_path, capsys):

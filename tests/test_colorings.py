@@ -31,6 +31,7 @@ from maxram.rational import format_rational
 
 F = Fraction
 
+B1 = Baton.unit(1).as_metric_space()
 B2 = Baton.unit(2).as_metric_space()
 HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
 
@@ -395,25 +396,23 @@ def test_randomized_avoidance_coloring_for_the_unit_two_step():
 def test_randomized_mode_requires_integral_parameters():
     with pytest.raises(PreconditionError, match="integral"):
         avoidance_coloring(HALF_PAIR, n=1)
-    with pytest.raises(PreconditionError, match="asymptotic"):
-        avoidance_coloring(B2, n=1, d_prime=F(1))
     with pytest.raises(PreconditionError, match="mode"):
         avoidance_coloring(B2, n=1, mode="exact")
     with pytest.raises(PreconditionError, match="n >= 1"):
         avoidance_coloring(B2, n=0)
 
 
-def test_asymptotic_mode_with_explicit_window_and_gap():
-    col = avoidance_coloring(
-        HALF_PAIR, n=1, mode="asymptotic", d_prime=F(3, 2), l_prime=F(3, 2)
-    )
-    assert col.period == 3 and col.box_size == F(3, 2)
+def test_gap_at_least_window_warns():
+    """The unit pair {0, 1} has d = l = 1, so randomized mode colors with
+    window 1 and gap 1."""
+    col = avoidance_coloring(B1, n=1)
+    assert col.period == 2 and col.window == 1 and col.box_size == 1
     assert col.check_partition() and col.check_windows()
     assert any("cube tiling" in w for w in col.warnings)
     # the pair itself never lands monochromatically
     for numerator in range(-12, 12):
         x = F(numerator, 4)
-        assert col.color_of((x,)) != col.color_of((x + F(3, 2),))
+        assert col.color_of((x,)) != col.color_of((x + 1,))
 
 
 def test_asymptotic_default_margins_shrink_the_window():
@@ -425,15 +424,6 @@ def test_asymptotic_default_margins_shrink_the_window():
     for numerator in range(-8, 8):
         colors = {col.color_of(p) for p in b2_copy_positions(F(numerator, 3))}
         assert len(colors) > 1
-
-
-def test_asymptotic_mode_rejects_bad_overrides():
-    with pytest.raises(PreconditionError, match="d_prime"):
-        avoidance_coloring(B2, n=1, mode="asymptotic", d_prime=F(5, 2))
-    with pytest.raises(PreconditionError, match="d_prime"):
-        avoidance_coloring(B2, n=1, mode="asymptotic", d_prime=F(0))
-    with pytest.raises(PreconditionError, match="l_prime"):
-        avoidance_coloring(B2, n=1, mode="asymptotic", l_prime=F(1, 2))
 
 
 @given(st.integers(0, 30), st.integers(1, 2))
