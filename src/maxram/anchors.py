@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -109,8 +109,9 @@ class DirichletWitness:
         )
 
 
-def _round_half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
+def scaled_round(q: int, gamma: Fraction) -> int:
+    """The index a combination value anchors to: round(q*gamma), half up."""
+    return math.floor(q * Fraction(gamma) + Fraction(1, 2))
 
 
 def approximation_bound_holds(error: Fraction, q: int, k: int) -> bool:
@@ -121,7 +122,7 @@ def approximation_bound_holds(error: Fraction, q: int, k: int) -> bool:
 def _numerators_at(steps: tuple[Fraction, ...], q: int) -> tuple[int, ...] | None:
     """The half-up numerators round(q*step_i), or None when one of them
     misses the simultaneous approximation bound."""
-    numerators = tuple(_round_half_up(q * s) for s in steps)
+    numerators = tuple(scaled_round(q, s) for s in steps)
     k = len(steps)
     if all(
         approximation_bound_holds(abs(s - Fraction(p, q)), q, k)
@@ -179,11 +180,6 @@ class AnchorSequence:
         where the original steps are realized. This is what the general
         baton extractor reads."""
         return AnchorSet(self.a, tuple(itertools.accumulate(self.p, initial=0)))
-
-
-def scaled_round(q: int, gamma: Fraction) -> int:
-    """The index a combination value anchors to: round(q*gamma), half up."""
-    return _round_half_up(q * Fraction(gamma))
 
 
 def _threshold_q0(delta: Fraction, theta: Fraction, k: int) -> int:
@@ -310,24 +306,10 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.monotonic,
-                self.subadditive,
-                self.anchored,
-                self.index_increasing,
-                self.index_linear,
-            )
-        )
+        return all(self.clauses().values())
 
     def clauses(self) -> dict[str, ClauseResult]:
-        return {
-            "monotonic": self.monotonic,
-            "subadditive": self.subadditive,
-            "anchored": self.anchored,
-            "index_increasing": self.index_increasing,
-            "index_linear": self.index_linear,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):

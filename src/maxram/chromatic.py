@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colorings import pigeonhole_lower_bound
-from .errors import DomainError, PreconditionError
+from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
 
 
@@ -104,7 +104,7 @@ def _greedy_colors(order, closing, vertex_count: int) -> list[int]:
 
 def exact_chromatic(
     hypergraph: CopyHypergraph,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
     extra_lower_bound: int = 1,
     extra_witness: str = "",
 ) -> ColoringCertificate:
@@ -234,7 +234,7 @@ def grid_chromatic(
     k: int,
     n: int,
     space: FiniteMetricSpace | None = None,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
 ) -> GridChromaticReport:
     """Chromatic number of the integer grid {0..k}^n against a forbidden
     space, by default the unit-gap baton with k steps.

@@ -25,7 +25,7 @@ from .cover import (
     greedy_cover,
     random_translates_cover,
 )
-from .errors import DomainError, ParseError, PreconditionError
+from .errors import DEFAULT_BUDGET, DomainError, ParseError, PreconditionError
 from .extraction import extract_general_baton, extract_unit_baton
 from .io import (
     anchor_sequence_certificate,
@@ -44,8 +44,6 @@ from .io import (
 from .metric import Baton, find_copies, frechet_embed
 from .rational import parse_rational
 from .validate import validate_certificate
-
-DEFAULT_BUDGET = 10**7
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import DEFAULT_BUDGET, PreconditionError
 from .rational import ceil_div, floor_times_log
 
 IntVec = tuple[int, ...]
@@ -196,7 +196,7 @@ def random_cover_within_expectation(
     return best, _MAX_RETRIES, False
 
 
-def exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
+def exact_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverSolution:
     """Minimum cover by branch and bound.
 
     The first translate is pinned to the origin (the torus is transitive,
@@ -314,7 +314,7 @@ class CnRow:
     exact: bool
 
 
-def cn_table(n_max: int, budget: int = 10**7, seed: int = 0) -> list[CnRow]:
+def cn_table(n_max: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> list[CnRow]:
     """Bounds on the minimum number of {0,1}^n translates covering Z_3^n.
 
     Each row reports the counting lower bound and the best constructive

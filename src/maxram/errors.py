@@ -5,6 +5,9 @@ exhaustion is reported through result flags rather than exceptions so
 that partial results can still be written (exit code 3).
 """
 
+# Default search-node budget of the exact solvers and of the CLI's --budget.
+DEFAULT_BUDGET = 10**7
+
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""

@@ -9,16 +9,10 @@ distance unchanged.
 
 from fractions import Fraction
 
-from maxram import (
-    Baton,
-    CoverInstance,
-    PointSet,
-    build_anchor_sequence,
-    cube_tiling_coloring,
-    exact_cover,
-    find_copies,
-    grid_chromatic,
-)
+from maxram.anchors import build_anchor_sequence
+from maxram.chromatic import grid_chromatic
+from maxram.colorings import cube_tiling_coloring
+from maxram.cover import CoverInstance, exact_cover
 from maxram.io import (
     anchor_sequence_certificate,
     chromatic_certificate,
@@ -27,6 +21,7 @@ from maxram.io import (
     periodic_coloring_certificate,
     torus_cover_certificate,
 )
+from maxram.metric import Baton, PointSet, find_copies
 
 
 def line_points(*coords) -> PointSet:

@@ -2,8 +2,7 @@
 
 import itertools
 
-from maxram import CoverInstance, CoverSolution
-from maxram.cover import cover_mask, torus_points
+from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
 
 
 def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:

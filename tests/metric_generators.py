@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from maxram import FiniteMetricSpace, PreconditionError
+from maxram.errors import PreconditionError
+from maxram.metric import FiniteMetricSpace
 
 
 def random_metric_space(rng: random.Random, size: int) -> FiniteMetricSpace:

@@ -23,31 +23,33 @@ from cert_fixtures import (
 )
 from cover_oracles import naive_minimum_cover
 from metric_generators import random_metric_space
-from maxram import (
-    Baton,
+from maxram.anchors import build_anchor_sequence, verify_anchor_sequence
+from maxram.chromatic import grid_chromatic
+from maxram.colorings import cube_tiling_coloring, pigeonhole_lower_bound
+from maxram.cover import (
     CoverInstance,
-    GridSubset,
-    PointSet,
-    anchor_set_one_alpha,
-    build_anchor_sequence,
-    ceil_div,
-    chebyshev_distance,
     counting_lower_bound,
-    cube_tiling_coloring,
     exact_cover,
-    extract_general_baton,
-    extract_unit_baton,
-    find_copies,
-    frechet_embed,
     greedy_cover,
-    grid_chromatic,
-    pigeonhole_lower_bound,
     random_cover_within_expectation,
     random_translates_cover,
-    validate_certificate,
-    verify_anchor_sequence,
+    torus_points,
 )
-from maxram.cover import torus_points
+from maxram.extraction import (
+    GridSubset,
+    anchor_set_one_alpha,
+    extract_general_baton,
+    extract_unit_baton,
+)
+from maxram.metric import (
+    Baton,
+    PointSet,
+    chebyshev_distance,
+    find_copies,
+    frechet_embed,
+)
+from maxram.rational import ceil_div
+from maxram.validate import validate_certificate
 
 
 def criterion(num: int, name: str):

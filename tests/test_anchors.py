@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram import (
+from maxram.anchors import (
     AnchorSequence,
-    Baton,
     DirichletWitness,
-    PreconditionError,
+    _first_subadditive_violation,
+    _threshold_q0,
     anchor_sequence_at,
     approximation_bound_holds,
     build_anchor_sequence,
@@ -19,11 +19,8 @@ from maxram import (
     scaled_round,
     verify_anchor_sequence,
 )
-from maxram.anchors import (
-    _first_subadditive_violation,
-    _round_half_up,
-    _threshold_q0,
-)
+from maxram.errors import PreconditionError
+from maxram.metric import Baton
 
 F = Fraction
 
@@ -82,11 +79,12 @@ def test_gamma_set_values_are_sorted_and_bracketed(baton):
 
 
 def test_round_half_up_breaks_ties_upward():
-    assert _round_half_up(F(1, 2)) == 1
-    assert _round_half_up(F(-1, 2)) == 0
-    assert _round_half_up(F(3, 2)) == 2
-    assert _round_half_up(F(5, 4)) == 1
-    assert _round_half_up(F(7)) == 7
+    assert scaled_round(1, F(1, 2)) == 1
+    assert scaled_round(1, F(-1, 2)) == 0
+    assert scaled_round(1, F(3, 2)) == 2
+    assert scaled_round(1, F(5, 4)) == 1
+    assert scaled_round(1, F(7)) == 7
+    assert scaled_round(27, F(3, 2)) == 41  # 40.5 rounds up
 
 
 def test_approximation_bound_is_exact():
@@ -113,7 +111,7 @@ def test_dirichlet_scan_fixtures(steps, q0, q, numerators):
 def test_dirichlet_rejects_q_27_for_the_half_integer_pair():
     """27 * 3/2 rounds to 41 at error 1/54, which fails the bound, so the
     scan from 26 must land on 28."""
-    w27 = DirichletWitness(27, tuple(_round_half_up(27 * s) for s in (F(1), F(3, 2))))
+    w27 = DirichletWitness(27, tuple(scaled_round(27, s) for s in (F(1), F(3, 2))))
     err = w27.errors((F(1), F(3, 2)))
     assert err == (F(0), F(1, 54))
     assert not approximation_bound_holds(err[1], 27, 2)

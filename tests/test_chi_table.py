@@ -10,12 +10,9 @@ the table.
 import csv
 import pathlib
 
-from maxram import (
-    Baton,
-    avoidance_coloring,
-    grid_chromatic,
-    pigeonhole_lower_bound,
-)
+from maxram.chromatic import grid_chromatic
+from maxram.colorings import avoidance_coloring, pigeonhole_lower_bound
+from maxram.metric import Baton
 
 TABLE = pathlib.Path(__file__).parent / "data" / "chi_values.csv"
 

@@ -8,20 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram import (
-    Baton,
+from maxram.chromatic import (
     ColoringCertificate,
     CopyHypergraph,
-    DomainError,
-    FiniteMetricSpace,
-    PointSet,
-    PreconditionError,
     copy_hypergraph,
     exact_chromatic,
     grid_chromatic,
-    grid_points,
     is_proper,
 )
+from maxram.errors import DEFAULT_BUDGET, DomainError, PreconditionError
+from maxram.metric import Baton, FiniteMetricSpace, PointSet, grid_points
 
 F = Fraction
 
@@ -62,7 +58,7 @@ def _rescan_blocks(vertex, color, colors, edges_of) -> bool:
 
 def rescan_chromatic(
     hypergraph: CopyHypergraph,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
     extra_lower_bound: int = 1,
     extra_witness: str = "",
 ) -> ColoringCertificate:

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
-import maxram
-from maxram import Baton, validate_certificate
+import maxram.anchors
+import maxram.cli
 from maxram.anchors import MAX_COMBINATIONS
 from maxram.cli import build_parser, main
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
+from maxram.metric import Baton
+from maxram.validate import MAX_TORUS_POINTS, validate_certificate
 
 F = Fraction
 
@@ -461,7 +463,7 @@ def test_cover_table_without_rows_is_exit_2(capsys, n_max):
 
 def run_python(script: str) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter that imports this maxram."""
-    src = str(Path(maxram.__file__).resolve().parents[1])
+    src = str(Path(maxram.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
@@ -613,6 +615,25 @@ def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, caps
     argv = ["chi", "--grid", "2,2"]
     out = validate_edited(tmp_path, capsys, argv, {"k": 9, "n": 9})
     assert out == "invalid: chromatic\n  colors: one color per grid point required\n"
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"m": 10**6},
+        {"m": 10**30, "n": 3, "d": 1, "translates": []},
+        {"n": 10**12, "translates": []},
+    ],
+    ids=["m=10^6", "m=10^30", "n=10^12"],
+)
+def test_validate_refuses_a_torus_past_the_point_cap(tmp_path, capsys, edits):
+    """10^12, 10^90 and 3^(10^12) points: each torus is refused before a
+    coverage mask, the counting bound or m^n itself is computed."""
+    argv = ["cover", "--m", "3", "--d", "2", "--n", "2"]
+    out = validate_edited(tmp_path, capsys, argv, edits)
+    assert out == (
+        f"invalid: torus_cover\n  m, n: the torus has more than {MAX_TORUS_POINTS} points\n"
+    )
 
 
 def test_validate_refuses_a_coloring_period_far_past_its_boxes(

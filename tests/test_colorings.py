@@ -8,25 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxram import (
-    Baton,
-    CoverInstance,
-    DomainError,
-    FiniteMetricSpace,
+from maxram.colorings import (
     PeriodicColoring,
-    PointSet,
-    PreconditionError,
+    _ownership_classes,
     avoidance_coloring,
     cube_tiling_coloring,
-    is_cover,
     pigeonhole_lower_bound,
-    random_cover_within_expectation,
-    random_translates_cover,
     upper_bound_value,
 )
-from maxram.colorings import _ownership_classes
-from maxram.cover import torus_points
+from maxram.cover import (
+    CoverInstance,
+    is_cover,
+    random_cover_within_expectation,
+    random_translates_cover,
+    torus_points,
+)
+from maxram.errors import DomainError, PreconditionError
 from maxram.io import periodic_coloring_certificate
+from maxram.metric import Baton, FiniteMetricSpace, PointSet
 from maxram.rational import format_rational
 
 F = Fraction

@@ -7,19 +7,22 @@ from cover_oracles import naive_minimum_cover
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram import (
+from maxram.cover import (
     CoverInstance,
     CoverSolution,
-    PreconditionError,
+    _box_mask,
     cn_table,
     counting_lower_bound,
+    cover_mask,
     exact_cover,
     greedy_cover,
     is_cover,
+    mask_cells,
     random_cover_within_expectation,
     random_translates_cover,
+    torus_points,
 )
-from maxram.cover import _box_mask, cover_mask, mask_cells, torus_points
+from maxram.errors import DEFAULT_BUDGET, PreconditionError
 from maxram.rational import ceil_div
 
 
@@ -60,7 +63,9 @@ def product_window_masks(inst: CoverInstance, points) -> list[int]:
     ]
 
 
-def rescan_exact_cover(inst: CoverInstance, budget: int = 10**7) -> CoverSolution:
+def rescan_exact_cover(
+    inst: CoverInstance, budget: int = DEFAULT_BUDGET
+) -> CoverSolution:
     """The branch and bound before the box-mask rewrite, kept as the oracle.
 
     It finds each point's coverers by walking every coverage mask, scans

@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxram import (
+from maxram.errors import DomainError, PreconditionError
+from maxram.extraction import (
     AnchorSet,
-    Baton,
-    DomainError,
     GridSubset,
-    PointSet,
-    PreconditionError,
     anchor_set_one_alpha,
-    chebyshev_distance,
     extract_general_baton,
     extract_unit_baton,
     shift_map,
 )
+from maxram.metric import Baton, PointSet, chebyshev_distance
 
 F = Fraction
 
@@ -227,7 +224,7 @@ def test_general_extraction_on_random_dense_planar_subsets(seed, alpha):
 
 def test_general_extraction_accepts_anchor_sequences_too():
     """An anchor sequence drives extraction through its anchor set."""
-    from maxram import build_anchor_sequence
+    from maxram.anchors import build_anchor_sequence
 
     baton = Baton((F(1), F(3, 2)))
     anchors = build_anchor_sequence(baton).anchor_set

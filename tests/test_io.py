@@ -7,16 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram import (
-    Baton,
-    CoverInstance,
-    ParseError,
-    PointSet,
-    PreconditionError,
-    exact_cover,
-    find_copies,
-    validate_certificate,
-)
+from maxram.cover import CoverInstance, exact_cover
+from maxram.errors import ParseError, PreconditionError
 from maxram.io import (
     copy_list_certificate,
     dump_json,
@@ -29,6 +21,8 @@ from maxram.io import (
     vec_to_obj,
     write_json,
 )
+from maxram.metric import Baton, PointSet, find_copies
+from maxram.validate import validate_certificate
 
 from cert_fixtures import canonical_certificates
 

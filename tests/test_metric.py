@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxram import (
+from maxram.errors import DimensionMismatch, PreconditionError
+from maxram.metric import (
     Baton,
     CopyEmbedding,
-    DimensionMismatch,
     FiniteMetricSpace,
     PointSet,
-    PreconditionError,
+    _distance_masks,
     chebyshev_distance,
     connectivity_threshold,
     diameter,
@@ -22,7 +22,6 @@ from maxram import (
     frechet_embed,
     grid_points,
 )
-from maxram.metric import _distance_masks
 from metric_generators import random_metric_space
 
 

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxram import ParseError, ceil_div, format_rational, parse_rational
-from maxram.rational import floor_times_log, log_bounds
+from maxram.errors import ParseError
+from maxram.rational import (
+    ceil_div,
+    floor_times_log,
+    format_rational,
+    log_bounds,
+    parse_rational,
+)
 
 F = Fraction
 

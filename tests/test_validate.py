@@ -4,14 +4,11 @@ import copy
 
 import pytest
 
-from maxram import (
-    Baton,
-    CoverInstance,
-    avoidance_coloring,
-    exact_cover,
-    validate_certificate,
-)
+from maxram.colorings import avoidance_coloring
+from maxram.cover import CoverInstance, exact_cover
 from maxram.io import periodic_coloring_certificate, torus_cover_certificate, write_json
+from maxram.metric import Baton
+from maxram.validate import MAX_TORUS_POINTS, validate_certificate
 
 from cert_fixtures import canonical_certificates
 
@@ -149,7 +146,7 @@ def test_anchor_sequence_rejections(certs):
 def test_anchor_fast_path_rejections(certs):
     from fractions import Fraction
 
-    from maxram import Baton, build_anchor_sequence
+    from maxram.anchors import build_anchor_sequence
     from maxram.io import anchor_sequence_certificate
 
     baton = Baton((Fraction(2), Fraction(3)))
@@ -275,6 +272,19 @@ def test_torus_cover_rejections(certs):
         c["d"] = 3
 
     assert "disagrees" in failing(cert, grow_cube)
+
+
+def test_torus_point_cap_is_exact_at_its_boundary(certs):
+    """Z_2^24 has exactly MAX_TORUS_POINTS points and is checked (it is
+    no cover without translates); Z_2^25 is refused unchecked."""
+    assert MAX_TORUS_POINTS == 2**24
+
+    def torus(n):
+        return lambda c: c.update(m=2, d=2, n=n, translates=[], size=0)
+
+    at_cap = failing(certs["torus_cover"], torus(24))
+    assert "not a cover" in at_cap and "points" not in at_cap
+    assert "m, n: the torus has more than" in failing(certs["torus_cover"], torus(25))
 
 
 def test_nonoptimal_covers_must_carry_the_counting_bound():
