@@ -38,20 +38,9 @@ def copy_hypergraph(points: PointSet, space: FiniteMetricSpace) -> CopyHypergrap
     """Enumerate copy supports of the space inside the point set."""
     if space.size < 2:
         raise PreconditionError("forbidden space needs at least 2 points")
-    embeddings = find_copies(space, points, distinct_supports=True)
-    edges = sorted(tuple(sorted(emb.indices)) for emb in embeddings)
+    copies = find_copies(space, points, distinct_supports=True)
+    edges = sorted(tuple(sorted(copy)) for copy in copies)
     return CopyHypergraph(point_set=points, source=space, edges=tuple(edges))
-
-
-def is_proper(hypergraph: CopyHypergraph, colors) -> bool:
-    """True when no hyperedge is entirely one color."""
-    if len(colors) != hypergraph.vertex_count:
-        raise PreconditionError("one color per vertex")
-    for edge in hypergraph.edges:
-        first = colors[edge[0]]
-        if all(colors[v] == first for v in edge[1:]):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

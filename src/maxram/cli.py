@@ -41,7 +41,7 @@ from .io import (
     torus_cover_certificate,
     write_json,
 )
-from .metric import Baton, find_copies, frechet_embed
+from .metric import Baton, CopyEmbedding, find_copies, frechet_embed
 from .rational import parse_rational
 from .validate import validate_certificate
 
@@ -80,7 +80,9 @@ def _cmd_copies(args) -> int:
     found = find_copies(
         space, points, limit=args.limit, distinct_supports=args.distinct_supports
     )
-    _emit_json(copy_list_certificate(space, found), args.output)
+    # Each written copy carries CopyEmbedding's pairwise check.
+    embeddings = [CopyEmbedding(space, points, indices) for indices in found]
+    _emit_json(copy_list_certificate(space, embeddings), args.output)
     return 0
 
 

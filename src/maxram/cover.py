@@ -17,10 +17,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, PreconditionError
+from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .rational import ceil_div, floor_times_log
 
 IntVec = tuple[int, ...]
+
+# Each cover check ORs masks of m^n bits, so a torus with more points is
+# refused before any mask, or m^n itself, is built. The cap admits the
+# 6,967,871 points of the (191, 63, 3) random cover.
+MAX_TORUS_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,11 @@ class CoverInstance:
             raise PreconditionError("need 1 <= d <= m")
         if self.n < 1:
             raise PreconditionError("need n >= 1")
+        # m >= 2 gives m^n >= 2^n, so n is bounded before m^n is computed.
+        if self.m > 1 and (
+            self.n >= MAX_TORUS_POINTS.bit_length() or self.point_count > MAX_TORUS_POINTS
+        ):
+            raise DomainError(f"the torus has more than {MAX_TORUS_POINTS} points")
 
     @property
     def point_count(self) -> int:

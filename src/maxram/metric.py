@@ -6,8 +6,12 @@ LCM of their denominators (PointSet.scaled_coords), and copy search
 works on Python ints: per point, one bitmask of the points at each
 distance the search needs, so candidate sets are ANDs of bitmasks.
 Python ints are exact at any size, so one path serves every scale.
-CopyEmbedding rechecks every copy exactly, pair by pair, from the scaled
-coordinates. Floats never appear on a correctness path.
+
+Where a copy is checked: during the search, the masks prove every
+pair's distance, so find_copies returns bare index tuples. CopyEmbedding
+checks a copy pair by pair from the scaled coordinates; it wraps every
+copy an artifact writes and every copy a certificate states. Floats
+never appear on a correctness path.
 """
 
 from __future__ import annotations
@@ -26,18 +30,6 @@ Vec = tuple[Fraction, ...]
 
 def _as_vec(coords) -> Vec:
     return tuple(Fraction(c) for c in coords)
-
-
-def chebyshev_distance(x, y) -> Fraction:
-    """Max-coordinate distance between two equal-length rational vectors."""
-    if len(x) != len(y):
-        raise DimensionMismatch(f"dimension mismatch: {len(x)} vs {len(y)}")
-    best = Fraction(0)
-    for a, b in zip(x, y):
-        diff = abs(Fraction(a) - Fraction(b))
-        if diff > best:
-            best = diff
-    return best
 
 
 @dataclass(frozen=True)
@@ -267,8 +259,9 @@ def find_copies(
     points: PointSet,
     limit: int | None = None,
     distinct_supports: bool = False,
-) -> list[CopyEmbedding]:
-    """All ordered isometric embeddings of `space` into `points`.
+) -> list[tuple[int, ...]]:
+    """All ordered isometric embeddings of `space` into `points`, as index
+    tuples: tup[i] names the point realizing abstract point i.
 
     Enumeration is lexicographic in the index tuple. For each point and
     each distance the space needs, one Python-int bitmask holds the points
@@ -277,7 +270,9 @@ def find_copies(
     no partial tuple that fails a pair is ever extended; they are walked
     lowest bit first, in ascending index order. With distinct_supports,
     only the first embedding per support set is kept (a configuration and
-    its reversal otherwise count separately).
+    its reversal otherwise count separately). The masks prove every
+    pair's distance, so a tuple needs no recheck; wrap it in CopyEmbedding
+    where a copy leaves the search as an artifact.
     """
     if limit is not None and limit < 1:
         raise PreconditionError("limit must be positive")
@@ -289,7 +284,7 @@ def find_copies(
         return []
     targets = [[v.numerator for v in row] for row in targets]
     masks = _distance_masks(points, {v for row in targets for v in row if v})
-    out: list[CopyEmbedding] = []
+    out: list[tuple[int, ...]] = []
     seen: set[frozenset] = set()
     chosen: list[int] = []
 
@@ -301,7 +296,7 @@ def find_copies(
                 if key in seen:
                     return False
                 seen.add(key)
-            out.append(CopyEmbedding(space, points, tuple(chosen)))
+            out.append(tuple(chosen))
             return limit is not None and len(out) >= limit
         if depth == 0:
             candidates = (1 << len(points)) - 1

@@ -2,34 +2,31 @@
 
 Every certificate kind gets a policy that rebuilds whatever the artifact
 claims from its own stated inputs and compares field by field. A policy
-trusts nothing it can recompute: distances are recomputed exactly,
-anchor sequences are rebuilt from their witness, coverings are re-solved
-when small enough. Failures name the offending field or pair.
+trusts nothing it can recompute: a stated copy is checked pair by pair by
+CopyEmbedding, a chromatic coloring one color class at a time (it is
+proper when no class holds a copy), anchor sequences are rebuilt from
+their witness, coverings are re-solved when small enough. Failures name
+the offending field or pair.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
-from .chromatic import copy_hypergraph, exact_chromatic, is_proper
+from .chromatic import copy_hypergraph, exact_chromatic
 from .colorings import PeriodicColoring
 from .cover import CoverInstance, counting_lower_bound, exact_cover, is_cover
-from .errors import ParseError, PreconditionError
+from .errors import DomainError, ParseError, PreconditionError
 from .io import _bool_field, _int_field, _int_value, _list_field
 from .io import metric_space_from_obj, read_json, vec_from_obj
-from .metric import Baton, chebyshev_distance, connectivity_threshold, diameter, grid_points
+from .metric import Baton, CopyEmbedding, PointSet, find_copies, grid_points
+from .metric import connectivity_threshold, diameter
 from .rational import parse_rational
 
 # Node budget of the independent solves behind `optimal` claims; a solve
 # that runs out of it leaves the claim unchecked.
 _RESOLVE_BUDGET = 10**6
-
-# Each cover check ORs masks of m^n bits, so a stated torus with more
-# points is refused before any mask, or m^n itself, is built. The cap
-# admits the 6,967,871 points of the (191, 63, 3) random cover.
-MAX_TORUS_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -39,11 +36,15 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def _check_pairwise(points, space, label, failures) -> None:
-    for i, j in itertools.combinations(range(len(points)), 2):
-        got = chebyshev_distance(points[i], points[j])
-        if got != space.dist[i][j]:
-            failures.append(f"{label}: pair ({i},{j}) has distance {got}")
+def _check_copy(space, points, label, failures) -> None:
+    """Check stated points as a copy of the (non-empty) space, under label."""
+    if len(points) != space.size:
+        failures.append(f"{label}: count does not match the distance matrix")
+        return
+    try:
+        CopyEmbedding(space, PointSet(len(points[0]), points), range(space.size))
+    except PreconditionError as exc:
+        failures.append(f"{label}: {exc}")
 
 
 def _check_copy_embedding(obj) -> list[str]:
@@ -52,10 +53,7 @@ def _check_copy_embedding(obj) -> list[str]:
     if obj.get("distances_checked") is not True:
         failures.append("distances_checked: must be true")
     points = [vec_from_obj(p) for p in _list_field(obj, "points")]
-    if len(points) != space.size:
-        failures.append("points: count does not match the distance matrix")
-        return failures
-    _check_pairwise(points, space, "points", failures)
+    _check_copy(space, points, "points", failures)
     return failures
 
 
@@ -68,10 +66,7 @@ def _check_copy_list(obj) -> list[str]:
     if _int_field(obj, "count") != len(copies):
         failures.append("count: does not match the number of copies")
     for idx, points in enumerate(copies):
-        if len(points) != space.size:
-            failures.append(f"copies[{idx}]: wrong number of points")
-            continue
-        _check_pairwise(points, space, f"copies[{idx}]", failures)
+        _check_copy(space, points, f"copies[{idx}]", failures)
     supports = [frozenset(points) for points in copies]
     if _bool_field(obj, "distinct_supports") != (len(set(supports)) == len(supports)):
         failures.append("distinct_supports: does not match the listed copies")
@@ -200,15 +195,21 @@ def _check_chromatic(obj) -> list[str]:
     if (k > 0 and n > len(colors).bit_length()) or (k + 1) ** n != len(colors):
         failures.append("colors: one color per grid point required")
         return failures
-    hypergraph = copy_hypergraph(grid_points(k, n), space)
-    if not is_proper(hypergraph, colors):
+    if space.size < 2:
+        raise PreconditionError("forbidden space needs at least 2 points")
+    grid = grid_points(k, n)
+    classes: dict[int, list] = {}
+    for point, color in zip(grid.points, colors):
+        classes.setdefault(color, []).append(point)
+    if any(find_copies(space, PointSet(n, c), limit=1) for c in classes.values()):
         failures.append("colors: a copy is monochromatic")
-    if set(colors) != set(range(color_count)):
+    # len(classes) <= len(colors) bounds the range before it is built.
+    if color_count != len(classes) or set(classes) != set(range(color_count)):
         failures.append("color_count: colors must use exactly 0..count-1")
     if not 1 <= lower_bound <= color_count:
         failures.append("lower_bound: outside [1, color_count]")
-    if hypergraph.vertex_count <= 16:
-        resolved = exact_chromatic(hypergraph, budget=_RESOLVE_BUDGET)
+    if len(colors) <= 16:
+        resolved = exact_chromatic(copy_hypergraph(grid, space), budget=_RESOLVE_BUDGET)
         if not resolved.budget_exhausted:
             if optimal != (color_count == resolved.color_count):
                 failures.append("optimal: disagrees with an independent solve")
@@ -219,14 +220,12 @@ def _check_chromatic(obj) -> list[str]:
 
 def _check_torus_cover(obj) -> list[str]:
     failures: list[str] = []
-    inst = CoverInstance(
-        m=_int_field(obj, "m"), d=_int_field(obj, "d"), n=_int_field(obj, "n")
-    )
-    # m >= 2 gives m^n >= 2^n, so n is bounded before m^n is computed.
-    if inst.m > 1 and (
-        inst.n >= MAX_TORUS_POINTS.bit_length() or inst.point_count > MAX_TORUS_POINTS
-    ):
-        return [f"m, n: the torus has more than {MAX_TORUS_POINTS} points"]
+    try:
+        inst = CoverInstance(
+            m=_int_field(obj, "m"), d=_int_field(obj, "d"), n=_int_field(obj, "n")
+        )
+    except DomainError as exc:  # past the point cap
+        return [f"m, n: {exc}"]
     translates = []
     for idx, row in enumerate(_list_field(obj, "translates")):
         vec = tuple(_int_value(v, "translates") for v in row)
@@ -271,7 +270,8 @@ def validate_certificate(source) -> ValidationReport:
     if not isinstance(obj, dict):
         return ValidationReport(kind="", ok=False, failures=("kind: missing",))
     kind = obj.get("kind")
-    policy = _POLICIES.get(kind)
+    # A list or dict kind is unhashable; it names no policy either.
+    policy = _POLICIES.get(kind) if isinstance(kind, str) else None
     if policy is None:
         return ValidationReport(
             kind=str(kind), ok=False, failures=(f"kind: unknown {kind!r}",)

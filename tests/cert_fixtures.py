@@ -21,7 +21,7 @@ from maxram.io import (
     periodic_coloring_certificate,
     torus_cover_certificate,
 )
-from maxram.metric import Baton, PointSet, find_copies
+from maxram.metric import Baton, CopyEmbedding, PointSet, find_copies
 
 
 def line_points(*coords) -> PointSet:
@@ -33,13 +33,14 @@ def canonical_certificates() -> dict[str, dict]:
 
     two_step = Baton(steps=(Fraction(1), Fraction(2))).as_metric_space()
     line = PointSet(dim=1, points=line_points(0, 1, 3))
-    emb = find_copies(two_step, line, limit=1)[0]
+    emb = CopyEmbedding(two_step, line, find_copies(two_step, line, limit=1)[0])
     certs["copy_embedding"] = copy_embedding_certificate(emb)
 
     unit_pair = Baton.unit(1).as_metric_space()
     line3 = PointSet(dim=1, points=line_points(0, 1, 2))
     found = find_copies(unit_pair, line3, distinct_supports=True)
-    certs["copy_list"] = copy_list_certificate(unit_pair, found)
+    embeddings = [CopyEmbedding(unit_pair, line3, t) for t in found]
+    certs["copy_list"] = copy_list_certificate(unit_pair, embeddings)
 
     baton = Baton(steps=(Fraction(1), Fraction(3, 2)))
     seq = build_anchor_sequence(baton, faithful=True)

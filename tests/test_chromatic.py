@@ -14,10 +14,12 @@ from maxram.chromatic import (
     copy_hypergraph,
     exact_chromatic,
     grid_chromatic,
-    is_proper,
 )
 from maxram.errors import DEFAULT_BUDGET, DomainError, PreconditionError
+from maxram.io import matrix_to_obj
 from maxram.metric import Baton, FiniteMetricSpace, PointSet, grid_points
+from maxram.validate import validate_certificate
+from metric_generators import random_metric_space
 
 F = Fraction
 
@@ -29,6 +31,17 @@ def line(*coords) -> PointSet:
 
 
 # -- oracles -------------------------------------------------------------------
+
+
+def is_proper(hypergraph: CopyHypergraph, colors) -> bool:
+    """True when no hyperedge is entirely one color."""
+    if len(colors) != hypergraph.vertex_count:
+        raise PreconditionError("one color per vertex")
+    for edge in hypergraph.edges:
+        first = colors[edge[0]]
+        if all(colors[v] == first for v in edge[1:]):
+            return False
+    return True
 
 
 def naive_chromatic(hypergraph: CopyHypergraph) -> int:
@@ -415,3 +428,43 @@ def test_grid_chromatic_proves_chi_4_for_the_one_two_baton_on_the_5_plane():
     assert not cert.budget_exhausted
     assert cert.lower_bound_witness == "exhausted:3"
     assert is_proper(report.hypergraph, cert.colors)
+
+
+# -- the validator's per-class check ---------------------------------------------
+
+
+@st.composite
+def colored_grids(draw):
+    """{0..k}^n with k, n <= 3, a unit baton or a random metric space, and a
+    random coloring."""
+    k, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        space = Baton.unit(draw(st.integers(1, 3))).as_metric_space()
+    else:
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        space = random_metric_space(rng, draw(st.integers(2, 3)))
+    size = (k + 1) ** n
+    count = draw(st.integers(1, size))
+    colors = draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size))
+    return k, n, space, colors
+
+
+@given(colored_grids())
+@settings(max_examples=200, deadline=None)
+def test_validator_finds_a_monochromatic_copy_exactly_when_the_oracle_does(instance):
+    """The validator searches each color class for a copy; is_proper checks
+    every edge of the full copy hypergraph."""
+    k, n, space, colors = instance
+    cert = {
+        "kind": "chromatic",
+        "k": k,
+        "n": n,
+        "distance_matrix": matrix_to_obj(space),
+        "colors": colors,
+        "color_count": max(colors) + 1,
+        "optimal": False,
+        "lower_bound": 1,
+    }
+    failures = validate_certificate(cert).failures
+    proper = is_proper(copy_hypergraph(grid_points(k, n), space), colors)
+    assert ("colors: a copy is monochromatic" in failures) == (not proper)

@@ -17,9 +17,10 @@ import maxram.anchors
 import maxram.cli
 from maxram.anchors import MAX_COMBINATIONS
 from maxram.cli import build_parser, main
+from maxram.cover import MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 from maxram.metric import Baton
-from maxram.validate import MAX_TORUS_POINTS, validate_certificate
+from maxram.validate import validate_certificate
 
 F = Fraction
 
@@ -634,6 +635,44 @@ def test_validate_refuses_a_torus_past_the_point_cap(tmp_path, capsys, edits):
     assert out == (
         f"invalid: torus_cover\n  m, n: the torus has more than {MAX_TORUS_POINTS} points\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--m", "2", "--d", "1", "--n", "30", "--greedy"],
+        ["cover", "--m", "3", "--d", "2", "--n", "30"],
+        ["bounds", "--k", "2", "--n", "30"],
+        ["color", "--metric", "{metric}", "--n", "30"],
+    ],
+    ids=["cover-greedy", "cover-exact", "bounds", "color"],
+)
+def test_commands_refuse_a_torus_past_the_point_cap(capsys, b2_metric, argv):
+    """2^30 and 3^30 points: the torus is refused when it is stated, before
+    any command builds a mask or writes a certificate validate would refuse."""
+    start = time.perf_counter()
+    assert main([a.format(metric=b2_metric) for a in argv]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the torus has more than {MAX_TORUS_POINTS} points\n"
+    assert captured.out == ""
+
+
+def test_validate_refuses_a_color_count_far_past_its_colors(tmp_path, capsys):
+    """10^12 stated colors against the four listed: the count is compared
+    with the colors in use before any range of that size is built."""
+    argv = ["chi", "--grid", "1,2"]
+    out = validate_edited(tmp_path, capsys, argv, {"color_count": 10**12})
+    assert out.startswith("invalid: chromatic\n")
+    assert "  color_count: colors must use exactly 0..count-1\n" in out
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "dict"])
+def test_validate_names_an_unhashable_kind_unknown(tmp_path, capsys, kind):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"kind": kind}))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"invalid: {kind}\n  kind: unknown {kind!r}\n"
 
 
 def test_validate_refuses_a_coloring_period_far_past_its_boxes(

@@ -21,7 +21,7 @@ from maxram.io import (
     vec_to_obj,
     write_json,
 )
-from maxram.metric import Baton, PointSet, find_copies
+from maxram.metric import Baton, CopyEmbedding, PointSet, find_copies
 from maxram.validate import validate_certificate
 
 from cert_fixtures import canonical_certificates
@@ -191,7 +191,7 @@ def test_certificates_carry_only_checkable_fields():
 def test_copy_list_certificate_computes_support_distinctness():
     space = Baton.unit(1).as_metric_space()
     points = PointSet(1, ((F(0),), (F(1),)))
-    both_orders = find_copies(space, points)
+    both_orders = [CopyEmbedding(space, points, t) for t in find_copies(space, points)]
     assert len(both_orders) == 2
     cert = copy_list_certificate(space, both_orders)
     assert cert["distinct_supports"] is False

@@ -4,11 +4,18 @@ import copy
 
 import pytest
 
+import maxram.validate
+from maxram.chromatic import grid_chromatic
 from maxram.colorings import avoidance_coloring
-from maxram.cover import CoverInstance, exact_cover
-from maxram.io import periodic_coloring_certificate, torus_cover_certificate, write_json
+from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover
+from maxram.io import (
+    chromatic_certificate,
+    periodic_coloring_certificate,
+    torus_cover_certificate,
+    write_json,
+)
 from maxram.metric import Baton
-from maxram.validate import MAX_TORUS_POINTS, validate_certificate
+from maxram.validate import validate_certificate
 
 from cert_fixtures import canonical_certificates
 
@@ -285,6 +292,21 @@ def test_torus_point_cap_is_exact_at_its_boundary(certs):
     at_cap = failing(certs["torus_cover"], torus(24))
     assert "not a cover" in at_cap and "points" not in at_cap
     assert "m, n: the torus has more than" in failing(certs["torus_cover"], torus(25))
+
+
+def test_a_64_point_chromatic_certificate_validates_without_the_hypergraph(monkeypatch):
+    """`chi --grid 3,3` against the unit 2-baton with a budget of 1000: the
+    coloring is checked one color class at a time, and only grids of at
+    most 16 points build the whole copy hypergraph, for their re-solve."""
+    report = grid_chromatic(3, 3, Baton.unit(2).as_metric_space(), budget=1000)
+    assert report.hypergraph.vertex_count == 64
+    cert = chromatic_certificate(report)
+
+    def refuse(*args):
+        raise AssertionError("copy_hypergraph was called")
+
+    monkeypatch.setattr(maxram.validate, "copy_hypergraph", refuse)
+    assert validate_certificate(cert).ok
 
 
 def test_nonoptimal_covers_must_carry_the_counting_bound():
