@@ -164,7 +164,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_cover_table(args) -> int:
-    rows = cn_table(args.max, budget=args.budget, seed=args.seed)
+    rows = cn_table(args.max, budget=args.budget)
     lines = ["n,lower,upper,exact"]
     lines += [f"{r.n},{r.lower},{r.upper},{str(r.exact).lower()}" for r in rows]
     _emit("\n".join(lines) + "\n", args.output)
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table",
         _cmd_cover_table,
         "bounds table for m=3, d=2",
-        seed=True,
         budget=True,
     )
     t.add_argument("--max", type=int, required=True)

@@ -5,8 +5,8 @@ claims from its own stated inputs and compares field by field. A policy
 trusts nothing it can recompute: a stated copy is checked pair by pair by
 CopyEmbedding, a chromatic coloring one color class at a time (it is
 proper when no class holds a copy), anchor sequences are rebuilt from
-their witness, coverings are re-solved when small enough. Failures name
-the offending field or pair.
+their witness, coverings are held to the slice bound and re-solved when
+small enough. Failures name the offending field or pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
 from .chromatic import copy_hypergraph, exact_chromatic
 from .colorings import PeriodicColoring
-from .cover import CoverInstance, counting_lower_bound, exact_cover, is_cover
+from .cover import CoverInstance, exact_cover, is_cover, redundant_translate
+from .cover import slice_lower_bound
 from .errors import DomainError, ParseError, PreconditionError
 from .io import _bool_field, _int_field, _int_value, _list_field
 from .io import metric_space_from_obj, read_json, vec_from_obj
@@ -241,16 +242,27 @@ def _check_torus_cover(obj) -> list[str]:
         failures.append("size: does not match the translate list")
     if not is_cover(inst, translates):
         failures.append("translates: not a cover")
-    counting = counting_lower_bound(inst)
+    lower = slice_lower_bound(inst)
     if optimal:
         if lower_bound != size:
             failures.append("lower_bound: optimal covers must match their size")
-    elif lower_bound != counting:
-        failures.append("lower_bound: non-optimal covers carry the counting bound")
-    if not failures and inst.point_count <= 30:
+    elif lower_bound != lower:
+        failures.append("lower_bound: non-optimal covers carry the slice bound")
+    if failures:
+        return failures
+    if size == lower:
+        if not optimal:
+            failures.append("optimal: disagrees with the slice bound")
+    elif inst.point_count <= 30:
         resolved = exact_cover(inst, budget=_RESOLVE_BUDGET)
         if not resolved.budget_exhausted and optimal != (size == resolved.size):
             failures.append("optimal: disagrees with an independent solve")
+    elif optimal:
+        # Past 30 points a claim above the slice bound is not re-solved;
+        # it is refuted only when a translate can go.
+        spare = redundant_translate(inst, translates)
+        if spare is not None:
+            failures.append(f"optimal: translates[{spare}] is redundant")
     return failures
 
 

@@ -3,6 +3,12 @@
 import itertools
 
 from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
+from maxram.rational import ceil_div
+
+
+def counting_lower_bound(inst: CoverInstance) -> int:
+    """ceil(m^n / d^n): each translate covers exactly d^n points."""
+    return ceil_div(inst.point_count, inst.d**inst.n)
 
 
 def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:

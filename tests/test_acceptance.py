@@ -21,7 +21,7 @@ from cert_fixtures import (
     leaf_paths,
     mutate_leaf,
 )
-from cover_oracles import naive_minimum_cover
+from cover_oracles import counting_lower_bound, naive_minimum_cover
 from metric_generators import random_metric_space
 from metric_oracles import chebyshev_distance
 from maxram.anchors import build_anchor_sequence, verify_anchor_sequence
@@ -29,11 +29,11 @@ from maxram.chromatic import grid_chromatic
 from maxram.colorings import cube_tiling_coloring, pigeonhole_lower_bound
 from maxram.cover import (
     CoverInstance,
-    counting_lower_bound,
     exact_cover,
     greedy_cover,
     random_cover_within_expectation,
     random_translates_cover,
+    slice_lower_bound,
     torus_points,
 )
 from maxram.extraction import (
@@ -303,15 +303,12 @@ def test_c10_cover_solver_against_its_oracles():
         assert naive_minimum_cover(inst).size == value
 
     # Counting <= exact <= greedy on every instance with at most 81
-    # points; the solve completes (9,2,2 is deferred to the budgeted
-    # block below, its optimality proof alone takes about 13 s).
+    # points; the solve completes, (9,2,2) included, with no node cap.
     for n in range(1, 7):
         for m in range(2, 10):
             if m**n > 81:
                 continue
             for d in range(1, m + 1):
-                if (m, d, n) == (9, 2, 2):
-                    continue
                 inst = CoverInstance(m, d, n)
                 e = exact_cover(inst)
                 g = greedy_cover(inst)
@@ -319,6 +316,9 @@ def test_c10_cover_solver_against_its_oracles():
                 assert e.optimal, (m, d, n)
                 if d == 1:
                     assert e.size == m**n, (m, d, n)
+    # (9,2,2): counting bound 21, greedy 25; the local search meets the
+    # slice bound, 23.
+    assert exact_cover(CoverInstance(9, 2, 2)).size == 23
 
     # The sandwich holds under a node budget too, up to 6561 points.
     for m, d, n, budget in [(9, 2, 2, 50_000), (3, 2, 8, 500)]:
@@ -345,7 +345,9 @@ def test_c10_cover_solver_against_its_oracles():
     )
     for m, d, n in feasible:
         inst = CoverInstance(m, d, n)
-        assert exact_cover(inst).size == naive_minimum_cover(inst).size, (m, d, n)
+        naive = naive_minimum_cover(inst).size
+        assert exact_cover(inst).size == naive, (m, d, n)
+        assert slice_lower_bound(inst) <= naive, (m, d, n)
 
 
 @criterion(11, "row-embedding-exactness")

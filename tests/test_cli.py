@@ -374,17 +374,18 @@ def seeded_dense_subset(seed: int) -> dict:
         (["extract", "--subset", "{subset}", "--k", "3"], 0,
          "dbc89b9de4cf526a5ef839c67ad7e333ceac85b84aafaa4527028ac741cbf186"),
         (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], 0,
-         "bccfe2e1c4c4b04fc5f53ec4aa24cf57a8242c909d43dca9d9634ec70c84ba61"),
+         "06f6f0211a250b365985227e81daaeb3bd295c3f7f67749b86bb73be971f7e9a"),
         (["cover", "--m", "45", "--d", "15", "--n", "2", "--exact"], 0,
          "5426f24a59b10b4442d5be04b23454cefe9a3a207f1862c6b0be6444c020c0e4"),
         (["cover", "--m", "9", "--d", "2", "--n", "2", "--exact", "--budget", "150000"],
-         3, "bc0b0b0fa33d8e96fd6b58e2ece7b7c40829a8060194eb8689aad6277005d6ef"),
+         0, "da4433e4790a00db27cdcde77bd48b92d2de490db9dd72ab0346ffecc4381953"),
     ],
 )
 def test_certificate_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     """The anchor sequence for steps 1, 1/2, 1/3 (m = 2453), a unit
     3-baton extracted from the seed-1 dense subset of {0..3}^5, and three
-    exact torus covers, the last one capped, byte for byte."""
+    exact torus covers, the last one proved within its node cap, byte for
+    byte."""
     subset = tmp_path / "subset.json"
     subset.write_text(json.dumps(seeded_dense_subset(1)))
     out = tmp_path / "out.json"
@@ -425,14 +426,30 @@ def test_cover_table_csv(capsys):
     assert out == "n,lower,upper,exact\n1,2,2,true\n2,3,3,true\n"
 
 
+def test_cover_table_proves_six_rows_in_seconds(capsys):
+    start = time.perf_counter()
+    assert main(["cover", "table", "--max", "6"]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == (
+        "n,lower,upper,exact\n1,2,2,true\n2,3,3,true\n3,5,5,true\n"
+        "4,8,8,true\n5,12,12,true\n6,18,18,true\n"
+    )
+
+
+def test_cover_table_takes_no_seed():
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["cover", "table", "--max", "2", "--seed", "3"])
+    assert exit_info.value.code == 2
+
+
 @pytest.mark.parametrize(
     "before, after",
     [
-        (["--budget", "5", "--seed", "3", "-o", "{out}"], []),
-        ([], ["--budget", "5", "--seed", "3", "-o", "{out}"]),
+        (["--budget", "5", "-o", "{out}"], []),
+        ([], ["--budget", "5", "-o", "{out}"]),
         (
-            ["--budget", "1", "--seed", "1", "-o", "{other}"],
-            ["--budget", "5", "--seed", "3", "-o", "{out}"],
+            ["--budget", "1", "-o", "{other}"],
+            ["--budget", "5", "-o", "{out}"],
         ),
     ],
     ids=["before-table", "after-table", "after-overrides-before"],
@@ -443,15 +460,16 @@ def test_cover_table_reads_shared_flags_on_either_side_of_table(
     out, other = tmp_path / "table.csv", tmp_path / "other.csv"
     argv = [
         a.format(out=out, other=other)
-        for a in ["cover", *before, "table", "--max", "3", *after]
+        for a in ["cover", *before, "table", "--max", "4", *after]
     ]
     args = build_parser().parse_args(argv)
-    assert (args.budget, args.seed, args.output) == (5, 3, str(out))
+    assert (args.budget, args.output) == (5, str(out))
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
     assert not other.exists()
-    # A budget of 5 nodes leaves the n = 3 row unproved.
-    assert out.read_text().endswith("\n2,3,3,true\n3,4,5,false\n")
+    # A budget of 5 moves leaves the n = 4 row unproved; at n = 3 the
+    # local search meets the slice bound in one move.
+    assert out.read_text().endswith("\n3,5,5,true\n4,8,9,false\n")
 
 
 @pytest.mark.parametrize("n_max", ["0", "-1"])
@@ -462,10 +480,11 @@ def test_cover_table_without_rows_is_exit_2(capsys, n_max):
     assert captured.out == ""
 
 
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run a script in a fresh interpreter that imports this maxram."""
+def run_python(script: str, **environ: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this maxram, with
+    environ added to its environment."""
     src = str(Path(maxram.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
@@ -656,6 +675,34 @@ def test_commands_refuse_a_torus_past_the_point_cap(capsys, b2_metric, argv):
     captured = capsys.readouterr()
     assert captured.err == f"error: the torus has more than {MAX_TORUS_POINTS} points\n"
     assert captured.out == ""
+
+
+def test_cover_refuses_a_one_point_torus_of_huge_dimension(capsys):
+    """Z_1^(10^8) has one point, but its one translate is a 10^8-tuple;
+    n is capped on every torus, so the command exits 2 at once."""
+    start = time.perf_counter()
+    assert main(["cover", "--m", "1", "--d", "1", "--n", "100000000", "--greedy"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: the one-point torus needs n < 25\n"
+    assert captured.out == ""
+
+
+def test_exact_cover_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The local search draws from a fixed seed and never walks a set or
+    dict in hash order, so two interpreters with different hash seeds
+    write the same (9,2,2) certificate: 23 translates, proved optimal."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"cover{hash_seed}.json"
+        argv = ["cover", "--m", "9", "--d", "2", "--n", "2", "--exact", "-o", str(out)]
+        script = f"from maxram.cli import main\nraise SystemExit(main({argv!r}))\n"
+        run = run_python(script, PYTHONHASHSEED=hash_seed)
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    cert = json.loads(outputs[0])
+    assert (cert["size"], cert["optimal"], cert["lower_bound"]) == (23, True, 23)
 
 
 def test_validate_refuses_a_color_count_far_past_its_colors(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from cover_oracles import naive_minimum_cover
+from cover_oracles import counting_lower_bound, naive_minimum_cover
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +11,10 @@ from maxram.cover import (
     CoverInstance,
     CoverSolution,
     _box_mask,
+    _coverage_table,
+    _coverers_of,
+    _incumbent,
     cn_table,
-    counting_lower_bound,
     cover_mask,
     exact_cover,
     greedy_cover,
@@ -20,9 +22,11 @@ from maxram.cover import (
     mask_cells,
     random_cover_within_expectation,
     random_translates_cover,
+    redundant_translate,
+    slice_lower_bound,
     torus_points,
 )
-from maxram.errors import DEFAULT_BUDGET, PreconditionError
+from maxram.errors import DomainError, PreconditionError
 from maxram.rational import ceil_div
 
 
@@ -64,14 +68,15 @@ def product_window_masks(inst: CoverInstance, points) -> list[int]:
 
 
 def rescan_exact_cover(
-    inst: CoverInstance, budget: int = DEFAULT_BUDGET
+    inst: CoverInstance, budget: int, lower: int, start: list
 ) -> CoverSolution:
     """The branch and bound before the box-mask rewrite, kept as the oracle.
 
     It finds each point's coverers by walking every coverage mask, scans
     all uncovered points for the one with the fewest coverers, and builds
     the packing bound by testing every uncovered point's window against
-    the union of the windows taken so far.
+    the union of the windows taken so far. It starts from the incumbent
+    start and stops once the incumbent meets lower.
     """
     points = torus_points(inst)
     translates = points
@@ -88,16 +93,8 @@ def rescan_exact_cover(
     windows = product_window_masks(inst, points)
     dpow = inst.d**inst.n
 
-    # Largest-new-coverage greedy, ties by lexicographic translate.
-    greedy = []
-    uncovered = full
-    while uncovered:
-        gains = [(mask & uncovered).bit_count() for mask in masks]
-        best_i = gains.index(max(gains))
-        greedy.append(translates[best_i])
-        uncovered &= ~masks[best_i]
-    best_size = len(greedy)
-    best_sol = greedy
+    best_size = len(start)
+    best_sol = list(start)
     nodes = 0
     exhausted = False
 
@@ -149,18 +146,18 @@ def rescan_exact_cover(
             chosen.append(ti)
             search(uncovered & ~masks[ti], chosen)
             chosen.pop()
-            if exhausted:
+            if exhausted or best_size == lower:
                 return
 
-    search(full & ~masks[0], [0])
+    if best_size > lower:
+        search(full & ~masks[0], [0])
 
-    counting = counting_lower_bound(inst)
     if exhausted:
         return CoverSolution(
             translates=best_sol,
             size=best_size,
             optimal=False,
-            lower_bound=counting,
+            lower_bound=lower,
             budget_exhausted=True,
         )
     return CoverSolution(
@@ -168,6 +165,18 @@ def rescan_exact_cover(
         size=best_size,
         optimal=True,
         lower_bound=best_size,
+    )
+
+
+def rescanned_exact_cover(inst: CoverInstance, budget: int) -> CoverSolution:
+    """exact_cover's answer with its branch and bound replaced by the
+    rescan oracle: the same slice bound, incumbent and remaining budget."""
+    translates, masks = _coverage_table(inst)
+    lower = slice_lower_bound(inst)
+    coverers_of = _coverers_of(inst, translates)
+    start, moves = _incumbent(inst, masks, coverers_of, lower, budget)
+    return rescan_exact_cover(
+        inst, budget - moves, lower, [translates[i] for i in start]
     )
 
 
@@ -198,6 +207,36 @@ def test_counting_lower_bound_fixtures():
     assert counting_lower_bound(CoverInstance(3, 2, 1)) == 2
     assert counting_lower_bound(CoverInstance(4, 2, 2)) == 4
     assert counting_lower_bound(CoverInstance(2, 2, 5)) == 1
+
+
+def test_slice_lower_bound_fixtures():
+    assert [slice_lower_bound(CoverInstance(3, 2, n)) for n in range(1, 8)] == [
+        2, 3, 5, 8, 12, 18, 27
+    ]
+    assert slice_lower_bound(CoverInstance(9, 2, 2)) == 23  # counting: 21
+    assert slice_lower_bound(CoverInstance(45, 15, 2)) == 9
+    assert slice_lower_bound(CoverInstance(5, 1, 3)) == 125
+    assert slice_lower_bound(CoverInstance(4, 4, 6)) == 1
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(1, 4))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_slice_bound_is_never_below_counting(mdn):
+    m, d, n = mdn
+    inst = CoverInstance(m, d, n)
+    assert slice_lower_bound(inst) >= counting_lower_bound(inst)
+
+
+def test_the_one_point_torus_is_refused_past_the_dimension_cap():
+    assert CoverInstance(1, 1, 24).point_count == 1
+    with pytest.raises(DomainError, match="the one-point torus needs n < 25"):
+        CoverInstance(1, 1, 25)
+    with pytest.raises(DomainError, match="the one-point torus"):
+        CoverInstance(1, 1, 10**8)
 
 
 def test_torus_points_are_lexicographic():
@@ -246,6 +285,31 @@ def test_is_cover_fixtures():
     assert is_cover(inst, [(0,), (2,)])
     assert is_cover(inst, [(0,), (1,)])
     assert is_cover(inst, [(0,), (1,), (2,)])  # early-exit path
+
+
+def test_redundant_translate_fixtures():
+    inst = CoverInstance(3, 2, 1)
+    assert redundant_translate(inst, [(0,), (2,)]) is None
+    assert redundant_translate(inst, [(0,), (1,), (2,)]) == 0  # 1 and 2 cover
+    assert redundant_translate(inst, [(0,), (2,), (2,)]) == 1  # listed twice
+    assert redundant_translate(CoverInstance(3, 2, 4), greedy_cover(
+        CoverInstance(3, 2, 4)).translates) is None
+
+
+@given(st.sampled_from(small_instances()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_redundant_translate_matches_dropping_each_translate(inst, data):
+    translates = data.draw(st.lists(
+        st.tuples(*[st.integers(0, inst.m - 1)] * inst.n), min_size=1, max_size=6
+    ))
+    if not is_cover(inst, translates):
+        translates += torus_points(inst)
+    expected = next(
+        (i for i in range(len(translates))
+         if is_cover(inst, translates[:i] + translates[i + 1:])),
+        None,
+    )
+    assert redundant_translate(inst, translates) == expected
 
 
 # -- greedy ---------------------------------------------------------------
@@ -394,14 +458,32 @@ def test_exact_cover_sandwich_on_a_wider_sweep():
 
 
 def test_exact_cover_budget_exhaustion_keeps_the_incumbent():
-    inst = CoverInstance(3, 2, 3)
+    inst = CoverInstance(9, 2, 2)
     sol = exact_cover(inst, budget=10)
     assert sol.budget_exhausted and not sol.optimal
-    assert sol.lower_bound == 4  # counting bound, not the proven value
+    assert sol.lower_bound == 23  # the slice bound, here also the proven value
     assert is_cover(inst, sol.translates)
     full = exact_cover(inst)
-    assert full.optimal and full.size == 5
+    assert full.optimal and full.size == 23
     assert full.size <= sol.size
+
+
+@pytest.mark.parametrize(
+    "m, d, n, greedy, value",
+    [(9, 2, 2, 25, 23), (3, 2, 4, 9, 8), (3, 2, 5, 16, 12), (3, 2, 6, 21, 18),
+     (11, 2, 2, 36, 33)],
+)
+def test_local_search_meets_the_slice_bound(m, d, n, greedy, value):
+    """The greedy cover is above the slice bound; the seeded local search
+    brings the incumbent down to it, so no branch is needed."""
+    inst = CoverInstance(m, d, n)
+    lower = slice_lower_bound(inst)
+    translates, masks = _coverage_table(inst)
+    start, moves = _incumbent(inst, masks, _coverers_of(inst, translates), lower, 10**7)
+    assert greedy_cover(inst).size == greedy
+    assert len(start) == lower == value
+    assert 0 < moves < 10**7
+    assert is_cover(inst, [translates[i] for i in start])
 
 
 @st.composite
@@ -419,12 +501,13 @@ def budgeted_instances(draw):
 @example((CoverInstance(3, 2, 3), 10**5))  # 2d-1 >= m: every window is the torus
 @example((CoverInstance(5, 2, 2), 10**5))  # 4d-3 >= m > 2d-1: near boxes wrap
 @example((CoverInstance(7, 2, 2), 10**5))  # neither wraps
-@example((CoverInstance(9, 2, 2), 1))  # budget cut below the first node
+@example((CoverInstance(9, 2, 2), 1))  # budget cut within the local search
+@example((CoverInstance(5, 3, 2), 10**5))  # greedy meets the slice bound
 @settings(max_examples=100, deadline=None)
 def test_exact_matches_the_rescan_oracle_field_by_field(instance):
     inst, budget = instance
     got = exact_cover(inst, budget=budget)
-    assert got == rescan_exact_cover(inst, budget=budget)
+    assert got == rescanned_exact_cover(inst, budget)
     assert is_cover(inst, got.translates)
 
 
@@ -437,19 +520,23 @@ def test_exact_cover_single_translate_instance():
 
 
 def test_cn_table_small_values():
-    rows = cn_table(3)
+    """c(3,2,n) for n <= 6, each row proved: the slice bound is met."""
+    rows = cn_table(6)
     assert [(r.n, r.lower, r.upper, r.exact) for r in rows] == [
         (1, 2, 2, True),
         (2, 3, 3, True),
         (3, 5, 5, True),
+        (4, 8, 8, True),
+        (5, 12, 12, True),
+        (6, 18, 18, True),
     ]
 
 
 def test_cn_table_reports_open_rows_when_budgeted_out():
-    rows = cn_table(3, budget=10)
+    rows = cn_table(4, budget=10)
     last = rows[-1]
     assert not last.exact
-    assert last.lower == 4  # ceil(27/8)
+    assert last.lower == 8  # the slice bound
     assert last.upper >= last.lower
 
 
@@ -462,4 +549,4 @@ def test_every_construction_covers(inst, seed):
         exact_cover(inst),
     ):
         assert is_cover(inst, sol.translates)
-        assert sol.size >= counting_lower_bound(inst)
+        assert slice_lower_bound(inst) <= sol.lower_bound <= sol.size

@@ -201,7 +201,7 @@ def test_copy_list_certificate_computes_support_distinctness():
 
 def test_torus_cover_certificate_of_a_budgeted_solve_still_validates():
     """Instances too large to re-solve only need internal consistency."""
-    inst = CoverInstance(3, 2, 4)
+    inst = CoverInstance(9, 2, 2)
     sol = exact_cover(inst, budget=10)
     assert sol.budget_exhausted
     cert = torus_cover_certificate(inst, sol)

@@ -8,6 +8,7 @@ import maxram.validate
 from maxram.chromatic import grid_chromatic
 from maxram.colorings import avoidance_coloring
 from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover
+from maxram.cover import random_translates_cover
 from maxram.io import (
     chromatic_certificate,
     periodic_coloring_certificate,
@@ -309,26 +310,52 @@ def test_a_64_point_chromatic_certificate_validates_without_the_hypergraph(monke
     assert validate_certificate(cert).ok
 
 
-def test_nonoptimal_covers_must_carry_the_counting_bound():
-    inst = CoverInstance(3, 2, 4)
+def test_nonoptimal_covers_must_carry_the_slice_bound():
+    inst = CoverInstance(9, 2, 2)
     sol = exact_cover(inst, budget=10)
+    assert sol.budget_exhausted and sol.lower_bound == 23
     cert = torus_cover_certificate(inst, sol)
+    assert validate_certificate(cert).ok
     mutant = copy.deepcopy(cert)
-    mutant["lower_bound"] = 7
+    mutant["lower_bound"] = 21  # the counting bound
     report = validate_certificate(mutant)
     assert not report.ok
-    assert "counting bound" in report.failures[0]
+    assert "slice bound" in report.failures[0]
 
 
 def test_underclaiming_optimality_is_rejected_on_small_instances():
-    """A budgeted solve can find the optimum without proving it. On
-    instances small enough to re-solve, the policy insists the optimal
-    flag match ground truth, so such certificates are rejected rather
-    than taken at their word."""
+    """A cover whose size meets the slice bound is optimal, so a
+    certificate that says otherwise is rejected rather than taken at its
+    word. A budgeted solve no longer writes one: up to 30 points every
+    optimum meets the slice bound, and meeting it ends the search."""
     inst = CoverInstance(3, 2, 3)
     sol = exact_cover(inst, budget=10)
-    assert sol.budget_exhausted and not sol.optimal
-    assert sol.size == exact_cover(inst).size  # found it, could not prove it
+    assert sol.optimal and sol.size == sol.lower_bound == 5
+    sol.optimal = False  # the lower bound stays the slice bound, 5
     report = validate_certificate(torus_cover_certificate(inst, sol))
     assert not report.ok
     assert "disagrees" in report.failures[0]
+
+
+def test_an_optimal_claim_above_the_slice_bound_is_resolved_or_refuted():
+    """(3,2,4) has 81 points, past the re-solve limit, and a minimum of 8.
+    The seed-1 random cover padded to 16 translates and claimed optimal
+    has a translate to spare, so it is refuted; the greedy cover of 9
+    has none, and is not re-solved there."""
+    inst = CoverInstance(3, 2, 4)
+    sol = random_translates_cover(inst, seed=1)
+    assert sol.size == 15
+    sol.translates.append((0, 0, 0, 0))
+    sol.size = sol.lower_bound = 16
+    sol.optimal = True
+    report = validate_certificate(torus_cover_certificate(inst, sol))
+    assert not report.ok
+    assert report.failures[0].startswith("optimal: translates[")
+    assert report.failures[0].endswith("] is redundant")
+
+    small = CoverInstance(3, 2, 3)  # 27 points: re-solved
+    sol = exact_cover(small)
+    sol.translates.append((0, 0, 0))
+    sol.size = sol.lower_bound = 6
+    report = validate_certificate(torus_cover_certificate(small, sol))
+    assert report.failures == ("optimal: disagrees with an independent solve",)
