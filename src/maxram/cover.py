@@ -98,9 +98,10 @@ def torus_points(inst: CoverInstance) -> list[IntVec]:
     return list(itertools.product(range(inst.m), repeat=inst.n))
 
 
-def mask_cells(mask: int, cells: list[IntVec]) -> list[IntVec]:
+def mask_cells(mask: int, cells):
     """The cells whose bits are set in mask, in index order; cells is
-    torus_points(inst). Only the set bits are visited."""
+    torus_points(inst), or range(point_count) for the indices. Only the
+    set bits are visited."""
     bits = format(mask, "b")[::-1]
     found = []
     index = bits.find("1")
