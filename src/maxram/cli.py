@@ -15,35 +15,9 @@ import functools
 import sys
 import time
 
-from .anchors import build_anchor_sequence
-from .chromatic import grid_chromatic
-from .colorings import avoidance_coloring, pigeonhole_lower_bound, upper_bound_value
-from .cover import (
-    CoverInstance,
-    cn_table,
-    exact_cover,
-    greedy_cover,
-    random_translates_cover,
-)
+# Each command imports what it runs, so a process loads only the modules
+# of its own command; `validate` loads them all.
 from .errors import DEFAULT_BUDGET, DomainError, ParseError, PreconditionError
-from .extraction import extract_general_baton, extract_unit_baton
-from .io import (
-    anchor_sequence_certificate,
-    chromatic_certificate,
-    copy_embedding_certificate,
-    copy_list_certificate,
-    dump_json,
-    grid_subset_from_obj,
-    metric_space_from_obj,
-    periodic_coloring_certificate,
-    point_set_from_obj,
-    read_json,
-    torus_cover_certificate,
-    write_json,
-)
-from .metric import Baton, CopyEmbedding, find_copies, frechet_embed
-from .rational import parse_rational
-from .validate import validate_certificate
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -55,6 +29,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
+    from .io import dump_json, write_json
+
     if output:
         write_json(output, obj)
     else:
@@ -62,6 +38,9 @@ def _emit_json(obj, output: str | None) -> None:
 
 
 def _parse_steps(text: str):
+    from .metric import Baton
+    from .rational import parse_rational
+
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ParseError("empty step list")
@@ -69,12 +48,19 @@ def _parse_steps(text: str):
 
 
 def _cmd_embed(args) -> int:
+    from .io import copy_embedding_certificate, metric_space_from_obj, read_json
+    from .metric import frechet_embed
+
     space = metric_space_from_obj(read_json(args.metric))
     _emit_json(copy_embedding_certificate(frechet_embed(space)), args.output)
     return 0
 
 
 def _cmd_copies(args) -> int:
+    from .io import copy_list_certificate, metric_space_from_obj, point_set_from_obj
+    from .io import read_json
+    from .metric import CopyEmbedding, find_copies
+
     space = metric_space_from_obj(read_json(args.metric))
     points = point_set_from_obj(read_json(args.points))
     found = find_copies(
@@ -87,6 +73,11 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .anchors import build_anchor_sequence
+    from .extraction import extract_general_baton, extract_unit_baton
+    from .io import copy_embedding_certificate, grid_subset_from_obj
+    from .io import point_set_from_obj, read_json
+
     obj = read_json(args.subset)
     if args.baton is None:
         subset = grid_subset_from_obj(obj)
@@ -103,6 +94,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_anchors(args) -> int:
+    from .anchors import build_anchor_sequence
+    from .io import anchor_sequence_certificate
+
     baton = _parse_steps(args.steps)
     start = time.perf_counter()
     sequence = build_anchor_sequence(baton, faithful=args.faithful)
@@ -115,6 +109,9 @@ def _cmd_anchors(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .colorings import avoidance_coloring, upper_bound_value
+    from .io import metric_space_from_obj, periodic_coloring_certificate, read_json
+
     space = metric_space_from_obj(read_json(args.metric))
     if args.variant == "u1":
         value = upper_bound_value(space, args.n)
@@ -137,6 +134,9 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .colorings import avoidance_coloring, pigeonhole_lower_bound
+    from .metric import Baton
+
     lower = pigeonhole_lower_bound(args.k, args.n)
     if args.k == 1:
         upper = 2**args.n
@@ -148,6 +148,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    from .chromatic import grid_chromatic
+    from .io import chromatic_certificate, metric_space_from_obj, read_json
+
     try:
         k, n = (int(p) for p in args.grid.split(","))
     except ValueError as exc:
@@ -164,6 +167,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_cover_table(args) -> int:
+    from .cover import cn_table
+
     rows = cn_table(args.max, budget=args.budget)
     lines = ["n,lower,upper,exact"]
     lines += [f"{r.n},{r.lower},{r.upper},{str(r.exact).lower()}" for r in rows]
@@ -172,6 +177,9 @@ def _cmd_cover_table(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    from .cover import CoverInstance, exact_cover, greedy_cover, random_translates_cover
+    from .io import torus_cover_certificate
+
     if args.m is None or args.d is None or args.n is None:
         raise PreconditionError("cover needs --m, --d and --n")
     inst = CoverInstance(m=args.m, d=args.d, n=args.n)
@@ -189,6 +197,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import validate_certificate
+
     report = validate_certificate(args.path)
     if report.ok:
         print(f"ok: {report.kind}")
@@ -299,13 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (
-        PreconditionError,
-        DomainError,
-        ParseError,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:
+    except (PreconditionError, DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

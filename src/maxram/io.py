@@ -13,15 +13,20 @@ import json
 import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _escape
+from typing import TYPE_CHECKING
 
-from .anchors import AnchorSequence, VerificationReport
-from .chromatic import GridChromaticReport
-from .colorings import PeriodicColoring
-from .cover import CoverInstance, CoverSolution
 from .errors import ParseError
-from .extraction import GridSubset
-from .metric import Baton, CopyEmbedding, FiniteMetricSpace, PointSet, Vec
 from .rational import format_rational, parse_rational
+
+# Annotations only. A function that builds one of these objects imports
+# its class itself, so importing io loads no module its caller did not.
+if TYPE_CHECKING:
+    from .anchors import AnchorSequence
+    from .chromatic import GridChromaticReport
+    from .colorings import PeriodicColoring
+    from .cover import CoverInstance, CoverSolution
+    from .extraction import GridSubset
+    from .metric import Baton, CopyEmbedding, FiniteMetricSpace, PointSet, Vec
 
 
 def vec_to_obj(vec) -> list[str]:
@@ -154,6 +159,8 @@ def metric_space_from_obj(obj) -> FiniteMetricSpace:
     A distance matrix wins when both keys are present, since it is the
     primary representation and the points may be a mere illustration.
     """
+    from .metric import FiniteMetricSpace
+
     if not isinstance(obj, dict):
         raise ParseError("metric space object must be a JSON object")
     if "distance_matrix" in obj:
@@ -167,6 +174,8 @@ def metric_space_from_obj(obj) -> FiniteMetricSpace:
 
 
 def point_set_from_obj(obj) -> PointSet:
+    from .metric import PointSet
+
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError("need a points key")
     rows = obj["points"]
@@ -178,6 +187,8 @@ def point_set_from_obj(obj) -> PointSet:
 
 def grid_subset_from_obj(obj) -> GridSubset:
     """A subset of {0..k}^n from {"k": k, "n": n, "elements": [[int, ...], ...]}."""
+    from .extraction import GridSubset
+
     if not isinstance(obj, dict) or not {"k", "n", "elements"} <= obj.keys():
         raise ParseError("subset file needs k, n and elements")
     if not (_is_int(obj["k"]) and _is_int(obj["n"])):
@@ -220,6 +231,8 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
     """build_anchor_sequence returns only sequences that pass every clause
     of verify_anchor_sequence, so each is recorded as passed; the
     validator recomputes them all."""
+    from .anchors import VerificationReport
+
     return {
         "kind": "anchor_sequence",
         "steps": vec_to_obj(baton.steps),

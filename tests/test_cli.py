@@ -759,6 +759,23 @@ def test_validate_a_directory_is_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["cover", "--m", "3", "--d", "2", "--n", "2", "--greedy", "-o", "{}"],
+    ["validate", "{}"],
+    ["chi", "--grid", "2,2", "--metric", "{}"],
+], ids=["cover-output", "validate", "chi-metric"])
+def test_a_path_through_a_regular_file_is_exit_2(tmp_path, capsys, argv):
+    """A path whose parent is a file raises NotADirectoryError, an OSError
+    like a missing file: exit 2 with an error line, no traceback."""
+    parent = tmp_path / "some.json"
+    parent.write_text("{}")
+    path = parent / "x"
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 20] Not a directory: {str(path)!r}\n"
+    assert captured.out == ""
+
+
 # -- shared options ---------------------------------------------------------------
 
 

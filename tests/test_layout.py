@@ -1,20 +1,31 @@
 """Package layout, read from the sources with ast: every name is imported
 from the module that defines it, so the package root re-exports only what
 the benchmark's tests import from it, and no module, in the package or
-among the tests, imports a name it never uses."""
+among the tests, imports a name it never uses. Which modules each command
+loads is checked in a fresh interpreter."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import maxram
 import maxram.cli
 
 PACKAGE = Path(maxram.cli.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-BENCH_NAMES = ["CoverInstance", "greedy_cover", "validate_certificate"]
+BENCH_NAMES = {
+    "CoverInstance": "maxram.cover",
+    "greedy_cover": "maxram.cover",
+    "validate_certificate": "maxram.validate",
+}
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def parse(path: Path) -> ast.Module:
@@ -24,9 +35,70 @@ def parse(path: Path) -> ast.Module:
 def test_package_root_binds_only_the_names_the_benchmark_imports():
     docstring, *statements = parse(PACKAGE / "__init__.py").body
     assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
-    assert all(isinstance(s, ast.ImportFrom) for s in statements)
-    names = [alias.asname or alias.name for s in statements for alias in s.names]
-    assert sorted(names) == BENCH_NAMES
+    assert [type(s) for s in statements] == [ast.FunctionDef]
+    assert statements[0].name == "__getattr__"
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_NAMES))
+def test_package_root_resolves_each_bench_name_from_its_home(name):
+    home = importlib.import_module(BENCH_NAMES[name])
+    assert getattr(maxram, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", ["exact_cover", "DEFAULT_BUDGET", "__all__"])
+def test_package_root_refuses_any_other_name(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(maxram, name)
+
+
+def loaded_after(script: str) -> set[str]:
+    """The maxram modules a fresh interpreter holds after running script."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    )}
+    script += (
+        "\nimport sys\nprint(' '.join(m for m in sys.modules"
+        " if m.split('.')[0] == 'maxram'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import maxram") == {"maxram"}
+
+
+def test_help_loads_only_the_cli_and_its_errors():
+    script = (
+        "import contextlib, io\nfrom maxram.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n        main(['--help'])\n"
+        "    except SystemExit as exc:\n        assert exc.code == 0\n"
+    )
+    assert loaded_after(script) == {"maxram", "maxram.cli", "maxram.errors"}
+
+
+def test_exact_cover_loads_no_module_it_does_not_run(tmp_path):
+    argv = ["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
+            "-o", str(tmp_path / "cover.json")]
+    script = f"from maxram.cli import main\nassert main({argv!r}) == 0\n"
+    modules = ("cli", "errors", "cover", "rational", "io")
+    assert loaded_after(script) == {"maxram", *(f"maxram.{m}" for m in modules)}
+
+
+def test_validate_loads_every_module_the_benchmark_traces():
+    """The benchmark's tracer reads each LAYERS module from sys.modules
+    after a plain pass, and every pass runs validate."""
+    script = (
+        f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from spans import LAYERS\nimport maxram.validate\n"
+        "traced = {module for module, *_ in LAYERS}\n"
+        "assert traced and traced <= sys.modules.keys(), traced\n"
+    )
+    assert "maxram.validate" in loaded_after(script)
 
 
 @pytest.mark.parametrize(
