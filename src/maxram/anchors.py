@@ -40,9 +40,7 @@ class GammaSet:
     """All combinations sum d_i*steps_i <= sum steps_i, sorted, plus the
     least combination beyond them."""
 
-    steps: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    witnesses: tuple[tuple[int, ...], ...]
     gamma_next: Fraction
 
 
@@ -75,38 +73,16 @@ def gamma_set(baton: Baton) -> GammaSet:
     """
     if baton.k < 1:
         raise PreconditionError("gamma_set needs at least one step")
-    steps = baton.steps
-    total = sum(steps)
-    by_value: dict[Fraction, tuple[int, ...]] = {}
+    total = sum(baton.steps)
+    values: set[Fraction] = set()
     beyond: Fraction | None = None
-    for value, coeffs in _combinations_upto(steps, extra=1):
+    for value, _ in _combinations_upto(baton.steps, extra=1):
         if value <= total:
-            if value not in by_value or coeffs < by_value[value]:
-                by_value[value] = coeffs
+            values.add(value)
         elif beyond is None or value < beyond:
             beyond = value
-    values = tuple(sorted(by_value))
     assert beyond is not None
-    return GammaSet(
-        steps=steps,
-        values=values,
-        witnesses=tuple(by_value[v] for v in values),
-        gamma_next=beyond,
-    )
-
-
-@dataclass(frozen=True)
-class DirichletWitness:
-    """Denominator q and numerators with |step_i - p_i/q| < q^-(1+1/k)."""
-
-    q: int
-    numerators: tuple[int, ...]
-
-    def errors(self, steps) -> tuple[Fraction, ...]:
-        return tuple(
-            abs(Fraction(s) - Fraction(p, self.q))
-            for s, p in zip(steps, self.numerators)
-        )
+    return GammaSet(values=tuple(sorted(values)), gamma_next=beyond)
 
 
 def scaled_round(q: int, gamma: Fraction) -> int:
@@ -132,9 +108,10 @@ def _numerators_at(steps: tuple[Fraction, ...], q: int) -> tuple[int, ...] | Non
     return None
 
 
-def dirichlet_approx(steps, q0: int) -> DirichletWitness:
+def dirichlet_approx(steps, q0: int) -> int:
     """Least q > q0 whose nearest-integer numerators satisfy the
     simultaneous approximation bound; a linear scan, checked exactly.
+    anchor_sequence_at recomputes the numerators at that q.
 
     Rational steps make termination certain: any common-denominator
     multiple has zero error.
@@ -142,12 +119,10 @@ def dirichlet_approx(steps, q0: int) -> DirichletWitness:
     steps = tuple(Fraction(s) for s in steps)
     if not steps or any(s <= 0 for s in steps):
         raise PreconditionError("steps must be positive")
-    q = q0
-    while True:
+    q = q0 + 1
+    while _numerators_at(steps, q) is None:
         q += 1
-        numerators = _numerators_at(steps, q)
-        if numerators is not None:
-            return DirichletWitness(q, numerators)
+    return q
 
 
 @dataclass(frozen=True)
@@ -280,7 +255,7 @@ def build_anchor_sequence(baton: Baton, faithful: bool = False) -> AnchorSequenc
         return seq
     q = _parameters(baton)[3]
     for _ in range(_RETRY_LIMIT):
-        q = dirichlet_approx(baton.steps, q).q
+        q = dirichlet_approx(baton.steps, q)
         seq = anchor_sequence_at(baton, q)
         if verify_anchor_sequence(seq, baton).ok:
             return seq

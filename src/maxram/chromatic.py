@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colorings import pigeonhole_lower_bound
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
+from .rational import ceil_div
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def _greedy_colors(order, closing, vertex_count: int) -> list[int]:
 def exact_chromatic(
     hypergraph: CopyHypergraph,
     budget: int = DEFAULT_BUDGET,
-    extra_lower_bound: int = 1,
-    extra_witness: str = "",
+    known_bound: tuple[int, str] = (1, "trivial:1"),
 ) -> ColoringCertificate:
     """Minimum colors with no monochromatic edge, within a node budget.
 
@@ -103,11 +102,11 @@ def exact_chromatic(
     lower bound, with vertices in decreasing degree and new colors only
     introduced one at a time. Each edge is checked once, at its last vertex
     in that static order. The budget counts every color tried, including
-    colors a closing edge blocks. extra_lower_bound lets callers feed in an
-    externally proved bound (it is trusted for the starting level but
-    cross-checked against any coloring found). If the budget runs out the
-    greedy coloring is returned with optimal=False and the largest level
-    actually exhausted as the proven lower bound.
+    colors a closing edge blocks. known_bound lets callers feed in an
+    externally proved bound and its witness (it is trusted for the
+    starting level but cross-checked against any coloring found). If the
+    budget runs out the greedy coloring is returned with optimal=False and
+    the largest level actually exhausted as the proven lower bound.
     """
     n = hypergraph.vertex_count
     if n < 1:
@@ -139,11 +138,10 @@ def exact_chromatic(
         closing[last].append(tuple(u for u in edge if u != last))
 
     clique = _greedy_clique(n, pair_adj)
-    candidates = [(2, "edge:2"), (1, "trivial:1")]
+    # The first of equal bounds names the witness: clique, then edge.
+    candidates = [(2, "edge:2"), known_bound]
     if clique >= 2:
         candidates.insert(0, (clique, f"clique:{clique}"))
-    if extra_lower_bound > 1:
-        candidates.append((extra_lower_bound, extra_witness))
     base_lb, base_witness = max(candidates, key=lambda c: c[0])
     if base_lb > n:
         raise DomainError("supplied lower bound exceeds the vertex count")
@@ -203,6 +201,13 @@ def exact_chromatic(
         )
 
 
+def pigeonhole_lower_bound(k: int, n: int) -> int:
+    """ceil((k+1)^n / k^n) colors are forced by unit batons on the k-grid."""
+    if k < 1 or n < 1:
+        raise PreconditionError("need k >= 1 and n >= 1")
+    return ceil_div((k + 1) ** n, k**n)
+
+
 def _isometric_to_unit_baton(space: FiniteMetricSpace, k: int) -> bool:
     if space.size != k + 1:
         return False
@@ -210,44 +215,18 @@ def _isometric_to_unit_baton(space: FiniteMetricSpace, k: int) -> bool:
     return bool(find_copies(space, line, limit=1))
 
 
-@dataclass(frozen=True)
-class GridChromaticReport:
-    k: int
-    n: int
-    hypergraph: CopyHypergraph
-    certificate: ColoringCertificate
-    pigeonhole: int | None
-
-
 def grid_chromatic(
-    k: int,
-    n: int,
-    space: FiniteMetricSpace | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> GridChromaticReport:
+    k: int, n: int, space: FiniteMetricSpace, budget: int = DEFAULT_BUDGET
+) -> ColoringCertificate:
     """Chromatic number of the integer grid {0..k}^n against a forbidden
-    space, by default the unit-gap baton with k steps.
+    space.
 
-    When the space is isometric to that baton the counting bound
-    ceil((k+1)^n / k^n) applies and seeds the search; any certificate must
-    then meet it.
+    When the space is isometric to the unit-gap baton with k steps, the
+    counting bound ceil((k+1)^n / k^n) applies and seeds the search as
+    the witness pigeonhole:b; any certificate must then meet it.
     """
-    if space is None:
-        space = Baton.unit(k).as_metric_space()
-    points = grid_points(k, n)
-    hypergraph = copy_hypergraph(points, space)
+    hypergraph = copy_hypergraph(grid_points(k, n), space)
     if _isometric_to_unit_baton(space, k):
-        pigeonhole = pigeonhole_lower_bound(k, n)
-        certificate = exact_chromatic(
-            hypergraph,
-            budget=budget,
-            extra_lower_bound=pigeonhole,
-            extra_witness=f"pigeonhole:{pigeonhole}",
-        )
-        assert certificate.color_count >= pigeonhole
-    else:
-        pigeonhole = None
-        certificate = exact_chromatic(hypergraph, budget=budget)
-    return GridChromaticReport(
-        k=k, n=n, hypergraph=hypergraph, certificate=certificate, pigeonhole=pigeonhole
-    )
+        bound = pigeonhole_lower_bound(k, n)
+        return exact_chromatic(hypergraph, budget, (bound, f"pigeonhole:{bound}"))
+    return exact_chromatic(hypergraph, budget)

@@ -134,7 +134,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .colorings import avoidance_coloring, pigeonhole_lower_bound
+    from .chromatic import pigeonhole_lower_bound
+    from .colorings import avoidance_coloring
     from .metric import Baton
 
     lower = pigeonhole_lower_bound(args.k, args.n)
@@ -150,17 +151,19 @@ def _cmd_bounds(args) -> int:
 def _cmd_chi(args) -> int:
     from .chromatic import grid_chromatic
     from .io import chromatic_certificate, metric_space_from_obj, read_json
+    from .metric import Baton
 
     try:
         k, n = (int(p) for p in args.grid.split(","))
     except ValueError as exc:
         raise ParseError(f"--grid expects k,n: {exc}") from exc
-    space = None
-    if args.metric is not None:
+    if args.metric is None:  # the unit-gap baton with k steps
+        space = Baton.unit(k).as_metric_space()
+    else:
         space = metric_space_from_obj(read_json(args.metric))
-    report = grid_chromatic(k, n, space, budget=args.budget)
-    _emit_json(chromatic_certificate(report), args.output)
-    if report.certificate.budget_exhausted:
+    cert = grid_chromatic(k, n, space, budget=args.budget)
+    _emit_json(chromatic_certificate(k, n, space, cert), args.output)
+    if cert.budget_exhausted:
         print("warning: search budget exhausted", file=sys.stderr)
         return 3
     return 0
@@ -171,7 +174,10 @@ def _cmd_cover_table(args) -> int:
 
     rows = cn_table(args.max, budget=args.budget)
     lines = ["n,lower,upper,exact"]
-    lines += [f"{r.n},{r.lower},{r.upper},{str(r.exact).lower()}" for r in rows]
+    lines += [
+        f"{n},{sol.lower_bound},{sol.size},{str(sol.optimal).lower()}"
+        for n, sol in enumerate(rows, 1)
+    ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

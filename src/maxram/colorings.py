@@ -30,7 +30,6 @@ from .cover import (
 )
 from .errors import DomainError, PreconditionError
 from .metric import FiniteMetricSpace, connectivity_threshold, diameter
-from .rational import ceil_div
 
 
 @dataclass(frozen=True)
@@ -135,27 +134,6 @@ class PeriodicColoring:
         return True
 
 
-def cube_tiling_coloring(n: int) -> PeriodicColoring:
-    """The 2^n coloring by unit cubes: period 2, one class per parity vertex.
-
-    Same-colored points differ by less than 1 in every coordinate or by
-    more than 1 in some coordinate, so no two of them sit at distance
-    exactly 1.
-    """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    one = Fraction(1)
-    vertices = tuple(torus_points(CoverInstance(m=2, d=1, n=n)))
-    return PeriodicColoring(
-        dim=n,
-        period=Fraction(2),
-        box_size=one,
-        classes=tuple((v,) for v in vertices),
-        window=one,
-        window_anchors=vertices,
-    )
-
-
 def _ownership_classes(
     inst: CoverInstance, translates
 ) -> tuple[tuple[tuple[IntVec, ...], ...], tuple[IntVec, ...]]:
@@ -202,6 +180,9 @@ def avoidance_coloring(
     d-cubes directly. asymptotic mode shrinks the window to d*(1 - 1/64)
     and grows the gap to l*(1 + 1/64), then realizes the rational ratio
     exactly on a finer box lattice.
+
+    The unit 1-baton (window 1, gap 1, period 2) gives the 2^n cube
+    tiling: one class per vertex of {0,1}^n, in lexicographic order.
     """
     d = diameter(space)
     l = connectivity_threshold(space)
@@ -226,7 +207,7 @@ def avoidance_coloring(
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
 
-    solution, _, met = random_cover_within_expectation(inst, seed)
+    solution, met = random_cover_within_expectation(inst, seed)
     classes, anchors = _ownership_classes(inst, solution.translates)
     warnings = []
     if gap >= window:
@@ -244,13 +225,6 @@ def avoidance_coloring(
         window_anchors=anchors,
         warnings=tuple(warnings),
     )
-
-
-def pigeonhole_lower_bound(k: int, n: int) -> int:
-    """ceil((k+1)^n / k^n) colors are forced by unit batons on the k-grid."""
-    if k < 1 or n < 1:
-        raise PreconditionError("need k >= 1 and n >= 1")
-    return ceil_div((k + 1) ** n, k**n)
 
 
 def upper_bound_value(space: FiniteMetricSpace, n: int) -> float:

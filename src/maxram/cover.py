@@ -248,9 +248,9 @@ _MAX_RETRIES = 1000
 
 def random_cover_within_expectation(
     inst: CoverInstance, seed: int = 0
-) -> tuple[CoverSolution, int, bool]:
+) -> tuple[CoverSolution, bool]:
     """Retry seeds until total size <= s + ceil((m/d)^n), the integer form
-    of the expectation guarantee. Returns (best solution, attempts, met)."""
+    of the expectation guarantee. Returns (best solution, met)."""
     ratio = Fraction(inst.m, inst.d) ** inst.n
     allowance = ceil_div(ratio.numerator, ratio.denominator)
     best: CoverSolution | None = None
@@ -259,26 +259,22 @@ def random_cover_within_expectation(
         if best is None or sol.size < best.size:
             best = sol
         if sol.size <= (sol.s_random or 0) + allowance:
-            return sol, attempt + 1, True
+            return sol, True
     assert best is not None
-    return best, _MAX_RETRIES, False
+    return best, False
 
 
 def _coverers_of(inst: CoverInstance, translates: list[IntVec]):
     """coverers_of(point): the translates point - {0..d-1}^n, by index,
     each list built once. Translate i sits at point i."""
     d = inst.d
+    indices = range(inst.point_count)
     coverers: dict[int, list[int]] = {}
 
     def coverers_of(point: int) -> list[int]:
         if point not in coverers:
             corner = tuple(c - (d - 1) for c in translates[point])
-            box = _box_mask(inst, corner, d)
-            out = coverers[point] = []
-            while box:
-                low = box & -box
-                out.append(low.bit_length() - 1)
-                box ^= low
+            coverers[point] = mask_cells(_box_mask(inst, corner, d), indices)
         return coverers[point]
 
     return coverers_of
@@ -470,16 +466,9 @@ def exact_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverSolut
     )
 
 
-@dataclass(frozen=True)
-class CnRow:
-    n: int
-    lower: int
-    upper: int
-    exact: bool
-
-
-def cn_table(n_max: int, budget: int = DEFAULT_BUDGET) -> list[CnRow]:
-    """Bounds on the minimum number of {0,1}^n translates covering Z_3^n.
+def cn_table(n_max: int, budget: int = DEFAULT_BUDGET) -> list[CoverSolution]:
+    """Bounds on the minimum number of {0,1}^n translates covering Z_3^n,
+    for n = 1..n_max.
 
     Each row is the exact search's answer: its lower bound (the slice
     bound, or the size once proved) and its cover's size. When the search
@@ -487,8 +476,6 @@ def cn_table(n_max: int, budget: int = DEFAULT_BUDGET) -> list[CnRow]:
     """
     if n_max < 1:
         raise PreconditionError("need n_max >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        sol = exact_cover(CoverInstance(3, 2, n), budget=budget)
-        rows.append(CnRow(n, sol.lower_bound, sol.size, sol.optimal))
-    return rows
+    return [
+        exact_cover(CoverInstance(3, 2, n), budget=budget) for n in range(1, n_max + 1)
+    ]

@@ -46,25 +46,17 @@ class GridSubset:
 
 
 def _shifted(x: IntVec, fiber: set[int], k: int) -> IntVec:
-    """shift_map's rule for x, given `fiber`, the heads over x's tail."""
+    """One application of the head-shift map to an element x of a subset
+    of {0..k}^n, given `fiber`, the heads of the subset over x's tail.
+
+    x moves to (tail, head+1) when some value j > head is missing from
+    the fiber; otherwise x is a fixed point. The map is injective on the
+    subset.
+    """
     head = x[-1]
     if any(j not in fiber for j in range(head + 1, k + 1)):
         return x[:-1] + (head + 1,)
     return x
-
-
-def shift_map(subset: GridSubset, x: IntVec) -> IntVec:
-    """One application of the head-shift map to an element of the subset.
-
-    x moves to (tail, head+1) when some value j > head is missing from
-    the fiber over its tail; otherwise x is a fixed point. The map is
-    injective on the subset.
-    """
-    x = tuple(x)
-    if x not in subset.elems:
-        raise DomainError(f"{x} is not in the subset")
-    fiber = {e[-1] for e in subset.elems if e[:-1] == x[:-1]}
-    return _shifted(x, fiber, subset.k)
 
 
 def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:

@@ -22,7 +22,7 @@ from .rational import format_rational, parse_rational
 # its class itself, so importing io loads no module its caller did not.
 if TYPE_CHECKING:
     from .anchors import AnchorSequence
-    from .chromatic import GridChromaticReport
+    from .chromatic import ColoringCertificate
     from .colorings import PeriodicColoring
     from .cover import CoverInstance, CoverSolution
     from .extraction import GridSubset
@@ -267,13 +267,14 @@ def periodic_coloring_certificate(
     }
 
 
-def chromatic_certificate(report: GridChromaticReport) -> dict:
-    cert = report.certificate
+def chromatic_certificate(
+    k: int, n: int, space: FiniteMetricSpace, cert: ColoringCertificate
+) -> dict:
     return {
         "kind": "chromatic",
-        "k": report.k,
-        "n": report.n,
-        "distance_matrix": matrix_to_obj(report.hypergraph.source),
+        "k": k,
+        "n": n,
+        "distance_matrix": matrix_to_obj(space),
         "colors": list(cert.colors),
         "color_count": cert.color_count,
         "optimal": cert.optimal,

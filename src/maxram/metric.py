@@ -154,8 +154,8 @@ def _distance_masks(points: PointSet, wanted) -> list[dict[int, int]]:
 
 def grid_points(k: int, n: int) -> PointSet:
     """The integer grid {0..k}^n as a point set in lexicographic order."""
-    if k < 0 or n < 1:
-        raise PreconditionError("grid needs k >= 0 and n >= 1")
+    if k < 1 or n < 1:
+        raise PreconditionError("grid needs k >= 1 and n >= 1")
     pts = tuple(
         tuple(Fraction(c) for c in p)
         for p in itertools.product(range(k + 1), repeat=n)

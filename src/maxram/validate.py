@@ -191,9 +191,9 @@ def _check_chromatic(obj) -> list[str]:
 
     # The count comes first, so a stated grid larger than the color list
     # is refused without building its points; (k+1)^n >= 2^n bounds n.
-    if k < 0 or n < 1:
-        raise PreconditionError("grid needs k >= 0 and n >= 1")
-    if (k > 0 and n > len(colors).bit_length()) or (k + 1) ** n != len(colors):
+    if k < 1 or n < 1:
+        raise PreconditionError("grid needs k >= 1 and n >= 1")
+    if n > len(colors).bit_length() or (k + 1) ** n != len(colors):
         failures.append("colors: one color per grid point required")
         return failures
     if space.size < 2:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from maxram.anchors import build_anchor_sequence
 from maxram.chromatic import grid_chromatic
-from maxram.colorings import cube_tiling_coloring
+from maxram.colorings import avoidance_coloring
 from maxram.cover import CoverInstance, exact_cover
 from maxram.io import (
     anchor_sequence_certificate,
@@ -47,10 +47,11 @@ def canonical_certificates() -> dict[str, dict]:
     certs["anchor_sequence"] = anchor_sequence_certificate(baton, seq)
 
     certs["periodic_coloring"] = periodic_coloring_certificate(
-        cube_tiling_coloring(2), unit_pair
+        avoidance_coloring(unit_pair, 2), unit_pair  # the cube tiling
     )
 
-    certs["chromatic"] = chromatic_certificate(grid_chromatic(1, 2))
+    cert = grid_chromatic(1, 2, unit_pair)
+    certs["chromatic"] = chromatic_certificate(1, 2, unit_pair, cert)
 
     inst = CoverInstance(m=3, d=2, n=2)
     certs["torus_cover"] = torus_cover_certificate(inst, exact_cover(inst))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from maxram.anchors import (
     AnchorSequence,
-    DirichletWitness,
     _first_subadditive_violation,
     _threshold_q0,
     anchor_sequence_at,
@@ -39,15 +38,13 @@ def small_batons():
 def test_gamma_set_enumerates_bounded_combinations():
     g = gamma_set(Baton((F(1), F(3, 2))))
     assert g.values == (F(0), F(1), F(3, 2), F(2), F(5, 2))
-    assert g.witnesses == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))
     assert g.gamma_next == 3
 
 
-def test_gamma_set_keeps_the_lexicographically_least_witness():
+def test_gamma_set_lists_a_value_reached_twice_once():
     g = gamma_set(Baton((F(1), F(2))))
+    # 2 = 2*1 = 1*2 and 3 = 3*1 = 1+2 are each listed once
     assert g.values == (F(0), F(1), F(2), F(3))
-    # 2 = 2*1 = 1*2 and 3 = 3*1 = 1+2; the smaller coefficient tuple wins
-    assert g.witnesses == ((0, 0), (1, 0), (0, 1), (1, 1))
     assert g.gamma_next == 4
 
 
@@ -71,8 +68,6 @@ def test_gamma_set_values_are_sorted_and_bracketed(baton):
     assert all(a < b for a, b in zip(g.values, g.values[1:]))
     assert g.values[-1] == total  # the all-ones combination is admissible
     assert g.gamma_next > total
-    for value, coeffs in zip(g.values, g.witnesses):
-        assert sum(d * s for d, s in zip(coeffs, baton.steps)) == value
 
 
 # -- rounding and the approximation bound --------------------------------
@@ -104,18 +99,17 @@ def test_approximation_bound_is_exact():
     ],
 )
 def test_dirichlet_scan_fixtures(steps, q0, q, numerators):
-    w = dirichlet_approx(steps, q0)
-    assert (w.q, w.numerators) == (q, numerators)
+    found = dirichlet_approx(steps, q0)
+    assert (found, tuple(scaled_round(found, s) for s in steps)) == (q, numerators)
 
 
 def test_dirichlet_rejects_q_27_for_the_half_integer_pair():
     """27 * 3/2 rounds to 41 at error 1/54, which fails the bound, so the
     scan from 26 must land on 28."""
-    w27 = DirichletWitness(27, tuple(scaled_round(27, s) for s in (F(1), F(3, 2))))
-    err = w27.errors((F(1), F(3, 2)))
+    err = tuple(abs(s - F(scaled_round(27, s), 27)) for s in (F(1), F(3, 2)))
     assert err == (F(0), F(1, 54))
     assert not approximation_bound_holds(err[1], 27, 2)
-    assert dirichlet_approx((F(1), F(3, 2)), 26).q == 28
+    assert dirichlet_approx((F(1), F(3, 2)), 26) == 28
 
 
 def test_dirichlet_rejects_bad_steps():
@@ -128,10 +122,10 @@ def test_dirichlet_rejects_bad_steps():
 @given(small_batons(), st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_dirichlet_result_always_satisfies_its_own_bound(baton, q0):
-    w = dirichlet_approx(baton.steps, q0)
-    assert w.q > q0
-    for e in w.errors(baton.steps):
-        assert approximation_bound_holds(e, w.q, baton.k)
+    q = dirichlet_approx(baton.steps, q0)
+    assert q > q0
+    for s in baton.steps:
+        assert approximation_bound_holds(abs(s - F(scaled_round(q, s), q)), q, baton.k)
 
 
 # -- threshold ------------------------------------------------------------

@@ -10,8 +10,8 @@ the table.
 import csv
 import pathlib
 
-from maxram.chromatic import grid_chromatic
-from maxram.colorings import avoidance_coloring, pigeonhole_lower_bound
+from maxram.chromatic import grid_chromatic, pigeonhole_lower_bound
+from maxram.colorings import avoidance_coloring
 from maxram.metric import Baton
 
 TABLE = pathlib.Path(__file__).parent / "data" / "chi_values.csv"
@@ -34,13 +34,10 @@ def test_table_is_nonempty_and_well_formed():
 def test_every_row_rederives():
     for row in load_rows():
         k, n = int(row["k"]), int(row["n"])
-        report = grid_chromatic(k, n)
-        assert report.certificate.optimal, (k, n)
-        assert report.certificate.color_count == int(row["chi"]), (k, n)
+        space = Baton.unit(k).as_metric_space()
+        cert = grid_chromatic(k, n, space)
+        assert cert.optimal, (k, n)
+        assert cert.color_count == int(row["chi"]), (k, n)
         assert pigeonhole_lower_bound(k, n) == int(row["lower"]), (k, n)
-        if k == 1:
-            upper = 2**n
-        else:
-            space = Baton.unit(k).as_metric_space()
-            upper = avoidance_coloring(space, n).class_count
+        upper = 2**n if k == 1 else avoidance_coloring(space, n).class_count
         assert upper == int(row["upper"]), (k, n)

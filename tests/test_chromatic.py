@@ -72,8 +72,7 @@ def _rescan_blocks(vertex, color, colors, edges_of) -> bool:
 def rescan_chromatic(
     hypergraph: CopyHypergraph,
     budget: int = DEFAULT_BUDGET,
-    extra_lower_bound: int = 1,
-    extra_witness: str = "",
+    known_bound: tuple[int, str] = (1, "trivial:1"),
 ) -> ColoringCertificate:
     """Reference search: every candidate color rescans every edge incident
     to the vertex. It keeps exact_chromatic's vertex order, node count,
@@ -111,8 +110,8 @@ def rescan_chromatic(
     candidates = [(2, "edge:2"), (1, "trivial:1")]
     if clique >= 2:
         candidates.insert(0, (clique, f"clique:{clique}"))
-    if extra_lower_bound > 1:
-        candidates.append((extra_lower_bound, extra_witness))
+    if known_bound[0] > 1:
+        candidates.append(known_bound)
     base_lb, base_witness = max(candidates, key=lambda c: c[0])
     if base_lb > n:
         raise DomainError("supplied lower bound exceeds the vertex count")
@@ -252,7 +251,7 @@ def test_triple_edges_can_be_cheaper_than_their_cliques():
 
 def test_external_lower_bound_is_used_when_it_is_the_strongest():
     hg = copy_hypergraph(grid_points(2, 2), Baton.unit(2).as_metric_space())
-    cert = exact_chromatic(hg, extra_lower_bound=3, extra_witness="pigeonhole:3")
+    cert = exact_chromatic(hg, known_bound=(3, "pigeonhole:3"))
     assert cert.color_count == 3
     assert cert.lower_bound_witness == "pigeonhole:3"
     assert cert.optimal
@@ -260,7 +259,7 @@ def test_external_lower_bound_is_used_when_it_is_the_strongest():
 
 def test_clique_witness_wins_ties_against_an_equal_external_bound():
     hg = copy_hypergraph(grid_points(1, 1), UNIT_PAIR)
-    cert = exact_chromatic(hg, extra_lower_bound=2, extra_witness="pigeonhole:2")
+    cert = exact_chromatic(hg, known_bound=(2, "pigeonhole:2"))
     assert cert.color_count == 2
     assert cert.lower_bound_witness == "clique:2"
 
@@ -268,7 +267,7 @@ def test_clique_witness_wins_ties_against_an_equal_external_bound():
 def test_overlarge_external_bound_is_rejected():
     hg = copy_hypergraph(line(0, 1), UNIT_PAIR)
     with pytest.raises(DomainError, match="exceeds"):
-        exact_chromatic(hg, extra_lower_bound=5, extra_witness="bogus:5")
+        exact_chromatic(hg, known_bound=(5, "bogus:5"))
 
 
 def test_exhaustion_witness_appears_when_search_must_climb():
@@ -286,7 +285,7 @@ def test_exhaustion_witness_appears_when_search_must_climb():
 
 def test_budget_exhaustion_falls_back_to_greedy():
     hg = copy_hypergraph(grid_points(2, 2), Baton.unit(2).as_metric_space())
-    cert = exact_chromatic(hg, budget=5, extra_lower_bound=3, extra_witness="pigeonhole:3")
+    cert = exact_chromatic(hg, budget=5, known_bound=(3, "pigeonhole:3"))
     assert cert.budget_exhausted
     assert is_proper(hg, cert.colors)
     assert cert.lower_bound == 3
@@ -353,9 +352,7 @@ def chromatic_instances(draw):
 
 def _outcome(solve, hg, budget, extra):
     try:
-        return solve(
-            hg, budget=budget, extra_lower_bound=extra, extra_witness=f"given:{extra}"
-        )
+        return solve(hg, budget=budget, known_bound=(extra, f"given:{extra}"))
     except DomainError as exc:
         return f"DomainError: {exc}"
 
@@ -382,52 +379,58 @@ def test_exact_matches_the_rescan_oracle_field_by_field(instance):
 
 def test_a_supplied_bound_above_chi_is_caught_by_the_coloring_found():
     with pytest.raises(DomainError, match="found a 3-coloring below .* bound 4"):
-        exact_chromatic(FIVE_CYCLE, extra_lower_bound=4, extra_witness="bogus:4")
+        exact_chromatic(FIVE_CYCLE, known_bound=(4, "bogus:4"))
 
 
 # -- grid_chromatic ----------------------------------------------------------------
 
 
 def test_grid_chromatic_unit_interval_powers():
+    """{0,1}^n is a clique of the unit pair: the clique ties the
+    pigeonhole bound 2^n and names the witness."""
     for n, expected in ((1, 2), (2, 4), (3, 8)):
-        report = grid_chromatic(1, n)
-        assert report.certificate.color_count == expected
-        assert report.pigeonhole == expected
-        assert report.certificate.optimal
+        cert = grid_chromatic(1, n, UNIT_PAIR)
+        assert cert.color_count == expected
+        assert cert.lower_bound_witness == f"clique:{expected}"
+        assert cert.optimal
 
 
 def test_grid_chromatic_two_step_plane():
-    report = grid_chromatic(2, 2)
-    assert report.certificate.color_count == 3
-    assert report.pigeonhole == 3
-    assert report.certificate.lower_bound_witness == "pigeonhole:3"
+    cert = grid_chromatic(2, 2, Baton.unit(2).as_metric_space())
+    assert cert.color_count == 3
+    assert cert.lower_bound_witness == "pigeonhole:3"
 
 
 def test_grid_chromatic_with_a_custom_space_skips_the_counting_bound():
     space = FiniteMetricSpace.from_points(line(0, 2))
-    report = grid_chromatic(2, 1, space=space)
-    assert report.pigeonhole is None
-    assert report.certificate.color_count == 2
+    cert = grid_chromatic(2, 1, space)
+    assert cert.lower_bound_witness == "clique:2"
+    assert cert.color_count == 2
+    # three points at pairwise distance 1, not a 2-baton: on {0..2}^2 the
+    # pigeonhole bound would be 3, but column parity is a proper 2-coloring
+    corner = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+    triangle = FiniteMetricSpace.from_points(PointSet(2, corner))
+    cert = grid_chromatic(2, 2, triangle)
+    assert (cert.color_count, cert.lower_bound_witness) == (2, "edge:2")
 
 
 def test_grid_chromatic_budget_flag_propagates():
-    report = grid_chromatic(2, 2, budget=5)
-    assert report.certificate.budget_exhausted
-    assert is_proper(report.hypergraph, report.certificate.colors)
+    space = Baton.unit(2).as_metric_space()
+    cert = grid_chromatic(2, 2, space, budget=5)
+    assert cert.budget_exhausted
+    assert is_proper(copy_hypergraph(grid_points(2, 2), space), cert.colors)
 
 
 def test_grid_chromatic_proves_chi_4_for_the_one_two_baton_on_the_5_plane():
     """The (1,2)-baton {0, 1, 3} on {0..5}^2: no 3-coloring exists, which the
     search proves by exhausting level 3."""
     space = Baton((F(1), F(2))).as_metric_space()
-    report = grid_chromatic(5, 2, space=space)
-    assert report.pigeonhole is None
-    cert = report.certificate
+    cert = grid_chromatic(5, 2, space)
     assert cert.color_count == 4
     assert cert.optimal
     assert not cert.budget_exhausted
     assert cert.lower_bound_witness == "exhausted:3"
-    assert is_proper(report.hypergraph, cert.colors)
+    assert is_proper(copy_hypergraph(grid_points(5, 2), space), cert.colors)
 
 
 # -- the validator's per-class check ---------------------------------------------
@@ -435,9 +438,9 @@ def test_grid_chromatic_proves_chi_4_for_the_one_two_baton_on_the_5_plane():
 
 @st.composite
 def colored_grids(draw):
-    """{0..k}^n with k, n <= 3, a unit baton or a random metric space, and a
-    random coloring."""
-    k, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    """{0..k}^n with 1 <= k, n <= 3, a unit baton or a random metric space,
+    and a random coloring."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         space = Baton.unit(draw(st.integers(1, 3))).as_metric_space()
     else:

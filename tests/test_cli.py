@@ -637,6 +637,27 @@ def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, caps
     assert out == "invalid: chromatic\n  colors: one color per grid point required\n"
 
 
+def test_chi_refuses_a_zero_step_grid(capsys, b2_metric):
+    """{0}^(10^9) is one point of 10^9 coordinates; k = 0 is refused
+    before any grid point is built."""
+    start = time.perf_counter()
+    assert main(["chi", "--grid", "0,1000000000", "--metric", b2_metric]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid needs k >= 1 and n >= 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", [10**5, 10**9], ids=["n=10^5", "n=10^9"])
+def test_validate_refuses_a_zero_step_chromatic_grid(tmp_path, capsys, n):
+    """One color for the one point of {0}^n, claimed optimal: k = 0 is
+    refused before the grid is built or the copies are searched."""
+    argv = ["chi", "--grid", "1,2"]
+    edits = {"k": 0, "n": n, "colors": [0], "color_count": 1, "lower_bound": 1}
+    out = validate_edited(tmp_path, capsys, argv, edits)
+    assert out == "invalid: chromatic\n  malformed: grid needs k >= 1 and n >= 1\n"
+
+
 @pytest.mark.parametrize(
     "edits",
     [

@@ -1,5 +1,6 @@
 """Periodic box colorings and the copy-avoidance bounds built on them."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxram.chromatic import pigeonhole_lower_bound
 from maxram.colorings import (
     PeriodicColoring,
     _ownership_classes,
     avoidance_coloring,
-    cube_tiling_coloring,
-    pigeonhole_lower_bound,
     upper_bound_value,
 )
 from maxram.cover import (
@@ -36,19 +36,33 @@ HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
 
 
 # -- PeriodicColoring --------------------------------------------------------
+# The cube tiling is the avoidance coloring of the unit 1-baton.
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_unit_pair_coloring_is_the_cube_tiling(n):
+    """One class per vertex of {0,1}^n, in lexicographic order, anchored
+    at that vertex: the 2^n unit cubes of period 2."""
+    vertices = tuple(itertools.product((0, 1), repeat=n))
+    col = avoidance_coloring(B1, n)
+    assert col.classes == tuple((v,) for v in vertices)
+    assert col.window_anchors == vertices
+    assert (col.period, col.box_size, col.window) == (2, 1, 1)
 
 
 def test_cube_tiling_partitions_and_fits_windows():
-    col = cube_tiling_coloring(2)
+    col = avoidance_coloring(B1, 2)
     assert col.class_count == 4
     assert col.cells_per_axis == 2
     assert col.check_partition()
     assert col.check_windows()
-    assert col.warnings == ()
+    assert col.warnings == (
+        "gap >= window: the plain cube tiling would use no more colors",
+    )
 
 
 def test_cube_tiling_color_lookup():
-    col = cube_tiling_coloring(1)
+    col = avoidance_coloring(B1, 1)
     assert col.color_of((F(0),)) != col.color_of((F(1),))
     assert col.color_of((F(1, 2),)) == col.color_of((F(0),))
     # periodicity, including negative coordinates
@@ -58,9 +72,9 @@ def test_cube_tiling_color_lookup():
 
 def test_cube_tiling_rejects_bad_dimension():
     with pytest.raises(PreconditionError):
-        cube_tiling_coloring(0)
+        avoidance_coloring(B1, 0)
     with pytest.raises(PreconditionError):
-        cube_tiling_coloring(2).color_of((F(0),))
+        avoidance_coloring(B1, 2).color_of((F(0),))
 
 
 @given(
@@ -70,7 +84,7 @@ def test_cube_tiling_rejects_bad_dimension():
 @settings(max_examples=60, deadline=None)
 def test_cube_tiling_separates_points_at_distance_exactly_one(n, data):
     """The defining property: no two same-colored points at distance 1."""
-    col = cube_tiling_coloring(n)
+    col = avoidance_coloring(B1, n)
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=8)
     x = data.draw(st.tuples(*[coord] * n))
     # a point at max-distance exactly 1: one axis pinned to +-1, rest free
@@ -149,7 +163,7 @@ def test_window_check_catches_a_stray_box():
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=40, deadline=None)
 def test_color_of_is_periodic(n, data):
-    col = cube_tiling_coloring(n)
+    col = avoidance_coloring(B1, n)
     coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     x = data.draw(st.tuples(*[coord] * n))
     shift = data.draw(st.tuples(*[st.integers(-2, 2)] * n))

@@ -12,10 +12,10 @@ from maxram.errors import DomainError, PreconditionError
 from maxram.extraction import (
     AnchorSet,
     GridSubset,
+    _shifted,
     anchor_set_one_alpha,
     extract_general_baton,
     extract_unit_baton,
-    shift_map,
 )
 from maxram.metric import Baton, PointSet
 from metric_oracles import chebyshev_distance
@@ -48,30 +48,30 @@ def test_grid_subset_to_point_set_is_sorted():
     assert s.to_point_set().points == ((F(0),), (F(2),))
 
 
-# -- shift_map -----------------------------------------------------------
+# -- the head-shift map -----------------------------------------------------
 
 
 def test_shift_map_moves_only_under_a_missing_larger_head():
     # fiber over () on axis n=1: heads {0, 2} of 0..2, so 1 and nothing
     # above 2 are missing
-    s = GridSubset(1, 2, frozenset({(0,), (2,)}))
-    assert shift_map(s, (0,)) == (1,)  # 1 > 0 is missing
-    assert shift_map(s, (2,)) == (2,)  # nothing above 2
-    with pytest.raises(DomainError):
-        shift_map(s, (1,))
+    assert _shifted((0,), {0, 2}, 2) == (1,)  # 1 > 0 is missing
+    assert _shifted((2,), {0, 2}, 2) == (2,)  # nothing above 2
 
 
 def test_shift_map_two_dimensional_fibers_are_independent():
-    s = GridSubset(2, 1, frozenset({(0, 0), (1, 0), (1, 1)}))
-    assert shift_map(s, (0, 0)) == (0, 1)
-    assert shift_map(s, (1, 0)) == (1, 0)  # fiber over (1,) is full
+    # the subset {(0, 0), (1, 0), (1, 1)}: heads {0} over (0,), {0, 1} over (1,)
+    assert _shifted((0, 0), {0}, 1) == (0, 1)
+    assert _shifted((1, 0), {0, 1}, 1) == (1, 0)  # fiber over (1,) is full
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_shift_map_is_injective_and_stays_in_the_grid(seed, n, k):
     subset = dense_subset(random.Random(seed), n, k)
-    images = {shift_map(subset, e) for e in subset.elems}
+    fibers: dict[tuple, set[int]] = {}
+    for e in subset.elems:
+        fibers.setdefault(e[:-1], set()).add(e[-1])
+    images = {_shifted(e, fibers[e[:-1]], k) for e in subset.elems}
     assert len(images) == len(subset)
     for img in images:
         assert all(0 <= c <= k for c in img)

@@ -89,6 +89,18 @@ def test_exact_cover_loads_no_module_it_does_not_run(tmp_path):
     assert loaded_after(script) == {"maxram", *(f"maxram.{m}" for m in modules)}
 
 
+def test_chi_loads_no_coloring_cover_anchor_or_validator_module():
+    script = (
+        "import contextlib, io\nfrom maxram.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['chi', '--grid', '2,2']) == 0\n"
+    )
+    loaded = loaded_after(script)
+    assert "maxram.chromatic" in loaded
+    unrun = ("colorings", "cover", "anchors", "extraction", "validate")
+    assert loaded.isdisjoint(f"maxram.{m}" for m in unrun)
+
+
 def test_validate_loads_every_module_the_benchmark_traces():
     """The benchmark's tracer reads each LAYERS module from sys.modules
     after a plain pass, and every pass runs validate."""

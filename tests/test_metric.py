@@ -156,6 +156,8 @@ def test_grid_points_enumerates_lexicographically():
 def test_grid_points_rejects_bad_arguments():
     with pytest.raises(PreconditionError):
         grid_points(-1, 2)
+    with pytest.raises(PreconditionError, match="k >= 1"):
+        grid_points(0, 2)
     with pytest.raises(PreconditionError):
         grid_points(2, 0)
 
