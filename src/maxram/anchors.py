@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .extraction import AnchorSet
@@ -35,8 +35,7 @@ _RETRY_LIMIT = 64
 MAX_COMBINATIONS = 10**5
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(NamedTuple):
     """All combinations sum d_i*steps_i <= sum steps_i, sorted, plus the
     least combination beyond them."""
 
@@ -125,29 +124,39 @@ def dirichlet_approx(steps, q0: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class AnchorSequence:
     """The built sequence plus the data needed to audit it."""
 
-    p: tuple[int, ...]
-    m: int
-    a: tuple[Fraction, ...]
-    delta: Fraction
-    theta: Fraction
-    q0: int
-    q: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "a", tuple(Fraction(v) for v in self.a))
-        if not self.p or any(v < 1 for v in self.p):
+    def __init__(
+        self,
+        p: tuple[int, ...],
+        m: int,
+        a: tuple[Fraction, ...],
+        delta: Fraction,
+        theta: Fraction,
+        q0: int,
+        q: int,
+    ):
+        self.p = p = tuple(int(v) for v in p)
+        self.m = m
+        self.a = a = tuple(Fraction(v) for v in a)
+        self.delta = delta
+        self.theta = theta
+        self.q0 = q0
+        self.q = q
+        if not p or any(v < 1 for v in p):
             raise PreconditionError("p must be positive integers")
-        if self.m != sum(self.p):
+        if m != sum(p):
             raise PreconditionError("m must equal sum(p)")
-        if len(self.a) != self.m + 1:
+        if len(a) != m + 1:
             raise PreconditionError("a must have m+1 entries")
-        if self.q < 1:
+        if q < 1:
             raise PreconditionError("q must be a positive integer")
+
+    def __eq__(self, other):
+        if type(other) is not AnchorSequence:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def anchor_set(self) -> AnchorSet:
@@ -262,8 +271,7 @@ def build_anchor_sequence(baton: Baton, faithful: bool = False) -> AnchorSequenc
     raise AssertionError("no admissible q passed verification")
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     passed: bool
     counterexample: str | None = None
 
@@ -271,8 +279,7 @@ class ClauseResult:
         return self.passed
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     monotonic: ClauseResult
     subadditive: ClauseResult
     anchored: ClauseResult
@@ -281,10 +288,10 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(self.clauses().values())
+        return all(self)
 
     def clauses(self) -> dict[str, ClauseResult]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):

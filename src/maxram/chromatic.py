@@ -14,15 +14,14 @@ blocked ones included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
 from .rational import ceil_div
 
 
-@dataclass(frozen=True)
-class CopyHypergraph:
+class CopyHypergraph(NamedTuple):
     """Supports of all copies of a source space inside a point set."""
 
     point_set: PointSet
@@ -43,8 +42,7 @@ def copy_hypergraph(points: PointSet, space: FiniteMetricSpace) -> CopyHypergrap
     return CopyHypergraph(point_set=points, source=space, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(NamedTuple):
     colors: tuple[int, ...]
     color_count: int
     optimal: bool

@@ -109,22 +109,10 @@ def _cmd_anchors(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    from .colorings import avoidance_coloring, upper_bound_value
+    from .colorings import avoidance_coloring
     from .io import metric_space_from_obj, periodic_coloring_certificate, read_json
 
     space = metric_space_from_obj(read_json(args.metric))
-    if args.variant == "u1":
-        value = upper_bound_value(space, args.n)
-        _emit_json(
-            {
-                "variant": "U1",
-                "value": value,
-                "asymptotic_only": True,
-                "trivial_bound_better": value > 2**args.n,
-            },
-            args.output,
-        )
-        return 0
     mode = "asymptotic" if args.asymptotic else "randomized"
     coloring = avoidance_coloring(space, args.n, mode=mode, seed=args.seed)
     for note in coloring.warnings:
@@ -274,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("color", _cmd_color, "periodic coloring avoiding a space", seed=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=["u1", "u2"], default="u2")
     p.add_argument("--asymptotic", action="store_true")
 
     p = command(

@@ -15,8 +15,6 @@ the gap can then never appear monochromatically.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,7 +30,6 @@ from .errors import DomainError, PreconditionError
 from .metric import FiniteMetricSpace, connectivity_threshold, diameter
 
 
-@dataclass(frozen=True)
 class PeriodicColoring:
     """A periodic box coloring given by ownership of lattice cells.
 
@@ -45,31 +42,39 @@ class PeriodicColoring:
     by periodicity.
     """
 
-    dim: int
-    period: Fraction
-    box_size: Fraction
-    classes: tuple[tuple[IntVec, ...], ...]
-    window: Fraction
-    window_anchors: tuple[IntVec, ...]
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(
+        self,
+        dim: int,
+        period: Fraction,
+        box_size: Fraction,
+        classes: tuple[tuple[IntVec, ...], ...],
+        window: Fraction,
+        window_anchors: tuple[IntVec, ...],
+        warnings: tuple[str, ...] = (),
+    ):
+        self.dim = dim
+        self.period = period
+        self.box_size = box_size
+        self.classes = classes
+        self.window = window
+        self.window_anchors = window_anchors
+        self.warnings = warnings
+        if dim < 1:
             raise PreconditionError("coloring needs dim >= 1")
-        if not 0 < self.box_size <= self.window <= self.period:
+        if not 0 < box_size <= window <= period:
             raise PreconditionError("need 0 < box_size <= window <= period")
-        if (self.period / self.box_size).denominator != 1:
+        if (period / box_size).denominator != 1:
             raise PreconditionError("period must be a whole number of boxes")
-        if len(self.window_anchors) != len(self.classes):
+        if len(window_anchors) != len(classes):
             raise PreconditionError("one window anchor per class")
-        if not self.classes:
+        if not classes:
             raise PreconditionError("coloring needs at least one class")
-        for vecs in self.classes:
+        for vecs in classes:
             if not vecs:
                 raise PreconditionError("empty color class")
         cells = self.cells_per_axis
-        for vec in self.window_anchors + tuple(v for c in self.classes for v in c):
-            if len(vec) != self.dim:
+        for vec in window_anchors + tuple(v for c in classes for v in c):
+            if len(vec) != dim:
                 raise PreconditionError("offset dimension mismatch")
             for c in vec:
                 if not 0 <= c < cells:
@@ -225,23 +230,3 @@ def avoidance_coloring(
         window_anchors=anchors,
         warnings=tuple(warnings),
     )
-
-
-def upper_bound_value(space: FiniteMetricSpace, n: int) -> float:
-    """The analytic estimate n * ln n * (1 + l/d)^n on the colors needed to
-    avoid the space in dimension n, with d its diameter and l its
-    bottleneck connectivity threshold.
-
-    It only says something for large n; avoidance_coloring builds an
-    actual coloring and certifies its class count.
-    """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    ratio = float(1 + connectivity_threshold(space) / diameter(space))
-    try:
-        value = n * math.log(n) * ratio**n
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"the estimate overflows a float at n = {n}")
-    return value

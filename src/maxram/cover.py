@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
@@ -31,22 +30,20 @@ IntVec = tuple[int, ...]
 MAX_TORUS_POINTS = 2**24
 
 
-@dataclass(frozen=True)
 class CoverInstance:
-    m: int
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if not (1 <= self.d <= self.m):
+    def __init__(self, m: int, d: int, n: int):
+        self.m = m
+        self.d = d
+        self.n = n
+        if not (1 <= d <= m):
             raise PreconditionError("need 1 <= d <= m")
-        if self.n < 1:
+        if n < 1:
             raise PreconditionError("need n >= 1")
         # n is bounded before m^n is computed; at m >= 2 the bound alone
         # means more points than the cap, and at m = 1 it bounds the
         # length of the one translate and of the slice bound's chain.
-        if self.n >= MAX_TORUS_POINTS.bit_length() or self.point_count > MAX_TORUS_POINTS:
-            if self.m == 1:
+        if n >= MAX_TORUS_POINTS.bit_length() or self.point_count > MAX_TORUS_POINTS:
+            if m == 1:
                 limit = MAX_TORUS_POINTS.bit_length()
                 raise DomainError(f"the one-point torus needs n < {limit}")
             raise DomainError(f"the torus has more than {MAX_TORUS_POINTS} points")
@@ -56,15 +53,29 @@ class CoverInstance:
         return self.m**self.n
 
 
-@dataclass
 class CoverSolution:
-    translates: list[IntVec]
-    size: int
-    optimal: bool
-    lower_bound: int
-    s_random: int | None = None
-    leftover: int | None = None
-    budget_exhausted: bool = False
+    def __init__(
+        self,
+        translates: list[IntVec],
+        size: int,
+        optimal: bool,
+        lower_bound: int,
+        s_random: int | None = None,
+        leftover: int | None = None,
+        budget_exhausted: bool = False,
+    ):
+        self.translates = translates
+        self.size = size
+        self.optimal = optimal
+        self.lower_bound = lower_bound
+        self.s_random = s_random
+        self.leftover = leftover
+        self.budget_exhausted = budget_exhausted
+
+    def __eq__(self, other):
+        if type(other) is not CoverSolution:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def slice_lower_bound(inst: CoverInstance) -> int:

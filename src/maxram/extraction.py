@@ -10,7 +10,6 @@ unit case through anchor value sets on each axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
@@ -19,23 +18,20 @@ from .metric import Baton, CopyEmbedding, PointSet
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class GridSubset:
     """A set of integer vectors inside {0..k}^n."""
 
-    n: int
-    k: int
-    elems: frozenset[IntVec]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elems", frozenset(tuple(e) for e in self.elems))
-        if self.n < 1 or self.k < 1:
+    def __init__(self, n: int, k: int, elems: frozenset[IntVec]):
+        self.n = n
+        self.k = k
+        self.elems = elems = frozenset(tuple(e) for e in elems)
+        if n < 1 or k < 1:
             raise PreconditionError("grid subset needs n >= 1 and k >= 1")
-        for e in self.elems:
-            if len(e) != self.n:
+        for e in elems:
+            if len(e) != n:
                 raise PreconditionError(f"element {e} has wrong dimension")
-            if any(not (0 <= c <= self.k) for c in e):
-                raise PreconditionError(f"element {e} outside {{0..{self.k}}}")
+            if any(not (0 <= c <= k) for c in e):
+                raise PreconditionError(f"element {e} outside {{0..{k}}}")
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -117,7 +113,6 @@ def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
     return CopyEmbedding(Baton.unit(k).as_metric_space(), points, indices)
 
 
-@dataclass(frozen=True)
 class AnchorSet:
     """Strictly increasing values starting at 0, with marked positions.
 
@@ -125,18 +120,13 @@ class AnchorSet:
     gap pattern: consecutive marked values differ by the pattern's steps.
     """
 
-    values: tuple[Fraction, ...]
-    marks: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "marks", tuple(self.marks))
+    def __init__(self, values: tuple[Fraction, ...], marks: tuple[int, ...]):
+        self.values = vals = tuple(Fraction(v) for v in values)
+        self.marks = marks = tuple(marks)
         if not vals or vals[0] != 0:
             raise PreconditionError("values must start at 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise PreconditionError("values must be strictly increasing")
-        marks = self.marks
         if (
             len(marks) < 2
             or marks[0] != 0

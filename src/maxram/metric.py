@@ -19,29 +19,30 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, DomainError, PreconditionError
 
 Vec = tuple[Fraction, ...]
+
+# The chromatic search on a grid builds every point and the copy
+# hypergraph: at budget 1000 the 1,024 points of {0..3}^5 against the unit
+# 2-baton take about 40 s on a 2-vCPU Xeon host. A grid of more than four
+# times that is refused before any point, or (k+1)^n itself, is built.
+MAX_GRID_POINTS = 2**12
 
 
 def _as_vec(coords) -> Vec:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
     """A metric on points 0..size-1 given by an exact distance matrix."""
 
-    dist: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        d = len(self.dist)
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.dist)
-        object.__setattr__(self, "dist", rows)
+    def __init__(self, dist: tuple[tuple[Fraction, ...], ...]):
+        d = len(dist)
+        self.dist = rows = tuple(tuple(Fraction(v) for v in row) for row in dist)
         for i, row in enumerate(rows):
             if len(row) != d:
                 raise PreconditionError("distance matrix must be square")
@@ -61,6 +62,11 @@ class FiniteMetricSpace:
                             f"triangle inequality fails at ({i},{j},{l})"
                         )
 
+    def __eq__(self, other):
+        if type(other) is not FiniteMetricSpace:
+            return NotImplemented
+        return vars(self) == vars(other)
+
     @property
     def size(self) -> int:
         return len(self.dist)
@@ -78,20 +84,16 @@ class FiniteMetricSpace:
         return cls(rows)
 
 
-@dataclass(frozen=True)
 class PointSet:
     """Distinct points in rational n-space."""
 
-    dim: int
-    points: tuple[Vec, ...]
-
-    def __post_init__(self):
-        pts = tuple(_as_vec(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, dim: int, points: tuple[Vec, ...]):
+        self.dim = dim
+        self.points = pts = tuple(_as_vec(p) for p in points)
         for p in pts:
-            if len(p) != self.dim:
+            if len(p) != dim:
                 raise DimensionMismatch(
-                    f"point {p} has dimension {len(p)}, expected {self.dim}"
+                    f"point {p} has dimension {len(p)}, expected {dim}"
                 )
         if len(set(pts)) != len(pts):
             raise PreconditionError("points must be distinct")
@@ -156,6 +158,9 @@ def grid_points(k: int, n: int) -> PointSet:
     """The integer grid {0..k}^n as a point set in lexicographic order."""
     if k < 1 or n < 1:
         raise PreconditionError("grid needs k >= 1 and n >= 1")
+    # (k+1)^n >= 2^n, so n is bounded before the power is computed.
+    if n >= MAX_GRID_POINTS.bit_length() or (k + 1) ** n > MAX_GRID_POINTS:
+        raise DomainError(f"the grid has more than {MAX_GRID_POINTS} points")
     pts = tuple(
         tuple(Fraction(c) for c in p)
         for p in itertools.product(range(k + 1), repeat=n)
@@ -163,7 +168,6 @@ def grid_points(k: int, n: int) -> PointSet:
     return PointSet(n, pts)
 
 
-@dataclass(frozen=True)
 class Baton:
     """Collinear points described by their consecutive gaps.
 
@@ -173,11 +177,8 @@ class Baton:
     needs at least one step.
     """
 
-    steps: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        steps = tuple(Fraction(s) for s in self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps: tuple[Fraction, ...]):
+        self.steps = steps = tuple(Fraction(s) for s in steps)
         for s in steps:
             if s <= 0:
                 raise PreconditionError("baton steps must be positive")
@@ -207,7 +208,6 @@ class Baton:
         return FiniteMetricSpace(rows)
 
 
-@dataclass(frozen=True)
 class CopyEmbedding:
     """An isometric copy of a finite metric space inside a point set.
 
@@ -215,25 +215,25 @@ class CopyEmbedding:
     max-norm distances are verified exactly on construction.
     """
 
-    source: FiniteMetricSpace
-    points: PointSet
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        d = self.source.size
-        if len(self.indices) != d:
+    def __init__(
+        self, source: FiniteMetricSpace, points: PointSet, indices: tuple[int, ...]
+    ):
+        self.source = source
+        self.points = points
+        self.indices = indices = tuple(indices)
+        d = source.size
+        if len(indices) != d:
             raise PreconditionError("index count must match metric size")
-        if len(set(self.indices)) != d:
+        if len(set(indices)) != d:
             raise PreconditionError("indices must be distinct")
-        for i in self.indices:
-            if not (0 <= i < len(self.points)):
+        for i in indices:
+            if not (0 <= i < len(points)):
                 raise PreconditionError(f"index {i} out of range")
-        scale, coords = self.points.scaled_coords
+        scale, coords = points.scaled_coords
         for a, b in itertools.combinations(range(d), 2):
-            x, y = coords[self.indices[a]], coords[self.indices[b]]
+            x, y = coords[indices[a]], coords[indices[b]]
             got = max((abs(u - v) for u, v in zip(x, y)), default=0)
-            want = self.source.dist[a][b]
+            want = source.dist[a][b]
             if got * want.denominator != want.numerator * scale:
                 raise PreconditionError(
                     f"distance mismatch at pair ({a},{b}): "

@@ -11,7 +11,7 @@ small enough. Failures name the offending field or pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
 from .chromatic import copy_hypergraph, exact_chromatic
@@ -30,8 +30,7 @@ from .rational import parse_rational
 _RESOLVE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     kind: str
     ok: bool
     failures: tuple[str, ...]

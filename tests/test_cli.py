@@ -19,7 +19,7 @@ from maxram.anchors import MAX_COMBINATIONS
 from maxram.cli import build_parser, main
 from maxram.cover import MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
-from maxram.metric import Baton
+from maxram.metric import MAX_GRID_POINTS, Baton, grid_points
 from maxram.validate import validate_certificate
 
 F = Fraction
@@ -255,33 +255,22 @@ def test_color_warnings_go_to_stderr_not_the_artifact(capsys, half_pair_metric):
     assert "warning" not in captured.out
 
 
-def test_color_u1_emits_the_analytic_bound(capsys, b2_metric):
-    code, obj = run_json(
-        capsys, ["color", "--metric", b2_metric, "--n", "4", "--variant", "u1"]
-    )
-    assert code == 0
-    assert obj["variant"] == "U1"
-    assert obj["asymptotic_only"] is True
-    assert obj["trivial_bound_better"] is True
-    assert isinstance(obj["value"], float)
-
-
-@pytest.mark.parametrize("n", ["0", "-3", "2000", "1000000"])
-def test_color_u1_out_of_range_n_is_exit_2(capsys, b2_metric, n):
-    assert main(["color", "--metric", b2_metric, "--n", n, "--variant", "u1"]) == 2
+def test_color_has_no_variant_option(capsys, b2_metric):
+    """color writes only the certificate of the coloring it builds."""
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "--metric", b2_metric, "--n", "3", "--variant", "u1"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert "unrecognized arguments: --variant u1" in captured.err
     assert captured.out == ""
 
 
-def test_color_u1_compares_with_2_to_the_n_past_the_float_range(capsys, b2_metric):
-    # 1500 * ln 1500 * 1.5^1500 is about 1.5e268, a float; 2^1500 is not.
-    code, obj = run_json(
-        capsys, ["color", "--metric", b2_metric, "--n", "1500", "--variant", "u1"]
-    )
-    assert code == 0
-    assert 1e268 < obj["value"] < 2e268
-    assert obj["trivial_bound_better"] is False
+@pytest.mark.parametrize("n", ["0", "-3", "2000", "1000000"])
+def test_color_out_of_range_n_is_exit_2(capsys, b2_metric, n):
+    assert main(["color", "--metric", b2_metric, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 # -- bounds ---------------------------------------------------------------
@@ -547,8 +536,6 @@ def test_copy_search_and_its_validation_never_import_numpy(tmp_path):
         "color": (["color", "--metric", f["unit2"], "--n", "2"], True),
         "color-asymptotic": (["color", "--metric", f["unit2"], "--n", "1",
                               "--asymptotic"], True),
-        "color-u1": (["color", "--metric", f["unit2"], "--n", "3",
-                      "--variant", "u1"], False),
     })
 
 
@@ -656,6 +643,35 @@ def test_validate_refuses_a_zero_step_chromatic_grid(tmp_path, capsys, n):
     edits = {"k": 0, "n": n, "colors": [0], "color_count": 1, "lower_bound": 1}
     out = validate_edited(tmp_path, capsys, argv, edits)
     assert out == "invalid: chromatic\n  malformed: grid needs k >= 1 and n >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "grid", ["1,40", "2,8", "1,13", "3,1000000000"], ids=lambda g: f"grid={g}"
+)
+def test_chi_refuses_a_grid_past_the_point_cap(capsys, b2_metric, grid):
+    """2^40, 3^8, 2^13 and 4^(10^9) points: the grid is refused before any
+    point, or (k+1)^n itself, is built."""
+    start = time.perf_counter()
+    assert main(["chi", "--grid", grid, "--metric", b2_metric]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the grid has more than {MAX_GRID_POINTS} points\n"
+    assert captured.out == ""
+
+
+def test_the_grid_cap_admits_its_own_size():
+    assert len(grid_points(1, 12)) == len(grid_points(15, 3)) == MAX_GRID_POINTS
+
+
+def test_validate_refuses_a_chromatic_grid_past_the_point_cap(tmp_path, capsys):
+    """One color per point of {0,1}^13, as many colors as the grid has
+    points: the grid is refused before it is built or searched."""
+    argv = ["chi", "--grid", "1,2"]
+    edits = {"n": 13, "colors": [0] * 2**13, "color_count": 1, "lower_bound": 1}
+    out = validate_edited(tmp_path, capsys, argv, edits)
+    assert out == (
+        f"invalid: chromatic\n  malformed: the grid has more than {MAX_GRID_POINTS} points\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from maxram.colorings import (
     PeriodicColoring,
     _ownership_classes,
     avoidance_coloring,
-    upper_bound_value,
 )
 from maxram.cover import (
     CoverInstance,
@@ -482,11 +481,3 @@ def test_pigeonhole_is_the_exact_ceiling(k, n):
     b = pigeonhole_lower_bound(k, n)
     assert (b - 1) * k**n < (k + 1) ** n <= b * k**n
     assert b >= 2
-
-
-def test_u1_is_a_float_estimate():
-    value = upper_bound_value(B2, n=4)
-    assert value == pytest.approx(4 * math.log(4) * 1.5**4, rel=1e-12)
-    assert value > 2**4  # 28.07...: the cube tiling is better here
-    assert upper_bound_value(B2, n=1) == 0.0
-

@@ -1,8 +1,9 @@
 """Package layout, read from the sources with ast: every name is imported
 from the module that defines it, so the package root re-exports only what
-the benchmark's tests import from it, and no module, in the package or
-among the tests, imports a name it never uses. Which modules each command
-loads is checked in a fresh interpreter."""
+the benchmark's tests import from it, no module, in the package or among
+the tests, imports a name it never uses, and no package module imports
+dataclasses. Which modules each command loads is checked in a fresh
+interpreter."""
 
 import ast
 import importlib
@@ -15,6 +16,8 @@ import pytest
 
 import maxram
 import maxram.cli
+from cert_fixtures import canonical_certificates
+from maxram.io import write_json
 
 PACKAGE = Path(maxram.cli.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -51,20 +54,22 @@ def test_package_root_refuses_any_other_name(name):
         getattr(maxram, name)
 
 
-def loaded_after(script: str) -> set[str]:
-    """The maxram modules a fresh interpreter holds after running script."""
+def modules_after(script: str) -> set[str]:
+    """Every module a fresh interpreter holds after running script."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
     )}
-    script += (
-        "\nimport sys\nprint(' '.join(m for m in sys.modules"
-        " if m.split('.')[0] == 'maxram'))"
-    )
+    script += "\nimport sys\nprint(' '.join(sys.modules))"
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
     return set(run.stdout.split())
+
+
+def loaded_after(script: str) -> set[str]:
+    """The maxram modules a fresh interpreter holds after running script."""
+    return {m for m in modules_after(script) if m.split(".")[0] == "maxram"}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -101,6 +106,28 @@ def test_chi_loads_no_coloring_cover_anchor_or_validator_module():
     assert loaded.isdisjoint(f"maxram.{m}" for m in unrun)
 
 
+def test_no_command_loads_dataclasses(tmp_path):
+    """cover --exact, chi and validate of every certificate kind, all in
+    one interpreter, leave dataclasses unloaded unless the bare interpreter
+    already loads it (a site hook, say)."""
+    runs = [
+        ["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
+         "-o", str(tmp_path / "cover.json")],
+        ["chi", "--grid", "2,2", "-o", str(tmp_path / "chi.json")],
+    ]
+    for kind, certificate in canonical_certificates().items():
+        path = tmp_path / f"{kind}.json"
+        write_json(path, certificate)
+        runs.append(["validate", str(path)])
+    script = (
+        "import contextlib, io\nfrom maxram.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {runs!r}:\n"
+        "        assert main(argv) == 0, argv\n"
+    )
+    assert "dataclasses" not in modules_after(script) - modules_after("pass")
+
+
 def test_validate_loads_every_module_the_benchmark_traces():
     """The benchmark's tracer reads each LAYERS module from sys.modules
     after a plain pass, and every pass runs validate."""
@@ -111,6 +138,19 @@ def test_validate_loads_every_module_the_benchmark_traces():
         "assert traced and traced <= sys.modules.keys(), traced\n"
     )
     assert "maxram.validate" in loaded_after(script)
+
+
+def test_no_package_module_imports_dataclasses():
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert importers == []
 
 
 @pytest.mark.parametrize(
