@@ -290,9 +290,6 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return all(self)
 
-    def clauses(self) -> dict[str, ClauseResult]:
-        return self._asdict()
-
 
 def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):
     """Lexicographically first (l, r), l <= r, with a[l+r] > a[l] + a[r].

@@ -14,6 +14,7 @@ blocked ones included.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
@@ -25,7 +26,6 @@ class CopyHypergraph(NamedTuple):
     """Supports of all copies of a source space inside a point set."""
 
     point_set: PointSet
-    source: FiniteMetricSpace
     edges: tuple[tuple[int, ...], ...]
 
     @property
@@ -39,7 +39,7 @@ def copy_hypergraph(points: PointSet, space: FiniteMetricSpace) -> CopyHypergrap
         raise PreconditionError("forbidden space needs at least 2 points")
     copies = find_copies(space, points, distinct_supports=True)
     edges = sorted(tuple(sorted(copy)) for copy in copies)
-    return CopyHypergraph(point_set=points, source=space, edges=tuple(edges))
+    return CopyHypergraph(point_set=points, edges=tuple(edges))
 
 
 class ColoringCertificate(NamedTuple):
@@ -78,17 +78,6 @@ def _greedy_clique(vertex_count: int, pair_adj) -> int:
     return len(clique)
 
 
-def _greedy_colors(order, closing, vertex_count: int) -> list[int]:
-    colors = [-1] * vertex_count
-    for v in order:
-        blocked = _blocked(closing[v], colors)
-        c = 0
-        while c in blocked:
-            c += 1
-        colors[v] = c
-    return colors
-
-
 def exact_chromatic(
     hypergraph: CopyHypergraph,
     budget: int = DEFAULT_BUDGET,
@@ -103,8 +92,9 @@ def exact_chromatic(
     colors a closing edge blocks. known_bound lets callers feed in an
     externally proved bound and its witness (it is trusted for the
     starting level but cross-checked against any coloring found). If the
-    budget runs out the greedy coloring is returned with optimal=False and
-    the largest level actually exhausted as the proven lower bound.
+    budget runs out, the first-fit coloring in the same vertex order is
+    returned, with the largest level actually exhausted as the proven
+    lower bound.
     """
     n = hypergraph.vertex_count
     if n < 1:
@@ -147,56 +137,65 @@ def exact_chromatic(
     colors = [-1] * n
     nodes = 0
 
-    def assign(pos: int, used: int, limit: int) -> bool:
+    def descend(limit: int) -> bool:
+        """Depth-first search for a coloring with at most limit colors. A
+        vertex reached afresh has color -1 and tries the colors above its
+        own. No call stack: Python's recursion limit does not cap n."""
         nonlocal nodes
-        if pos == n:
-            return True
-        v = order[pos]
-        blocked = _blocked(closing[v], colors)
-        for c in range(min(used + 1, limit)):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            if c not in blocked:
-                colors[v] = c
-                if assign(pos + 1, max(used, c + 1), limit):
-                    return True
+        used = [0] * (n + 1)  # used[pos]: colors used before position pos
+        blocked: list[set[int]] = [set()] * n
+        pos = 0
+        while pos < n:
+            v = order[pos]
+            c = colors[v] + 1
+            if c == 0:
+                blocked[pos] = _blocked(closing[v], colors)
+            skip = blocked[pos]
+            top = min(used[pos] + 1, limit)
+            while c < top:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetExceeded
+                if c not in skip:
+                    break
+                c += 1
+            else:
                 colors[v] = -1
-        return False
+                pos -= 1
+                if pos < 0:
+                    return False
+                continue
+            colors[v] = c
+            used[pos + 1] = max(used[pos], c + 1)
+            pos += 1
+        return True
 
+    level = base_lb
+    exhausted = False
     try:
-        for level in range(base_lb, n + 1):
-            colors = [-1] * n
-            if assign(0, 0, level):
-                used = max(colors) + 1
-                if used < base_lb:
-                    raise DomainError(
-                        f"found a {used}-coloring below the supplied "
-                        f"lower bound {base_lb}"
-                    )
-                assert level == base_lb or used == level
-                witness = base_witness if level == base_lb else f"exhausted:{level - 1}"
-                return ColoringCertificate(
-                    colors=tuple(colors),
-                    color_count=used,
-                    optimal=True,
-                    lower_bound=used,
-                    lower_bound_witness=witness,
-                )
-        raise DomainError("no proper coloring exists at any level")
+        while not descend(level):
+            level += 1
     except _BudgetExceeded:
-        proven = level if level > base_lb else base_lb
-        witness = f"exhausted:{level - 1}" if level > base_lb else base_witness
-        fallback = _greedy_colors(order, closing, n)
-        used = max(fallback) + 1
-        return ColoringCertificate(
-            colors=tuple(fallback),
-            color_count=used,
-            optimal=used == proven,
-            lower_bound=proven,
-            lower_bound_witness=witness,
-            budget_exhausted=True,
+        # At limit n the next new color is never blocked, so the first
+        # descent never backs up: it is the first-fit coloring.
+        exhausted, budget, colors = True, math.inf, [-1] * n
+        descend(n)
+    used = max(colors) + 1
+    if used < base_lb and not exhausted:
+        raise DomainError(
+            f"found a {used}-coloring below the supplied lower bound {base_lb}"
         )
+    # A coloring at base_lb meets it; above it, every lower level ran out.
+    assert exhausted or used == level
+    witness = base_witness if level == base_lb else f"exhausted:{level - 1}"
+    return ColoringCertificate(
+        colors=tuple(colors),
+        color_count=used,
+        optimal=used == level,
+        lower_bound=level,
+        lower_bound_witness=witness,
+        budget_exhausted=exhausted,
+    )
 
 
 def pigeonhole_lower_bound(k: int, n: int) -> int:

@@ -124,8 +124,12 @@ def _cmd_color(args) -> int:
 def _cmd_bounds(args) -> int:
     from .chromatic import pigeonhole_lower_bound
     from .colorings import avoidance_coloring
+    from .cover import CoverInstance
     from .metric import Baton
 
+    # The upper column colors the torus Z_(k+1)^n, so its point cap bounds
+    # n before either column forms a power.
+    CoverInstance(args.k + 1, args.k, args.n)
     lower = pigeonhole_lower_bound(args.k, args.n)
     if args.k == 1:
         upper = 2**args.n
@@ -139,12 +143,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_chi(args) -> int:
     from .chromatic import grid_chromatic
     from .io import chromatic_certificate, metric_space_from_obj, read_json
-    from .metric import Baton
+    from .metric import Baton, check_grid
 
     try:
         k, n = (int(p) for p in args.grid.split(","))
     except ValueError as exc:
         raise ParseError(f"--grid expects k,n: {exc}") from exc
+    # Before the space: the k-baton's distance matrix has (k+1)^2 entries.
+    check_grid(k, n)
     if args.metric is None:  # the unit-gap baton with k steps
         space = Baton.unit(k).as_metric_space()
     else:

@@ -55,6 +55,14 @@ def _shifted(x: IntVec, fiber: set[int], k: int) -> IntVec:
     return x
 
 
+def _require_dense(count: int, top: int, n: int) -> None:
+    """Refuse count points of {0..top}^n unless count > top^n, the bound
+    that forces a copy. At top >= 2, top^n >= 2^n, so a stated n of any
+    size is refused by count's bit length before the power is formed."""
+    if (top >= 2 and n >= count.bit_length()) or count <= top**n:
+        raise PreconditionError(f"need more than {top}^{n} points, got {count}")
+
+
 def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:
     """Ordered points x^0..x^k with ||x^s - x^t|| = |s-t|, all from elems."""
     if n == 1:
@@ -94,23 +102,12 @@ def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:
 
 
 def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
-    """Extract a unit-gap baton copy from a grid subset with > k^n points.
-
-    Returns the copy in normalized form: consecutive extracted points are
-    at distance exactly 1 and endpoints at distance k. All internal steps
-    are asserted; the counting hypothesis guarantees they hold.
-    """
+    """Extract a unit-gap baton copy from a grid subset with > k^n points:
+    the general extractor on the anchor grid 0..k, every index marked."""
     n, k = subset.n, subset.k
-    if len(subset) <= k**n:
-        raise PreconditionError(
-            f"need more than {k}^{n} = {k**n} points, got {len(subset)}"
-        )
-    chain = _extract(set(subset.elems), n, k)
-    points = subset.to_point_set()
-    indices = tuple(
-        points.index_of(tuple(Fraction(c) for c in x)) for x in chain
-    )
-    return CopyEmbedding(Baton.unit(k).as_metric_space(), points, indices)
+    _require_dense(len(subset), k, n)  # before k + 1 anchors: k may be huge
+    unit = AnchorSet(range(k + 1), range(k + 1))
+    return extract_general_baton(subset.to_point_set(), Baton.unit(k), unit)
 
 
 class AnchorSet:
@@ -183,10 +180,7 @@ def extract_general_baton(
     index_of_value = {v: i for i, v in enumerate(values)}
     top = anchors.top_index
     n = subset.dim
-    if len(subset) <= top**n:
-        raise PreconditionError(
-            f"need more than {top}^{n} = {top**n} points, got {len(subset)}"
-        )
+    _require_dense(len(subset), top, n)
 
     grid_elems = set()
     for p in subset.points:
@@ -196,13 +190,12 @@ def extract_general_baton(
             raise DomainError(f"point {p} has a coordinate outside the anchors")
     chain = _extract(grid_elems, n, top)
 
-    # Normalize orientation: some coordinate runs 0..top along the chain;
-    # if it runs downward, reverse so marked selection reads forward.
+    # Some axis runs 0..top along the chain, upward, so the marks select
+    # it forward: the base and full-fiber cases run upward on the last
+    # axis, and a recursive step pulls back only the last coordinate.
     witness = next(
         j for j in range(n) if {chain[0][j], chain[-1][j]} == {0, top}
     )
-    if chain[0][witness] == top:
-        chain = chain[::-1]
     assert all(chain[s][witness] == s for s in range(top + 1))
 
     selected = [chain[i] for i in marks]

@@ -154,13 +154,18 @@ def _distance_masks(points: PointSet, wanted) -> list[dict[int, int]]:
     return masks
 
 
-def grid_points(k: int, n: int) -> PointSet:
-    """The integer grid {0..k}^n as a point set in lexicographic order."""
+def check_grid(k: int, n: int) -> None:
+    """Refuse a grid {0..k}^n with k or n below 1, or past the point cap."""
     if k < 1 or n < 1:
         raise PreconditionError("grid needs k >= 1 and n >= 1")
     # (k+1)^n >= 2^n, so n is bounded before the power is computed.
     if n >= MAX_GRID_POINTS.bit_length() or (k + 1) ** n > MAX_GRID_POINTS:
         raise DomainError(f"the grid has more than {MAX_GRID_POINTS} points")
+
+
+def grid_points(k: int, n: int) -> PointSet:
+    """The integer grid {0..k}^n as a point set in lexicographic order."""
+    check_grid(k, n)
     pts = tuple(
         tuple(Fraction(c) for c in p)
         for p in itertools.product(range(k + 1), repeat=n)
@@ -203,9 +208,7 @@ class Baton:
         return PointSet(1, tuple((v,) for v in self.positions()))
 
     def as_metric_space(self) -> FiniteMetricSpace:
-        pos = self.positions()
-        rows = tuple(tuple(abs(a - b) for b in pos) for a in pos)
-        return FiniteMetricSpace(rows)
+        return FiniteMetricSpace.from_points(self.as_point_set())
 
 
 class CopyEmbedding:

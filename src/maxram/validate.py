@@ -105,7 +105,7 @@ def _check_anchor_sequence(obj) -> list[str]:
     if failures:
         return failures
     report = verify_anchor_sequence(seq, baton)
-    expected = {name: bool(result) for name, result in report.clauses().items()}
+    expected = {name: bool(result) for name, result in report._asdict().items()}
     stored = obj["verification"]
     if not isinstance(stored, dict) or stored != expected:
         failures.append("verification: recomputed clause results differ")

@@ -350,7 +350,7 @@ def test_verify_reports_wrong_p_arity_as_an_anchoring_failure():
 def test_clauses_mapping_matches_the_report():
     seq = build_anchor_sequence(Baton((F(1),)))
     report = verify_anchor_sequence(seq, Baton((F(1),)))
-    clauses = report.clauses()
+    clauses = report._asdict()
     assert set(clauses) == {
         "monotonic",
         "subadditive",

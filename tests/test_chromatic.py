@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -274,9 +275,7 @@ def test_exhaustion_witness_appears_when_search_must_climb():
     """An odd cycle: no 2-coloring exists, so the certificate proves 3 by
     exhausting level 2. Built directly as a hypergraph, not via geometry."""
     edges = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
-    hg = CopyHypergraph(
-        point_set=line(0, 1, 2, 3, 4), source=UNIT_PAIR, edges=edges
-    )
+    hg = CopyHypergraph(point_set=line(0, 1, 2, 3, 4), edges=edges)
     cert = exact_chromatic(hg)
     assert cert.color_count == 3
     assert cert.lower_bound_witness == "exhausted:2"
@@ -291,6 +290,19 @@ def test_budget_exhaustion_falls_back_to_greedy():
     assert cert.lower_bound == 3
     # the greedy coloring happens to meet the bound here, so optimality survives
     assert cert.optimal == (cert.color_count == 3)
+
+
+@pytest.mark.parametrize("budget", [10, DEFAULT_BUDGET], ids=["exhausted", "proved"])
+def test_a_path_deeper_than_the_recursion_limit_is_colored(budget):
+    """The search and its first-fit fallback both walk the whole vertex
+    order; a path longer than Python's recursion limit must not raise."""
+    n = sys.getrecursionlimit() + 500
+    edges = tuple((v, v + 1) for v in range(n - 1))
+    hg = CopyHypergraph(point_set=line(*range(n)), edges=edges)
+    cert = exact_chromatic(hg, budget=budget)
+    assert cert.budget_exhausted == (budget == 10)
+    assert (cert.color_count, cert.lower_bound, cert.optimal) == (2, 2, True)
+    assert is_proper(hg, cert.colors)
 
 
 def test_budget_exhaustion_below_the_answer_reports_not_optimal():
@@ -343,9 +355,7 @@ def chromatic_instances(draw):
     edges = draw(
         st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=3 * n, unique=True)
     )
-    hg = CopyHypergraph(
-        point_set=line(*range(n)), source=UNIT_PAIR, edges=tuple(sorted(edges))
-    )
+    hg = CopyHypergraph(point_set=line(*range(n)), edges=tuple(sorted(edges)))
     budget = draw(st.one_of(st.integers(1, 2000), st.just(10**7)))
     return hg, budget, draw(st.integers(1, n + 2))
 
@@ -359,7 +369,6 @@ def _outcome(solve, hg, budget, extra):
 
 FIVE_CYCLE = CopyHypergraph(
     point_set=line(0, 1, 2, 3, 4),
-    source=UNIT_PAIR,
     edges=((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)),
 )
 

@@ -469,15 +469,19 @@ def test_cover_table_without_rows_is_exit_2(capsys, n_max):
     assert captured.out == ""
 
 
-def run_python(script: str, **environ: str) -> subprocess.CompletedProcess:
+def run_python(
+    script: str, timeout: float | None = None, **environ: str
+) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter that imports this maxram, with
-    environ added to its environment."""
+    environ added to its environment; past timeout seconds it is killed
+    and subprocess.TimeoutExpired raised."""
     src = str(Path(maxram.cli.__file__).resolve().parents[1])
     env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -723,6 +727,35 @@ def test_cover_refuses_a_one_point_torus_of_huge_dimension(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: the one-point torus needs n < 25\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, subset, err",
+    [
+        (["chi", "--grid", "5000,1"], None,
+         f"the grid has more than {MAX_GRID_POINTS} points"),
+        (["bounds", "--k", "1", "--n", "100000"], None,
+         f"the torus has more than {MAX_TORUS_POINTS} points"),
+        (["bounds", "--k", "2", "--n", "3000000"], None,
+         f"the torus has more than {MAX_TORUS_POINTS} points"),
+        (["extract", "--subset", "{subset}"], {"k": 2, "n": 100000, "elements": []},
+         "need more than 2^100000 points, got 0"),
+        (["extract", "--subset", "{subset}"], {"k": 10**9, "n": 1, "elements": []},
+         "need more than 1000000000^1 points, got 0"),
+    ],
+    ids=["chi-grid-5000,1", "bounds-k1-n1e5", "bounds-k2-n3e6", "extract-n1e5",
+         "extract-k1e9"],
+)
+def test_a_huge_stated_size_exits_2_in_a_fresh_process(tmp_path, argv, subset, err):
+    """Each size is refused before the work it states: the grid cap before
+    the unit 5000-baton's distance matrix, the torus cap before (k+1)^n,
+    and the density bound before k^n or the k + 1 anchors are formed."""
+    path = tmp_path / "subset.json"
+    path.write_text(json.dumps(subset))
+    argv = [a.format(subset=path) for a in argv]
+    script = f"import sys\nfrom maxram.cli import main\nsys.exit(main({argv!r}))\n"
+    run = run_python(script, timeout=5)
+    assert (run.returncode, run.stderr, run.stdout) == (2, f"error: {err}\n", "")
 
 
 def test_exact_cover_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -51,7 +51,7 @@ RECORDS = {
          "index_increasing": PASSED, "index_linear": PASSED},
         {},
     ),
-    CopyHypergraph: ({"point_set": LINE, "source": PAIR, "edges": ((0, 1),)}, {}),
+    CopyHypergraph: ({"point_set": LINE, "edges": ((0, 1),)}, {}),
     ColoringCertificate: (
         {"colors": (0, 1), "color_count": 2, "optimal": True, "lower_bound": 2,
          "lower_bound_witness": "edge:2"},
