@@ -124,39 +124,18 @@ def dirichlet_approx(steps, q0: int) -> int:
     return q
 
 
-class AnchorSequence:
-    """The built sequence plus the data needed to audit it."""
+class AnchorSequence(NamedTuple):
+    """The built sequence plus the data needed to audit it. Only
+    anchor_sequence_at builds one, with m = sum(p) >= 1 and len(a) = m + 1;
+    verify_anchor_sequence audits the values."""
 
-    def __init__(
-        self,
-        p: tuple[int, ...],
-        m: int,
-        a: tuple[Fraction, ...],
-        delta: Fraction,
-        theta: Fraction,
-        q0: int,
-        q: int,
-    ):
-        self.p = p = tuple(int(v) for v in p)
-        self.m = m
-        self.a = a = tuple(Fraction(v) for v in a)
-        self.delta = delta
-        self.theta = theta
-        self.q0 = q0
-        self.q = q
-        if not p or any(v < 1 for v in p):
-            raise PreconditionError("p must be positive integers")
-        if m != sum(p):
-            raise PreconditionError("m must equal sum(p)")
-        if len(a) != m + 1:
-            raise PreconditionError("a must have m+1 entries")
-        if q < 1:
-            raise PreconditionError("q must be a positive integer")
-
-    def __eq__(self, other):
-        if type(other) is not AnchorSequence:
-            return NotImplemented
-        return vars(self) == vars(other)
+    p: tuple[int, ...]
+    m: int
+    a: tuple[Fraction, ...]
+    delta: Fraction
+    theta: Fraction
+    q0: int
+    q: int
 
     @property
     def anchor_set(self) -> AnchorSet:

@@ -16,7 +16,7 @@ the gap can then never appear monochromatically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .cover import (
     CoverInstance,
@@ -30,7 +30,7 @@ from .errors import DomainError, PreconditionError
 from .metric import FiniteMetricSpace, connectivity_threshold, diameter
 
 
-class PeriodicColoring:
+class PeriodicColoring(NamedTuple):
     """A periodic box coloring given by ownership of lattice cells.
 
     The fundamental domain [0, period)^n splits into half-open boxes of
@@ -38,49 +38,18 @@ class PeriodicColoring:
     vector, its lower corner divided by box_size. classes[i] lists the
     boxes owned by color i, and window_anchors[i] is the index of the
     corner of a half-open window of side `window` that contains all of
-    them modulo the period. color_of extends the assignment to all of R^n
-    by periodicity.
+    them modulo the period. Periodicity extends the assignment to all of
+    R^n. Built unchecked: avoidance_coloring colors from a cover, and the
+    validator checks a stated coloring with validate._check_coloring.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        period: Fraction,
-        box_size: Fraction,
-        classes: tuple[tuple[IntVec, ...], ...],
-        window: Fraction,
-        window_anchors: tuple[IntVec, ...],
-        warnings: tuple[str, ...] = (),
-    ):
-        self.dim = dim
-        self.period = period
-        self.box_size = box_size
-        self.classes = classes
-        self.window = window
-        self.window_anchors = window_anchors
-        self.warnings = warnings
-        if dim < 1:
-            raise PreconditionError("coloring needs dim >= 1")
-        if not 0 < box_size <= window <= period:
-            raise PreconditionError("need 0 < box_size <= window <= period")
-        if (period / box_size).denominator != 1:
-            raise PreconditionError("period must be a whole number of boxes")
-        if len(window_anchors) != len(classes):
-            raise PreconditionError("one window anchor per class")
-        if not classes:
-            raise PreconditionError("coloring needs at least one class")
-        for vecs in classes:
-            if not vecs:
-                raise PreconditionError("empty color class")
-        cells = self.cells_per_axis
-        for vec in window_anchors + tuple(v for c in classes for v in c):
-            if len(vec) != dim:
-                raise PreconditionError("offset dimension mismatch")
-            for c in vec:
-                if not 0 <= c < cells:
-                    raise PreconditionError("offsets must lie in [0, period)")
-                if type(c) is not int:
-                    raise PreconditionError("offsets must sit on the box lattice")
+    dim: int
+    period: Fraction
+    box_size: Fraction
+    classes: tuple[tuple[IntVec, ...], ...]
+    window: Fraction
+    window_anchors: tuple[IntVec, ...]
+    warnings: tuple[str, ...] = ()
 
     @property
     def class_count(self) -> int:
@@ -89,54 +58,6 @@ class PeriodicColoring:
     @property
     def cells_per_axis(self) -> int:
         return int(self.period / self.box_size)
-
-    @cached_property
-    def _owner(self) -> dict[IntVec, int]:
-        table: dict[IntVec, int] = {}
-        for color, vecs in enumerate(self.classes):
-            for vec in vecs:
-                if vec in table:
-                    raise DomainError(f"box {vec} owned twice")
-                table[vec] = color
-        return table
-
-    def color_of(self, point) -> int:
-        """Color of an arbitrary point of R^dim."""
-        if len(point) != self.dim:
-            raise PreconditionError("point dimension mismatch")
-        cell = tuple(int(Fraction(c) % self.period // self.box_size) for c in point)
-        owner = self._owner.get(cell)
-        if owner is None:
-            raise DomainError(f"box {cell} has no color")
-        return owner
-
-    def check_partition(self) -> bool:
-        """Every box of the fundamental domain is owned exactly once."""
-        total = sum(len(vecs) for vecs in self.classes)
-        if total != self.cells_per_axis**self.dim:
-            raise DomainError(
-                f"{total} owned boxes, expected {self.cells_per_axis ** self.dim}"
-            )
-        # _owner already rejects duplicates, so matching counts force a bijection.
-        len(self._owner)
-        return True
-
-    def check_windows(self) -> bool:
-        """All boxes of each class fit in that class's anchored window.
-
-        Box o sits in the window at a exactly when its offset
-        (o - a) mod cells, counted in boxes, is below window // box_size:
-        the box's far edge must not pass the window's.
-        """
-        cells = self.cells_per_axis
-        reach = self.window // self.box_size
-        for color, (vecs, anchor) in enumerate(zip(self.classes, self.window_anchors)):
-            for vec in vecs:
-                if any((o - a) % cells >= reach for o, a in zip(vec, anchor)):
-                    raise DomainError(
-                        f"class {color}: box {vec} outside window at {anchor}"
-                    )
-        return True
 
 
 def _ownership_classes(

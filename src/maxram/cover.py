@@ -29,6 +29,13 @@ IntVec = tuple[int, ...]
 # 6,967,871 points of the (191, 63, 3) random cover.
 MAX_TORUS_POINTS = 2**24
 
+# greedy_cover and exact_cover build a coverage table of m^n masks of m^n
+# bits each, so a torus of more points gets no table: `cover --greedy` on
+# (3, 2, 11), 177,147 points, ends in MemoryError under a 2 GB address
+# space limit. The largest table any test or workload builds is
+# (45, 15, 2), 2,025 points.
+MAX_TABLE_POINTS = 2**16
+
 
 class CoverInstance:
     def __init__(self, m: int, d: int, n: int):
@@ -145,7 +152,15 @@ def cover_mask(inst: CoverInstance, translate: IntVec) -> int:
     return _box_mask(inst, translate, inst.d)
 
 
+def _check_table(inst: CoverInstance) -> None:
+    if inst.point_count > MAX_TABLE_POINTS:
+        raise DomainError(
+            f"the torus has more than {MAX_TABLE_POINTS} points for a coverage table"
+        )
+
+
 def _coverage_table(inst: CoverInstance) -> tuple[list[IntVec], list[int]]:
+    _check_table(inst)
     translates = torus_points(inst)
     return translates, [cover_mask(inst, v) for v in translates]
 
@@ -487,6 +502,9 @@ def cn_table(n_max: int, budget: int = DEFAULT_BUDGET) -> list[CoverSolution]:
     """
     if n_max < 1:
         raise PreconditionError("need n_max >= 1")
-    return [
-        exact_cover(CoverInstance(3, 2, n), budget=budget) for n in range(1, n_max + 1)
-    ]
+    # Every row is checked before the first is solved.
+    instances = []
+    for n in range(1, n_max + 1):
+        instances.append(CoverInstance(3, 2, n))
+        _check_table(instances[-1])
+    return [exact_cover(inst, budget=budget) for inst in instances]

@@ -11,6 +11,7 @@ unit case through anchor value sets on each axis.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .metric import Baton, CopyEmbedding, PointSet
@@ -110,27 +111,18 @@ def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
     return extract_general_baton(subset.to_point_set(), Baton.unit(k), unit)
 
 
-class AnchorSet:
-    """Strictly increasing values starting at 0, with marked positions.
+class AnchorSet(NamedTuple):
+    """Strictly increasing values starting at 0, with marked positions
+    running from 0 to the last index.
 
     The marked indices select the extraction steps that realize a target
     gap pattern: consecutive marked values differ by the pattern's steps.
+    An anchor set comes from a verified anchor sequence (its anchor_set)
+    or is the unit grid 0..k, every index marked.
     """
 
-    def __init__(self, values: tuple[Fraction, ...], marks: tuple[int, ...]):
-        self.values = vals = tuple(Fraction(v) for v in values)
-        self.marks = marks = tuple(marks)
-        if not vals or vals[0] != 0:
-            raise PreconditionError("values must start at 0")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise PreconditionError("values must be strictly increasing")
-        if (
-            len(marks) < 2
-            or marks[0] != 0
-            or marks[-1] != len(vals) - 1
-            or any(b <= a for a, b in zip(marks, marks[1:]))
-        ):
-            raise PreconditionError("marks must run from 0 to the last index")
+    values: tuple[Fraction, ...]
+    marks: tuple[int, ...]
 
     @property
     def top_index(self) -> int:
@@ -141,24 +133,6 @@ class AnchorSet:
             self.values[b] - self.values[a]
             for a, b in zip(self.marks, self.marks[1:])
         )
-
-
-def anchor_set_one_alpha(alpha) -> AnchorSet:
-    """Anchor values for the two-step pattern (1, alpha), alpha > 1.
-
-    ceil(alpha) + 2 values: 0, then an arithmetic ramp from 1 to alpha,
-    then alpha + 1. Consecutive values differ by at most 1, so a value
-    gap above 1 forces an index gap of at least 2.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise PreconditionError("alpha must exceed 1")
-    m = -((-alpha.numerator) // alpha.denominator)  # ceil(alpha)
-    values = [Fraction(0)]
-    for l in range(1, m + 1):
-        values.append(1 + Fraction(l - 1, m - 1) * (alpha - 1))
-    values.append(alpha + 1)
-    return AnchorSet(tuple(values), (0, 1, m + 1))
 
 
 def extract_general_baton(

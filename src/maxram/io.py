@@ -157,8 +157,9 @@ def metric_space_from_obj(obj) -> FiniteMetricSpace:
 
     A distance matrix wins when both keys are present, since it is the
     primary representation and the points may be a mere illustration.
+    A matrix must pass check_metric; points give a metric by construction.
     """
-    from .metric import FiniteMetricSpace
+    from .metric import FiniteMetricSpace, check_metric
 
     if not isinstance(obj, dict):
         raise ParseError("metric space object must be a JSON object")
@@ -166,7 +167,9 @@ def metric_space_from_obj(obj) -> FiniteMetricSpace:
         rows = obj["distance_matrix"]
         if not isinstance(rows, list) or not rows:
             raise ParseError("distance_matrix must be a non-empty list of rows")
-        return FiniteMetricSpace(tuple(vec_from_obj(row) for row in rows))
+        dist = tuple(vec_from_obj(row) for row in rows)
+        check_metric(dist)
+        return FiniteMetricSpace(dist)
     if "points" in obj:
         return FiniteMetricSpace.from_points(point_set_from_obj(obj))
     raise ParseError("need a distance_matrix or points key")

@@ -6,6 +6,8 @@ LCM of their denominators (PointSet.scaled_coords), and copy search
 works on Python ints: per point, one bitmask of the points at each
 distance the search needs, so candidate sets are ANDs of bitmasks.
 Python ints are exact at any size, so one path serves every scale.
+check_metric tests a distance matrix read from a file the same way, on
+ints scaled once; a space built from points is a metric by construction.
 
 Where a copy is checked: during the search, the masks prove every
 pair's distance, so find_copies returns bare index tuples. CopyEmbedding
@@ -21,6 +23,8 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, PreconditionError
 
@@ -37,35 +41,13 @@ def _as_vec(coords) -> Vec:
     return tuple(Fraction(c) for c in coords)
 
 
-class FiniteMetricSpace:
-    """A metric on points 0..size-1 given by an exact distance matrix."""
+class FiniteMetricSpace(NamedTuple):
+    """A metric on points 0..size-1 given by an exact distance matrix.
 
-    def __init__(self, dist: tuple[tuple[Fraction, ...], ...]):
-        d = len(dist)
-        self.dist = rows = tuple(tuple(Fraction(v) for v in row) for row in dist)
-        for i, row in enumerate(rows):
-            if len(row) != d:
-                raise PreconditionError("distance matrix must be square")
-            if row[i] != 0:
-                raise PreconditionError(f"nonzero diagonal at {i}")
-        for i in range(d):
-            for j in range(i + 1, d):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError(f"asymmetric entry at ({i},{j})")
-                if rows[i][j] <= 0:
-                    raise PreconditionError(f"nonpositive distance at ({i},{j})")
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    if rows[i][j] > rows[i][l] + rows[l][j]:
-                        raise PreconditionError(
-                            f"triangle inequality fails at ({i},{j},{l})"
-                        )
+    Built unchecked: from_points gives a metric by construction, and a
+    matrix read from a file passes check_metric first."""
 
-    def __eq__(self, other):
-        if type(other) is not FiniteMetricSpace:
-            return NotImplemented
-        return vars(self) == vars(other)
+    dist: tuple[tuple[Fraction, ...], ...]
 
     @property
     def size(self) -> int:
@@ -82,6 +64,39 @@ class FiniteMetricSpace:
             for x in coords
         )
         return cls(rows)
+
+
+def check_metric(dist) -> None:
+    """Refuse a matrix of rationals that is not a metric on 0..d-1: square,
+    zero diagonal, symmetric, positive off the diagonal, and the triangle
+    inequality, each failure naming its first entry.
+
+    The entries are scaled once by the LCM of their denominators, so the
+    O(d^3) triangle test runs on ints: row i minus row l, at most d[i][l].
+    """
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    d = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != d:
+            raise PreconditionError("distance matrix must be square")
+        if row[i] != 0:
+            raise PreconditionError(f"nonzero diagonal at {i}")
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rows[i][j] != rows[j][i]:
+                raise PreconditionError(f"asymmetric entry at ({i},{j})")
+            if rows[i][j] <= 0:
+                raise PreconditionError(f"nonpositive distance at ({i},{j})")
+    for i, row in enumerate(rows):
+        if any(max(map(sub, row, other)) > row[l] for l, other in enumerate(rows)):
+            j, l = min(
+                (j, l)
+                for l, other in enumerate(rows)
+                for j in range(d)
+                if row[j] > row[l] + other[j]
+            )
+            raise PreconditionError(f"triangle inequality fails at ({i},{j},{l})")
 
 
 class PointSet:

@@ -119,7 +119,7 @@ def _lattice_index(box_size):
     stored, so other values, such as a bool that parse_rational must
     reject, miss the memo and are parsed every time. An off-lattice value
     stays a Fraction and a non-positive box_size scales nothing, so
-    PeriodicColoring rejects either with its own message.
+    _check_coloring rejects either with its own message.
     """
     scale = box_size if box_size > 0 else 1
     memo: dict[str, object] = {}
@@ -136,6 +136,78 @@ def _lattice_index(box_size):
         return found
 
     return index
+
+
+def _check_coloring(coloring: PeriodicColoring) -> list[str]:
+    """Check a stated coloring: a malformed one fails once, under coloring:.
+    Otherwise one pass over the boxes checks that every box of the
+    fundamental domain is owned exactly once (classes:) and that each box
+    lies in its class's window (anchors:).
+
+    Box o sits in the window at a exactly when its offset (o - a) mod
+    cells, counted in boxes, is below window // box_size: the box's far
+    edge must not pass the window's.
+    """
+    dim, box_size, window = coloring.dim, coloring.box_size, coloring.window
+    classes, anchors = coloring.classes, coloring.window_anchors
+    if dim < 1:
+        return ["coloring: coloring needs dim >= 1"]
+    if not 0 < box_size <= window <= coloring.period:
+        return ["coloring: need 0 < box_size <= window <= period"]
+    if (coloring.period / box_size).denominator != 1:
+        return ["coloring: period must be a whole number of boxes"]
+    if len(anchors) != len(classes):
+        return ["coloring: one window anchor per class"]
+    if not classes:
+        return ["coloring: coloring needs at least one class"]
+    if not all(classes):
+        return ["coloring: empty color class"]
+    cells = coloring.cells_per_axis
+
+    def malformed(vec) -> str | None:
+        """The failure a malformed index vector gives, or None."""
+        if len(vec) != dim:
+            return "coloring: offset dimension mismatch"
+        for c in vec:
+            if not 0 <= c < cells:
+                return "coloring: offsets must lie in [0, period)"
+            if type(c) is not int:
+                return "coloring: offsets must sit on the box lattice"
+        return None
+
+    for anchor in anchors:
+        if failure := malformed(anchor):
+            return [failure]
+    reach = window // box_size
+    failures = []
+    total, expected = sum(map(len, classes)), cells**dim
+    # Ownership is marked by row-major box index, and only when the count
+    # is right: then the boxes partition the domain unless one repeats.
+    owned = bytearray(total) if total == expected else None
+    if owned is None:
+        failures.append(f"classes: {total} owned boxes, expected {expected}")
+    twice = stray = None
+    for color, (vecs, anchor) in enumerate(zip(classes, anchors)):
+        for vec in vecs:
+            if len(vec) != dim:
+                return [malformed(vec)]
+            outside, key = False, 0
+            for c, a in zip(vec, anchor):
+                if type(c) is not int or not 0 <= c < cells:
+                    return [malformed(vec)]
+                outside = outside or (c - a) % cells >= reach
+                key = key * cells + c
+            if outside and stray is None:
+                stray = f"anchors: class {color}: box {vec} outside window at {anchor}"
+            if owned is not None:
+                if owned[key] and twice is None:
+                    twice = f"classes: box {vec} owned twice"
+                owned[key] = 1
+    if twice:
+        failures.append(twice)
+    if stray:
+        failures.append(stray)
+    return failures
 
 
 def _check_periodic_coloring(obj) -> list[str]:
@@ -163,14 +235,10 @@ def _check_periodic_coloring(obj) -> list[str]:
     except ValueError as exc:
         failures.append(f"coloring: {exc}")
         return failures
-    try:
-        coloring.check_partition()
-    except ValueError as exc:
-        failures.append(f"classes: {exc}")
-    try:
-        coloring.check_windows()
-    except ValueError as exc:
-        failures.append(f"anchors: {exc}")
+    found = _check_coloring(coloring)
+    failures += found
+    if any(failure.startswith("coloring:") for failure in found):
+        return failures
     if coloring.window > diameter(space):
         failures.append("window: exceeds the diameter of the avoided space")
     if coloring.period - coloring.window < connectivity_threshold(space):

@@ -21,6 +21,8 @@ from cert_fixtures import (
     leaf_paths,
     mutate_leaf,
 )
+from anchor_sets import anchor_set_one_alpha
+from coloring_oracles import color_of
 from cover_oracles import counting_lower_bound, naive_minimum_cover
 from metric_generators import random_metric_space
 from metric_oracles import chebyshev_distance
@@ -36,12 +38,7 @@ from maxram.cover import (
     slice_lower_bound,
     torus_points,
 )
-from maxram.extraction import (
-    GridSubset,
-    anchor_set_one_alpha,
-    extract_general_baton,
-    extract_unit_baton,
-)
+from maxram.extraction import GridSubset, extract_general_baton, extract_unit_baton
 from maxram.metric import Baton, PointSet, find_copies, frechet_embed
 from maxram.rational import ceil_div
 from maxram.validate import validate_certificate
@@ -171,7 +168,7 @@ def test_c05_cube_coloring_has_no_unit_distance_pair():
         def color(point) -> int:
             key = tuple(c % 2 for c in point)
             if key not in cache:
-                cache[key] = coloring.color_of(key)
+                cache[key] = color_of(coloring, key)
             return cache[key]
 
         for x in probes:

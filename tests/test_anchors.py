@@ -274,19 +274,17 @@ def test_built_sequences_verify_and_realize_the_steps(baton):
 # -- AnchorSequence validation ------------------------------------------------
 
 
-def test_anchor_sequence_field_validation():
-    good = dict(
-        p=(2,), m=2, a=(F(0), F(1, 2), F(1)), delta=F(1), theta=F(1), q0=1, q=2
-    )
-    AnchorSequence(**good)
-    with pytest.raises(PreconditionError, match="positive integers"):
-        AnchorSequence(**{**good, "p": (0,), "m": 0, "a": (F(0),)})
-    with pytest.raises(PreconditionError, match="sum"):
-        AnchorSequence(**{**good, "m": 3})
-    with pytest.raises(PreconditionError, match="entries"):
-        AnchorSequence(**{**good, "a": (F(0), F(1))})
-    with pytest.raises(PreconditionError, match="q must"):
-        AnchorSequence(**{**good, "q": 0})
+@given(st.one_of(integer_batons(), small_batons()), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_anchor_sequence_field_validation(baton, faithful):
+    """AnchorSequence checks nothing itself: the one construction gives
+    positive integer p, m = sum(p), m + 1 values and q >= 1."""
+    seq = build_anchor_sequence(baton, faithful=faithful)
+    for built in (seq, anchor_sequence_at(baton, seq.q)):
+        assert built.p and all(type(v) is int and v >= 1 for v in built.p)
+        assert built.m == sum(built.p)
+        assert len(built.a) == built.m + 1
+        assert built.q >= 1
 
 
 # -- verification clauses -----------------------------------------------------

@@ -17,7 +17,7 @@ import maxram.anchors
 import maxram.cli
 from maxram.anchors import MAX_COMBINATIONS
 from maxram.cli import build_parser, main
-from maxram.cover import MAX_TORUS_POINTS
+from maxram.cover import MAX_TABLE_POINTS, MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 from maxram.metric import MAX_GRID_POINTS, Baton, grid_points
 from maxram.validate import validate_certificate
@@ -729,6 +729,12 @@ def test_cover_refuses_a_one_point_torus_of_huge_dimension(capsys):
     assert captured.out == ""
 
 
+def run_main(argv, timeout=5) -> subprocess.CompletedProcess:
+    """maxram's main(argv) in a fresh interpreter, killed past timeout s."""
+    script = f"import sys\nfrom maxram.cli import main\nsys.exit(main({argv!r}))\n"
+    return run_python(script, timeout=timeout)
+
+
 @pytest.mark.parametrize(
     "argv, subset, err",
     [
@@ -752,10 +758,41 @@ def test_a_huge_stated_size_exits_2_in_a_fresh_process(tmp_path, argv, subset, e
     and the density bound before k^n or the k + 1 anchors are formed."""
     path = tmp_path / "subset.json"
     path.write_text(json.dumps(subset))
-    argv = [a.format(subset=path) for a in argv]
-    script = f"import sys\nfrom maxram.cli import main\nsys.exit(main({argv!r}))\n"
-    run = run_python(script, timeout=5)
+    run = run_main([a.format(subset=path) for a in argv])
     assert (run.returncode, run.stderr, run.stdout) == (2, f"error: {err}\n", "")
+
+
+def test_a_long_unit_baton_space_is_not_checked_as_a_matrix(tmp_path):
+    """The unit 150-baton's space is built from its points, a metric by
+    construction, so bounds and chi never run the O(d^3) triangle check
+    on it; validate reads the 151 x 151 matrix from the certificate and
+    checks it in scaled integers. Each finishes within 5 s."""
+    bounds = run_main(["bounds", "--k", "150", "--n", "1"])
+    assert (bounds.returncode, bounds.stdout) == (0, "k,n,lower,upper\n150,1,2,2\n")
+    cert = tmp_path / "chi.json"
+    chi = run_main(["chi", "--grid", "150,1", "-o", str(cert)])
+    assert (chi.returncode, chi.stderr) == (0, "")
+    check = run_main(["validate", str(cert)])
+    assert (check.returncode, check.stdout) == (0, "ok: chromatic\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--m", "3", "--d", "2", "--n", "11", "--greedy"],
+        ["cover", "--m", "3", "--d", "2", "--n", "11", "--exact"],
+        ["cover", "table", "--max", "11"],
+        ["cover", "table", "--max", "16"],
+    ],
+    ids=["greedy-n11", "exact-n11", "table-11", "table-16"],
+)
+def test_a_torus_past_the_table_cap_exits_2_in_a_fresh_process(argv):
+    """3^11 points is past MAX_TABLE_POINTS, so no coverage table of
+    3^11 masks is built; `cover table` checks every row before it solves
+    the first, so rows 1..10 are not solved before row 11 is refused."""
+    run = run_main(argv)
+    err = f"error: the torus has more than {MAX_TABLE_POINTS} points for a coverage table\n"
+    assert (run.returncode, run.stderr, run.stdout) == (2, err, "")
 
 
 def test_exact_cover_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coloring_oracles import color_of, owner_table
 from maxram.chromatic import pigeonhole_lower_bound
 from maxram.colorings import (
     PeriodicColoring,
@@ -26,6 +27,7 @@ from maxram.errors import DomainError, PreconditionError
 from maxram.io import periodic_coloring_certificate
 from maxram.metric import Baton, FiniteMetricSpace, PointSet
 from maxram.rational import format_rational
+from maxram.validate import _check_coloring
 
 F = Fraction
 
@@ -53,8 +55,7 @@ def test_cube_tiling_partitions_and_fits_windows():
     col = avoidance_coloring(B1, 2)
     assert col.class_count == 4
     assert col.cells_per_axis == 2
-    assert col.check_partition()
-    assert col.check_windows()
+    assert _check_coloring(col) == []
     assert col.warnings == (
         "gap >= window: the plain cube tiling would use no more colors",
     )
@@ -62,18 +63,18 @@ def test_cube_tiling_partitions_and_fits_windows():
 
 def test_cube_tiling_color_lookup():
     col = avoidance_coloring(B1, 1)
-    assert col.color_of((F(0),)) != col.color_of((F(1),))
-    assert col.color_of((F(1, 2),)) == col.color_of((F(0),))
+    assert color_of(col, (F(0),)) != color_of(col, (F(1),))
+    assert color_of(col, (F(1, 2),)) == color_of(col, (F(0),))
     # periodicity, including negative coordinates
-    assert col.color_of((F(-2),)) == col.color_of((F(0),))
-    assert col.color_of((F(-1, 2),)) == col.color_of((F(3, 2),))
+    assert color_of(col, (F(-2),)) == color_of(col, (F(0),))
+    assert color_of(col, (F(-1, 2),)) == color_of(col, (F(3, 2),))
 
 
 def test_cube_tiling_rejects_bad_dimension():
     with pytest.raises(PreconditionError):
         avoidance_coloring(B1, 0)
     with pytest.raises(PreconditionError):
-        avoidance_coloring(B1, 2).color_of((F(0),))
+        color_of(avoidance_coloring(B1, 2), (F(0),))
 
 
 @given(
@@ -93,7 +94,7 @@ def test_cube_tiling_separates_points_at_distance_exactly_one(n, data):
     offset = list(data.draw(st.tuples(*[small] * n)))
     offset[axis] = F(sign)
     y = tuple(a + b for a, b in zip(x, offset))
-    assert col.color_of(x) != col.color_of(y)
+    assert color_of(col, x) != color_of(col, y)
 
 
 def test_coloring_validation_errors():
@@ -106,27 +107,24 @@ def test_coloring_validation_errors():
         window=one,
         window_anchors=((0,), (1,)),
     )
-    PeriodicColoring(**good)
-    with pytest.raises(PreconditionError, match="dim"):
-        PeriodicColoring(**{**good, "dim": 0})
-    with pytest.raises(PreconditionError, match="box_size"):
-        PeriodicColoring(**{**good, "window": F(1, 2)})
-    with pytest.raises(PreconditionError, match="whole number"):
-        PeriodicColoring(**{**good, "period": F(3, 2), "window": F(3, 2)})
-    with pytest.raises(PreconditionError, match="anchor"):
-        PeriodicColoring(**{**good, "window_anchors": ((0,),)})
-    with pytest.raises(PreconditionError, match="empty"):
-        PeriodicColoring(**{**good, "classes": (((0,),), ())})
-    with pytest.raises(PreconditionError, match="dimension"):
-        PeriodicColoring(**{**good, "classes": (((0,),), ((1, 0),))})
+
+    def refused(**bad):
+        failures = _check_coloring(PeriodicColoring(**{**good, **bad}))
+        assert len(failures) == 1 and failures[0].startswith("coloring: ")
+        return failures[0]
+
+    assert _check_coloring(PeriodicColoring(**good)) == []
+    assert "dim" in refused(dim=0)
+    assert "box_size" in refused(window=F(1, 2))
+    assert "whole number" in refused(period=F(3, 2), window=F(3, 2))
+    assert "anchor" in refused(window_anchors=((0,),))
+    assert "empty" in refused(classes=(((0,),), ()))
+    assert "dimension" in refused(classes=(((0,),), ((1, 0),)))
     # boxes are integer lattice indices: any other value is off the lattice
     for off in (F(1, 2), F(1), 1.0):
-        with pytest.raises(PreconditionError, match="lattice"):
-            PeriodicColoring(**{**good, "classes": (((0,),), ((off,),))})
-    with pytest.raises(PreconditionError, match="period"):
-        PeriodicColoring(**{**good, "window_anchors": ((0,), (2,))})
-    with pytest.raises(PreconditionError, match="period"):
-        PeriodicColoring(**{**good, "window_anchors": ((0,), (-1,))})
+        assert "lattice" in refused(classes=(((0,),), ((off,),)))
+    assert "period" in refused(window_anchors=((0,), (2,)))
+    assert "period" in refused(window_anchors=((0,), (-1,)))
 
 
 def test_partition_check_catches_double_and_missing_ownership():
@@ -136,13 +134,11 @@ def test_partition_check_catches_double_and_missing_ownership():
         window_anchors=((0,), (0,)),
         **base,
     )
-    with pytest.raises(DomainError, match="twice"):
-        doubled.check_partition()
+    assert _check_coloring(doubled) == ["classes: box (0,) owned twice"]
     short = PeriodicColoring(classes=(((0,),),), window_anchors=((0,),), **base)
-    with pytest.raises(DomainError, match="expected 2"):
-        short.check_partition()
+    assert _check_coloring(short) == ["classes: 1 owned boxes, expected 2"]
     with pytest.raises(DomainError, match="no color"):
-        short.color_of((F(3, 2),))
+        color_of(short, (F(3, 2),))
 
 
 def test_window_check_catches_a_stray_box():
@@ -154,9 +150,9 @@ def test_window_check_catches_a_stray_box():
         window=F(1),
         window_anchors=((0,), (1,)),
     )
-    assert stray.check_partition()
-    with pytest.raises(DomainError, match="outside window"):
-        stray.check_windows()
+    assert _check_coloring(stray) == [
+        "anchors: class 0: box (2,) outside window at (0,)"
+    ]
 
 
 @given(st.integers(1, 3), st.data())
@@ -167,7 +163,7 @@ def test_color_of_is_periodic(n, data):
     x = data.draw(st.tuples(*[coord] * n))
     shift = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
     y = tuple(c + s * col.period for c, s in zip(x, shift))
-    assert col.color_of(x) == col.color_of(y)
+    assert color_of(col, x) == color_of(col, y)
 
 
 def fraction_corner(col, vec):
@@ -175,8 +171,8 @@ def fraction_corner(col, vec):
 
 
 def fraction_owner(col):
-    """The ownership table keyed by Fraction box corners; oracle for
-    PeriodicColoring._owner and check_partition."""
+    """The ownership table keyed by Fraction box corners; oracle for the
+    classes: check of _check_coloring and for owner_table."""
     table = {}
     for color, vecs in enumerate(col.classes):
         for vec in vecs:
@@ -193,7 +189,7 @@ def fraction_owner(col):
 def fraction_check_windows(col):
     """Window containment on Fraction corners: a box fits when its corner
     lies at most window - box_size past the anchor, modulo the period.
-    Oracle for PeriodicColoring.check_windows."""
+    Oracle for the anchors: check of _check_coloring."""
     slack = col.window - col.box_size
     for vecs, anchor in zip(col.classes, col.window_anchors):
         a = fraction_corner(col, anchor)
@@ -202,13 +198,6 @@ def fraction_check_windows(col):
             if any((x - y) % col.period > slack for x, y in zip(o, a)):
                 return False
     return True
-
-
-def verdict(check):
-    try:
-        return bool(check())
-    except DomainError:
-        return False
 
 
 @st.composite
@@ -244,14 +233,18 @@ def small_colorings(draw):
 @given(small_colorings())
 @settings(max_examples=300, deadline=None)
 def test_integer_checks_match_the_fraction_oracle(col):
-    assert verdict(col.check_windows) == fraction_check_windows(col)
-    assert verdict(col.check_partition) == verdict(lambda: fraction_owner(col))
-    if verdict(col.check_partition):
+    labels = {failure.split(":")[0] for failure in _check_coloring(col)}
+    assert labels <= {"classes", "anchors"}
+    assert ("anchors" not in labels) == fraction_check_windows(col)
+    try:
         owner = fraction_owner(col)
-        for vec in col._owner:
-            assert col.color_of(fraction_corner(col, vec)) == owner[
-                fraction_corner(col, vec)
-            ]
+    except DomainError:
+        owner = None
+    assert ("classes" not in labels) == (owner is not None)
+    if owner is not None:
+        for vec in owner_table(col):
+            corner = fraction_corner(col, vec)
+            assert color_of(col, corner) == owner[corner]
 
 
 def test_window_of_one_and_a_half_boxes_holds_one_neighbour():
@@ -260,13 +253,14 @@ def test_window_of_one_and_a_half_boxes_holds_one_neighbour():
     inside = PeriodicColoring(
         classes=(((0,),), ((1,),), ((2,),)), window_anchors=((0,), (1,), (2,)), **base
     )
-    assert inside.check_windows() and fraction_check_windows(inside)
+    assert _check_coloring(inside) == [] and fraction_check_windows(inside)
     stray = PeriodicColoring(
         classes=(((0,), (1,)), ((2,),)), window_anchors=((0,), (2,)), **base
     )
     assert not fraction_check_windows(stray)
-    with pytest.raises(DomainError, match="outside window"):
-        stray.check_windows()
+    assert _check_coloring(stray) == [
+        "anchors: class 0: box (1,) outside window at (0,)"
+    ]
 
 
 # -- torus coverings and ownership -------------------------------------------
@@ -398,10 +392,10 @@ def b2_copy_positions(x: Fraction):
 def test_randomized_avoidance_coloring_for_the_unit_two_step():
     col = avoidance_coloring(B2, n=1, seed=3)
     assert col.period == 3 and col.window == 2 and col.box_size == 1
-    assert col.check_partition() and col.check_windows()
+    assert _check_coloring(col) == []
     assert "gap >= window" not in " ".join(col.warnings)
     for numerator in range(-12, 12):
-        colors = {col.color_of(p) for p in b2_copy_positions(F(numerator, 4))}
+        colors = {color_of(col, p) for p in b2_copy_positions(F(numerator, 4))}
         assert len(colors) > 1
 
 
@@ -419,12 +413,12 @@ def test_gap_at_least_window_warns():
     window 1 and gap 1."""
     col = avoidance_coloring(B1, n=1)
     assert col.period == 2 and col.window == 1 and col.box_size == 1
-    assert col.check_partition() and col.check_windows()
+    assert _check_coloring(col) == []
     assert any("cube tiling" in w for w in col.warnings)
     # the pair itself never lands monochromatically
     for numerator in range(-12, 12):
         x = F(numerator, 4)
-        assert col.color_of((x,)) != col.color_of((x + 1,))
+        assert color_of(col, (x,)) != color_of(col, (x + 1,))
 
 
 def test_asymptotic_default_margins_shrink_the_window():
@@ -432,9 +426,9 @@ def test_asymptotic_default_margins_shrink_the_window():
     assert col.window == F(126, 64)
     assert col.period == F(191, 64)
     assert col.box_size == F(1, 64)
-    assert col.check_partition() and col.check_windows()
+    assert _check_coloring(col) == []
     for numerator in range(-8, 8):
-        colors = {col.color_of(p) for p in b2_copy_positions(F(numerator, 3))}
+        colors = {color_of(col, p) for p in b2_copy_positions(F(numerator, 3))}
         assert len(colors) > 1
 
 
@@ -442,7 +436,7 @@ def test_asymptotic_default_margins_shrink_the_window():
 @settings(max_examples=20, deadline=None)
 def test_randomized_avoidance_is_always_a_valid_coloring(seed, n):
     col = avoidance_coloring(B2, n=n, seed=seed)
-    assert col.check_partition() and col.check_windows()
+    assert _check_coloring(col) == []
     assert col.window <= 2 and col.period - col.window >= 1
 
 
@@ -461,7 +455,7 @@ def test_avoidance_coloring_no_monochromatic_planar_copy():
         p0, p1 = x, tuple(a + b for a, b in zip(x, d1))
         p2 = tuple(a + 2 * b if i == axis else a for i, (a, b) in enumerate(zip(x, d1)))
         # p0,p1,p2 realize distances 1,1,2 along the chosen axis
-        colors = {col.color_of(p) for p in (p0, p1, p2)}
+        colors = {color_of(col, p) for p in (p0, p1, p2)}
         assert len(colors) > 1
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchor_sets import anchor_set_one_alpha
 from maxram.errors import DomainError, PreconditionError
 from maxram.extraction import (
     AnchorSet,
     GridSubset,
     _shifted,
-    anchor_set_one_alpha,
     extract_general_baton,
     extract_unit_baton,
 )
@@ -125,14 +125,17 @@ def test_extraction_on_random_dense_subsets(seed, n, k):
 
 
 def test_anchor_set_validation():
-    with pytest.raises(PreconditionError, match="start at 0"):
-        AnchorSet((F(1), F(2)), (0, 1))
-    with pytest.raises(PreconditionError, match="increasing"):
-        AnchorSet((F(0), F(2), F(1)), (0, 2))
-    with pytest.raises(PreconditionError, match="marks"):
-        AnchorSet((F(0), F(1), F(2)), (0, 1))
-    with pytest.raises(PreconditionError, match="marks"):
-        AnchorSet((F(0), F(1)), (1,))
+    """AnchorSet checks nothing itself: the anchor sets of built sequences
+    start at 0, strictly increase, and mark indices 0 to the last."""
+    from maxram.anchors import build_anchor_sequence
+
+    batons = [(F(1),), (F(1), F(3, 2)), (F(2), F(1, 2)), (F(1), F(1), F(2))]
+    for steps, faithful in itertools.product(batons, (False, True)):
+        values, marks = build_anchor_sequence(Baton(steps), faithful).anchor_set
+        assert values[0] == 0
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert marks[0] == 0 and marks[-1] == len(values) - 1
+        assert all(a < b for a, b in zip(marks, marks[1:]))
 
 
 def test_marked_steps_reads_gaps_between_marked_values():

@@ -1,9 +1,10 @@
 """Package layout, read from the sources with ast: every name is imported
 from the module that defines it, so the package root re-exports only what
 the benchmark's tests import from it, no module, in the package or among
-the tests, imports a name it never uses, and no package module imports
-dataclasses. Which modules each command loads is checked in a fresh
-interpreter."""
+the tests, imports a name it never uses, no package module imports
+dataclasses, and only the classes that hold outside input (and
+CoverSolution) define __init__. Which modules each command loads is
+checked in a fresh interpreter."""
 
 import ast
 import importlib
@@ -151,6 +152,26 @@ def test_no_package_module_imports_dataclasses():
         and (node.module or "").split(".")[0] == "dataclasses"
     ]
     assert importers == []
+
+
+def test_only_the_records_of_outside_input_and_cover_solution_have_init():
+    """Records that only the program builds are NamedTuples that check
+    nothing; a class with __init__ holds outside input and checks it, or is
+    CoverSolution, whose fields callers assign."""
+    with_init = {
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for item in node.body
+        )
+    }
+    assert with_init == {
+        "PointSet", "Baton", "CopyEmbedding", "GridSubset", "CoverInstance",
+        "CoverSolution",
+    }
 
 
 @pytest.mark.parametrize(

@@ -9,20 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxram.errors import DimensionMismatch, PreconditionError
+from maxram.io import metric_space_from_obj
 from maxram.metric import (
     Baton,
     CopyEmbedding,
     FiniteMetricSpace,
     PointSet,
     _distance_masks,
+    check_metric,
     connectivity_threshold,
     diameter,
     find_copies,
     frechet_embed,
     grid_points,
 )
+from maxram.rational import format_rational
+from maxram.validate import validate_certificate
 from metric_generators import random_metric_space
-from metric_oracles import chebyshev_distance
+from metric_oracles import chebyshev_distance, check_metric_naive
 
 
 def find_copies_naive(
@@ -97,9 +101,15 @@ def test_distance_triangle_inequality(dim, data):
 
 
 def test_space_accepts_valid_matrix():
-    space = FiniteMetricSpace(((0, 1, 3), (1, 0, 2), (3, 2, 0)))
+    rows = ((0, 1, 3), (1, 0, 2), (3, 2, 0))
+    check_metric(rows)
+    space = FiniteMetricSpace(rows)
     assert space.size == 3
     assert space.dist[0][2] == 3
+
+
+def matrix_obj(rows) -> dict:
+    return {"distance_matrix": [[format_rational(F(v)) for v in row] for row in rows]}
 
 
 @pytest.mark.parametrize(
@@ -111,11 +121,48 @@ def test_space_accepts_valid_matrix():
         (((0, 0), (0, 0)), "nonpositive"),
         (((0, -1), (-1, 0)), "nonpositive"),
         (((0, 5, 1), (5, 0, 1), (1, 1, 0)), "triangle"),
+        # 1/2 > 1/3 + 1/7 = 13/42: a violation only across denominators
+        (((0, F(1, 2), F(1, 3)), (F(1, 2), 0, F(1, 7)), (F(1, 3), F(1, 7), 0)),
+         "triangle"),
     ],
 )
 def test_space_rejects_bad_matrices(rows, message):
-    with pytest.raises(PreconditionError, match=message):
-        FiniteMetricSpace(rows)
+    """A matrix is checked where it enters: by check_metric, which
+    metric_space_from_obj runs on every distance matrix it reads, the
+    validator's included."""
+    with pytest.raises(PreconditionError, match=message) as direct:
+        check_metric(rows)
+    with pytest.raises(PreconditionError, match=message) as read:
+        metric_space_from_obj(matrix_obj(rows))
+    with pytest.raises(PreconditionError) as oracle:
+        check_metric_naive(rows)
+    assert str(direct.value) == str(read.value) == str(oracle.value)
+    cert = {"kind": "copy_embedding", **matrix_obj(rows), "points": [],
+            "distances_checked": True}
+    assert validate_certificate(cert).failures == (f"malformed: {direct.value}",)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_metric_matches_the_fraction_oracle(seed, size, data):
+    """Random metrics with a few entries nudged: the scaled-integer check
+    accepts and refuses exactly what the Fraction oracle does, naming the
+    same first entry."""
+    rows = [list(row) for row in random_metric_space(random.Random(seed), size).dist]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        rows[i][j] += F(data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 7)))
+        if data.draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+
+    def verdict(check):
+        try:
+            check(rows)
+        except PreconditionError as exc:
+            return str(exc)
+        return None
+
+    assert verdict(check_metric) == verdict(check_metric_naive)
 
 
 def test_space_from_points_matches_pairwise_distances():

@@ -1,6 +1,7 @@
 """The record types' constructor contracts: each builds from keywords and
 from positions in its field order, fills the same defaults, and the types
-that check their fields refuse a bad one with the same exception class."""
+that hold outside input refuse a bad field with the same exception class.
+The records that only the program builds check nothing themselves."""
 
 from fractions import Fraction
 
@@ -62,20 +63,11 @@ RECORDS = {
 
 # One bad field per type that checks its fields, and the exception it raises.
 REFUSED = [
-    (FiniteMetricSpace, {"dist": ((0, 1), (2, 0))}, PreconditionError),
     (PointSet, {"dim": 2, "points": ((0,), (1,))}, DimensionMismatch),
     (Baton, {"steps": (1, 0)}, PreconditionError),
     (CopyEmbedding, {"source": PAIR, "points": LINE, "indices": (0, 0)},
      PreconditionError),
     (GridSubset, {"n": 1, "k": 1, "elems": {(2,)}}, PreconditionError),
-    (AnchorSet, {"values": (1, 2), "marks": (0, 1)}, PreconditionError),
-    (AnchorSequence,
-     {"p": (1, 2), "m": 4, "a": (0, 1, 2, 3), "delta": 1, "theta": 3, "q0": 0, "q": 1},
-     PreconditionError),
-    (PeriodicColoring,
-     {"dim": 1, "period": F(2), "box_size": F(1), "classes": (((0,),),),
-      "window": F(1), "window_anchors": ((0,), (1,))},
-     PreconditionError),
     (CoverInstance, {"m": 3, "d": 2, "n": 30}, DomainError),
 ]
 
