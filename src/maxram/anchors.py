@@ -214,12 +214,17 @@ def anchor_sequence_at(
                 f"at q = {q} the top combination anchors at index "
                 f"{boundaries[-1]}, not at sum(p) = {m}"
             )
+        # a[l] = gamma - (boundary - l) * unit, each value over den: the
+        # numerators are ints, and each value is one Fraction of two ints.
         unit = delta / (2 * m)
+        den = math.lcm(unit.denominator, *(g.denominator for g in gammas.values))
+        step = unit.numerator * (den // unit.denominator)
         a = [Fraction(0)] * (m + 1)
         for i in range(1, len(boundaries)):
             gamma = gammas.values[i]
+            top = gamma.numerator * (den // gamma.denominator) - boundaries[i] * step
             for l in range(boundaries[i - 1] + 1, boundaries[i] + 1):
-                a[l] = gamma - (boundaries[i] - l) * unit
+                a[l] = Fraction(top + l * step, den)
     return AnchorSequence(
         p=p, m=m, a=tuple(a), delta=delta, theta=theta, q0=q0, q=q
     )

@@ -73,7 +73,6 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from .anchors import build_anchor_sequence
     from .extraction import extract_general_baton, extract_unit_baton
     from .io import copy_embedding_certificate, grid_subset_from_obj
     from .io import point_set_from_obj, read_json
@@ -85,6 +84,8 @@ def _cmd_extract(args) -> int:
             raise PreconditionError(f"--k {args.k} does not match the file ({subset.k})")
         embedding = extract_unit_baton(subset)
     else:
+        from .anchors import build_anchor_sequence
+
         baton = _parse_steps(args.baton)
         sequence = build_anchor_sequence(baton, faithful=args.faithful)
         points = point_set_from_obj(obj)

@@ -40,7 +40,8 @@ class PeriodicColoring(NamedTuple):
     corner of a half-open window of side `window` that contains all of
     them modulo the period. Periodicity extends the assignment to all of
     R^n. Built unchecked: avoidance_coloring colors from a cover, and the
-    validator checks a stated coloring with validate._check_coloring.
+    validator checks a stated coloring class by class and axis by axis
+    (validate._check_coloring).
     """
 
     dim: int

@@ -32,10 +32,10 @@ def vec_to_obj(vec) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def vec_from_obj(items, coordinate=parse_rational) -> Vec:
+def vec_from_obj(items) -> Vec:
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(map(coordinate, items))
+    return tuple(map(parse_rational, items))
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -95,17 +95,28 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Escaped(dict):
+    """str -> its JSON literal, escaped at its first lookup. Anything else
+    raises TypeError, unstored: encode_basestring_ascii takes only str."""
+
+    def __missing__(self, text):
+        self[text] = literal = _escape(text)
+        return literal
+
+
 def _string_lists(lists, indent: str) -> list[str] | None:
     """Each list of str laid out at indent, in one pass: the bulk of a
-    coloring certificate. None when some item is not a str."""
+    coloring certificate, whose few distinct literals are escaped once
+    each. None when some item is not a str."""
     inner = indent + "  "
     sep = "," + inner
+    escaped = _Escaped().__getitem__
     try:
         return [
-            "[" + inner + sep.join(map(_escape, v)) + indent + "]" if v else "[]"
+            "[" + inner + sep.join(map(escaped, v)) + indent + "]" if v else "[]"
             for v in lists
         ]
-    except TypeError:  # encode_basestring_ascii takes only str
+    except TypeError:
         return None
 
 

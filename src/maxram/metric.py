@@ -296,45 +296,53 @@ def find_copies(
         raise PreconditionError("limit must be positive")
     d = space.size
     scale = points.scaled_coords[0]
-    targets = [[v * scale for v in row] for row in space.dist]
-    if any(v.denominator != 1 for row in targets for v in row):
-        # Some distance is not a multiple of 1/scale; no two points have it.
-        return []
-    targets = [[v.numerator for v in row] for row in targets]
+    targets = []
+    for row in space.dist:
+        scaled = [divmod(v.numerator * scale, v.denominator) for v in row]
+        if any(r for _, r in scaled):
+            # Some distance is not a multiple of 1/scale; no two points have it.
+            return []
+        targets.append([q for q, _ in scaled])
     masks = _distance_masks(points, {v for row in targets for v in row if v})
     out: list[tuple[int, ...]] = []
     seen: set[frozenset] = set()
-    chosen: list[int] = []
-
-    def descend() -> bool:
-        depth = len(chosen)
+    # chosen[t] realizes abstract point t; left[t] holds the candidates for
+    # it not yet tried. No call stack: Python's recursion limit does not
+    # cap the size of the space.
+    chosen = [0] * d
+    left = [0] * d
+    if d:
+        left[0] = (1 << len(points)) - 1
+    depth = 0
+    while depth >= 0:
         if depth == d:
+            depth -= 1
+            tup = tuple(chosen)
             if distinct_supports:
-                key = frozenset(chosen)
+                key = frozenset(tup)
                 if key in seen:
-                    return False
+                    continue
                 seen.add(key)
-            out.append(tuple(chosen))
-            return limit is not None and len(out) >= limit
-        if depth == 0:
-            candidates = (1 << len(points)) - 1
-        else:
+            out.append(tup)
+            if limit is not None and len(out) >= limit:
+                break
+            continue
+        candidates = left[depth]
+        if not candidates:
+            depth -= 1
+            continue
+        low = candidates & -candidates
+        left[depth] = candidates ^ low
+        chosen[depth] = low.bit_length() - 1
+        depth += 1
+        if depth < d:
             # Distances to chosen points are positive, so no chosen point
             # survives the AND.
             row = targets[depth]
             candidates = masks[chosen[0]][row[0]]
             for j in range(1, depth):
                 candidates &= masks[chosen[j]][row[j]]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            chosen.append(low.bit_length() - 1)
-            if descend():
-                return True
-            chosen.pop()
-        return False
-
-    descend()
+            left[depth] = candidates
     return out
 
 

@@ -11,6 +11,10 @@ small enough. Failures name the offending field or pair.
 
 from __future__ import annotations
 
+from collections import deque
+from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
@@ -112,37 +116,57 @@ def _check_anchor_sequence(obj) -> list[str]:
     return failures
 
 
-def _lattice_index(box_size):
-    """Read a coordinate as its box-lattice index, value / box_size.
+class _LatticeIndex(dict):
+    """Coordinate literal -> box-lattice index, value / scale: an int on
+    the lattice, else the Fraction.
 
-    Each distinct string literal is parsed once. Only str keys are
-    stored, so other values, such as a bool that parse_rational must
-    reject, miss the memo and are parsed every time. An off-lattice value
-    stays a Fraction and a non-positive box_size scales nothing, so
-    _check_coloring rejects either with its own message.
+    A str literal is parsed at its first lookup and stored. Any other
+    value, such as an int or a bool that parse_rational must reject, is
+    parsed at every lookup, so True never finds an entry of 1. An
+    unhashable value raises TypeError before any parse.
     """
-    scale = box_size if box_size > 0 else 1
-    memo: dict[str, object] = {}
 
-    def index(value):
-        try:
-            return memo[value]
-        except (KeyError, TypeError):  # TypeError: an unhashable list
-            pass
-        q = parse_rational(value) / scale
+    scale: Fraction
+
+    def __missing__(self, literal):
+        q = parse_rational(literal) / self.scale
         found = q.numerator if q.denominator == 1 else q
-        if isinstance(value, str):
-            memo[value] = found
+        if type(literal) is str:
+            self[literal] = found
         return found
 
-    return index
+
+def _lattice_flats(classes, index: _LatticeIndex) -> list[list]:
+    """Each stated class's coordinates, box after box, as lattice indices.
+
+    A class, box or coordinate that the per-box parse (vec_from_obj on
+    each box, in order) refuses raises what that parse raises first.
+    """
+    flats = []
+    try:
+        for vecs in classes:
+            if not all(map(isinstance, vecs, repeat((list, tuple)))):
+                raise TypeError("a box is not a coordinate list")
+            flats.append(list(map(index.__getitem__, chain.from_iterable(vecs))))
+    except (TypeError, ValueError):
+        for vecs in classes:
+            for v in vecs:
+                vec_from_obj(v)
+        raise
+    return flats
 
 
-def _check_coloring(coloring: PeriodicColoring) -> list[str]:
+def _check_coloring(coloring: PeriodicColoring, flats=None) -> list[str]:
     """Check a stated coloring: a malformed one fails once, under coloring:.
-    Otherwise one pass over the boxes checks that every box of the
-    fundamental domain is owned exactly once (classes:) and that each box
-    lies in its class's window (anchors:).
+    Otherwise every box of the fundamental domain must be owned exactly
+    once (classes:) and each box must lie in its class's window (anchors:).
+
+    flats[i] lists the lattice indices of class i, box after box; by
+    default they are read from classes, and when given, classes are read
+    only for their box counts and lengths. The checks run per class and
+    axis, on strided slices of flats[i]. Only a class that fails one is
+    scanned box by box, so each failure names the first box, in class and
+    box order, that fails it.
 
     Box o sits in the window at a exactly when its offset (o - a) mod
     cells, counted in boxes, is below window // box_size: the box's far
@@ -178,47 +202,72 @@ def _check_coloring(coloring: PeriodicColoring) -> list[str]:
     for anchor in anchors:
         if failure := malformed(anchor):
             return [failure]
+    if flats is None:
+        flats = [list(chain.from_iterable(vecs)) for vecs in classes]
     reach = window // box_size
-    failures = []
     total, expected = sum(map(len, classes)), cells**dim
     # Ownership is marked by row-major box index, and only when the count
-    # is right: then the boxes partition the domain unless one repeats.
-    owned = bytearray(total) if total == expected else None
+    # is right: then the boxes partition the domain unless one repeats,
+    # and a repeat leaves some box unmarked.
+    owned = bytearray(expected) if total == expected else None
+    stray = None
+    for color, (vecs, flat, anchor) in enumerate(zip(classes, flats, anchors)):
+        cols = [flat[x::dim] for x in range(dim)]  # the axis-x indices
+        if not all(map(dim.__eq__, map(len, vecs))) or not all(
+            {*map(type, col)} == {int} and 0 <= min(col) and max(col) < cells
+            for col in cols
+        ):
+            start = 0
+            for vec in vecs:
+                if failure := malformed(flat[start : start + len(vec)]):
+                    return [failure]
+                start += len(vec)
+        # Each distinct index of a column is tested once.
+        if stray is None and not all(
+            (c - a) % cells < reach for col, a in zip(cols, anchor) for c in set(col)
+        ):
+            box = next(
+                b for b in zip(*cols)
+                if any((c - a) % cells >= reach for c, a in zip(b, anchor))
+            )
+            stray = f"anchors: class {color}: box {box} outside window at {anchor}"
+        if owned is not None:
+            deque(map(owned.__setitem__, _row_major(cols, cells), repeat(1)), maxlen=0)
+    failures = []
     if owned is None:
         failures.append(f"classes: {total} owned boxes, expected {expected}")
-    twice = stray = None
-    for color, (vecs, anchor) in enumerate(zip(classes, anchors)):
-        for vec in vecs:
-            if len(vec) != dim:
-                return [malformed(vec)]
-            outside, key = False, 0
-            for c, a in zip(vec, anchor):
-                if type(c) is not int or not 0 <= c < cells:
-                    return [malformed(vec)]
-                outside = outside or (c - a) % cells >= reach
-                key = key * cells + c
-            if outside and stray is None:
-                stray = f"anchors: class {color}: box {vec} outside window at {anchor}"
-            if owned is not None:
-                if owned[key] and twice is None:
-                    twice = f"classes: box {vec} owned twice"
-                owned[key] = 1
-    if twice:
-        failures.append(twice)
+    elif owned.count(0):  # name the first box that repeats
+        seen = bytearray(expected)
+        for key in chain.from_iterable(
+            _row_major([flat[x::dim] for x in range(dim)], cells) for flat in flats
+        ):
+            if seen[key]:
+                break
+            seen[key] = 1
+        box = tuple(key // cells**x % cells for x in reversed(range(dim)))
+        failures.append(f"classes: box {box} owned twice")
     if stray:
         failures.append(stray)
     return failures
+
+
+def _row_major(cols, cells: int):
+    """The row-major indices of the boxes whose axis-x indices are cols[x]."""
+    keys = cols[0]
+    for col in cols[1:]:
+        keys = map(add, map(mul, keys, repeat(cells)), col)
+    return keys
 
 
 def _check_periodic_coloring(obj) -> list[str]:
     failures: list[str] = []
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
     box_size = parse_rational(obj["box_size"])
-    index = _lattice_index(box_size)
-    classes = tuple(
-        tuple(vec_from_obj(v, index) for v in vecs)
-        for vecs in _list_field(obj, "classes")
-    )
+    index = _LatticeIndex()
+    # A non-positive box_size scales nothing; _check_coloring rejects it.
+    index.scale = box_size if box_size > 0 else 1
+    classes = _list_field(obj, "classes")
+    flats = _lattice_flats(classes, index)
     if _int_field(obj, "class_count") != len(classes):
         failures.append("class_count: does not match the classes")
     try:
@@ -228,14 +277,18 @@ def _check_periodic_coloring(obj) -> list[str]:
             box_size=box_size,
             classes=classes,
             window=parse_rational(obj["window"]),
+            # Each anchor is read as a class of one box.
             window_anchors=tuple(
-                vec_from_obj(v, index) for v in _list_field(obj, "anchors")
+                tuple(flat)
+                for flat in _lattice_flats(
+                    [[v] for v in _list_field(obj, "anchors")], index
+                )
             ),
         )
     except ValueError as exc:
         failures.append(f"coloring: {exc}")
         return failures
-    found = _check_coloring(coloring)
+    found = _check_coloring(coloring, flats)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
         return failures

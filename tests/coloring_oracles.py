@@ -1,9 +1,14 @@
-"""A Fraction-level color lookup for periodic colorings, shared by the
-test modules."""
+"""Oracles for periodic colorings, shared by the test modules: a
+Fraction-level color lookup, and the box-by-box check of a stated
+coloring that validate's column checks must match line for line."""
 
 from fractions import Fraction
 
+from maxram.colorings import PeriodicColoring
 from maxram.errors import DomainError, PreconditionError
+from maxram.io import _int_field, _list_field, metric_space_from_obj, vec_from_obj
+from maxram.metric import connectivity_threshold, diameter
+from maxram.rational import parse_rational
 
 
 def owner_table(coloring) -> dict[tuple[int, ...], int]:
@@ -28,3 +33,144 @@ def color_of(coloring, point) -> int:
     if owner is None:
         raise DomainError(f"box {cell} has no color")
     return owner
+
+
+def lattice_vec(items, index) -> tuple:
+    """A stated box as lattice indices; a bad entry raises what
+    vec_from_obj raises."""
+    vec_from_obj(items)
+    return tuple(map(index, items))
+
+
+def lattice_index(box_size):
+    """Read a coordinate as its box-lattice index, value / box_size.
+
+    Each distinct string literal is parsed once. Only str keys are
+    stored, so other values, such as a bool that parse_rational must
+    reject, miss the memo and are parsed every time. An off-lattice value
+    stays a Fraction and a non-positive box_size scales nothing, so
+    check_coloring_naive rejects either with its own message.
+    """
+    scale = box_size if box_size > 0 else 1
+    memo: dict[str, object] = {}
+
+    def index(value):
+        try:
+            return memo[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable list
+            pass
+        q = parse_rational(value) / scale
+        found = q.numerator if q.denominator == 1 else q
+        if isinstance(value, str):
+            memo[value] = found
+        return found
+
+    return index
+
+
+def check_coloring_naive(coloring) -> list[str]:
+    """Check a stated coloring: a malformed one fails once, under coloring:.
+    Otherwise one pass over the boxes checks that every box of the
+    fundamental domain is owned exactly once (classes:) and that each box
+    lies in its class's window (anchors:).
+
+    Box o sits in the window at a exactly when its offset (o - a) mod
+    cells, counted in boxes, is below window // box_size: the box's far
+    edge must not pass the window's.
+    """
+    dim, box_size, window = coloring.dim, coloring.box_size, coloring.window
+    classes, anchors = coloring.classes, coloring.window_anchors
+    if dim < 1:
+        return ["coloring: coloring needs dim >= 1"]
+    if not 0 < box_size <= window <= coloring.period:
+        return ["coloring: need 0 < box_size <= window <= period"]
+    if (coloring.period / box_size).denominator != 1:
+        return ["coloring: period must be a whole number of boxes"]
+    if len(anchors) != len(classes):
+        return ["coloring: one window anchor per class"]
+    if not classes:
+        return ["coloring: coloring needs at least one class"]
+    if not all(classes):
+        return ["coloring: empty color class"]
+    cells = coloring.cells_per_axis
+
+    def malformed(vec) -> str | None:
+        """The failure a malformed index vector gives, or None."""
+        if len(vec) != dim:
+            return "coloring: offset dimension mismatch"
+        for c in vec:
+            if not 0 <= c < cells:
+                return "coloring: offsets must lie in [0, period)"
+            if type(c) is not int:
+                return "coloring: offsets must sit on the box lattice"
+        return None
+
+    for anchor in anchors:
+        if failure := malformed(anchor):
+            return [failure]
+    reach = window // box_size
+    failures = []
+    total, expected = sum(map(len, classes)), cells**dim
+    # Ownership is marked by row-major box index, and only when the count
+    # is right: then the boxes partition the domain unless one repeats.
+    owned = bytearray(total) if total == expected else None
+    if owned is None:
+        failures.append(f"classes: {total} owned boxes, expected {expected}")
+    twice = stray = None
+    for color, (vecs, anchor) in enumerate(zip(classes, anchors)):
+        for vec in vecs:
+            if len(vec) != dim:
+                return [malformed(vec)]
+            outside, key = False, 0
+            for c, a in zip(vec, anchor):
+                if type(c) is not int or not 0 <= c < cells:
+                    return [malformed(vec)]
+                outside = outside or (c - a) % cells >= reach
+                key = key * cells + c
+            if outside and stray is None:
+                stray = f"anchors: class {color}: box {vec} outside window at {anchor}"
+            if owned is not None:
+                if owned[key] and twice is None:
+                    twice = f"classes: box {vec} owned twice"
+                owned[key] = 1
+    if twice:
+        failures.append(twice)
+    if stray:
+        failures.append(stray)
+    return failures
+
+
+def check_periodic_coloring_naive(obj) -> list[str]:
+    failures: list[str] = []
+    space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
+    box_size = parse_rational(obj["box_size"])
+    index = lattice_index(box_size)
+    classes = tuple(
+        tuple(lattice_vec(v, index) for v in vecs)
+        for vecs in _list_field(obj, "classes")
+    )
+    if _int_field(obj, "class_count") != len(classes):
+        failures.append("class_count: does not match the classes")
+    try:
+        coloring = PeriodicColoring(
+            dim=_int_field(obj, "dim"),
+            period=parse_rational(obj["period"]),
+            box_size=box_size,
+            classes=classes,
+            window=parse_rational(obj["window"]),
+            window_anchors=tuple(
+                lattice_vec(v, index) for v in _list_field(obj, "anchors")
+            ),
+        )
+    except ValueError as exc:
+        failures.append(f"coloring: {exc}")
+        return failures
+    found = check_coloring_naive(coloring)
+    failures += found
+    if any(failure.startswith("coloring:") for failure in found):
+        return failures
+    if coloring.window > diameter(space):
+        failures.append("window: exceeds the diameter of the avoided space")
+    if coloring.period - coloring.window < connectivity_threshold(space):
+        failures.append("period: gap below the connectivity threshold")
+    return failures

@@ -191,6 +191,29 @@ def test_anchor_sequence_at_rejects_inadmissible_q(baton):
             anchor_sequence_at(baton, q)
 
 
+@given(small_batons(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_anchor_values_match_the_fraction_formula(baton, later):
+    """At an admissible q > q0, each value a_l below the anchor of gamma
+    is gamma - (round(q*gamma) - l) * delta/(2m), in Fractions."""
+    q = build_anchor_sequence(baton, faithful=True).q
+    for _ in range(later):
+        q = dirichlet_approx(baton.steps, q)
+    try:
+        seq = anchor_sequence_at(baton, q)
+    except PreconditionError:  # the top combination misses index m
+        return
+    unit = seq.delta / (2 * seq.m)
+    values = gamma_set(baton).values
+    bounds = [scaled_round(q, gamma) for gamma in values]
+    expected = [F(0)] * (seq.m + 1)
+    for i in range(1, len(values)):
+        for l in range(bounds[i - 1] + 1, bounds[i] + 1):
+            expected[l] = values[i] - (bounds[i] - l) * unit
+    assert seq.q0 < q and seq.a == tuple(expected)
+    assert all(type(v) is F for v in seq.a)
+
+
 def test_anchor_sequence_at_rejects_q_27_for_the_half_integer_pair():
     baton = Baton((F(1), F(3, 2)))
     with pytest.raises(PreconditionError, match="at q = 27 miss the approximation"):

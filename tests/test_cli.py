@@ -776,6 +776,20 @@ def test_a_long_unit_baton_space_is_not_checked_as_a_matrix(tmp_path):
     assert (check.returncode, check.stdout) == (0, "ok: chromatic\n")
 
 
+def test_find_copies_finds_a_space_deeper_than_the_recursion_limit():
+    """The copy search keeps no call stack per abstract point: a 301-point
+    baton is found in itself under a recursion limit of 200."""
+    script = (
+        "import sys\nsys.setrecursionlimit(200)\n"
+        "from maxram.metric import Baton, find_copies\n"
+        "baton = Baton.unit(300)\n"
+        "found = find_copies(baton.as_metric_space(), baton.as_point_set(), limit=1)\n"
+        "assert found == [tuple(range(301))], found\n"
+    )
+    run = run_python(script, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

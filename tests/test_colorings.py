@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloring_oracles import color_of, owner_table
+from coloring_oracles import check_coloring_naive, color_of, owner_table
 from maxram.chromatic import pigeonhole_lower_bound
 from maxram.colorings import (
     PeriodicColoring,
@@ -137,6 +137,12 @@ def test_partition_check_catches_double_and_missing_ownership():
     assert _check_coloring(doubled) == ["classes: box (0,) owned twice"]
     short = PeriodicColoring(classes=(((0,),),), window_anchors=((0,),), **base)
     assert _check_coloring(short) == ["classes: 1 owned boxes, expected 2"]
+    # Boxes 2 and 1 are both doubled; box 2 repeats first.
+    twice = PeriodicColoring(
+        dim=1, period=F(4), box_size=F(1), window=F(4),
+        classes=(((2,), (1,)), ((2,), (1,))), window_anchors=((0,), (0,)),
+    )
+    assert _check_coloring(twice) == ["classes: box (2,) owned twice"]
     with pytest.raises(DomainError, match="no color"):
         color_of(short, (F(3, 2),))
 
@@ -233,7 +239,9 @@ def small_colorings(draw):
 @given(small_colorings())
 @settings(max_examples=300, deadline=None)
 def test_integer_checks_match_the_fraction_oracle(col):
-    labels = {failure.split(":")[0] for failure in _check_coloring(col)}
+    failures = _check_coloring(col)
+    assert failures == check_coloring_naive(col)
+    labels = {failure.split(":")[0] for failure in failures}
     assert labels <= {"classes", "anchors"}
     assert ("anchors" not in labels) == fraction_check_windows(col)
     try:

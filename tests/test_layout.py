@@ -107,6 +107,18 @@ def test_chi_loads_no_coloring_cover_anchor_or_validator_module():
     assert loaded.isdisjoint(f"maxram.{m}" for m in unrun)
 
 
+def test_extract_k_loads_no_anchor_module(tmp_path):
+    """Only extract --baton builds an anchor sequence."""
+    subset = tmp_path / "subset.json"
+    subset.write_text('{"k": 1, "n": 1, "elements": [[0], [1]]}')
+    argv = ["extract", "--subset", str(subset), "--k", "1",
+            "-o", str(tmp_path / "embedding.json")]
+    script = f"from maxram.cli import main\nassert main({argv!r}) == 0\n"
+    loaded = loaded_after(script)
+    assert "maxram.extraction" in loaded
+    assert "maxram.anchors" not in loaded
+
+
 def test_no_command_loads_dataclasses(tmp_path):
     """cover --exact, chi and validate of every certificate kind, all in
     one interpreter, leave dataclasses unloaded unless the bare interpreter

@@ -1,12 +1,15 @@
 """Certificate validation: accepts the genuine, names what it rejects."""
 
 import copy
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 import maxram.validate
 from maxram.chromatic import grid_chromatic
-from maxram.colorings import avoidance_coloring
+from maxram.colorings import PeriodicColoring, avoidance_coloring
 from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover
 from maxram.cover import random_translates_cover
 from maxram.io import (
@@ -15,10 +18,13 @@ from maxram.io import (
     torus_cover_certificate,
     write_json,
 )
-from maxram.metric import Baton
+from maxram.metric import Baton, FiniteMetricSpace, PointSet
+from maxram.errors import ParseError
+from maxram.rational import format_rational, parse_rational
 from maxram.validate import validate_certificate
 
 from cert_fixtures import canonical_certificates
+from coloring_oracles import check_periodic_coloring_naive
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +240,140 @@ def test_coloring_verdicts_on_odd_literals(path, value, expected):
     else:
         assert not report.ok
         assert expected in " | ".join(report.failures)
+
+
+SPACES = (
+    Baton.unit(1).as_metric_space(),
+    Baton.unit(2).as_metric_space(),
+    FiniteMetricSpace.from_points(PointSet(1, ((0,), (Fraction(3, 2),)))),
+)
+
+
+def random_coloring_certificate(rng: random.Random) -> dict:
+    """The certificate of a random small coloring. Most boxes go to a class
+    whose window holds them, the rest to any class; a class left empty
+    goes with its anchor."""
+    box = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    dim = rng.randint(1, 3)
+    cells = rng.randint(1, 4 if dim < 3 else 3)
+    reach = rng.randint(1, cells)
+    anchors = [
+        tuple(rng.randrange(cells) for _ in range(dim))
+        for _ in range(rng.randint(1, 5))
+    ]
+    classes = [[] for _ in anchors]
+    for vec in itertools.product(range(cells), repeat=dim):
+        fits = [
+            i for i, a in enumerate(anchors)
+            if all((c - x) % cells < reach for c, x in zip(vec, a))
+        ]
+        if not fits or rng.random() < 0.1:
+            fits = range(len(anchors))
+        classes[rng.choice(fits)].append(vec)
+    kept = [i for i, vecs in enumerate(classes) if vecs]
+    coloring = PeriodicColoring(
+        dim=dim,
+        period=cells * box,
+        box_size=box,
+        classes=tuple(tuple(classes[i]) for i in kept),
+        window=box * reach,
+        window_anchors=tuple(anchors[i] for i in kept),
+    )
+    return periodic_coloring_certificate(coloring, rng.choice(SPACES))
+
+
+def literal_value(literal) -> Fraction:
+    """The rational a literal states, or 0 for one that states none."""
+    try:
+        return parse_rational(literal)
+    except ParseError:
+        return Fraction(0)
+
+
+def mutate_coloring_certificate(rng: random.Random, cert: dict) -> None:
+    """Apply one random edit of a box, a coordinate, a class or a field;
+    earlier edits may have broken any of them."""
+    classes, anchors = cert["classes"], cert.get("anchors")
+    if not isinstance(anchors, list):
+        anchors = []
+    box = literal_value(cert.get("box_size"))
+    period = literal_value(cert.get("period"))
+    literals = [
+        lambda c: format_rational(literal_value(c) + box / 2),  # off the lattice
+        lambda c: format_rational(box * rng.randint(0, 3)),  # on it, maybe in range
+        lambda c: rng.choice([True, False]),
+        lambda c: [c],
+        lambda c: format_rational(-box * rng.randint(1, 2)),
+        lambda c: format_rational(period + box * rng.randint(0, 1)),
+        lambda c: int(literal_value(c)),  # a JSON number
+        lambda c: rng.choice(["x", "1/0", None, 1.5, {}]),
+    ]
+    lists = [i for i, vecs in enumerate(classes) if isinstance(vecs, list)]
+    boxes = [(i, j) for i in lists for j, vec in enumerate(classes[i])]
+    vecs = [vec for i, j in boxes for vec in [classes[i][j]] if isinstance(vec, list)]
+    vecs += [vec for vec in anchors if isinstance(vec, list)]
+    edit = rng.choices(range(11), weights=(6, 2, 3, 2, 3, 1, 1, 1, 1, 1, 1))[0]
+    if edit == 0 and any(vecs):  # one coordinate of a box or an anchor
+        vec = rng.choice([vec for vec in vecs if vec])
+        x = rng.randrange(len(vec))
+        vec[x] = rng.choice(literals)(vec[x])
+    elif edit == 1 and vecs:  # wrong dimension
+        vec = rng.choice(vecs)
+        if vec and rng.random() < 0.5:
+            vec.pop()
+        else:
+            vec.append("0")
+    elif edit == 2 and boxes and lists:  # doubled
+        i, j = rng.choice(boxes)
+        classes[rng.choice(lists)].append(copy.deepcopy(classes[i][j]))
+    elif edit == 3 and boxes:  # missing
+        i, j = rng.choice(boxes)
+        del classes[i][j]
+    elif edit == 4 and boxes:  # moved to another class
+        i, j = rng.choice(boxes)
+        classes[rng.choice(lists)].append(classes[i].pop(j))
+    elif edit == 5 and classes:
+        classes[rng.randrange(len(classes))] = []
+    elif edit == 6 and boxes:  # a box that is not a coordinate list
+        i, j = rng.choice(boxes)
+        classes[i][j] = rng.choice(["0", 0, {}, {"0": 1}, "01"])
+    elif edit == 7 and classes:  # a class that is not a list of boxes
+        classes[rng.randrange(len(classes))] = rng.choice([5, "ab", {}, "", None])
+    elif edit == 8 and anchors:
+        del anchors[rng.randrange(len(anchors))]
+    elif edit == 9:
+        cert["class_count"] += rng.choice([-1, 1])
+    else:  # a field that is out of range, of the wrong type, or missing
+        key = rng.choice(["dim", "period", "window", "box_size", "anchors"])
+        if rng.random() < 0.2:
+            cert.pop(key, None)
+        else:
+            cert[key] = rng.choice([0, 4, "1", True, "1/2", "3", "-1"])
+
+
+def naive_failures(cert) -> tuple[str, ...]:
+    """The failure lines validate_certificate gives with the per-box oracle
+    in place of its column checks."""
+    try:
+        return tuple(check_periodic_coloring_naive(cert))
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        return (f"malformed: {exc}",)
+
+
+def test_column_checks_match_the_per_box_oracle_on_random_certificates():
+    """3,000 random certificates, each edited up to three times: the
+    verdict and every failure line, in order, match the oracle."""
+    rng = random.Random(19)
+    labels = set()
+    for _ in range(3000):
+        cert = random_coloring_certificate(rng)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            mutate_coloring_certificate(rng, cert)
+        report = validate_certificate(cert)
+        assert report.failures == naive_failures(cert), cert
+        labels.update(failure.split(":")[0] for failure in report.failures)
+    # Every kind of failure came up.
+    assert labels >= {"malformed", "coloring", "classes", "anchors", "class_count"}
 
 
 def test_chromatic_rejections(certs):
