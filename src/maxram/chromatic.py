@@ -6,10 +6,12 @@ proper when no hyperedge is monochromatic, and the chromatic number is
 found by iterative deepening with a shared node budget: once every level
 below t is exhausted, a coloring found at level t is provably optimal.
 
-Vertices are colored in one static order, so each edge is checked once,
-at its last vertex in that order: the colors such closing edges block are
-gathered once per search node. The node budget counts every color tried,
-blocked ones included.
+The search relabels the vertices by their position in one static order,
+so each edge is checked once, at its last position, and the colors go
+back to vertex order in the certificate. When every edge has three
+vertices (a 3-point space, such as a two-step baton) one set
+comprehension reads the colors a position's closing edges block; other
+hypergraphs use a general loop.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def _blocked(rests, colors) -> set[int]:
     return blocked
 
 
+def _blocked_by_pairs(rests, colors) -> set[int]:
+    """_blocked for rests of two vertices: the edges of a 3-point space."""
+    return {colors[a] for a, b in rests if colors[a] == colors[b]}
+
+
 def _greedy_clique(vertex_count: int, pair_adj) -> int:
     order = sorted(range(vertex_count), key=lambda v: (-len(pair_adj[v]), v))
     clique: list[int] = []
@@ -86,15 +93,15 @@ def exact_chromatic(
     """Minimum colors with no monochromatic edge, within a node budget.
 
     Levels are tried in increasing order starting from the best known
-    lower bound, with vertices in decreasing degree and new colors only
-    introduced one at a time. Each edge is checked once, at its last vertex
-    in that static order. The budget counts every color tried, including
-    colors a closing edge blocks. known_bound lets callers feed in an
-    externally proved bound and its witness (it is trusted for the
-    starting level but cross-checked against any coloring found). If the
-    budget runs out, the first-fit coloring in the same vertex order is
-    returned, with the largest level actually exhausted as the proven
-    lower bound.
+    lower bound, with vertices relabeled by their position in decreasing
+    degree order and new colors only introduced one at a time. Each edge
+    is checked once, at its last position (by one set comprehension when
+    all edges have three vertices). The budget counts every color tried,
+    including blocked ones. known_bound lets callers feed in an externally
+    proved bound and its witness (it is trusted for the starting level but
+    cross-checked against any coloring found). If the budget runs out, the
+    first-fit coloring in the same vertex order is returned, with the
+    largest level actually exhausted as the proven lower bound.
     """
     n = hypergraph.vertex_count
     if n < 1:
@@ -119,11 +126,12 @@ def exact_chromatic(
             pair_adj[edge[1]].add(edge[0])
     order = sorted(range(n), key=lambda v: (-degree[v], v))
     position = {v: pos for pos, v in enumerate(order)}
-    # closing[v]: the other vertices of each edge whose last vertex is v
+    # closing[p]: the other positions of each edge whose last position is p
     closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for edge in edges:
-        last = max(edge, key=position.__getitem__)
-        closing[last].append(tuple(u for u in edge if u != last))
+        places = sorted(position[v] for v in edge)
+        closing[places[-1]].append(tuple(places[:-1]))
+    read = _blocked_by_pairs if {len(edge) for edge in edges} == {3} else _blocked
 
     clique = _greedy_clique(n, pair_adj)
     # The first of equal bounds names the witness: clique, then edge.
@@ -139,19 +147,19 @@ def exact_chromatic(
 
     def descend(limit: int) -> bool:
         """Depth-first search for a coloring with at most limit colors. A
-        vertex reached afresh has color -1 and tries the colors above its
+        position reached afresh has color -1 and tries the colors above its
         own. No call stack: Python's recursion limit does not cap n."""
         nonlocal nodes
         used = [0] * (n + 1)  # used[pos]: colors used before position pos
         blocked: list[set[int]] = [set()] * n
         pos = 0
         while pos < n:
-            v = order[pos]
-            c = colors[v] + 1
+            c = colors[pos] + 1
             if c == 0:
-                blocked[pos] = _blocked(closing[v], colors)
+                blocked[pos] = read(closing[pos], colors)
             skip = blocked[pos]
-            top = min(used[pos] + 1, limit)
+            seen = used[pos]
+            top = seen + 1 if seen < limit else limit
             while c < top:
                 nodes += 1
                 if nodes > budget:
@@ -160,13 +168,13 @@ def exact_chromatic(
                     break
                 c += 1
             else:
-                colors[v] = -1
+                colors[pos] = -1
                 pos -= 1
                 if pos < 0:
                     return False
                 continue
-            colors[v] = c
-            used[pos + 1] = max(used[pos], c + 1)
+            colors[pos] = c
+            used[pos + 1] = c + 1 if c >= seen else seen
             pos += 1
         return True
 
@@ -189,7 +197,7 @@ def exact_chromatic(
     assert exhausted or used == level
     witness = base_witness if level == base_lb else f"exhausted:{level - 1}"
     return ColoringCertificate(
-        colors=tuple(colors),
+        colors=tuple(colors[position[v]] for v in range(n)),
         color_count=used,
         optimal=used == level,
         lower_bound=level,

@@ -332,10 +332,13 @@ def _check_chromatic(obj) -> list[str]:
     if len(colors) <= 16:
         resolved = exact_chromatic(copy_hypergraph(grid, space), budget=_RESOLVE_BUDGET)
         if not resolved.budget_exhausted:
-            if optimal != (color_count == resolved.color_count):
+            chi = resolved.color_count
+            if optimal != (color_count == chi):
                 failures.append("optimal: disagrees with an independent solve")
             elif optimal and lower_bound != color_count:
                 failures.append("lower_bound: optimal certificates must match")
+            elif lower_bound > chi:
+                failures.append(f"lower_bound: exceeds the chromatic number {chi}")
     return failures
 
 

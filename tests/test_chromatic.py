@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxram.chromatic import (
@@ -15,6 +15,7 @@ from maxram.chromatic import (
     copy_hypergraph,
     exact_chromatic,
     grid_chromatic,
+    pigeonhole_lower_bound,
 )
 from maxram.errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from maxram.io import matrix_to_obj
@@ -380,6 +381,43 @@ FIVE_CYCLE = CopyHypergraph(
 @settings(max_examples=200, deadline=None)
 def test_exact_matches_the_rescan_oracle_field_by_field(instance):
     hg, budget, extra = instance
+    got = _outcome(exact_chromatic, hg, budget, extra)
+    assert got == _outcome(rescan_chromatic, hg, budget, extra)
+    if isinstance(got, ColoringCertificate):
+        assert is_proper(hg, got.colors)
+
+
+@st.composite
+def grid_instances(draw):
+    """The copy hypergraph of {0..k}^n, at most 64 points, against a unit
+    1-, 2- or 3-baton or 2-4 points of {0..2}^2 in the max norm: edges of
+    two or four vertices run the general loop, edges of three the set
+    comprehension. A budget of 1 to 5,000 nodes or 10^7, with the
+    pigeonhole bound supplied or not."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, max(k for k in range(1, 8) if (k + 1) ** n <= 64)))
+    if draw(st.booleans()):
+        space = Baton.unit(draw(st.integers(1, 3))).as_metric_space()
+    else:
+        square = st.sampled_from(grid_points(2, 2).points)
+        picked = draw(st.lists(square, min_size=2, max_size=4, unique=True))
+        space = FiniteMetricSpace.from_points(PointSet(2, tuple(picked)))
+    budget = draw(st.one_of(st.integers(1, 5000), st.just(10**7)))
+    extra = pigeonhole_lower_bound(k, n) if draw(st.booleans()) else 1
+    return copy_hypergraph(grid_points(k, n), space), budget, extra
+
+
+@given(grid_instances())
+@settings(max_examples=200, deadline=None)
+def test_exact_matches_the_rescan_oracle_on_grid_copy_hypergraphs(instance):
+    hg, budget, extra = instance
+    if budget == 10**7:
+        # The oracle rescans every incident edge at every node, so an
+        # unlimited budget runs only on searches that end within 20,000
+        # nodes: {0..3}^3 against the unit 2- or 3-baton takes more than
+        # 200,000.
+        probe = _outcome(exact_chromatic, hg, 20_000, extra)
+        assume(not (isinstance(probe, ColoringCertificate) and probe.budget_exhausted))
     got = _outcome(exact_chromatic, hg, budget, extra)
     assert got == _outcome(rescan_chromatic, hg, budget, extra)
     if isinstance(got, ColoringCertificate):

@@ -327,12 +327,15 @@ def test_chi_with_custom_metric(tmp_path, capsys, b2_metric):
          "cc668297cb534c76d0f74e3b943bf8a620231213f193d2db13d408fc2b098628"),
         (["copies", "--metric", "{unit2}", "--points", "{grid}", "--distinct-supports"],
          0, "00f858788464f494752d4c834f261f003e7604dda92575a9160f5ea67da4a3bd"),
+        (["chi", "--grid", "5,2", "--metric", "{baton12}"], 0,
+         "fa8c1f6d042ef03ce7de58d813a93f9e170daab0eaa2018d274e8e00ca883d73"),
     ],
 )
 def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     """Copy order drives the edge order and the colors a search finds, so
-    these artifacts pin it byte for byte: two capped chi searches, and the
-    unit 2-baton's distinct-support copies in the grid {0..3}^2."""
+    these artifacts pin it byte for byte: two capped chi searches, the unit
+    2-baton's distinct-support copies in the grid {0..3}^2, and the
+    (1,2)-baton's full proof of chi = 4 on {0..5}^2."""
     inputs = {
         "unit2": [["0"], ["1"], ["2"]],
         "baton12": [["0"], ["1"], ["3"]],

@@ -400,6 +400,19 @@ def test_chromatic_rejections(certs):
     assert "disagrees" in failing(cert, enlarge_distance)
 
 
+def test_a_lower_bound_above_the_resolved_chromatic_number_is_rejected():
+    """`chi --grid 3,2` proves chi = 3. Moving vertex 0 to a fourth color
+    keeps the coloring proper, and a certificate that then claims 4 as a
+    lower bound without claiming optimality is refuted by the re-solve."""
+    space = Baton.unit(3).as_metric_space()
+    cert = chromatic_certificate(3, 2, space, grid_chromatic(3, 2, space))
+    assert (cert["color_count"], cert["optimal"]) == (3, True)
+    cert["colors"][0] = 3
+    cert.update(color_count=4, optimal=False, lower_bound=4)
+    report = validate_certificate(cert)
+    assert report.failures == ("lower_bound: exceeds the chromatic number 3",)
+
+
 def test_torus_cover_rejections(certs):
     cert = certs["torus_cover"]
     assert "size" in failing(cert, lambda c: c.update(size=4))
