@@ -17,11 +17,18 @@ hypergraphs use a general loop.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
 from .rational import ceil_div
+
+# Building a copy hypergraph peaks at about 175 bytes per edge ({0..3}^4
+# against the unit 3-baton: 1,203,320 edges in 226 MB), so 2^22 edges stay
+# under 1 GB.
+MAX_EDGES = 2**22
 
 
 class CopyHypergraph(NamedTuple):
@@ -36,11 +43,14 @@ class CopyHypergraph(NamedTuple):
 
 
 def copy_hypergraph(points: PointSet, space: FiniteMetricSpace) -> CopyHypergraph:
-    """Enumerate copy supports of the space inside the point set."""
+    """Enumerate copy supports of the space inside the point set, refusing
+    more than MAX_EDGES of them."""
     if space.size < 2:
         raise PreconditionError("forbidden space needs at least 2 points")
-    copies = find_copies(space, points, distinct_supports=True)
-    edges = sorted(tuple(sorted(copy)) for copy in copies)
+    copies = find_copies(space, points, limit=MAX_EDGES + 1, distinct_supports=True)
+    if len(copies) > MAX_EDGES:
+        raise DomainError(f"the copy hypergraph has more than {MAX_EDGES} edges")
+    edges = sorted(map(tuple, map(sorted, copies)))
     return CopyHypergraph(point_set=points, edges=tuple(edges))
 
 
@@ -116,22 +126,20 @@ def exact_chromatic(
             lower_bound_witness="trivial:1",
         )
 
-    degree = [0] * n
     pair_adj: list[set[int]] = [set() for _ in range(n)]
-    for edge in edges:
-        for v in edge:
-            degree[v] += 1
-        if len(edge) == 2:
-            pair_adj[edge[0]].add(edge[1])
-            pair_adj[edge[1]].add(edge[0])
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    position = {v: pos for pos, v in enumerate(order)}
+    for a, b in (edge for edge in edges if len(edge) == 2):
+        pair_adj[a].add(b)
+        pair_adj[b].add(a)
+    # Decreasing degree; the sort is stable, so ties keep vertex order.
+    degree = Counter(chain.from_iterable(edges))
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    position = sorted(range(n), key=order.__getitem__)  # order's inverse
     # closing[p]: the other positions of each edge whose last position is p
     closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for edge in edges:
-        places = sorted(position[v] for v in edge)
-        closing[places[-1]].append(tuple(places[:-1]))
-    read = _blocked_by_pairs if {len(edge) for edge in edges} == {3} else _blocked
+    for places in map(sorted, map(map, repeat(position.__getitem__), edges)):
+        last = places.pop()
+        closing[last].append(tuple(places))
+    read = _blocked_by_pairs if set(map(len, edges)) == {3} else _blocked
 
     clique = _greedy_clique(n, pair_adj)
     # The first of equal bounds names the witness: clique, then edge.
@@ -197,7 +205,7 @@ def exact_chromatic(
     assert exhausted or used == level
     witness = base_witness if level == base_lb else f"exhausted:{level - 1}"
     return ColoringCertificate(
-        colors=tuple(colors[position[v]] for v in range(n)),
+        colors=tuple(map(colors.__getitem__, position)),
         color_count=used,
         optimal=used == level,
         lower_bound=level,

@@ -9,6 +9,11 @@ Python ints are exact at any size, so one path serves every scale.
 check_metric tests a distance matrix read from a file the same way, on
 ints scaled once; a space built from points is a metric by construction.
 
+With distinct_supports, find_copies adds lex-leader constraints from the
+space's automorphisms (Crawford, Ginsberg, Luks and Roy, KR 1996): the
+search builds only the least embedding of each support, which is the one
+a filter on the full enumeration keeps.
+
 Where a copy is checked: during the search, the masks prove every
 pair's distance, so find_copies returns bare index tuples. CopyEmbedding
 checks a copy pair by pair from the scaled coordinates; it wraps every
@@ -286,15 +291,23 @@ def find_copies(
     at that scaled distance from it. The candidates for abstract point t
     are the AND of the chosen points' masks for their distances to t, so
     no partial tuple that fails a pair is ever extended; they are walked
-    lowest bit first, in ascending index order. With distinct_supports,
-    only the first embedding per support set is kept (a configuration and
-    its reversal otherwise count separately). The masks prove every
+    lowest bit first, in ascending index order. The masks prove every
     pair's distance, so a tuple needs no recheck; wrap it in CopyEmbedding
     where a copy leaves the search as an artifact.
+
+    With distinct_supports, only the first embedding per support set is
+    kept (a configuration and its reversal otherwise count separately),
+    and limit counts supports. The embeddings onto tup's support are
+    tup.s = (tup[s(0)], ..., tup[s(d-1)]) for the automorphisms s of the
+    space, and the first is the least. For s other than the identity,
+    with i the least point it moves, tup < tup.s exactly when
+    tup[i] < tup[s(i)]. So the search keeps tup[i] < tup[j] for every
+    pair (i, j) of _lex_leader_pairs, which only the least embedding of
+    each support meets: no other embedding is built, and the list is the
+    one that filtering the full enumeration by support gives.
     """
     if limit is not None and limit < 1:
         raise PreconditionError("limit must be positive")
-    d = space.size
     scale = points.scaled_coords[0]
     targets = []
     for row in space.dist:
@@ -304,46 +317,89 @@ def find_copies(
             return []
         targets.append([q for q, _ in scaled])
     masks = _distance_masks(points, {v for row in targets for v in row if v})
+    after = _lex_leader_pairs(targets) if distinct_supports else [()] * space.size
+    return _search(targets, masks, (1 << len(points)) - 1, limit, after)
+
+
+def _lex_leader_pairs(targets: list[list[int]]) -> list[list[int]]:
+    """after[j] lists each i < j such that some automorphism of the space
+    with distance matrix targets fixes 0..i-1 and maps i to j.
+
+    A candidate j must keep i's distances to 0..i-1 and i's sorted row;
+    one limit-1 search of the space in itself, with 0..i-1 pinned to
+    themselves and i to j, decides it. Once the distances to 0..i-1 tell
+    every point apart, only the identity fixes 0..i-1, so the scan stops
+    there: at i = 1 for a baton.
+    """
+    d = len(targets)
+    # at[p][v]: the points at distance v from p, for every distance in the
+    # space, so that a failing branch reads an empty mask, not a KeyError.
+    everywhere = dict.fromkeys((v for row in targets for v in row), 0)
+    at = [dict(everywhere) for _ in range(d)]
+    for p, row in enumerate(targets):
+        for q, v in enumerate(row):
+            at[p][v] |= 1 << q
+    rows = [sorted(row) for row in targets]
+    after: list[list[int]] = [[] for _ in range(d)]
+    for i in range(d):
+        if len({tuple(row[:i]) for row in targets}) == d:
+            break
+        for j in range(i + 1, d):
+            if (
+                targets[j][:i] == targets[i][:i]
+                and rows[j] == rows[i]
+                and _search(targets, at, (1 << d) - 1, 1, [()] * d, (*range(i), j))
+            ):
+                after[j].append(i)
+    return after
+
+
+def _search(targets, masks, everyone, limit, after, pinned=()) -> list[tuple[int, ...]]:
+    """The index tuples that extend pinned, in lexicographic order, at most
+    limit of them. The candidates for abstract point t are the points p
+    set in masks[chosen[s]][targets[t][s]] for every s < t, with
+    p > chosen[i] for every i in after[t]."""
+    d = len(targets)
     out: list[tuple[int, ...]] = []
-    seen: set[frozenset] = set()
     # chosen[t] realizes abstract point t; left[t] holds the candidates for
     # it not yet tried. No call stack: Python's recursion limit does not
     # cap the size of the space.
-    chosen = [0] * d
+    chosen = [*pinned, *[0] * (d - len(pinned))]
     left = [0] * d
-    if d:
-        left[0] = (1 << len(points)) - 1
-    depth = 0
-    while depth >= 0:
-        if depth == d:
+    base = depth = len(pinned)
+    if base == d:
+        return [tuple(chosen)]
+    last = d - 1
+    while True:
+        # Distances to chosen points are positive, so no chosen point
+        # survives the AND.
+        row = targets[depth]
+        candidates = everyone
+        for s in range(depth):
+            candidates &= masks[chosen[s]][row[s]]
+        for i in after[depth]:
+            candidates &= -(2 << chosen[i])
+        if depth < last:
+            left[depth] = candidates
+        else:
+            # The last point: every candidate completes a tuple.
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                chosen[last] = low.bit_length() - 1
+                out.append(tuple(chosen))
+                if len(out) == limit:
+                    return out
             depth -= 1
-            tup = tuple(chosen)
-            if distinct_supports:
-                key = frozenset(tup)
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(tup)
-            if limit is not None and len(out) >= limit:
-                break
-            continue
+        while depth >= base and not left[depth]:
+            depth -= 1
+        if depth < base:
+            return out
         candidates = left[depth]
-        if not candidates:
-            depth -= 1
-            continue
         low = candidates & -candidates
         left[depth] = candidates ^ low
         chosen[depth] = low.bit_length() - 1
         depth += 1
-        if depth < d:
-            # Distances to chosen points are positive, so no chosen point
-            # survives the AND.
-            row = targets[depth]
-            candidates = masks[chosen[0]][row[0]]
-            for j in range(1, depth):
-                candidates &= masks[chosen[j]][row[j]]
-            left[depth] = candidates
-    return out
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:

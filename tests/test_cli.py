@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import maxram.anchors
+import maxram.chromatic
 import maxram.cli
 from maxram.anchors import MAX_COMBINATIONS
 from maxram.cli import build_parser, main
@@ -329,16 +330,21 @@ def test_chi_with_custom_metric(tmp_path, capsys, b2_metric):
          0, "00f858788464f494752d4c834f261f003e7604dda92575a9160f5ea67da4a3bd"),
         (["chi", "--grid", "5,2", "--metric", "{baton12}"], 0,
          "fa8c1f6d042ef03ce7de58d813a93f9e170daab0eaa2018d274e8e00ca883d73"),
+        (["copies", "--metric", "{square}", "--points", "{grid}", "--distinct-supports"],
+         0, "c53f4b01f06edbad099546bd9011e617b8b97850e00860d521c8d3f774a4c6ed"),
     ],
 )
 def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     """Copy order drives the edge order and the colors a search finds, so
     these artifacts pin it byte for byte: two capped chi searches, the unit
-    2-baton's distinct-support copies in the grid {0..3}^2, and the
-    (1,2)-baton's full proof of chi = 4 on {0..5}^2."""
+    2-baton's distinct-support copies in the grid {0..3}^2, the
+    (1,2)-baton's full proof of chi = 4 on {0..5}^2, and the
+    distinct-support copies of the unit square's corners (|Aut| = 24) in
+    {0..3}^2."""
     inputs = {
         "unit2": [["0"], ["1"], ["2"]],
         "baton12": [["0"], ["1"], ["3"]],
+        "square": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
         "grid": [[str(a), str(b)] for a in range(4) for b in range(4)],
     }
     paths = {}
@@ -670,6 +676,25 @@ def test_the_grid_cap_admits_its_own_size():
     assert len(grid_points(1, 12)) == len(grid_points(15, 3)) == MAX_GRID_POINTS
 
 
+def test_chi_refuses_a_copy_hypergraph_past_the_edge_cap(
+    monkeypatch, tmp_path, capsys, b2_metric
+):
+    """The unit 2-baton has 3,464 supports in {0..3}^3: with the edge cap
+    one below that, chi exits 2 and writes nothing; at 3,464 it runs."""
+    out = tmp_path / "chi.json"
+    argv = ["chi", "--grid", "3,3", "--metric", b2_metric, "--budget", "10"]
+    monkeypatch.setattr(maxram.chromatic, "MAX_EDGES", 3463)
+    assert main([*argv, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the copy hypergraph has more than 3463 edges\n"
+    assert captured.out == ""
+    assert not out.exists()
+    monkeypatch.setattr(maxram.chromatic, "MAX_EDGES", 3464)
+    assert main([*argv, "-o", str(out)]) == 3
+    capsys.readouterr()
+    assert validate_certificate(str(out)).ok
+
+
 def test_validate_refuses_a_chromatic_grid_past_the_point_cap(tmp_path, capsys):
     """One color per point of {0,1}^13, as many colors as the grid has
     points: the grid is refused before it is built or searched."""
@@ -781,12 +806,16 @@ def test_a_long_unit_baton_space_is_not_checked_as_a_matrix(tmp_path):
 
 def test_find_copies_finds_a_space_deeper_than_the_recursion_limit():
     """The copy search keeps no call stack per abstract point: a 301-point
-    baton is found in itself under a recursion limit of 200."""
+    baton is found in itself under a recursion limit of 200, also with
+    distinct supports, whose automorphism search runs the same loop."""
     script = (
         "import sys\nsys.setrecursionlimit(200)\n"
         "from maxram.metric import Baton, find_copies\n"
         "baton = Baton.unit(300)\n"
-        "found = find_copies(baton.as_metric_space(), baton.as_point_set(), limit=1)\n"
+        "space, line = baton.as_metric_space(), baton.as_point_set()\n"
+        "found = find_copies(space, line, limit=1)\n"
+        "assert found == [tuple(range(301))], found\n"
+        "found = find_copies(space, line, distinct_supports=True)\n"
         "assert found == [tuple(range(301))], found\n"
     )
     run = run_python(script, timeout=60)

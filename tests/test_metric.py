@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxram.errors import DimensionMismatch, PreconditionError
@@ -16,6 +16,7 @@ from maxram.metric import (
     FiniteMetricSpace,
     PointSet,
     _distance_masks,
+    _lex_leader_pairs,
     check_metric,
     connectivity_threshold,
     diameter,
@@ -337,10 +338,11 @@ def search_instance(draw, coord):
     return space, points, draw(st.booleans()), limit
 
 
-def expected_copies(space, points, distinct_supports, limit):
-    """find_copies' contract, stated over the unpruned enumeration."""
+def expected_copies(ordered, distinct_supports, limit):
+    """find_copies' contract, stated over the list of every embedding in
+    lexicographic order."""
     out, seen = [], set()
-    for tup in find_copies_naive(space, points):
+    for tup in ordered:
         if distinct_supports:
             if frozenset(tup) in seen:
                 continue
@@ -352,8 +354,9 @@ def expected_copies(space, points, distinct_supports, limit):
 def check_against_oracle(instance):
     space, points, distinct_supports, limit = instance
     got = find_copies(space, points, limit=limit, distinct_supports=distinct_supports)
-    assert got == expected_copies(space, points, distinct_supports, limit)
-    naive = set(find_copies_naive(space, points))
+    naive = find_copies_naive(space, points)
+    assert got == expected_copies(naive, distinct_supports, limit)
+    naive = set(naive)
     wrong = next(
         (
             t
@@ -388,6 +391,87 @@ def test_find_copies_agrees_with_oracle_past_int64(instance):
     points = instance[1]
     assert any(abs(c) > 2**62 for p in points.scaled_coords[1] for c in p)
     check_against_oracle(instance)
+
+
+# Past this many ordered embeddings an instance is skipped, to keep the
+# oracle's full enumeration short: 5 corners of a unit cube have 181,440 in
+# {0..3}^3.
+MAX_ORDERED = 20_000
+
+
+@st.composite
+def symmetric_instance(draw):
+    """A space with up to 120 automorphisms, a grid of at most 64 points
+    holding copies of it, and a limit.
+
+    The spaces have 2-5 points: from {0..2}^2 (such as a square's corners,
+    |Aut| = 24, and its centre), from {0,1}^3 (cube corners, all at
+    distance 1), batons whose gaps read the same backwards or not, and
+    random metrics."""
+    kind = draw(st.sampled_from(["plane", "cube", "baton", "random"]))
+    if kind == "baton":
+        dim = 1
+        steps = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            steps = steps[: (len(steps) + 1) // 2] + steps[: len(steps) // 2][::-1]
+        space = Baton(tuple(steps)).as_metric_space()
+    elif kind == "random":
+        dim = 1
+        seed = draw(st.integers(0, 10**6))
+        space = random_metric_space(random.Random(seed), draw(st.integers(2, 5)))
+    else:
+        dim, values = (2, range(3)) if kind == "plane" else (3, range(2))
+        pool = list(itertools.product(values, repeat=dim))
+        picked = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique=True))
+        space = FiniteMetricSpace.from_points(PointSet(dim, tuple(picked)))
+    n = draw(st.integers(dim, 3))
+    k = draw(st.integers(1, 3).filter(lambda k: (k + 1) ** n <= 64))
+    return space, grid_points(k, n), draw(st.none() | st.integers(1, 5))
+
+
+def space_of(*points) -> FiniteMetricSpace:
+    return FiniteMetricSpace.from_points(PointSet(len(points[0]), points))
+
+
+@given(symmetric_instance())
+@example((space_of((0, 0), (0, 1), (1, 0), (1, 1)), grid_points(2, 3), None))
+@example((space_of((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)), grid_points(4, 2), 5))
+@example((space_of((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)),
+          grid_points(1, 3), 1))
+@settings(max_examples=150, deadline=None)
+def test_distinct_supports_agree_with_the_filtered_enumeration_on_symmetric_spaces(
+    instance,
+):
+    """The lex-leader search emits the first embedding of each support, as
+    filtering every embedding through a set of supports does. The full
+    list comes from find_copies itself, held to the unpruned enumeration
+    by the tests above, since that one is too slow for 64 points."""
+    space, points, limit = instance
+    ordered = find_copies(space, points, limit=MAX_ORDERED + 1)
+    assume(len(ordered) <= MAX_ORDERED)
+    got = find_copies(space, points, limit=limit, distinct_supports=True)
+    assert got == expected_copies(ordered, True, limit)
+
+
+def lex_leader_pairs(space: FiniteMetricSpace) -> set[tuple[int, int]]:
+    after = _lex_leader_pairs([[int(v) for v in row] for row in space.dist])
+    return {(i, j) for j, row in enumerate(after) for i in row}
+
+
+def test_lex_leader_pairs_on_known_groups():
+    """(i, j) is a pair when an automorphism fixes 0..i-1 and maps i to j:
+    a baton's ends when its gaps read the same backwards, and every pair
+    for the corners of a square, all at distance 1 in the max norm."""
+    for k in (1, 2, 3, 6):
+        assert lex_leader_pairs(Baton.unit(k).as_metric_space()) == {(0, k)}
+    assert lex_leader_pairs(Baton((F(1), F(2))).as_metric_space()) == set()
+    assert lex_leader_pairs(Baton((F(1), F(2), F(1))).as_metric_space()) == {(0, 3)}
+    square = space_of((0, 0), (0, 1), (1, 0), (1, 1))
+    assert lex_leader_pairs(square) == set(itertools.combinations(range(4), 2))
+    # Points 0, 2, 3 and 4 share a sorted distance row, but the swaps of
+    # 0 with 2 and of 3 with 4 generate the automorphisms.
+    corners = space_of((0, 0), (0, 1), (0, 2), (2, 0), (2, 1))
+    assert lex_leader_pairs(corners) == {(0, 2), (3, 4)}
 
 
 @given(
