@@ -12,16 +12,24 @@ anchor_sequence_at is the construction for one given q; the builder
 only chooses q, and the certificate validator rebuilds at the stated q
 through the same function.
 
-All arithmetic is exact. The only concession to speed is that the
-all-pairs subadditivity sweep runs on scaled integers packed into the
-lanes of one Python int, which loses nothing.
+All arithmetic is exact and, inside, integer: combinations are scaled by
+the lcm of the step denominators, and a sequence holds its values as
+numerators over one common denominator. A built sequence is affine on
+about one maximal run per combination, so subadditivity is decided on
+triples of runs (I, J, K): on {l in I, r in J, l + r in K} the excess
+a_{l+r} - a_l - a_r is affine and the vertices are integer points (the
+constraint matrix is totally unimodular), so the vertices decide it. A
+sequence with too many runs goes to an all-pairs sweep over the values
+packed into the lanes of one Python int.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import le, mul, ne, sub
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -30,9 +38,16 @@ from .metric import Baton
 
 _RETRY_LIMIT = 64
 
-# The combination enumerations build Fractions at roughly 55,000 tuples a
-# second on a 2-vCPU Xeon host, so this cap bounds each to about 2 s.
+# The combination enumeration sums integer coefficient tuples at 2 to 3
+# million tuples a second on a 2-vCPU Xeon host, so this cap bounds it to
+# about 0.05 s.
 MAX_COMBINATIONS = 10**5
+
+# build_anchor_sequence refuses a sequence of more than MAX_M + 1 values
+# before building any: steps 1, 1/2, 1/3, 1/5, 1/7 reach m = 57,124,543
+# at their first admissible q, some GB of numerators. Steps 1, 1/1000
+# (m = 4,013,009) stay within it.
+MAX_M = 2**22
 
 
 class GammaSet(NamedTuple):
@@ -44,8 +59,8 @@ class GammaSet(NamedTuple):
 
 
 def check_combination_count(steps) -> None:
-    """Raise PreconditionError when gamma_set, the largest enumeration of
-    the steps, would build more than MAX_COMBINATIONS coefficient tuples."""
+    """Raise PreconditionError when the combination enumeration of the
+    steps would visit more than MAX_COMBINATIONS coefficient tuples."""
     total = sum(steps)
     count = math.prod(int(total / s) + 2 for s in steps)
     if count > MAX_COMBINATIONS:
@@ -54,39 +69,53 @@ def check_combination_count(steps) -> None:
         )
 
 
-def _combinations_upto(steps, extra: int):
-    """Yield (value, coeffs) over 0 <= d_i <= floor(total/steps_i) + extra."""
-    check_combination_count(steps)
-    total = sum(steps)
-    bounds = [int(total / s) + extra for s in steps]
-    for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
-        yield sum(d * s for d, s in zip(coeffs, steps)), coeffs
-
-
-def gamma_set(baton: Baton) -> GammaSet:
-    """Enumerate the bounded combination set of the baton's steps.
+def _combinations(steps):
+    """Enumerate 0 <= d_i <= floor(total/steps_i) + 1 in integers: each
+    value is scaled by scale, the lcm of the step denominators. Returns
+    scale; the (value, coefficients) of every combination of value at
+    most the total, coefficients in lexicographic order; the distinct
+    values among them, sorted; and the least value above the total.
 
     The per-coordinate bound floor(total/step_i) is exhaustive below the
     total, and one extra step per coordinate suffices to find the least
     combination above it.
     """
-    if baton.k < 1:
-        raise PreconditionError("gamma_set needs at least one step")
-    total = sum(baton.steps)
-    values: set[Fraction] = set()
-    beyond: Fraction | None = None
-    for value, _ in _combinations_upto(baton.steps, extra=1):
+    if not steps:
+        raise PreconditionError("anchor sequences need at least one step")
+    check_combination_count(steps)
+    scale = math.lcm(*(s.denominator for s in steps))
+    ints = tuple(s.numerator * (scale // s.denominator) for s in steps)
+    total = sum(ints)
+    representations = []
+    beyond = None
+    for coeffs in itertools.product(*(range(total // s + 2) for s in ints)):
+        value = sum(map(mul, coeffs, ints))
         if value <= total:
-            values.add(value)
+            representations.append((value, coeffs))
         elif beyond is None or value < beyond:
             beyond = value
-    assert beyond is not None
-    return GammaSet(values=tuple(sorted(values)), gamma_next=beyond)
+    values = sorted({value for value, _ in representations})
+    return scale, representations, values, beyond
+
+
+def gamma_set(baton: Baton) -> GammaSet:
+    """The bounded combination set of the baton's steps, in Fractions."""
+    scale, _, values, beyond = _combinations(baton.steps)
+    return GammaSet(
+        values=tuple(Fraction(v, scale) for v in values),
+        gamma_next=Fraction(beyond, scale),
+    )
+
+
+def _rounded(num: int, den: int) -> int:
+    """round(num/den), half up, for den > 0."""
+    return (2 * num + den) // (2 * den)
 
 
 def scaled_round(q: int, gamma: Fraction) -> int:
     """The index a combination value anchors to: round(q*gamma), half up."""
-    return math.floor(q * Fraction(gamma) + Fraction(1, 2))
+    gamma = Fraction(gamma)
+    return _rounded(q * gamma.numerator, gamma.denominator)
 
 
 def approximation_bound_holds(error: Fraction, q: int, k: int) -> bool:
@@ -126,16 +155,24 @@ def dirichlet_approx(steps, q0: int) -> int:
 
 class AnchorSequence(NamedTuple):
     """The built sequence plus the data needed to audit it. Only
-    anchor_sequence_at builds one, with m = sum(p) >= 1 and len(a) = m + 1;
+    anchor_sequence_at builds one, with m = sum(p) >= 1 and the values
+    a_l = num[l] / den, len(num) = m + 1 and den >= 1;
     verify_anchor_sequence audits the values."""
 
     p: tuple[int, ...]
     m: int
-    a: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
     delta: Fraction
     theta: Fraction
     q0: int
     q: int
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        """The values as Fractions, built at each access."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     @property
     def anchor_set(self) -> AnchorSet:
@@ -159,17 +196,15 @@ def _threshold_q0(delta: Fraction, theta: Fraction, k: int) -> int:
     return q0 + 1
 
 
-def _parameters(baton: Baton) -> tuple[GammaSet, Fraction, Fraction, int]:
-    """The combination set, delta (least gap between consecutive
-    combinations, gamma_next included), theta (largest over least positive
-    combination) and the threshold q0 they give."""
-    if baton.k < 1:
-        raise PreconditionError("anchor sequences need at least one step")
-    gammas = gamma_set(baton)
-    with_next = gammas.values + (gammas.gamma_next,)
-    delta = min(b - a for a, b in zip(with_next, with_next[1:]))
-    theta = gammas.values[-1] / gammas.values[1]
-    return gammas, delta, theta, _threshold_q0(delta, theta, baton.k)
+def _parameters(baton: Baton):
+    """The scale and scaled values of the combinations, delta (least gap
+    between consecutive combinations, gamma_next included), theta
+    (largest over least positive combination) and the threshold q0 they
+    give."""
+    scale, _, values, beyond = _combinations(baton.steps)
+    delta = Fraction(min(map(sub, values[1:] + [beyond], values)), scale)
+    theta = Fraction(values[-1], values[1])
+    return scale, values, delta, theta, _threshold_q0(delta, theta, baton.k)
 
 
 def anchor_sequence_at(
@@ -187,7 +222,11 @@ def anchor_sequence_at(
     PreconditionError saying which condition q fails. The result is not
     verified.
     """
-    gammas, delta, theta, q0 = _parameters(baton)
+    return _sequence_at(baton, _parameters(baton), q, max_m)
+
+
+def _sequence_at(baton: Baton, params, q: int, max_m: int | None) -> AnchorSequence:
+    scale, values, delta, theta, q0 = params
     steps = baton.steps
     fast = q == 1 and all(s.denominator == 1 for s in steps)
     if fast:
@@ -206,27 +245,27 @@ def anchor_sequence_at(
             f"at q = {q} the half-up numerators give m = {m}, above {max_m}"
         )
     if fast:
-        a = [Fraction(l) for l in range(m + 1)]
+        num, den = tuple(range(m + 1)), 1
     else:
-        boundaries = [scaled_round(q, g) for g in gammas.values]
+        boundaries = [_rounded(q * v, scale) for v in values]
         if boundaries[-1] != m:
             raise PreconditionError(
                 f"at q = {q} the top combination anchors at index "
                 f"{boundaries[-1]}, not at sum(p) = {m}"
             )
-        # a[l] = gamma - (boundary - l) * unit, each value over den: the
-        # numerators are ints, and each value is one Fraction of two ints.
+        # a[l] = gamma - (boundary - l) * unit for l up to gamma's
+        # boundary, past the one before: over den, top + l * step. The
+        # boundaries never decrease, so the segments fill 1..m in order.
         unit = delta / (2 * m)
-        den = math.lcm(unit.denominator, *(g.denominator for g in gammas.values))
+        den = math.lcm(unit.denominator, scale)
         step = unit.numerator * (den // unit.denominator)
-        a = [Fraction(0)] * (m + 1)
-        for i in range(1, len(boundaries)):
-            gamma = gammas.values[i]
-            top = gamma.numerator * (den // gamma.denominator) - boundaries[i] * step
-            for l in range(boundaries[i - 1] + 1, boundaries[i] + 1):
-                a[l] = Fraction(top + l * step, den)
+        segments = [range(1)]
+        for lo, hi, value in zip(boundaries, boundaries[1:], values[1:]):
+            top = value * (den // scale) - hi * step
+            segments.append(range(top + (lo + 1) * step, top + hi * step + 1, step))
+        num = tuple(itertools.chain.from_iterable(segments))
     return AnchorSequence(
-        p=p, m=m, a=tuple(a), delta=delta, theta=theta, q0=q0, q=q
+        p=p, m=m, num=num, den=den, delta=delta, theta=theta, q0=q0, q=q
     )
 
 
@@ -240,16 +279,19 @@ def build_anchor_sequence(baton: Baton, faithful: bool = False) -> AnchorSequenc
     dirichlet_approx admits. The result is verified before being
     returned; a failing verification (possible only through rounding
     ties, which the theory excludes) retries with the next admissible q.
+    A sequence with m above MAX_M raises PreconditionError before any of
+    its values is built.
     """
+    params = _parameters(baton)
     if not faithful and all(s.denominator == 1 for s in baton.steps):
-        seq = anchor_sequence_at(baton, 1)
+        seq = _sequence_at(baton, params, 1, MAX_M)
         report = verify_anchor_sequence(seq, baton)
         assert report.ok, f"integer fast path failed verification: {report}"
         return seq
-    q = _parameters(baton)[3]
+    q = params[-1]  # the scan starts above q0
     for _ in range(_RETRY_LIMIT):
         q = dirichlet_approx(baton.steps, q)
-        seq = anchor_sequence_at(baton, q)
+        seq = _sequence_at(baton, params, q, MAX_M)
         if verify_anchor_sequence(seq, baton).ok:
             return seq
     raise AssertionError("no admissible q passed verification")
@@ -312,6 +354,74 @@ def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):
     return None
 
 
+def _affine_runs(s) -> list[tuple[int, int]]:
+    """Split 0..m into maximal runs (x0, x1), left to right: each starts
+    one past the last and is the longest stretch from there on which s
+    has one constant difference."""
+    m = len(s) - 1
+    # The difference changes at these interior points and nowhere else.
+    diffs = map(sub, itertools.islice(s, 1, None), s)
+    changes = itertools.starmap(ne, itertools.pairwise(diffs))
+    runs, x0 = [], 0
+    for end in itertools.chain(itertools.compress(itertools.count(1), changes), [m]):
+        if end > x0:
+            runs.append((x0, end))
+            x0 = end + 1
+    if x0 == m:
+        runs.append((m, m))
+    return runs
+
+
+def _runs_subadditive(s, budget: int) -> bool | None:
+    """Whether s[l+r] <= s[l] + s[r] for all l, r >= 1 with l + r <= m,
+    decided on the affine runs of s; None once more than budget triples
+    of runs would be needed.
+
+    For runs I <= J and each run K meeting I + J, the excess is affine on
+    the polygon {l in I, r in J, l + r in K}, whose vertices are integer
+    points, so its largest value sits at one of them.
+    """
+    m = len(s) - 1
+    runs = _affine_runs(s)
+    starts = [x0 for x0, _ in runs]
+    for index, (i0, i1) in enumerate(runs):
+        i0 = max(i0, 1)
+        if i0 > i1:
+            continue
+        for j0, j1 in runs[index:]:
+            j0 = max(j0, 1)
+            if j0 > j1:
+                continue
+            if i0 + j0 > m:
+                break
+            first = bisect_right(starts, i0 + j0) - 1
+            for k0, k1 in runs[first : bisect_right(starts, i1 + j1)]:
+                budget -= 1
+                if budget < 0:
+                    return None
+                # The corners: the feasible points where two of the six
+                # bounds l in I, r in J, l + r in K are tight.
+                for l in (i0, i1):
+                    for r in (j0, j1, k0 - l, k1 - l):
+                        if j0 <= r <= j1 and k0 <= l + r <= k1:
+                            if s[l + r] > s[l] + s[r]:
+                                return False
+                for r in (j0, j1):
+                    for l in (k0 - r, k1 - r):
+                        if i0 <= l <= i1 and s[l + r] > s[l] + s[r]:
+                            return False
+    return True
+
+
+def _subadditive_violation(s, m: int):
+    """_first_subadditive_violation of s, which runs only when the run
+    check does not prove s subadditive within m triples, the sweep's own
+    number of steps."""
+    if _runs_subadditive(s, m):
+        return None
+    return _first_subadditive_violation(s, m)
+
+
 def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationReport:
     """Check every clause the construction promises, exactly.
 
@@ -321,20 +431,25 @@ def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationRep
     gamma -> round(q*gamma): strictly increasing on the combination set,
     and agreeing with sum d_i*p_i for every representation.
     """
-    a, m, p, q = seq.a, seq.m, seq.p, seq.q
-    gammas = gamma_set(baton)
+    num, den, m, p, q = seq.num, seq.den, seq.m, seq.p, seq.q
+    scale, representations, values, _ = _combinations(baton.steps)
+
+    def value(l: int) -> Fraction:
+        return Fraction(num[l], den)
 
     mono_fail = None
-    if a[0] != 0:
-        mono_fail = f"a[0] = {a[0]} != 0"
+    if num[0] != 0:
+        mono_fail = f"a[0] = {value(0)} != 0"
     else:
-        for l in range(1, m + 1):
-            if a[l] <= a[l - 1]:
-                mono_fail = f"a[{l}] = {a[l]} <= a[{l - 1}] = {a[l - 1]}"
-                break
+        drops = itertools.compress(
+            itertools.count(1), map(le, itertools.islice(num, 1, m + 1), num)
+        )
+        l = next(drops, None)
+        if l is not None:
+            mono_fail = f"a[{l}] = {value(l)} <= a[{l - 1}] = {value(l - 1)}"
     monotonic = ClauseResult(mono_fail is None, mono_fail)
 
-    viol = _first_subadditive_violation(a, m)
+    viol = _subadditive_violation(num, m)
     subadditive = ClauseResult(
         viol is None,
         None
@@ -347,19 +462,21 @@ def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationRep
     if len(p) != baton.k:
         anchor_fail = f"p has {len(p)} entries for {baton.k} steps"
     else:
-        total = sum(baton.steps)
-        for value, coeffs in _combinations_upto(baton.steps, extra=0):
-            if value > total:
-                continue
-            index = sum(d * pi for d, pi in zip(coeffs, p))
-            if anchor_fail is None and (index > m or a[index] != value):
+        for combination, coeffs in representations:
+            index = sum(map(mul, coeffs, p))
+            # a[index] = combination/scale, cross-multiplied
+            if anchor_fail is None and (
+                index > m or num[index] * scale != combination * den
+            ):
                 anchor_fail = (
-                    f"combination {coeffs} (= {value}) anchors at index "
-                    f"{index}, a[{index}] = {a[index] if index <= m else 'out of range'}"
+                    f"combination {coeffs} (= {Fraction(combination, scale)}) "
+                    f"anchors at index {index}, "
+                    f"a[{index}] = {value(index) if index <= m else 'out of range'}"
                 )
-            if linear_fail is None and scaled_round(q, value) != index:
+            rounded = _rounded(q * combination, scale)
+            if linear_fail is None and rounded != index:
                 linear_fail = (
-                    f"round(q*gamma) = {scaled_round(q, value)} != "
+                    f"round(q*gamma) = {rounded} != "
                     f"sum d_i*p_i = {index} for {coeffs}"
                 )
             if anchor_fail and linear_fail:
@@ -368,12 +485,12 @@ def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationRep
     index_linear = ClauseResult(linear_fail is None, linear_fail)
 
     incr_fail = None
-    rounded = [scaled_round(q, g) for g in gammas.values]
+    rounded = [_rounded(q * v, scale) for v in values]
     for i in range(1, len(rounded)):
         if rounded[i] <= rounded[i - 1]:
             incr_fail = (
-                f"round(q*gamma) not increasing between {gammas.values[i - 1]} "
-                f"and {gammas.values[i]}"
+                f"round(q*gamma) not increasing between "
+                f"{Fraction(values[i - 1], scale)} and {Fraction(values[i], scale)}"
             )
             break
     index_increasing = ClauseResult(incr_fail is None, incr_fail)

@@ -3,11 +3,12 @@
 Coverings are exact set-cover instances over bitmask coverage tables.
 Point (c_0, ..., c_{n-1}) is bit sum c_i * m^(n-1-i), and every box the
 module needs (cubes, the coverers of a point, the packing bound's
-neighbourhoods) comes from the one builder _box_mask. Three
-constructions are provided: the lexicographic greedy, the randomized
-construction (floor(n * ln d * (m/d)^n) uniform translates plus one
-patch per point left uncovered) whose expected leftover count is below
-(m/d)^n, and minimum covers solved from both sides. Below, the slice
+neighbourhoods) comes from the one builder _box_mask, an AND of one
+turned slab per axis. Three constructions are provided: the
+lexicographic greedy, the randomized construction (floor(n * ln d *
+(m/d)^n) uniform translates plus one patch per point left uncovered)
+whose expected leftover count is below (m/d)^n, and minimum covers
+solved from both sides. Below, the slice
 bound; above, a seeded tabu search from the greedy cover, then a branch
 and bound with a node budget. The solve ends as soon as the two meet.
 Each construction reports the slice bound as its lower bound.
@@ -54,6 +55,8 @@ class CoverInstance:
                 limit = MAX_TORUS_POINTS.bit_length()
                 raise DomainError(f"the one-point torus needs n < {limit}")
             raise DomainError(f"the torus has more than {MAX_TORUS_POINTS} points")
+        # side -> _box_mask's per-axis slabs and the full mask, built once
+        self._slabs: dict[int, tuple[list[tuple[int, int, int]], int]] = {}
 
     @property
     def point_count(self) -> int:
@@ -129,21 +132,49 @@ def mask_cells(mask: int, cells):
     return found
 
 
+def _repeated(block: int, period: int, count: int) -> int:
+    """count copies of block, period bits apart, by doubling."""
+    result, width = 0, period
+    while count:
+        if count & 1:
+            result = result << width | block
+        count >>= 1
+        if count:
+            block |= block << width
+            width *= 2
+    return result
+
+
+def _slabs(inst: CoverInstance, side: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Per axis i, (slab, period, stride): the points whose coordinate i
+    lies in 0..side-1, a pattern of period m * stride, stride =
+    m^(n-1-i), written one period past the m^n bits; and the full mask.
+    Built once per instance and side."""
+    if side not in inst._slabs:
+        m, n, size = inst.m, inst.n, inst.point_count
+        slabs = []
+        for i in range(n):
+            stride = m ** (n - 1 - i)
+            period = m * stride
+            block = (1 << min(side, m) * stride) - 1
+            slabs.append((_repeated(block, period, size // period + 1), period, stride))
+        inst._slabs[side] = slabs, (1 << size) - 1
+    return inst._slabs[side]
+
+
 def _box_mask(inst: CoverInstance, corner: IntVec, side: int) -> int:
     """Bitmask of the points corner + {0..side-1}^n (mod m), row-major.
 
-    Built from the last axis outward: the box on axes i.. is the OR of
-    copies of the box on axes i+1.., one shifted to each of its side
-    coordinates on axis i. A side of m or more is the whole axis.
+    The AND over the axes i of the slab of points whose coordinate i lies
+    in 0..side-1, turned cyclically by corner_i on axis i, which is
+    c_i * m^(n-1-i) bits: the slab repeats with period m^(n-i), so a shift
+    of its copy one period longer turns it. A side of m or more is the
+    whole axis.
     """
+    slabs, mask = _slabs(inst, side)
     m = inst.m
-    side = min(side, m)
-    mask, stride = 1, 1
-    for c in reversed(corner):
-        row = 0
-        for t in range(side):
-            row |= mask << ((c + t) % m * stride)
-        mask, stride = row, stride * m
+    for c, (slab, period, stride) in zip(corner, slabs):
+        mask &= slab >> (period - c % m * stride)
     return mask
 
 

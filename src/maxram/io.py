@@ -240,6 +240,16 @@ def copy_list_certificate(space: FiniteMetricSpace, embeddings) -> dict:
     }
 
 
+def _ratio_literals(nums, den: int) -> list[str]:
+    """format_rational(Fraction(n, den)) for each n, den >= 1: one gcd
+    per value and no Fraction."""
+    literals = []
+    for n in nums:
+        g = math.gcd(n, den)
+        literals.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return literals
+
+
 def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
     """build_anchor_sequence returns only sequences that pass every clause
     of verify_anchor_sequence, so each is recorded as passed; the
@@ -255,7 +265,7 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
         "q0": seq.q0,
         "delta": format_rational(seq.delta),
         "theta": format_rational(seq.theta),
-        "a": vec_to_obj(seq.a),
+        "a": _ratio_literals(seq.num, seq.den),
         "verification": dict.fromkeys(VerificationReport._fields, True),
     }
 

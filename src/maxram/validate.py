@@ -94,18 +94,24 @@ def _check_anchor_sequence(obj) -> list[str]:
         "q0": _int_field(obj, "q0"),
         "delta": parse_rational(obj["delta"]),
         "theta": parse_rational(obj["theta"]),
-        "a": vec_from_obj(obj["a"]),
     }
+    values = vec_from_obj(obj["a"])
     try:
         # The stated values bound the rebuild: a q whose numerators sum
         # past them is refused before its m + 1 values are built.
-        seq = anchor_sequence_at(baton, q, max_m=len(stated["a"]) - 1)
+        seq = anchor_sequence_at(baton, q, max_m=len(values) - 1)
     except PreconditionError as exc:
         return [f"q: {exc}"]
     where = "on the fast path" if seq.q0 == 0 else f"at q = {q}"
     for name, value in stated.items():
         if value != getattr(seq, name):
             failures.append(f"{name}: rebuild {where} differs")
+    # Each stated value against num/den, cross-multiplied.
+    den = seq.den
+    if len(values) != len(seq.num) or any(
+        v.numerator * den != n * v.denominator for v, n in zip(values, seq.num)
+    ):
+        failures.append(f"a: rebuild {where} differs")
     if failures:
         return failures
     report = verify_anchor_sequence(seq, baton)

@@ -1,0 +1,115 @@
+"""The Fraction forms of the anchor-sequence checks, kept as oracles for
+the integer ones in maxram.anchors: the combination set and every
+verification clause computed on Fraction values."""
+
+import itertools
+import math
+from fractions import Fraction
+
+from maxram.anchors import (
+    ClauseResult,
+    GammaSet,
+    VerificationReport,
+    _first_subadditive_violation,
+    check_combination_count,
+)
+from maxram.errors import PreconditionError
+
+
+def fraction_round(q: int, gamma: Fraction) -> int:
+    """round(q*gamma), half up, in Fractions."""
+    return math.floor(q * Fraction(gamma) + Fraction(1, 2))
+
+
+def combinations_upto(steps, extra: int):
+    """Yield (value, coeffs) over 0 <= d_i <= floor(total/steps_i) + extra."""
+    check_combination_count(steps)
+    total = sum(steps)
+    bounds = [int(total / s) + extra for s in steps]
+    for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
+        yield sum(d * s for d, s in zip(coeffs, steps)), coeffs
+
+
+def fraction_gamma_set(baton) -> GammaSet:
+    """The bounded combination set, enumerated in Fractions."""
+    if baton.k < 1:
+        raise PreconditionError("gamma_set needs at least one step")
+    total = sum(baton.steps)
+    values: set[Fraction] = set()
+    beyond: Fraction | None = None
+    for value, _ in combinations_upto(baton.steps, extra=1):
+        if value <= total:
+            values.add(value)
+        elif beyond is None or value < beyond:
+            beyond = value
+    return GammaSet(values=tuple(sorted(values)), gamma_next=beyond)
+
+
+def fraction_verify_anchor_sequence(seq, baton) -> VerificationReport:
+    """verify_anchor_sequence on the Fraction values seq.a, clause by
+    clause, with the lane sweep deciding subadditivity on its own."""
+    a, m, p, q = seq.a, seq.m, seq.p, seq.q
+    gammas = fraction_gamma_set(baton)
+
+    mono_fail = None
+    if a[0] != 0:
+        mono_fail = f"a[0] = {a[0]} != 0"
+    else:
+        for l in range(1, m + 1):
+            if a[l] <= a[l - 1]:
+                mono_fail = f"a[{l}] = {a[l]} <= a[{l - 1}] = {a[l - 1]}"
+                break
+    monotonic = ClauseResult(mono_fail is None, mono_fail)
+
+    viol = _first_subadditive_violation(a, m)
+    subadditive = ClauseResult(
+        viol is None,
+        None
+        if viol is None
+        else f"a[{viol[0] + viol[1]}] > a[{viol[0]}] + a[{viol[1]}]",
+    )
+
+    anchor_fail = None
+    linear_fail = None
+    if len(p) != baton.k:
+        anchor_fail = f"p has {len(p)} entries for {baton.k} steps"
+    else:
+        total = sum(baton.steps)
+        for value, coeffs in combinations_upto(baton.steps, extra=0):
+            if value > total:
+                continue
+            index = sum(d * pi for d, pi in zip(coeffs, p))
+            if anchor_fail is None and (index > m or a[index] != value):
+                stated = a[index] if index <= m else "out of range"
+                anchor_fail = (
+                    f"combination {coeffs} (= {value}) anchors at index "
+                    f"{index}, a[{index}] = {stated}"
+                )
+            if linear_fail is None and fraction_round(q, value) != index:
+                linear_fail = (
+                    f"round(q*gamma) = {fraction_round(q, value)} != "
+                    f"sum d_i*p_i = {index} for {coeffs}"
+                )
+            if anchor_fail and linear_fail:
+                break
+    anchored = ClauseResult(anchor_fail is None, anchor_fail)
+    index_linear = ClauseResult(linear_fail is None, linear_fail)
+
+    incr_fail = None
+    rounded = [fraction_round(q, g) for g in gammas.values]
+    for i in range(1, len(rounded)):
+        if rounded[i] <= rounded[i - 1]:
+            incr_fail = (
+                f"round(q*gamma) not increasing between {gammas.values[i - 1]} "
+                f"and {gammas.values[i]}"
+            )
+            break
+    index_increasing = ClauseResult(incr_fail is None, incr_fail)
+
+    return VerificationReport(
+        monotonic=monotonic,
+        subadditive=subadditive,
+        anchored=anchored,
+        index_increasing=index_increasing,
+        index_linear=index_linear,
+    )

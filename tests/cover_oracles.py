@@ -6,6 +6,18 @@ from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
 from maxram.rational import ceil_div
 
 
+def set_box_mask(inst: CoverInstance, corner, side: int) -> int:
+    """The points corner + {0..side-1}^n (mod m), gathered as a set of
+    coordinate tuples and then set bit by bit, row-major."""
+    m, n = inst.m, inst.n
+    axes = [{(c + t) % m for t in range(side)} for c in corner]
+    cells = set(itertools.product(*axes))
+    mask = 0
+    for cell in cells:
+        mask |= 1 << sum(x * m ** (n - 1 - i) for i, x in enumerate(cell))
+    return mask
+
+
 def counting_lower_bound(inst: CoverInstance) -> int:
     """ceil(m^n / d^n): each translate covers exactly d^n points."""
     return ceil_div(inst.point_count, inst.d**inst.n)

@@ -1,14 +1,20 @@
 """Anchor sequences: combination sets, rational approximation, verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from anchor_oracles import fraction_gamma_set, fraction_verify_anchor_sequence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maxram.anchors
 from maxram.anchors import (
     AnchorSequence,
+    _affine_runs,
     _first_subadditive_violation,
+    _runs_subadditive,
+    _subadditive_violation,
     _threshold_q0,
     anchor_sequence_at,
     approximation_bound_holds,
@@ -68,6 +74,7 @@ def test_gamma_set_values_are_sorted_and_bracketed(baton):
     assert all(a < b for a, b in zip(g.values, g.values[1:]))
     assert g.values[-1] == total  # the all-ones combination is admissible
     assert g.gamma_next > total
+    assert g == fraction_gamma_set(baton)
 
 
 # -- rounding and the approximation bound --------------------------------
@@ -313,8 +320,12 @@ def test_anchor_sequence_field_validation(baton, faithful):
 # -- verification clauses -----------------------------------------------------
 
 
-def seq_for(baton, **overrides):
-    base = dict(delta=F(1), theta=F(1), q0=1)
+def seq_for(baton, a, **overrides):
+    """A hand-built sequence with the values a, over their least common
+    denominator."""
+    den = math.lcm(*(v.denominator for v in a))
+    num = tuple(v.numerator * (den // v.denominator) for v in a)
+    base = dict(num=num, den=den, delta=F(1), theta=F(1), q0=1)
     base.update(overrides)
     return AnchorSequence(**base)
 
@@ -465,3 +476,159 @@ def test_sweep_is_exact_above_int64():
     assert _first_subadditive_violation(a, 2) == (1, 1)
     ok = (F(0), F(2**61), F(2**62))
     assert _first_subadditive_violation(ok, 2) is None
+
+
+# -- the integer verifier against the Fraction oracle --------------------------
+
+
+def mutated(seq, data):
+    """seq with one value raised or lowered by one unit 1/den, two values
+    swapped, or one entry of p or q off by one."""
+    kind = data.draw(st.sampled_from(["raise", "lower", "swap", "p", "q"]))
+    num = list(seq.num)
+    if kind in ("raise", "lower"):
+        num[data.draw(st.integers(0, seq.m))] += 1 if kind == "raise" else -1
+        return seq._replace(num=tuple(num))
+    if kind == "swap":
+        i, j = data.draw(st.integers(0, seq.m)), data.draw(st.integers(0, seq.m))
+        num[i], num[j] = num[j], num[i]
+        return seq._replace(num=tuple(num))
+    off = data.draw(st.sampled_from([-1, 1]))
+    if kind == "p":
+        p = list(seq.p)
+        p[data.draw(st.integers(0, len(p) - 1))] += off
+        return seq._replace(p=tuple(p))
+    return seq._replace(q=seq.q + off)
+
+
+@given(st.one_of(integer_batons(), small_batons()), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_integer_verifier_matches_the_fraction_oracle(baton, faithful, data):
+    """On built sequences, fast path and faithful, and on mutated copies,
+    every clause and counterexample string is the Fraction verifier's."""
+    seq = build_anchor_sequence(baton, faithful=faithful)
+    for checked in (seq, mutated(seq, data)):
+        want = fraction_verify_anchor_sequence(checked, baton)
+        assert verify_anchor_sequence(checked, baton)._asdict() == want._asdict()
+
+
+# -- the run check ----------------------------------------------------------------
+
+
+def naive_affine_runs(s):
+    """Left to right, each run takes the longest stretch of one constant
+    difference from one past the previous run."""
+    m = len(s) - 1
+    runs, x0 = [], 0
+    while x0 <= m:
+        x1 = min(x0 + 1, m)
+        while x1 < m and s[x1 + 1] - s[x1] == s[x0 + 1] - s[x0]:
+            x1 += 1
+        runs.append((x0, x1))
+        x0 = x1 + 1
+    return runs
+
+
+@st.composite
+def piecewise_affine(draw):
+    """1-8 affine runs, singletons among them, with negative and zero
+    slopes; half of them concave from index 1 on (so subadditive on
+    l, r >= 1, whatever s[0] is). A violation may be planted at a run end
+    or inside a run."""
+    count = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))
+    slopes = draw(st.lists(st.integers(-4, 6), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        slopes.sort(reverse=True)
+        jumps = [0] * count
+        start = draw(st.integers(0, 5))
+    else:
+        jumps = draw(st.lists(st.integers(-6, 12), min_size=count, max_size=count))
+        start = draw(st.integers(-5, 5))
+    s = [start]
+    for length, slope, jump in zip(lengths, slopes, jumps):
+        s.append(s[-1] + slope + jump)
+        for _ in range(length - 1):
+            s.append(s[-1] + slope)
+    s[0] = draw(st.integers(-5, 5))
+    where = draw(st.sampled_from(["none", "end", "inside"]))
+    runs = naive_affine_runs(s)
+    if where == "end":
+        x0, x1 = draw(st.sampled_from(runs))
+        s[draw(st.sampled_from([x0, x1]))] += draw(st.integers(-20, 20))
+    elif where == "inside" and any(x1 - x0 >= 2 for x0, x1 in runs):
+        x0, x1 = draw(st.sampled_from([r for r in runs if r[1] - r[0] >= 2]))
+        s[draw(st.integers(x0 + 1, x1 - 1))] += draw(st.integers(-20, 20))
+    return tuple(s)
+
+
+def check_run_check(s):
+    m = len(s) - 1
+    assert _affine_runs(s) == naive_affine_runs(s)
+    first = naive_first_subadditive_violation(s, m)
+    # A budget above any number of run triples: the runs decide alone.
+    assert _runs_subadditive(s, len(s) ** 3) == (first is None)
+    assert _subadditive_violation(s, m) == first
+
+
+@given(piecewise_affine())
+@settings(max_examples=500, deadline=None)
+@example((0, 5, 10, 15, 21))  # a rise at the last run end: (2, 2)
+@example((-3, 4, 8, 12))  # subadditive for l, r >= 1, with s[0] < 0
+@example((0, 3, 3, 3, 7))  # zero slope, then a jump
+def test_run_check_agrees_with_the_all_pairs_loop(s):
+    check_run_check(s)
+
+
+# Most violations show at several corners of their polygon. In each of
+# these, found by random search, they show only at corners where the two
+# named bounds are tight, so the run check misses them without that kind.
+CORNER_CASES = {
+    "l=i0,r=j0": (1, 0, -1, -3, -3, -4, -5, -6),
+    "l=i1,r=j0": (0, 8, 10, 12, 20, 20, 20, 20, 19, 26, 29, 32, 35),
+    "l=i0,r=j1": (
+        1, 10, 12, 20, 21, 22, 23, 22, 21, 31, 34, 37, 40, 37, 31, 29, 25, 21, 17,
+    ),
+    "l=i1,r=j1": (2, -1, -4, -5, -7, -9),
+    "l=i0,l+r=k0": (2, 14, 11, 13, 13, 13, 13, 25, 13, 13),
+    "l=i0,l+r=k1": (
+        5, 15, 19, 22, 27, 31, 29, 41, 43, 45, 47, 49, 51, 53, 67, 71, 75, 79, 83,
+    ),
+    "l=i1,l+r=k0": (-3, 12, 13, 13, 15, 16, 17, 18, 30, 30, 30, 30),
+    "l=i1,l+r=k1": (
+        -4, 11, 15, 14, 11, 9, 14, 15, 16, 17, 18, 19, 20, 21, 22, 24, 27, 30,
+    ),
+    "r=j0,l+r=k0": (
+        -4, 7, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 29, 33, 37, 41, 46, 43,
+        40, 37, 34,
+    ),
+    "r=j0,l+r=k1": (1, 3, 3, 3, 3, 3, 2, 3, 4, 5, 6),
+    "r=j1,l+r=k0": (1, 9, 15, 21, 27, 31, 29, 27, 25, 23, 21, 19, 17, 25, 31, 39, 38),
+    "r=j1,l+r=k1": (3, 11, 10, 9, 8, 7, 6, 5, 4, 3, -3, -6, -9, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("s", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+def test_run_check_reads_every_kind_of_corner(s):
+    check_run_check(s)
+
+
+def test_a_concave_sequence_of_many_runs_reaches_the_sweep(monkeypatch):
+    """Every difference differs, so 31 runs give more than m = 60
+    triples: the run check gives up and the sweep decides."""
+    concave = tuple(l * (120 - l) for l in range(61))
+    assert len(_affine_runs(concave)) == 31
+    assert _runs_subadditive(concave, 60) is None
+    assert _runs_subadditive(concave, 61**3) is True
+    swept = []
+
+    def sweep(a, m):
+        swept.append(m)
+        return _first_subadditive_violation(a, m)
+
+    monkeypatch.setattr(maxram.anchors, "_first_subadditive_violation", sweep)
+    assert _subadditive_violation(concave, 60) is None
+    assert swept == [60]
+    bumped = concave[:40] + (concave[40] + 100,) + concave[41:]
+    assert _subadditive_violation(bumped, 60) == (1, 39)
+    assert naive_first_subadditive_violation(bumped, 60) == (1, 39)

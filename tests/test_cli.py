@@ -16,7 +16,7 @@ import pytest
 import maxram.anchors
 import maxram.chromatic
 import maxram.cli
-from maxram.anchors import MAX_COMBINATIONS
+from maxram.anchors import MAX_COMBINATIONS, MAX_M
 from maxram.cli import build_parser, main
 from maxram.cover import MAX_TABLE_POINTS, MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
@@ -627,6 +627,28 @@ def test_anchors_with_too_many_combinations_is_exit_2(capsys):
     assert captured.err.startswith("error: ")
     assert f"above {MAX_COMBINATIONS}" in captured.err
     assert captured.out == ""
+
+
+def test_anchors_refuses_a_sequence_past_the_m_cap(capsys):
+    """Steps 1, 1/2, 1/3, 1/5, 1/7 reach m = 57,124,543 at their first
+    admissible q; the cap refuses them before any value is built."""
+    start = time.perf_counter()
+    assert main(["anchors", "--steps", "1,1/2,1/3,1/5,1/7", "--faithful"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: at q = 26249790 the half-up numerators give m = 57124543, "
+        f"above {MAX_M}\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cap, code", [(2452, 2), (2453, 0)])
+def test_anchors_m_cap_is_inclusive(monkeypatch, capsys, cap, code):
+    monkeypatch.setattr(maxram.anchors, "MAX_M", cap)
+    assert main(["anchors", "--steps", "1,1/2,1/3", "--faithful"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") == (code == 2)
 
 
 def test_validate_refuses_a_chromatic_grid_larger_than_its_colors(tmp_path, capsys):

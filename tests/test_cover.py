@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from cover_oracles import counting_lower_bound, naive_minimum_cover
+from cover_oracles import counting_lower_bound, naive_minimum_cover, set_box_mask
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +277,40 @@ def test_box_mask_matches_the_product_index_builders():
                     assert _box_mask(inst, p, d) == product_cover_mask(inst, p)
                     corner = tuple(c - (d - 1) for c in p)
                     assert _box_mask(inst, corner, 2 * d - 1) == window, (inst, p)
+
+
+@st.composite
+def tori_and_boxes(draw):
+    """A torus of at most 4 axes and 1,296 points, m = 1 among them, and
+    boxes of any side from 1 to 2m + 1 (a side of m or more is the whole
+    axis) at corners from -2m to 2m."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    inst = CoverInstance(m, draw(st.integers(1, m)), n)
+    boxes = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-2 * m, 2 * m)] * n),
+                st.one_of(st.just(inst.d), st.integers(1, 2 * m + 1)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return inst, boxes
+
+
+@given(tori_and_boxes())
+@settings(max_examples=200, deadline=None)
+@example((CoverInstance(1, 1, 4), [((0, -1, 2, 0), 1), ((0, 0, 0, 0), 3)]))
+@example((CoverInstance(3, 3, 2), [((2, -5), 3), ((1, 1), 4)]))
+def test_box_masks_match_the_set_oracle(case):
+    inst, boxes = case
+    for corner, side in boxes:
+        assert _box_mask(inst, corner, side) == set_box_mask(inst, corner, side)
+    for corner, _ in boxes:
+        translate = tuple(c % inst.m for c in corner)
+        assert cover_mask(inst, translate) == set_box_mask(inst, translate, inst.d)
 
 
 def test_is_cover_fixtures():

@@ -31,7 +31,7 @@ RECORDS = {
     GridSubset: ({"n": 1, "k": 1, "elems": frozenset({(0,), (1,)})}, {}),
     AnchorSet: ({"values": (F(0), F(1), F(3)), "marks": (0, 2)}, {}),
     AnchorSequence: (
-        {"p": (1, 2), "m": 3, "a": (F(0), F(1), F(2), F(3)), "delta": F(1),
+        {"p": (1, 2), "m": 3, "num": (0, 1, 2, 3), "den": 1, "delta": F(1),
          "theta": F(3), "q0": 0, "q": 1},
         {},
     ),
