@@ -8,9 +8,10 @@ gamma. The p_i come from a denominator q approximating all steps
 simultaneously to within q^-(1+1/k); interior values interpolate each
 anchor from below in increments of delta/(2m).
 
-anchor_sequence_at is the construction for one given q; the builder
-only chooses q, and the certificate validator rebuilds at the stated q
-through the same function.
+anchor_sequence_at is the construction for one given q. The builder
+only chooses q, the least one above q0 that meets the bound (or 1 for
+integer steps), then builds and verifies once; the certificate
+validator rebuilds at the stated q through the same function.
 
 All arithmetic is exact and, inside, integer: combinations are scaled by
 the lcm of the step denominators, and a sequence holds its values as
@@ -36,8 +37,6 @@ from .errors import PreconditionError
 from .extraction import AnchorSet
 from .metric import Baton
 
-_RETRY_LIMIT = 64
-
 # The combination enumeration sums integer coefficient tuples at 2 to 3
 # million tuples a second on a 2-vCPU Xeon host, so this cap bounds it to
 # about 0.05 s.
@@ -48,14 +47,6 @@ MAX_COMBINATIONS = 10**5
 # at their first admissible q, some GB of numerators. Steps 1, 1/1000
 # (m = 4,013,009) stay within it.
 MAX_M = 2**22
-
-
-class GammaSet(NamedTuple):
-    """All combinations sum d_i*steps_i <= sum steps_i, sorted, plus the
-    least combination beyond them."""
-
-    values: tuple[Fraction, ...]
-    gamma_next: Fraction
 
 
 def check_combination_count(steps) -> None:
@@ -98,59 +89,24 @@ def _combinations(steps):
     return scale, representations, values, beyond
 
 
-def gamma_set(baton: Baton) -> GammaSet:
-    """The bounded combination set of the baton's steps, in Fractions."""
-    scale, _, values, beyond = _combinations(baton.steps)
-    return GammaSet(
-        values=tuple(Fraction(v, scale) for v in values),
-        gamma_next=Fraction(beyond, scale),
-    )
-
-
 def _rounded(num: int, den: int) -> int:
     """round(num/den), half up, for den > 0."""
     return (2 * num + den) // (2 * den)
 
 
-def scaled_round(q: int, gamma: Fraction) -> int:
-    """The index a combination value anchors to: round(q*gamma), half up."""
-    gamma = Fraction(gamma)
-    return _rounded(q * gamma.numerator, gamma.denominator)
-
-
-def approximation_bound_holds(error: Fraction, q: int, k: int) -> bool:
-    """Exact test of error < q^-(1+1/k), as error^k * q^(k+1) < 1."""
-    return error**k * Fraction(q) ** (k + 1) < 1
-
-
 def _numerators_at(steps: tuple[Fraction, ...], q: int) -> tuple[int, ...] | None:
-    """The half-up numerators round(q*step_i), or None when one of them
-    misses the simultaneous approximation bound."""
-    numerators = tuple(scaled_round(q, s) for s in steps)
+    """The half-up numerators p_i = round(q*step_i), or None when one of
+    them misses the simultaneous approximation bound
+    |step_i - p_i/q| < q^-(1+1/k). For a step a/b the bound reads
+    |q*a - p*b|^k * q < b^k, so it is tested in integers."""
     k = len(steps)
+    numerators = tuple(_rounded(q * s.numerator, s.denominator) for s in steps)
     if all(
-        approximation_bound_holds(abs(s - Fraction(p, q)), q, k)
+        abs(q * s.numerator - p * s.denominator) ** k * q < s.denominator**k
         for s, p in zip(steps, numerators)
     ):
         return numerators
     return None
-
-
-def dirichlet_approx(steps, q0: int) -> int:
-    """Least q > q0 whose nearest-integer numerators satisfy the
-    simultaneous approximation bound; a linear scan, checked exactly.
-    anchor_sequence_at recomputes the numerators at that q.
-
-    Rational steps make termination certain: any common-denominator
-    multiple has zero error.
-    """
-    steps = tuple(Fraction(s) for s in steps)
-    if not steps or any(s <= 0 for s in steps):
-        raise PreconditionError("steps must be positive")
-    q = q0 + 1
-    while _numerators_at(steps, q) is None:
-        q += 1
-    return q
 
 
 class AnchorSequence(NamedTuple):
@@ -270,31 +226,28 @@ def _sequence_at(baton: Baton, params, q: int, max_m: int | None) -> AnchorSeque
 
 
 def build_anchor_sequence(baton: Baton, faithful: bool = False) -> AnchorSequence:
-    """Build an anchor sequence for the baton's steps.
+    """Build an anchor sequence for the baton's steps, in one pass.
 
-    Integer steps short-circuit to the q = 1 fast path of
-    anchor_sequence_at, which satisfies every clause directly and avoids
-    enormous q. Pass faithful=True to force the full approximation
-    construction on any input: the sequence at the least q > q0 that
-    dirichlet_approx admits. The result is verified before being
-    returned; a failing verification (possible only through rounding
-    ties, which the theory excludes) retries with the next admissible q.
-    A sequence with m above MAX_M raises PreconditionError before any of
-    its values is built.
+    Integer steps take the q = 1 fast path of anchor_sequence_at, which
+    satisfies every clause directly and avoids enormous q. Otherwise, or
+    with faithful=True on any input, q is the least integer above q0
+    whose half-up numerators meet the simultaneous approximation bound;
+    rational steps make the scan end, since any common multiple of their
+    denominators has zero error. The sequence at that q is verified once,
+    and the construction guarantees that it passes. A sequence with m
+    above MAX_M raises PreconditionError before any of its values is
+    built.
     """
     params = _parameters(baton)
-    if not faithful and all(s.denominator == 1 for s in baton.steps):
-        seq = _sequence_at(baton, params, 1, MAX_M)
-        report = verify_anchor_sequence(seq, baton)
-        assert report.ok, f"integer fast path failed verification: {report}"
-        return seq
-    q = params[-1]  # the scan starts above q0
-    for _ in range(_RETRY_LIMIT):
-        q = dirichlet_approx(baton.steps, q)
-        seq = _sequence_at(baton, params, q, MAX_M)
-        if verify_anchor_sequence(seq, baton).ok:
-            return seq
-    raise AssertionError("no admissible q passed verification")
+    q = 1
+    if faithful or any(s.denominator != 1 for s in baton.steps):
+        q = params[-1] + 1
+        while _numerators_at(baton.steps, q) is None:
+            q += 1
+    seq = _sequence_at(baton, params, q, MAX_M)
+    report = verify_anchor_sequence(seq, baton)
+    assert report.ok, f"the sequence at q = {q} failed verification: {report}"
+    return seq
 
 
 class ClauseResult(NamedTuple):
@@ -413,15 +366,6 @@ def _runs_subadditive(s, budget: int) -> bool | None:
     return True
 
 
-def _subadditive_violation(s, m: int):
-    """_first_subadditive_violation of s, which runs only when the run
-    check does not prove s subadditive within m triples, the sweep's own
-    number of steps."""
-    if _runs_subadditive(s, m):
-        return None
-    return _first_subadditive_violation(s, m)
-
-
 def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationReport:
     """Check every clause the construction promises, exactly.
 
@@ -449,7 +393,9 @@ def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationRep
             mono_fail = f"a[{l}] = {value(l)} <= a[{l - 1}] = {value(l - 1)}"
     monotonic = ClauseResult(mono_fail is None, mono_fail)
 
-    viol = _subadditive_violation(num, m)
+    # The run check decides within m triples, the sweep's own number of
+    # steps, or leaves it to the sweep, which also names the first pair.
+    viol = None if _runs_subadditive(num, m) else _first_subadditive_violation(num, m)
     subadditive = ClauseResult(
         viol is None,
         None

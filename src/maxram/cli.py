@@ -1,7 +1,7 @@
 """Command line front end.
 
 Artifacts go to --output as canonical JSON (or stdout without it);
-anything about how a run went, like timings or retry counts, goes to
+anything about how a run went, like timings or warnings, goes to
 stderr so identical inputs keep producing byte-identical files.
 
 Exit codes: 0 success, 1 failed validation, 2 bad input or parameters,

@@ -32,10 +32,11 @@ def vec_to_obj(vec) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def vec_from_obj(items) -> Vec:
+def vec_from_obj(items, parse=parse_rational) -> Vec:
+    """The coordinate list items, each literal read by parse."""
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(map(parse_rational, items))
+    return tuple(map(parse, items))
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -129,10 +130,12 @@ def read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an integer literal past the int string-conversion
+        # limit (both ValueErrors), or nesting past the recursion limit.
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _is_int(value) -> bool:

@@ -12,22 +12,30 @@ from fractions import Fraction
 from .errors import ParseError
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an int, or a string "p" / "p/q", into a Fraction."""
+def parse_ratio(value) -> tuple[int, int]:
+    """Parse an int, or a string "p" / "p/q", into the integer pair (p, q),
+    unreduced, with q != 0."""
     if isinstance(value, bool):
         raise ParseError(f"expected rational, got bool {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         parts = value.split("/")
-        try:
-            if len(parts) == 1:
-                return Fraction(int(parts[0]))
-            if len(parts) == 2:
-                return Fraction(int(parts[0]), int(parts[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}: {exc}") from exc
+        if len(parts) <= 2:
+            try:
+                num = int(parts[0])
+                den = int(parts[1]) if len(parts) == 2 else 1
+            except ValueError as exc:
+                raise ParseError(f"bad rational literal {value!r}: {exc}") from exc
+            if den == 0:
+                raise ParseError(f"bad rational literal {value!r}: Fraction({num}, 0)")
+            return num, den
     raise ParseError(f"expected rational, got {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse an int, or a string "p" / "p/q", into a Fraction."""
+    return Fraction(*parse_ratio(value))
 
 
 def format_rational(x: Fraction) -> str:

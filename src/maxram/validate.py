@@ -27,7 +27,7 @@ from .io import _bool_field, _int_field, _int_value, _list_field
 from .io import metric_space_from_obj, read_json, vec_from_obj
 from .metric import Baton, CopyEmbedding, PointSet, find_copies, grid_points
 from .metric import connectivity_threshold, diameter
-from .rational import parse_rational
+from .rational import parse_ratio, parse_rational
 
 # Node budget of the independent solves behind `optimal` claims; a solve
 # that runs out of it leaves the claim unchecked.
@@ -95,7 +95,7 @@ def _check_anchor_sequence(obj) -> list[str]:
         "delta": parse_rational(obj["delta"]),
         "theta": parse_rational(obj["theta"]),
     }
-    values = vec_from_obj(obj["a"])
+    values = vec_from_obj(obj["a"], parse_ratio)
     try:
         # The stated values bound the rebuild: a q whose numerators sum
         # past them is refused before its m + 1 values are built.
@@ -106,10 +106,10 @@ def _check_anchor_sequence(obj) -> list[str]:
     for name, value in stated.items():
         if value != getattr(seq, name):
             failures.append(f"{name}: rebuild {where} differs")
-    # Each stated value against num/den, cross-multiplied.
+    # Each stated value, an unreduced pair, against num/den, cross-multiplied.
     den = seq.den
     if len(values) != len(seq.num) or any(
-        v.numerator * den != n * v.denominator for v, n in zip(values, seq.num)
+        sn * den != n * sd for (sn, sd), n in zip(values, seq.num)
     ):
         failures.append(f"a: rebuild {where} differs")
     if failures:

@@ -1,14 +1,15 @@
-"""The Fraction forms of the anchor-sequence checks, kept as oracles for
-the integer ones in maxram.anchors: the combination set and every
-verification clause computed on Fraction values."""
+"""The Fraction forms of the anchor-sequence computations, kept as oracles
+for the integer ones in maxram.anchors: the combination set, the first
+admissible denominator and every verification clause computed on
+Fraction values."""
 
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from maxram.anchors import (
     ClauseResult,
-    GammaSet,
     VerificationReport,
     _first_subadditive_violation,
     check_combination_count,
@@ -16,9 +17,33 @@ from maxram.anchors import (
 from maxram.errors import PreconditionError
 
 
+class GammaSet(NamedTuple):
+    """All combinations sum d_i*steps_i <= sum steps_i, sorted, plus the
+    least combination beyond them."""
+
+    values: tuple[Fraction, ...]
+    gamma_next: Fraction
+
+
 def fraction_round(q: int, gamma: Fraction) -> int:
     """round(q*gamma), half up, in Fractions."""
     return math.floor(q * Fraction(gamma) + Fraction(1, 2))
+
+
+def fraction_first_admissible_q(steps, q0: int) -> tuple[int, tuple[int, ...]]:
+    """The least q > q0 whose half-up numerators p_i = round(q*step_i)
+    satisfy |step_i - p_i/q|^k * q^(k+1) < 1 for every step, and those
+    numerators: a linear scan in Fractions."""
+    k = len(steps)
+    q = q0 + 1
+    while True:
+        numerators = tuple(fraction_round(q, s) for s in steps)
+        if all(
+            abs(s - Fraction(p, q)) ** k * Fraction(q) ** (k + 1) < 1
+            for s, p in zip(steps, numerators)
+        ):
+            return q, numerators
+        q += 1
 
 
 def combinations_upto(steps, extra: int):
@@ -33,7 +58,7 @@ def combinations_upto(steps, extra: int):
 def fraction_gamma_set(baton) -> GammaSet:
     """The bounded combination set, enumerated in Fractions."""
     if baton.k < 1:
-        raise PreconditionError("gamma_set needs at least one step")
+        raise PreconditionError("the gamma set needs at least one step")
     total = sum(baton.steps)
     values: set[Fraction] = set()
     beyond: Fraction | None = None

@@ -4,24 +4,29 @@ import math
 from fractions import Fraction
 
 import pytest
-from anchor_oracles import fraction_gamma_set, fraction_verify_anchor_sequence
+from anchor_oracles import (
+    GammaSet,
+    fraction_first_admissible_q,
+    fraction_gamma_set,
+    fraction_round,
+    fraction_verify_anchor_sequence,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxram.anchors
 from maxram.anchors import (
     AnchorSequence,
+    ClauseResult,
     _affine_runs,
+    _combinations,
     _first_subadditive_violation,
+    _numerators_at,
+    _rounded,
     _runs_subadditive,
-    _subadditive_violation,
     _threshold_q0,
     anchor_sequence_at,
-    approximation_bound_holds,
     build_anchor_sequence,
-    dirichlet_approx,
-    gamma_set,
-    scaled_round,
     verify_anchor_sequence,
 )
 from maxram.errors import PreconditionError
@@ -38,7 +43,20 @@ def small_batons():
     ).map(lambda steps: Baton(tuple(steps)))
 
 
-# -- gamma_set ----------------------------------------------------------
+def integer_batons():
+    return st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+        lambda steps: Baton(tuple(F(v) for v in steps))
+    )
+
+
+# -- the gamma set --------------------------------------------------------
+
+
+def gamma_set(baton):
+    """The combination values of _combinations and the least one beyond
+    them, unscaled."""
+    scale, _, values, beyond = _combinations(baton.steps)
+    return GammaSet(tuple(F(v, scale) for v in values), F(beyond, scale))
 
 
 def test_gamma_set_enumerates_bounded_combinations():
@@ -61,8 +79,14 @@ def test_gamma_set_single_step():
 
 
 def test_gamma_set_rejects_empty_baton():
+    for build in (
+        lambda: build_anchor_sequence(Baton(()), faithful=True),
+        lambda: anchor_sequence_at(Baton(()), 1),
+    ):
+        with pytest.raises(PreconditionError, match="at least one step"):
+            build()
     with pytest.raises(PreconditionError):
-        gamma_set(Baton(()))
+        fraction_gamma_set(Baton(()))
 
 
 @given(small_batons())
@@ -81,19 +105,25 @@ def test_gamma_set_values_are_sorted_and_bracketed(baton):
 
 
 def test_round_half_up_breaks_ties_upward():
-    assert scaled_round(1, F(1, 2)) == 1
-    assert scaled_round(1, F(-1, 2)) == 0
-    assert scaled_round(1, F(3, 2)) == 2
-    assert scaled_round(1, F(5, 4)) == 1
-    assert scaled_round(1, F(7)) == 7
-    assert scaled_round(27, F(3, 2)) == 41  # 40.5 rounds up
+    assert _rounded(1, 2) == 1
+    assert _rounded(-1, 2) == 0
+    assert _rounded(3, 2) == 2
+    assert _rounded(5, 4) == 1
+    assert _rounded(7, 1) == 7
+    assert _rounded(27 * 3, 2) == 41  # 40.5 rounds up
+    for num, den in ((1, 2), (-1, 2), (3, 2), (-3, 2), (5, 4), (81, 2), (7, 1)):
+        assert _rounded(num, den) == fraction_round(1, F(num, den))
 
 
 def test_approximation_bound_is_exact():
-    # |3/2 - p/q| at q = 27 is 1/54, and (1/54)^2 * 27^3 = 27/4 >= 1
-    assert not approximation_bound_holds(F(1, 54), 27, 2)
-    assert approximation_bound_holds(F(0), 27, 2)
-    assert approximation_bound_holds(F(1, 100), 4, 2)
+    # |3/2 - 41/27| = 1/54, and (1/54)^2 * 27^3 = 27/4 >= 1
+    assert _numerators_at((F(1), F(3, 2)), 27) is None
+    assert _numerators_at((F(1), F(3, 2)), 28) == (28, 42)
+    # |1/4 - 1/2| * 2^2 = 1 exactly: the bound is strict
+    assert _numerators_at((F(1, 4),), 2) is None
+    assert _numerators_at((F(1, 4),), 4) == (1,)
+    # |1/2 - 2/3|^2 * 3^3 = 3/4 < 1
+    assert _numerators_at((F(1, 2), F(1)), 3) == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -106,33 +136,50 @@ def test_approximation_bound_is_exact():
     ],
 )
 def test_dirichlet_scan_fixtures(steps, q0, q, numerators):
-    found = dirichlet_approx(steps, q0)
-    assert (found, tuple(scaled_round(found, s) for s in steps)) == (q, numerators)
+    assert fraction_first_admissible_q(steps, q0) == (q, numerators)
+    assert _numerators_at(steps, q) == numerators
+    assert all(_numerators_at(steps, r) is None for r in range(q0 + 1, q))
 
 
 def test_dirichlet_rejects_q_27_for_the_half_integer_pair():
     """27 * 3/2 rounds to 41 at error 1/54, which fails the bound, so the
-    scan from 26 must land on 28."""
-    err = tuple(abs(s - F(scaled_round(27, s), 27)) for s in (F(1), F(3, 2)))
+    scan from the threshold 26 must land on 28."""
+    steps = (F(1), F(3, 2))
+    err = tuple(abs(s - F(fraction_round(27, s), 27)) for s in steps)
     assert err == (F(0), F(1, 54))
-    assert not approximation_bound_holds(err[1], 27, 2)
-    assert dirichlet_approx((F(1), F(3, 2)), 26) == 28
+    assert err[1] ** 2 * 27**3 >= 1
+    assert _numerators_at(steps, 27) is None
+    seq = build_anchor_sequence(Baton(steps), faithful=True)
+    assert (seq.q0, seq.q, seq.p) == (26, 28, (28, 42))
 
 
 def test_dirichlet_rejects_bad_steps():
-    with pytest.raises(PreconditionError):
-        dirichlet_approx((), 1)
-    with pytest.raises(PreconditionError):
-        dirichlet_approx((F(0),), 1)
+    with pytest.raises(PreconditionError, match="at least one step"):
+        build_anchor_sequence(Baton(()))
+    for bad in (F(0), F(-1, 2)):
+        with pytest.raises(PreconditionError, match="positive"):
+            Baton((F(1), bad))
 
 
-@given(small_batons(), st.integers(0, 40))
+@given(st.one_of(integer_batons(), small_batons()))
 @settings(max_examples=60, deadline=None)
-def test_dirichlet_result_always_satisfies_its_own_bound(baton, q0):
-    q = dirichlet_approx(baton.steps, q0)
-    assert q > q0
-    for s in baton.steps:
-        assert approximation_bound_holds(abs(s - F(scaled_round(q, s), q)), q, baton.k)
+def test_dirichlet_result_always_satisfies_its_own_bound(baton):
+    """The built q exceeds q0 and meets the bound, checked in Fractions."""
+    seq = build_anchor_sequence(baton, faithful=True)
+    assert seq.q > seq.q0
+    for s, p in zip(baton.steps, seq.p):
+        assert abs(s - F(p, seq.q)) ** baton.k * F(seq.q) ** (baton.k + 1) < 1
+
+
+@given(st.one_of(integer_batons(), small_batons()), st.integers(1, 200))
+@settings(max_examples=80, deadline=None)
+def test_first_admissible_q_matches_the_fraction_oracle(baton, q):
+    """The builder's q and p are the Fraction scan's from q0, and at any
+    q the integer bound test admits exactly what the Fraction one does."""
+    seq = build_anchor_sequence(baton, faithful=True)
+    assert (seq.q, seq.p) == fraction_first_admissible_q(baton.steps, seq.q0)
+    found, numerators = fraction_first_admissible_q(baton.steps, q - 1)
+    assert _numerators_at(baton.steps, q) == (numerators if found == q else None)
 
 
 # -- threshold ------------------------------------------------------------
@@ -164,12 +211,6 @@ def test_threshold_is_least(delta, theta, k):
 
 
 # -- building sequences -----------------------------------------------------
-
-
-def integer_batons():
-    return st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
-        lambda steps: Baton(tuple(F(v) for v in steps))
-    )
 
 
 @given(st.one_of(integer_batons(), small_batons()), st.booleans())
@@ -205,14 +246,14 @@ def test_anchor_values_match_the_fraction_formula(baton, later):
     is gamma - (round(q*gamma) - l) * delta/(2m), in Fractions."""
     q = build_anchor_sequence(baton, faithful=True).q
     for _ in range(later):
-        q = dirichlet_approx(baton.steps, q)
+        q, _ = fraction_first_admissible_q(baton.steps, q)
     try:
         seq = anchor_sequence_at(baton, q)
     except PreconditionError:  # the top combination misses index m
         return
     unit = seq.delta / (2 * seq.m)
-    values = gamma_set(baton).values
-    bounds = [scaled_round(q, gamma) for gamma in values]
+    values = fraction_gamma_set(baton).values
+    bounds = [fraction_round(q, gamma) for gamma in values]
     expected = [F(0)] * (seq.m + 1)
     for i in range(1, len(values)):
         for l in range(bounds[i - 1] + 1, bounds[i] + 1):
@@ -257,7 +298,7 @@ def test_faithful_half_integer_pair():
     assert (seq.delta, seq.theta) == (F(1, 2), F(5, 2))
     # every bounded combination sits at its rounded index
     for gamma, index in ((F(1), 28), (F(3, 2), 42), (F(2), 56), (F(5, 2), 70)):
-        assert scaled_round(seq.q, gamma) == index
+        assert fraction_round(seq.q, gamma) == index
         assert seq.a[index] == gamma
     assert seq.anchor_set.marked_steps() == baton.steps
 
@@ -562,13 +603,28 @@ def piecewise_affine(draw):
     return tuple(s)
 
 
+def subadditive_clause(s) -> ClauseResult:
+    """verify_anchor_sequence's subadditivity clause on the values s,
+    which the other clauses do not affect."""
+    m = len(s) - 1
+    seq = AnchorSequence(
+        p=(m,), m=m, num=tuple(s), den=1, delta=F(1), theta=F(1), q0=0, q=1
+    )
+    return verify_anchor_sequence(seq, Baton((F(1),))).subadditive
+
+
+def violated_at(l, r) -> ClauseResult:
+    return ClauseResult(False, f"a[{l + r}] > a[{l}] + a[{r}]")
+
+
 def check_run_check(s):
     m = len(s) - 1
     assert _affine_runs(s) == naive_affine_runs(s)
     first = naive_first_subadditive_violation(s, m)
     # A budget above any number of run triples: the runs decide alone.
     assert _runs_subadditive(s, len(s) ** 3) == (first is None)
-    assert _subadditive_violation(s, m) == first
+    want = ClauseResult(True) if first is None else violated_at(*first)
+    assert subadditive_clause(s) == want
 
 
 @given(piecewise_affine())
@@ -627,8 +683,8 @@ def test_a_concave_sequence_of_many_runs_reaches_the_sweep(monkeypatch):
         return _first_subadditive_violation(a, m)
 
     monkeypatch.setattr(maxram.anchors, "_first_subadditive_violation", sweep)
-    assert _subadditive_violation(concave, 60) is None
+    assert subadditive_clause(concave) == ClauseResult(True)
     assert swept == [60]
     bumped = concave[:40] + (concave[40] + 100,) + concave[41:]
-    assert _subadditive_violation(bumped, 60) == (1, 39)
+    assert subadditive_clause(bumped) == violated_at(1, 39)
     assert naive_first_subadditive_violation(bumped, 60) == (1, 39)

@@ -927,6 +927,23 @@ def test_non_utf8_input_is_exit_2(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["validate", "{}"], ["embed", "--metric", "{}"]])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"distance_matrix": [["0", ' + "1" * 5000 + "]]}"],
+    ids=["deep-nesting", "long-int-literal"],
+)
+def test_json_past_the_parser_limits_is_exit_2(tmp_path, capsys, argv, text):
+    """Nesting past the recursion limit and an integer literal past the
+    int string-conversion limit are invalid JSON, not a traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: invalid JSON: ")
+    assert captured.out == ""
+
+
 def test_validate_a_directory_is_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == 2
     captured = capsys.readouterr()

@@ -87,9 +87,10 @@ def test_write_and_read_json(tmp_path):
     write_json(path, {"kind": "demo", "x": ["1/2"]})
     assert read_json(path) == {"kind": "demo", "x": ["1/2"]}
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(ParseError, match="invalid JSON"):
-        read_json(bad)
+    for text in ("{nope", "[" * 100_000, "[" + "9" * 5000 + "]"):
+        bad.write_text(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            read_json(bad)
 
 
 def test_metric_space_from_matrix_and_points():

@@ -202,3 +202,38 @@ def test_module_imports_no_name_it_never_uses(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def public_names(tree: ast.Module) -> list[str]:
+    """The public names a module binds at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_is_used_in_the_package():
+    """A public name that no package code reads serves only the tests, and
+    a test oracle belongs in tests/. A read is a load of the name, an
+    attribute of that name, or an import of it."""
+    trees = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in public_names(tree)
+        if name not in used
+    ]
+    assert unused == []

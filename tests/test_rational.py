@@ -14,6 +14,7 @@ from maxram.rational import (
     floor_times_log,
     format_rational,
     log_bounds,
+    parse_ratio,
     parse_rational,
 )
 
@@ -65,12 +66,20 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational("-3") == -3
     assert parse_rational("3/2") == F(3, 2)
     assert parse_rational("-10/4") == F(-5, 2)
+    assert parse_ratio(7) == (7, 1)
+    assert parse_ratio("-3") == (-3, 1)
+    assert parse_ratio("-10/4") == (-10, 4)  # unreduced
+    assert parse_ratio("1/-2") == (1, -2)
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, None, "a/b", "1/0", "1/2/3", ""])
 def test_parse_rational_rejects_everything_else(bad):
-    with pytest.raises(ParseError):
+    """Both parsers refuse with one message."""
+    with pytest.raises(ParseError) as pair:
+        parse_ratio(bad)
+    with pytest.raises(ParseError) as fraction:
         parse_rational(bad)
+    assert str(pair.value) == str(fraction.value)
 
 
 def test_format_rational_matches_the_wire_format():

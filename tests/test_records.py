@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxram.anchors import AnchorSequence, ClauseResult, GammaSet, VerificationReport
+from maxram.anchors import AnchorSequence, ClauseResult, VerificationReport
 from maxram.chromatic import ColoringCertificate, CopyHypergraph
 from maxram.colorings import PeriodicColoring
 from maxram.cover import CoverInstance, CoverSolution
@@ -45,7 +45,6 @@ RECORDS = {
         {"translates": [(0,), (1,)], "size": 2, "optimal": True, "lower_bound": 2},
         {"s_random": None, "leftover": None, "budget_exhausted": False},
     ),
-    GammaSet: ({"values": (F(0), F(1), F(2)), "gamma_next": F(3)}, {}),
     ClauseResult: ({"passed": False}, {"counterexample": None}),
     VerificationReport: (
         {"monotonic": PASSED, "subadditive": PASSED, "anchored": PASSED,

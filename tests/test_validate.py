@@ -157,6 +157,32 @@ def test_anchor_sequence_rejections(certs):
     assert "p" in failing(cert, wrong_p)
 
 
+@pytest.mark.parametrize(
+    "literal, failure",
+    [
+        ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
+        ("1e3", "bad rational literal '1e3': invalid literal for int() with base 10: '1e3'"),
+        (1.5, "expected rational, got 1.5"),
+        (True, "expected rational, got bool True"),
+        ("1/2/3", "expected rational, got '1/2/3'"),
+    ],
+)
+def test_anchor_value_literals_are_refused_by_name(certs, literal, failure):
+    def replace(c):
+        c["a"][5] = literal
+
+    assert failing(certs["anchor_sequence"], replace) == f"malformed: {failure}"
+
+
+def test_anchor_values_need_not_be_reduced(certs):
+    """The stated values are compared as pairs: 514/560 and -129/-140
+    stand for the rebuilt 257/280 and 129/140."""
+    cert = copy.deepcopy(certs["anchor_sequence"])
+    assert cert["a"][5:7] == ["257/280", "129/140"]
+    cert["a"][5:7] = ["514/560", "-129/-140"]
+    assert validate_certificate(cert).ok
+
+
 def test_anchor_fast_path_rejections(certs):
     from fractions import Fraction
 
