@@ -1,8 +1,9 @@
 """Command line front end.
 
-Artifacts go to --output as canonical JSON (or stdout without it);
-anything about how a run went, like timings or warnings, goes to
-stderr so identical inputs keep producing byte-identical files.
+Artifacts go to --output as compact canonical JSON, one line with
+sorted keys (or to stdout without it); anything about how a run went,
+like timings or warnings, goes to stderr so identical inputs keep
+producing byte-identical files.
 
 Exit codes: 0 success, 1 failed validation, 2 bad input or parameters,
 3 search budget exhausted (the artifact is still written).

@@ -1,17 +1,16 @@
 """JSON artifacts: exact serialization, parsing, and certificate formats.
 
 Rationals travel as "p" or "p/q" strings so artifacts stay exact, and
-every dump is canonical (sorted keys, two-space indent, trailing newline)
-so identical inputs give byte-identical files. Certificates carry only
-fields a validator can recheck; advisory data such as warnings or search
-statistics stays out of them.
+every dump is compact canonical JSON (sorted keys, no whitespace between
+tokens, trailing newline) so identical inputs give byte-identical files.
+Certificates carry only fields a validator can recheck; advisory data
+such as warnings or search statistics stays out of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
@@ -44,81 +43,10 @@ def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
 
 
 def dump_json(obj) -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\\n".
-
-    json only has a C encoder for indent=None, so the layout is joined
-    here from C-escaped strings instead. Dict keys must be str, and
-    circular references are not detected.
-    """
-    return _encode(obj, "\n") + "\n"
-
-
-def _encode(value, indent: str) -> str:
-    """value as json.dumps lays it out at the level whose newline and
-    indentation is indent. Categories are tested list first: no type is
-    both a list and a str, dict or number, and bool comes before int."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = None
-        if all(type(v) is list for v in value):
-            items = _string_lists(value, inner)
-        if items is None:
-            items = [_escape(v) if type(v) is str else _encode(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_escape(key) + ": " + _encode(item, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-class _Escaped(dict):
-    """str -> its JSON literal, escaped at its first lookup. Anything else
-    raises TypeError, unstored: encode_basestring_ascii takes only str."""
-
-    def __missing__(self, text):
-        self[text] = literal = _escape(text)
-        return literal
-
-
-def _string_lists(lists, indent: str) -> list[str] | None:
-    """Each list of str laid out at indent, in one pass: the bulk of a
-    coloring certificate, whose few distinct literals are escaped once
-    each. None when some item is not a str."""
-    inner = indent + "  "
-    sep = "," + inner
-    escaped = _Escaped().__getitem__
-    try:
-        return [
-            "[" + inner + sep.join(map(escaped, v)) + indent + "]" if v else "[]"
-            for v in lists
-        ]
-    except TypeError:
-        return None
+    """obj as compact canonical JSON, written by json's C encoder: sorted
+    keys, no whitespace between tokens (the whitespace rule of RFC 8785),
+    ASCII escapes, and a trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_json(path, obj) -> None:

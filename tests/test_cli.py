@@ -223,9 +223,9 @@ def test_color_randomized_coloring_validates(capsys, b2_metric):
     "argv, digest",
     [
         (["--n", "2", "--asymptotic"],
-         "da0f2deeb98ba5064371a3a1f589bb443529e299ec749831ddc8c5d3871af7c1"),
+         "773c5f6eba03962a4eff487e4858a8ada2f46a3128ee592cf841d438dd425472"),
         (["--n", "5", "--seed", "1"],
-         "9b51a2dd6b0617f369d85321a0614f86a43663df880dc3a7ac64bd28f6db74b1"),
+         "c042ca27c2dfd35b7fdc85a00b8d82f44464611b2796c2905ff9a3e4fad689e0"),
     ],
 )
 def test_color_artifact_bytes_are_pinned(tmp_path, capsys, argv, digest):
@@ -323,15 +323,15 @@ def test_chi_with_custom_metric(tmp_path, capsys, b2_metric):
     "argv, code, digest",
     [
         (["chi", "--grid", "3,3", "--metric", "{unit2}", "--budget", "1000"], 3,
-         "f2731c984b4a9560dfa1b56e481e1befb64000d4aab0c882933b454de763536d"),
+         "ab47496eab9e0f68bd6cbffeba8c1333c819fb21d34781663df223b4d8ef3d9d"),
         (["chi", "--grid", "5,2", "--metric", "{baton12}", "--budget", "30000"], 3,
-         "cc668297cb534c76d0f74e3b943bf8a620231213f193d2db13d408fc2b098628"),
+         "5954c67a3ac9b5473bfd6653608199f98d105d2b7379be0c1d5f34b676286d6e"),
         (["copies", "--metric", "{unit2}", "--points", "{grid}", "--distinct-supports"],
-         0, "00f858788464f494752d4c834f261f003e7604dda92575a9160f5ea67da4a3bd"),
+         0, "017059f2b0225e997007dde4e97a0530707cb59511a911f2824033570c4a8862"),
         (["chi", "--grid", "5,2", "--metric", "{baton12}"], 0,
-         "fa8c1f6d042ef03ce7de58d813a93f9e170daab0eaa2018d274e8e00ca883d73"),
+         "35ae8751176bc254ca4206f00e7c75524b70759d24dfe444a1ca2e0b9aebb027"),
         (["copies", "--metric", "{square}", "--points", "{grid}", "--distinct-supports"],
-         0, "c53f4b01f06edbad099546bd9011e617b8b97850e00860d521c8d3f774a4c6ed"),
+         0, "4370693409d186e2e147973b1a99ab41f1aa981462aa3e7ab6b7f44c2f08f4f7"),
     ],
 )
 def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
@@ -368,15 +368,15 @@ def seeded_dense_subset(seed: int) -> dict:
     "argv, code, digest",
     [
         (["anchors", "--steps", "1,1/2,1/3", "--faithful"], 0,
-         "945f1618f9c1ea8556c10ddd0a49b877b5028112cb0f59ef8b6edf277569e044"),
+         "08e27b7358a372f31baad7dd73b9f4e6774572e39449f5d55d9a74f8e931bf60"),
         (["extract", "--subset", "{subset}", "--k", "3"], 0,
-         "dbc89b9de4cf526a5ef839c67ad7e333ceac85b84aafaa4527028ac741cbf186"),
+         "c9c6a72ffd9f290c0bb610bafede6f022902e79c8246cdde2c9c554242401db5"),
         (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], 0,
-         "06f6f0211a250b365985227e81daaeb3bd295c3f7f67749b86bb73be971f7e9a"),
+         "75648e1271790a8890b897b79405cc3154e42cab77c635f76049234e1a1c23ce"),
         (["cover", "--m", "45", "--d", "15", "--n", "2", "--exact"], 0,
-         "5426f24a59b10b4442d5be04b23454cefe9a3a207f1862c6b0be6444c020c0e4"),
+         "b226bb0b6bd127bb9857f760289f287efdc36ab379dcd0618e969f78749cd06a"),
         (["cover", "--m", "9", "--d", "2", "--n", "2", "--exact", "--budget", "150000"],
-         0, "da4433e4790a00db27cdcde77bd48b92d2de490db9dd72ab0346ffecc4381953"),
+         0, "fffdbd60c541dbad01546fb016f9428eb1f0e680f0b95073c8dbed8b36e658ce"),
     ],
 )
 def test_certificate_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):

@@ -1,6 +1,7 @@
 """JSON artifact formats: canonical dumps, parsing, certificate shapes."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"')
+NAN = object()
+
+
+def comparable(value):
+    """value as json.loads gives it back: tuples become lists, and every
+    NaN becomes one marker, so that == holds after a round trip."""
+    if isinstance(value, (list, tuple)):
+        return [comparable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: comparable(v) for k, v in value.items()}
+    if isinstance(value, float) and value != value:
+        return NAN
+    return value
+
+
 @given(JSON_VALUES)
 @settings(max_examples=400, deadline=None)
 @example({"b": [True, 1, 1.0, False, 0], "a": {"x": [], "y": {}, "z": [[]]}})
@@ -71,8 +88,13 @@ JSON_VALUES = st.recursive(
 @example([["a"], ("b",)])
 @example([[["1/2", "0"]], [["\u2603"]]])
 @example("top-level string")
-def test_dump_json_matches_the_indented_json_dumps(value):
-    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+def test_dump_json_is_compact_sorted_json(value):
+    text = dump_json(value)
+    assert text == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+    assert comparable(json.loads(text)) == comparable(value)
+    tokens = STRING_LITERAL.sub('""', text)
+    assert tokens.endswith("\n")
+    assert not any(c.isspace() for c in tokens[:-1]), text
 
 
 def test_dump_json_rejects_what_json_cannot_write():
@@ -216,3 +238,16 @@ def test_certificate_dumps_are_byte_identical(tmp_path):
     again = canonical_certificates()
     for kind, cert in certs.items():
         assert dump_json(cert) == dump_json(again[kind]), kind
+
+
+def test_certificates_in_the_indented_layout_still_validate(tmp_path):
+    """Certificates written before dumps became compact, with a two-space
+    indent, validate as their compact dumps do."""
+    for kind, cert in canonical_certificates().items():
+        indented = tmp_path / f"{kind}-indented.json"
+        indented.write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n")
+        compact = tmp_path / f"{kind}.json"
+        write_json(compact, cert)
+        report = validate_certificate(compact)
+        assert report.ok, (kind, report.failures)
+        assert validate_certificate(indented) == report, kind
