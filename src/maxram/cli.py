@@ -78,6 +78,10 @@ def _cmd_extract(args) -> int:
     from .io import copy_embedding_certificate, grid_subset_from_obj
     from .io import point_set_from_obj, read_json
 
+    if args.baton is None and args.faithful:
+        raise PreconditionError("--faithful needs --baton")
+    if args.baton is not None and args.k is not None:
+        raise PreconditionError("--k applies only without --baton")
     obj = read_json(args.subset)
     if args.baton is None:
         subset = grid_subset_from_obj(obj)

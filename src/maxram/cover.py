@@ -70,16 +70,12 @@ class CoverSolution:
         size: int,
         optimal: bool,
         lower_bound: int,
-        s_random: int | None = None,
-        leftover: int | None = None,
         budget_exhausted: bool = False,
     ):
         self.translates = translates
         self.size = size
         self.optimal = optimal
         self.lower_bound = lower_bound
-        self.s_random = s_random
-        self.leftover = leftover
         self.budget_exhausted = budget_exhausted
 
     def __eq__(self, other):
@@ -103,7 +99,9 @@ def slice_lower_bound(inst: CoverInstance) -> int:
     return bound
 
 
-def _bounded(inst: CoverInstance, translates: list[IntVec], **extra) -> CoverSolution:
+def _bounded(
+    inst: CoverInstance, translates: list[IntVec], budget_exhausted: bool = False
+) -> CoverSolution:
     """A cover with the slice bound as its lower bound; optimal when it meets it."""
     lower = slice_lower_bound(inst)
     return CoverSolution(
@@ -111,7 +109,7 @@ def _bounded(inst: CoverInstance, translates: list[IntVec], **extra) -> CoverSol
         size=len(translates),
         optimal=len(translates) == lower,
         lower_bound=lower,
-        **extra,
+        budget_exhausted=budget_exhausted,
     )
 
 
@@ -271,33 +269,32 @@ def _greedy(inst: CoverInstance, masks: list[int]) -> list[int]:
     return chosen
 
 
+def _draw_count(inst: CoverInstance) -> int:
+    """s = floor(n * ln d * (m/d)^n), the random construction's draws."""
+    return floor_times_log(inst.n * Fraction(inst.m, inst.d) ** inst.n, inst.d)
+
+
 def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution:
-    """floor(n * ln d * (m/d)^n) uniform random translates, then one patch
-    translate placed at every point still uncovered.
+    """s = floor(n * ln d * (m/d)^n) uniform random translates, then one
+    patch translate placed at every point still uncovered. floor_times_log
+    certifies s from decimal's correctly rounded ln.
 
     At d = 1 no translate is drawn (ln 1 = 0), and patching every point in
     index order gives exactly the greedy cover.
     """
-    m, d, n = inst.m, inst.d, inst.n
-    ratio = Fraction(m, d) ** n
-    s = floor_times_log(n * ratio, d)
+    m, n, s = inst.m, inst.n, _draw_count(inst)
     rng = random.Random(seed)
     drawn = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(s)]
-    chosen: list[IntVec] = []
-    seen = set()
+    chosen: list[IntVec] = list(dict.fromkeys(drawn))
     covered = 0
-    for v in drawn:
-        if v not in seen:
-            seen.add(v)
-            chosen.append(v)
-            covered |= cover_mask(inst, v)
+    for v in chosen:
+        covered |= cover_mask(inst, v)
     full = (1 << inst.point_count) - 1
-    leftovers = mask_cells(full & ~covered, torus_points(inst))
-    for point in leftovers:
+    for point in mask_cells(full & ~covered, torus_points(inst)):
         chosen.append(point)
         covered |= cover_mask(inst, point)
     assert covered == full
-    return _bounded(inst, chosen, s_random=s, leftover=len(leftovers))
+    return _bounded(inst, chosen)
 
 
 _MAX_RETRIES = 1000
@@ -309,13 +306,13 @@ def random_cover_within_expectation(
     """Retry seeds until total size <= s + ceil((m/d)^n), the integer form
     of the expectation guarantee. Returns (best solution, met)."""
     ratio = Fraction(inst.m, inst.d) ** inst.n
-    allowance = ceil_div(ratio.numerator, ratio.denominator)
+    target = _draw_count(inst) + ceil_div(ratio.numerator, ratio.denominator)
     best: CoverSolution | None = None
     for attempt in range(_MAX_RETRIES):
         sol = random_translates_cover(inst, seed + attempt)
         if best is None or sol.size < best.size:
             best = sol
-        if sol.size <= (sol.s_random or 0) + allowance:
+        if sol.size <= target:
             return sol, True
     assert best is not None
     return best, False

@@ -162,17 +162,16 @@ def _lattice_flats(classes, index: _LatticeIndex) -> list[list]:
     return flats
 
 
-def _check_coloring(coloring: PeriodicColoring, flats=None) -> list[str]:
+def _check_coloring(coloring: PeriodicColoring, flats) -> list[str]:
     """Check a stated coloring: a malformed one fails once, under coloring:.
     Otherwise every box of the fundamental domain must be owned exactly
     once (classes:) and each box must lie in its class's window (anchors:).
 
-    flats[i] lists the lattice indices of class i, box after box; by
-    default they are read from classes, and when given, classes are read
-    only for their box counts and lengths. The checks run per class and
-    axis, on strided slices of flats[i]. Only a class that fails one is
-    scanned box by box, so each failure names the first box, in class and
-    box order, that fails it.
+    flats[i] lists the lattice indices of class i, box after box; classes
+    are read only for their box counts and lengths. The checks run per
+    class and axis, on strided slices of flats[i]. Only a class that fails
+    one is scanned box by box, so each failure names the first box, in
+    class and box order, that fails it.
 
     Box o sits in the window at a exactly when its offset (o - a) mod
     cells, counted in boxes, is below window // box_size: the box's far
@@ -208,8 +207,6 @@ def _check_coloring(coloring: PeriodicColoring, flats=None) -> list[str]:
     for anchor in anchors:
         if failure := malformed(anchor):
             return [failure]
-    if flats is None:
-        flats = [list(chain.from_iterable(vecs)) for vecs in classes]
     reach = window // box_size
     total, expected = sum(map(len, classes)), cells**dim
     # Ownership is marked by row-major box index, and only when the count

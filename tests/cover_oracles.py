@@ -1,9 +1,11 @@
 """Slow exact oracles for the torus cover solver, shared by the test modules."""
 
 import itertools
+import random
+from fractions import Fraction
 
 from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
-from maxram.rational import ceil_div
+from maxram.rational import ceil_div, floor_times_log
 
 
 def set_box_mask(inst: CoverInstance, corner, side: int) -> int:
@@ -21,6 +23,22 @@ def set_box_mask(inst: CoverInstance, corner, side: int) -> int:
 def counting_lower_bound(inst: CoverInstance) -> int:
     """ceil(m^n / d^n): each translate covers exactly d^n points."""
     return ceil_div(inst.point_count, inst.d**inst.n)
+
+
+def draw_count(inst: CoverInstance) -> int:
+    """s = floor(n * ln d * (m/d)^n), the random construction's draws."""
+    return floor_times_log(inst.n * Fraction(inst.m, inst.d) ** inst.n, inst.d)
+
+
+def random_draws(inst: CoverInstance, seed: int) -> list[tuple[int, ...]]:
+    """The translates the random construction draws before it patches:
+    draw_count(inst) uniform corners from random.Random(seed), repeats
+    dropped, in draw order."""
+    rng = random.Random(seed)
+    drawn = {}
+    for _ in range(draw_count(inst)):
+        drawn[tuple(rng.randrange(inst.m) for _ in range(inst.n))] = None
+    return list(drawn)
 
 
 def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:

@@ -23,7 +23,12 @@ from cert_fixtures import (
 )
 from anchor_sets import anchor_set_one_alpha
 from coloring_oracles import color_of
-from cover_oracles import counting_lower_bound, naive_minimum_cover
+from cover_oracles import (
+    counting_lower_bound,
+    draw_count,
+    naive_minimum_cover,
+    random_draws,
+)
 from metric_generators import random_metric_space
 from metric_oracles import chebyshev_distance
 from maxram.anchors import build_anchor_sequence, verify_anchor_sequence
@@ -269,11 +274,13 @@ def test_c09_random_covers_meet_the_expectation_bound():
         s = math.floor(n * math.log(2) * 1.5**n)
         allowance = ceil_div(3**n, 2**n)
         assert s + allowance == expected_bound[n]
+        assert draw_count(inst) == s
 
         sol = None
         for seed in range(1000):
             candidate = random_translates_cover(inst, seed)
-            assert candidate.s_random == s
+            drawn = random_draws(inst, seed)
+            assert candidate.translates[: len(drawn)] == drawn
             if candidate.size <= expected_bound[n]:
                 sol = candidate
                 break

@@ -159,6 +159,22 @@ def test_extract_with_a_baton_goes_through_anchors(tmp_path, capsys):
     assert validate_certificate(obj).ok
 
 
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--faithful"], "--faithful needs --baton"),
+        (["--baton", "1,2", "--k", "3"], "--k applies only without --baton"),
+    ],
+    ids=["faithful-without-baton", "k-with-baton"],
+)
+def test_extract_refuses_a_flag_of_the_other_mode(tmp_path, capsys, flags, err):
+    pts = tmp_path / "pts.json"
+    write_json(pts, {"points": [["0"], ["1"], ["2"], ["3"]]})
+    assert main(["extract", "--subset", str(pts), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (f"error: {err}\n", "")
+
+
 # -- anchors ---------------------------------------------------------------
 
 

@@ -36,6 +36,13 @@ B2 = Baton.unit(2).as_metric_space()
 HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
 
 
+def check_coloring(col: PeriodicColoring) -> list[str]:
+    """The validator's check, with each class's lattice indices read off
+    its own boxes."""
+    flats = [list(itertools.chain.from_iterable(vecs)) for vecs in col.classes]
+    return _check_coloring(col, flats)
+
+
 # -- PeriodicColoring --------------------------------------------------------
 # The cube tiling is the avoidance coloring of the unit 1-baton.
 
@@ -55,7 +62,7 @@ def test_cube_tiling_partitions_and_fits_windows():
     col = avoidance_coloring(B1, 2)
     assert col.class_count == 4
     assert col.cells_per_axis == 2
-    assert _check_coloring(col) == []
+    assert check_coloring(col) == []
     assert col.warnings == (
         "gap >= window: the plain cube tiling would use no more colors",
     )
@@ -109,11 +116,11 @@ def test_coloring_validation_errors():
     )
 
     def refused(**bad):
-        failures = _check_coloring(PeriodicColoring(**{**good, **bad}))
+        failures = check_coloring(PeriodicColoring(**{**good, **bad}))
         assert len(failures) == 1 and failures[0].startswith("coloring: ")
         return failures[0]
 
-    assert _check_coloring(PeriodicColoring(**good)) == []
+    assert check_coloring(PeriodicColoring(**good)) == []
     assert "dim" in refused(dim=0)
     assert "box_size" in refused(window=F(1, 2))
     assert "whole number" in refused(period=F(3, 2), window=F(3, 2))
@@ -134,15 +141,15 @@ def test_partition_check_catches_double_and_missing_ownership():
         window_anchors=((0,), (0,)),
         **base,
     )
-    assert _check_coloring(doubled) == ["classes: box (0,) owned twice"]
+    assert check_coloring(doubled) == ["classes: box (0,) owned twice"]
     short = PeriodicColoring(classes=(((0,),),), window_anchors=((0,),), **base)
-    assert _check_coloring(short) == ["classes: 1 owned boxes, expected 2"]
+    assert check_coloring(short) == ["classes: 1 owned boxes, expected 2"]
     # Boxes 2 and 1 are both doubled; box 2 repeats first.
     twice = PeriodicColoring(
         dim=1, period=F(4), box_size=F(1), window=F(4),
         classes=(((2,), (1,)), ((2,), (1,))), window_anchors=((0,), (0,)),
     )
-    assert _check_coloring(twice) == ["classes: box (2,) owned twice"]
+    assert check_coloring(twice) == ["classes: box (2,) owned twice"]
     with pytest.raises(DomainError, match="no color"):
         color_of(short, (F(3, 2),))
 
@@ -156,7 +163,7 @@ def test_window_check_catches_a_stray_box():
         window=F(1),
         window_anchors=((0,), (1,)),
     )
-    assert _check_coloring(stray) == [
+    assert check_coloring(stray) == [
         "anchors: class 0: box (2,) outside window at (0,)"
     ]
 
@@ -239,7 +246,7 @@ def small_colorings(draw):
 @given(small_colorings())
 @settings(max_examples=300, deadline=None)
 def test_integer_checks_match_the_fraction_oracle(col):
-    failures = _check_coloring(col)
+    failures = check_coloring(col)
     assert failures == check_coloring_naive(col)
     labels = {failure.split(":")[0] for failure in failures}
     assert labels <= {"classes", "anchors"}
@@ -261,12 +268,12 @@ def test_window_of_one_and_a_half_boxes_holds_one_neighbour():
     inside = PeriodicColoring(
         classes=(((0,),), ((1,),), ((2,),)), window_anchors=((0,), (1,), (2,)), **base
     )
-    assert _check_coloring(inside) == [] and fraction_check_windows(inside)
+    assert check_coloring(inside) == [] and fraction_check_windows(inside)
     stray = PeriodicColoring(
         classes=(((0,), (1,)), ((2,),)), window_anchors=((0,), (2,)), **base
     )
     assert not fraction_check_windows(stray)
-    assert _check_coloring(stray) == [
+    assert check_coloring(stray) == [
         "anchors: class 0: box (1,) outside window at (0,)"
     ]
 
@@ -400,7 +407,7 @@ def b2_copy_positions(x: Fraction):
 def test_randomized_avoidance_coloring_for_the_unit_two_step():
     col = avoidance_coloring(B2, n=1, seed=3)
     assert col.period == 3 and col.window == 2 and col.box_size == 1
-    assert _check_coloring(col) == []
+    assert check_coloring(col) == []
     assert "gap >= window" not in " ".join(col.warnings)
     for numerator in range(-12, 12):
         colors = {color_of(col, p) for p in b2_copy_positions(F(numerator, 4))}
@@ -421,7 +428,7 @@ def test_gap_at_least_window_warns():
     window 1 and gap 1."""
     col = avoidance_coloring(B1, n=1)
     assert col.period == 2 and col.window == 1 and col.box_size == 1
-    assert _check_coloring(col) == []
+    assert check_coloring(col) == []
     assert any("cube tiling" in w for w in col.warnings)
     # the pair itself never lands monochromatically
     for numerator in range(-12, 12):
@@ -434,7 +441,7 @@ def test_asymptotic_default_margins_shrink_the_window():
     assert col.window == F(126, 64)
     assert col.period == F(191, 64)
     assert col.box_size == F(1, 64)
-    assert _check_coloring(col) == []
+    assert check_coloring(col) == []
     for numerator in range(-8, 8):
         colors = {color_of(col, p) for p in b2_copy_positions(F(numerator, 3))}
         assert len(colors) > 1
@@ -444,7 +451,7 @@ def test_asymptotic_default_margins_shrink_the_window():
 @settings(max_examples=20, deadline=None)
 def test_randomized_avoidance_is_always_a_valid_coloring(seed, n):
     col = avoidance_coloring(B2, n=n, seed=seed)
-    assert _check_coloring(col) == []
+    assert check_coloring(col) == []
     assert col.window <= 2 and col.period - col.window >= 1
 
 

@@ -3,7 +3,13 @@
 import math
 
 import pytest
-from cover_oracles import counting_lower_bound, naive_minimum_cover, set_box_mask
+from cover_oracles import (
+    counting_lower_bound,
+    draw_count,
+    naive_minimum_cover,
+    random_draws,
+    set_box_mask,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -371,10 +377,12 @@ def test_greedy_always_covers():
     [(1, 1), (2, 3), (3, 7), (4, 14)],
 )
 def test_random_phase_size_fixture(n, s):
-    """floor(n * (3/2)^n * ln 2), computed with certified log bounds."""
-    sol = random_translates_cover(CoverInstance(3, 2, n), seed=0)
-    assert sol.s_random == s
+    """floor(n * (3/2)^n * ln 2) draws, then the patches."""
+    inst = CoverInstance(3, 2, n)
+    assert draw_count(inst) == s
     assert math.floor(n * (3 / 2) ** n * math.log(2)) == s
+    drawn = random_draws(inst, 0)
+    assert random_translates_cover(inst, seed=0).translates[: len(drawn)] == drawn
 
 
 def test_random_cover_covers_and_counts_leftovers():
@@ -382,8 +390,9 @@ def test_random_cover_covers_and_counts_leftovers():
     sol = random_translates_cover(inst, seed=4)
     assert is_cover(inst, sol.translates)
     assert sol.size == len(sol.translates)
-    assert sol.leftover is not None and sol.leftover >= 0
-    assert sol.size <= sol.s_random + sol.leftover
+    drawn = random_draws(inst, 4)
+    assert sol.translates[: len(drawn)] == drawn
+    assert len(drawn) <= draw_count(inst)
 
 
 def scan_uncovered(inst: CoverInstance, covered: int) -> list:
@@ -404,18 +413,22 @@ def test_leftover_patches_match_the_full_scan(inst, seed):
     """The patch translates are exactly the points the drawn translates
     miss, in index order, as a scan of every point finds them."""
     sol = random_translates_cover(inst, seed)
-    drawn = sol.translates[: sol.size - sol.leftover]
+    drawn = random_draws(inst, seed)
     covered = 0
     for t in drawn:
         covered |= cover_mask(inst, t)
-    assert sol.translates[len(drawn):] == scan_uncovered(inst, covered)
+    assert sol.translates == drawn + scan_uncovered(inst, covered)
+
+
+def leftover(inst: CoverInstance, seed: int) -> int:
+    """The number of patch translates of the seed's random cover."""
+    return random_translates_cover(inst, seed).size - len(random_draws(inst, seed))
 
 
 def test_leftover_fixtures_do_have_leftovers():
-    assert [random_translates_cover(CoverInstance(5, 2, 2), s).leftover
-            for s in range(3)] == [9, 6, 7]
-    assert random_translates_cover(CoverInstance(191, 63, 2), 2).leftover == 12
-    assert random_translates_cover(CoverInstance(191, 63, 2), 0).leftover == 0
+    assert [leftover(CoverInstance(5, 2, 2), s) for s in range(3)] == [9, 6, 7]
+    assert leftover(CoverInstance(191, 63, 2), 2) == 12
+    assert leftover(CoverInstance(191, 63, 2), 0) == 0
 
 
 @given(st.sampled_from(small_instances()), st.data())
@@ -444,7 +457,7 @@ def test_randomized_cover_falls_back_to_greedy_when_d_is_one(m, n, seed):
     # order, the order in which the greedy takes them.
     inst = CoverInstance(m, 1, n)
     sol, greedy = random_translates_cover(inst, seed), greedy_cover(inst)
-    assert sol.s_random == 0
+    assert draw_count(inst) == 0
     assert (sol.translates, sol.size, sol.optimal, sol.lower_bound) == (
         greedy.translates,
         greedy.size,
@@ -458,7 +471,7 @@ def test_expectation_retry_meets_the_allowance():
     sol, met = random_cover_within_expectation(inst, seed=0)
     assert met
     # allowance: ceil((3/2)^2) = 3 extra translates over the random phase
-    assert sol.size <= sol.s_random + 3
+    assert sol.size <= draw_count(inst) + 3
     assert is_cover(inst, sol.translates)
 
 

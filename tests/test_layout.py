@@ -1,10 +1,10 @@
 """Package layout, read from the sources with ast: every name is imported
 from the module that defines it, so the package root re-exports only what
 the benchmark's tests import from it, no module, in the package or among
-the tests, imports a name it never uses, no package module imports
-dataclasses, and only the classes that hold outside input (and
-CoverSolution) define __init__. Which modules each command loads is
-checked in a fresh interpreter."""
+the tests, imports a name it never uses, the package imports nothing
+outside the standard library and not dataclasses, and only the classes
+that hold outside input (and CoverSolution) define __init__. Which
+modules each command loads is checked in a fresh interpreter."""
 
 import ast
 import importlib
@@ -151,6 +151,27 @@ def test_validate_loads_every_module_the_benchmark_traces():
         "assert traced and traced <= sys.modules.keys(), traced\n"
     )
     assert "maxram.validate" in loaded_after(script)
+
+
+def test_package_imports_only_the_standard_library():
+    """pyproject declares no dependencies: every module a package file
+    imports is the package's own or in the standard library."""
+    allowed = sys.stdlib_module_names | {"maxram"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert outside == []
 
 
 def test_no_package_module_imports_dataclasses():

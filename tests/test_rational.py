@@ -1,7 +1,7 @@
 """Rational parsing and formatting, and certified logarithm floors."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,7 +13,6 @@ from maxram.rational import (
     ceil_div,
     floor_times_log,
     format_rational,
-    log_bounds,
     parse_ratio,
     parse_rational,
 )
@@ -22,9 +21,10 @@ F = Fraction
 
 
 def series_log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Oracle for log_bounds: ln(d) = 2*atanh((d-1)/(d+1)) with no range
-    reduction. Correct for every d, but it needs about d/4 terms per
-    factor e of precision, so it is only usable for small d."""
+    """Rational (lo, hi) around ln(d), hi - lo < eps, from the series
+    ln(d) = 2*atanh((d-1)/(d+1)) with no range reduction: an oracle that
+    shares nothing with decimal. Correct for every d, but it needs about
+    d/4 terms per factor e of precision, so it is only usable for small d."""
     if d == 1:
         return F(0), F(0)
     x = F(d - 1, d + 1)
@@ -43,7 +43,8 @@ def series_log_bounds(d: int, eps: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def series_floor_times_log(r: Fraction, d: int) -> int:
-    """floor(r * ln(d)) as floor_times_log finds it, from the oracle."""
+    """floor(r * ln(d)) from the series oracle, tightened until both ends
+    of its bracket floor alike."""
     if d == 1 or r == 0:
         return 0
     eps = F(1, 10**12)
@@ -100,25 +101,13 @@ def test_ceil_div():
     assert ceil_div(-3, 2) == -1
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 10, 126])
-def test_log_bounds_bracket_the_float_log(d):
-    eps = F(1, 10**9)
-    lo, hi = log_bounds(d, eps)
-    assert hi - lo < eps
-    assert float(lo) <= math.log(d) + 1e-12
-    assert math.log(d) - 1e-12 <= float(hi)
-
-
 @given(
     st.integers(2, 130),
     st.fractions(min_value=0, max_value=1000, max_denominator=1000),
 )
 @settings(max_examples=60, deadline=None)
 def test_log_bounds_agree_with_the_unreduced_series(d, r):
-    eps = F(1, 10**12)
-    lo, hi = log_bounds(d, eps)
-    slo, shi = series_log_bounds(d, eps)
-    assert lo <= shi and slo <= hi  # both brackets hold ln(d)
+    """floor_times_log, from decimal's ln, agrees with the atanh series."""
     assert floor_times_log(r, d) == series_floor_times_log(r, d)
 
 
@@ -128,20 +117,10 @@ def test_log_bounds_agree_with_the_unreduced_series(d, r):
 )
 @settings(max_examples=300, deadline=None)
 def test_log_bounds_hold_the_log_for_d_up_to_ten_thousand(d, r):
-    eps = F(1, 10**12)
-    lo, hi = log_bounds(d, eps)
-    assert hi - lo < eps
-    ln_d, slack = decimal_log(d), F(1, 10**50)
-    assert lo <= ln_d + slack
-    assert ln_d - slack <= hi
-    exact = r * ln_d
+    """floor_times_log agrees with a 60-digit ln away from integers."""
+    exact = r * decimal_log(d)
     if min(exact - math.floor(exact), math.ceil(exact) - exact) > F(1, 10**40):
         assert floor_times_log(r, d) == math.floor(exact)
-
-
-def test_log_bounds_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_bounds(0, F(1, 10))
 
 
 def test_floor_times_log_fixtures():
@@ -152,6 +131,41 @@ def test_floor_times_log_fixtures():
     assert floor_times_log(F(7), 1) == 0
     with pytest.raises(ValueError):
         floor_times_log(F(-1), 2)
+    with pytest.raises(ValueError):
+        floor_times_log(F(1), 0)
+
+
+def convergents(x: Fraction):
+    """The continued-fraction convergents of x > 0, in order."""
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a = math.floor(x)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        yield F(h, k)
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 126])
+def test_floor_times_log_doubles_its_digits_next_to_an_integer(d):
+    """r from the convergents of j/ln d, denominators up to 10^45, puts
+    r * ln(d) within about 10^-90 of the integer j: 30 digits of ln(d)
+    cannot tell which side it lies on. A 200-digit ln is the oracle."""
+    ln_d = F(Context(prec=200).ln(d))
+    nearest = 1
+    for j in (1, 7, 1000):
+        for r in convergents(j / ln_d):
+            if r.denominator > 10**45:
+                break
+            if r == 0:
+                continue
+            exact = r * ln_d
+            gap = abs(exact - round(exact))
+            assert gap > F(1, 10**150)  # well past the oracle's own error
+            nearest = min(nearest, gap)
+            assert floor_times_log(r, d) == math.floor(exact), (j, r)
+    assert nearest < F(1, 10**80)
 
 
 @given(

@@ -43,7 +43,7 @@ RECORDS = {
     CoverInstance: ({"m": 3, "d": 2, "n": 2}, {}),
     CoverSolution: (
         {"translates": [(0,), (1,)], "size": 2, "optimal": True, "lower_bound": 2},
-        {"s_random": None, "leftover": None, "budget_exhausted": False},
+        {"budget_exhausted": False},
     ),
     ClauseResult: ({"passed": False}, {"counterexample": None}),
     VerificationReport: (
