@@ -119,8 +119,7 @@ def _cmd_color(args) -> int:
     from .io import metric_space_from_obj, periodic_coloring_certificate, read_json
 
     space = metric_space_from_obj(read_json(args.metric))
-    mode = "asymptotic" if args.asymptotic else "randomized"
-    coloring = avoidance_coloring(space, args.n, mode=mode, seed=args.seed)
+    coloring = avoidance_coloring(space, args.n, args.asymptotic, args.seed)
     for note in coloring.warnings:
         print(f"warning: {note}", file=sys.stderr)
     _emit_json(periodic_coloring_certificate(coloring, space), args.output)

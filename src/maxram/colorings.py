@@ -10,7 +10,9 @@ whole certificate: two same-colored points either share a window copy
 (every coordinate differs by less than the window) or straddle periods
 (some coordinate differs by more than the gap). A finite space whose
 diameter reaches the window and whose bottleneck connectivity fits under
-the gap can then never appear monochromatically.
+the gap can then never appear monochromatically. Every coloring comes
+from one recipe: window/(window + gap) = a/b in lowest terms names the
+torus (Z_b)^n and its a-cubes, each torus cell a box of side period/b.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .cover import (
     random_cover_within_expectation,
     torus_points,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .metric import FiniteMetricSpace, connectivity_threshold, diameter
 
 
@@ -89,10 +91,7 @@ def _ownership_classes(
 
 
 def avoidance_coloring(
-    space: FiniteMetricSpace,
-    n: int,
-    mode: str = "randomized",
-    seed: int = 0,
+    space: FiniteMetricSpace, n: int, asymptotic: bool = False, seed: int = 0
 ) -> PeriodicColoring:
     """A periodic coloring of R^n with no monochromatic copy of the space.
 
@@ -103,36 +102,23 @@ def avoidance_coloring(
     chain its bottleneck tree through one window yet realize the full
     diameter inside it, which the strict box bounds forbid.
 
-    randomized mode needs d and l integral and covers (Z_{d+l})^n with
-    d-cubes directly. asymptotic mode shrinks the window to d*(1 - 1/64)
-    and grows the gap to l*(1 + 1/64), then realizes the rational ratio
-    exactly on a finer box lattice.
+    The window and gap are d and l, or d*(1 - 1/64) and l*(1 + 1/64)
+    with asymptotic. With window/(window + gap) = a/b in lowest terms,
+    the coloring covers (Z_b)^n with a-cubes on boxes of side
+    (window + gap)/b, for rational spaces as for integral ones: integral
+    coprime d and l give the torus Z_(d+l) at box side 1, and the points
+    0, 2, 4 give Z_3 at box side 2.
 
     The unit 1-baton (window 1, gap 1, period 2) gives the 2^n cube
     tiling: one class per vertex of {0,1}^n, in lexicographic order.
     """
-    d = diameter(space)
-    l = connectivity_threshold(space)
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    if mode == "randomized":
-        if d.denominator != 1 or l.denominator != 1:
-            raise PreconditionError(
-                "randomized mode needs integral diameter and connectivity "
-                "threshold; use asymptotic mode instead"
-            )
-        window = d
-        gap = l
-        unit = Fraction(1)
-        inst = CoverInstance(m=int(d + l), d=int(d), n=n)
-    elif mode == "asymptotic":
-        window = d * Fraction(63, 64)
-        gap = l * Fraction(65, 64)
-        ratio = window / (window + gap)
-        unit = (window + gap) / ratio.denominator
-        inst = CoverInstance(m=ratio.denominator, d=ratio.numerator, n=n)
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
+    window = diameter(space)
+    gap = connectivity_threshold(space)
+    if asymptotic:
+        window, gap = window * Fraction(63, 64), gap * Fraction(65, 64)
+    period = window + gap
+    ratio = window / period
+    inst = CoverInstance(m=ratio.denominator, d=ratio.numerator, n=n)
 
     solution, met = random_cover_within_expectation(inst, seed)
     classes, anchors = _ownership_classes(inst, solution.translates)
@@ -145,8 +131,8 @@ def avoidance_coloring(
         warnings.append("covering size exceeded the expectation allowance")
     return PeriodicColoring(
         dim=n,
-        period=window + gap,
-        box_size=unit,
+        period=period,
+        box_size=period / ratio.denominator,
         classes=classes,
         window=window,
         window_anchors=anchors,

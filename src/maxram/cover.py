@@ -290,7 +290,8 @@ def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution
     for v in chosen:
         covered |= cover_mask(inst, v)
     full = (1 << inst.point_count) - 1
-    for point in mask_cells(full & ~covered, torus_points(inst)):
+    for i in mask_cells(full & ~covered, range(inst.point_count)):
+        point = tuple(i // m ** (n - 1 - j) % m for j in range(n))
         chosen.append(point)
         covered |= cover_mask(inst, point)
     assert covered == full

@@ -161,7 +161,9 @@ def extract_general_baton(
         try:
             grid_elems.add(tuple(index_of_value[c] for c in p))
         except KeyError:
-            raise DomainError(f"point {p} has a coordinate outside the anchors")
+            raise DomainError(
+                f"point ({', '.join(map(str, p))}) has a coordinate outside the anchors"
+            )
     chain = _extract(grid_elems, n, top)
 
     # Some axis runs 0..top along the chain, upward, so the marks select

@@ -113,7 +113,8 @@ class PointSet:
         for p in pts:
             if len(p) != dim:
                 raise DimensionMismatch(
-                    f"point {p} has dimension {len(p)}, expected {dim}"
+                    f"point ({', '.join(map(str, p))}) has dimension {len(p)}, "
+                    f"expected {dim}"
                 )
         if len(set(pts)) != len(pts):
             raise PreconditionError("points must be distinct")

@@ -72,6 +72,27 @@ def test_missing_metric_file_is_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, points, err",
+    [
+        (["embed", "--metric"], [["0", "1"], ["2"]],
+         "error: point (2) has dimension 1, expected 2\n"),
+        (["extract", "--baton", "1,1", "--subset"], [["0"], ["1/3"], ["2"]],
+         "error: point (1/3) has a coordinate outside the anchors\n"),
+    ],
+    ids=["embed", "extract"],
+)
+def test_errors_name_a_point_by_its_rational_coordinates(
+    tmp_path, capsys, argv, points, err
+):
+    path = tmp_path / "points.json"
+    write_json(path, {"points": points})
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, "")
+    assert "Fraction(" not in captured.err
+
+
 # -- copies ---------------------------------------------------------------
 
 
@@ -255,13 +276,13 @@ def test_color_artifact_bytes_are_pinned(tmp_path, capsys, argv, digest):
 
 
 def test_color_needs_asymptotic_for_fractional_spaces(capsys, half_pair_metric):
-    assert main(["color", "--metric", half_pair_metric, "--n", "1"]) == 2
-    capsys.readouterr()
-    code, obj = run_json(
-        capsys, ["color", "--metric", half_pair_metric, "--n", "1", "--asymptotic"]
-    )
-    assert code == 0
-    assert validate_certificate(obj).ok
+    """The half pair, a rational space, colors and validates with and
+    without --asymptotic."""
+    for flags in [], ["--asymptotic"]:
+        argv = ["color", "--metric", half_pair_metric, "--n", "1", *flags]
+        code, obj = run_json(capsys, argv)
+        assert code == 0
+        assert validate_certificate(obj).ok
 
 
 def test_color_warnings_go_to_stderr_not_the_artifact(capsys, half_pair_metric):
@@ -1035,3 +1056,33 @@ def test_artifacts_do_not_depend_on_runtime_chatter(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["kind"] == "chromatic"
+
+
+# -- README ---------------------------------------------------------------
+
+
+def readme_cli_lines() -> list[str]:
+    """The `maxram ...` lines of the README's CLI block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("maxram ")]
+
+
+def test_every_readme_cli_line_exits_0(tmp_path, monkeypatch, capsys):
+    """Each command of the README's CLI block runs as written, in order,
+    on small input files of the names it uses."""
+    fixtures = {
+        "space.json": {"points": [["0"], ["1"], ["2"]]},
+        "cloud.json": {"points": [[str(x)] for x in range(4)]},
+        "subset.json": {"k": 2, "n": 2,
+                        "elements": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2]]},
+        "points.json": {"points": [[str(x)] for x in range(4)]},
+    }
+    for name, obj in fixtures.items():
+        write_json(tmp_path / name, obj)
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert lines
+    for line in lines:
+        code = main(line.split()[1:])
+        assert code == 0, (line, capsys.readouterr().err)

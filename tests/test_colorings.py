@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coloring_oracles import check_coloring_naive, color_of, owner_table
@@ -25,9 +25,15 @@ from maxram.cover import (
 )
 from maxram.errors import DomainError, PreconditionError
 from maxram.io import periodic_coloring_certificate
-from maxram.metric import Baton, FiniteMetricSpace, PointSet
+from maxram.metric import (
+    Baton,
+    FiniteMetricSpace,
+    PointSet,
+    connectivity_threshold,
+    diameter,
+)
 from maxram.rational import format_rational
-from maxram.validate import _check_coloring
+from maxram.validate import _check_coloring, validate_certificate
 
 F = Fraction
 
@@ -415,10 +421,8 @@ def test_randomized_avoidance_coloring_for_the_unit_two_step():
 
 
 def test_randomized_mode_requires_integral_parameters():
-    with pytest.raises(PreconditionError, match="integral"):
-        avoidance_coloring(HALF_PAIR, n=1)
-    with pytest.raises(PreconditionError, match="mode"):
-        avoidance_coloring(B2, n=1, mode="exact")
+    """Rational parameters color (see the lowest-terms tests below); the
+    dimension must be positive."""
     with pytest.raises(PreconditionError, match="n >= 1"):
         avoidance_coloring(B2, n=0)
 
@@ -437,7 +441,7 @@ def test_gap_at_least_window_warns():
 
 
 def test_asymptotic_default_margins_shrink_the_window():
-    col = avoidance_coloring(B2, n=1, mode="asymptotic", seed=5)
+    col = avoidance_coloring(B2, n=1, asymptotic=True, seed=5)
     assert col.window == F(126, 64)
     assert col.period == F(191, 64)
     assert col.box_size == F(1, 64)
@@ -445,6 +449,40 @@ def test_asymptotic_default_margins_shrink_the_window():
     for numerator in range(-8, 8):
         colors = {color_of(col, p) for p in b2_copy_positions(F(numerator, 3))}
         assert len(colors) > 1
+
+
+def test_a_common_factor_of_window_and_gap_becomes_the_box_size():
+    """The points 0, 2, 4 have d = 4 and l = 2: the ratio 2/3 colors the
+    torus Z_3 at box side 2, not Z_6 at box side 1."""
+    space = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(2),), (F(4),))))
+    col = avoidance_coloring(space, n=2)
+    assert col.period == 6 and col.box_size == 2 and col.window == 4
+    assert col.cells_per_axis == 3
+    assert check_coloring(col) == []
+
+
+HALVES = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
+
+
+@given(st.data(), st.integers(1, 2), st.integers(1, 2), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_one_recipe_colors_rational_spaces_in_lowest_terms(data, dim, n, asymptotic):
+    """Any space on the half-integer coordinates colors in both modes, on
+    the torus of window/(window + gap) in lowest terms."""
+    grid = list(itertools.product(HALVES, repeat=dim))
+    points = data.draw(
+        st.lists(st.sampled_from(grid), min_size=2, max_size=4, unique=True)
+    )
+    space = FiniteMetricSpace.from_points(PointSet(dim, tuple(points)))
+    window, gap = diameter(space), connectivity_threshold(space)
+    if asymptotic:
+        window, gap = window * F(63, 64), gap * F(65, 64)
+    assume((window / (window + gap)).denominator ** n <= 4096)
+    col = avoidance_coloring(space, n=n, asymptotic=asymptotic)
+    a, b = col.window / col.box_size, col.cells_per_axis
+    assert a.denominator == 1 and math.gcd(a.numerator, b) == 1
+    assert col.box_size * b == col.period
+    assert validate_certificate(periodic_coloring_certificate(col, space)).ok
 
 
 @given(st.integers(0, 30), st.integers(1, 2))
