@@ -19,9 +19,7 @@ numerators over one common denominator. A built sequence is affine on
 about one maximal run per combination, so subadditivity is decided on
 triples of runs (I, J, K): on {l in I, r in J, l + r in K} the excess
 a_{l+r} - a_l - a_r is affine and the vertices are integer points (the
-constraint matrix is totally unimodular), so the vertices decide it. A
-sequence with too many runs goes to an all-pairs sweep over the values
-packed into the lanes of one Python int.
+constraint matrix is totally unimodular), so the vertices decide it.
 """
 
 from __future__ import annotations
@@ -270,43 +268,6 @@ class VerificationReport(NamedTuple):
         return all(self)
 
 
-def _first_subadditive_violation(a: tuple[Fraction, ...], m: int):
-    """Lexicographically first (l, r), l <= r, with a[l+r] > a[l] + a[r].
-
-    One exact broadword sweep (Knuth, TAOCP 4A, 7.1.3). The scaled values,
-    shifted to t[i] = s[i] - min(s) in [0, D], sit in fixed-width lanes of
-    one int. For each l, lane r of
-
-        bias + packed + s[l]*ones - (packed >> w*l)
-
-    holds bias + s[l] + s[r] - s[l+r]. Clamping s[l] to [-(D+1), D+1]
-    keeps the sign of that sum and keeps every lane in [0, 2^w), so no
-    lane borrows from the next, and the lane's top bit is clear exactly
-    when (l, r) violates subadditivity.
-    """
-    if m < 2:
-        return None
-    denom = math.lcm(*(v.denominator for v in a))
-    scaled = [v.numerator * (denom // v.denominator) for v in a]
-    low = min(scaled)
-    spread = max(scaled) - low
-    lane_bytes = ((2 * spread + 1).bit_length() + 8) // 8
-    width = 8 * lane_bytes
-    packed = int.from_bytes(
-        b"".join((v - low).to_bytes(lane_bytes, "little") for v in scaled), "little"
-    )
-    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * (m + 1), "little")
-    flags = ones << (width - 1)
-    base = packed + flags
-    for l in range(1, m // 2 + 1):
-        shift = min(max(scaled[l], -spread - 1), spread + 1)
-        lanes = (base + shift * ones - (packed >> width * l)) >> width * l
-        missing = ~lanes & (flags & ((1 << width * (m - 2 * l + 1)) - 1))
-        if missing:
-            return l, l + ((missing & -missing).bit_length() - 1) // width
-    return None
-
-
 def _affine_runs(s) -> list[tuple[int, int]]:
     """Split 0..m into maximal runs (x0, x1), left to right: each starts
     one past the last and is the longest stretch from there on which s
@@ -325,10 +286,9 @@ def _affine_runs(s) -> list[tuple[int, int]]:
     return runs
 
 
-def _runs_subadditive(s, budget: int) -> bool | None:
-    """Whether s[l+r] <= s[l] + s[r] for all l, r >= 1 with l + r <= m,
-    decided on the affine runs of s; None once more than budget triples
-    of runs would be needed.
+def _subadditive_violation(s) -> tuple[int, int] | None:
+    """A pair (l, r), 1 <= l <= r, with s[l+r] > s[l] + s[r], the first
+    the run check meets, or None when s is subadditive on l, r >= 1.
 
     For runs I <= J and each run K meeting I + J, the excess is affine on
     the polygon {l in I, r in J, l + r in K}, whose vertices are integer
@@ -349,21 +309,18 @@ def _runs_subadditive(s, budget: int) -> bool | None:
                 break
             first = bisect_right(starts, i0 + j0) - 1
             for k0, k1 in runs[first : bisect_right(starts, i1 + j1)]:
-                budget -= 1
-                if budget < 0:
-                    return None
                 # The corners: the feasible points where two of the six
                 # bounds l in I, r in J, l + r in K are tight.
                 for l in (i0, i1):
                     for r in (j0, j1, k0 - l, k1 - l):
                         if j0 <= r <= j1 and k0 <= l + r <= k1:
                             if s[l + r] > s[l] + s[r]:
-                                return False
+                                return min(l, r), max(l, r)
                 for r in (j0, j1):
                     for l in (k0 - r, k1 - r):
                         if i0 <= l <= i1 and s[l + r] > s[l] + s[r]:
-                            return False
-    return True
+                            return min(l, r), max(l, r)
+    return None
 
 
 def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationReport:
@@ -393,9 +350,7 @@ def verify_anchor_sequence(seq: AnchorSequence, baton: Baton) -> VerificationRep
             mono_fail = f"a[{l}] = {value(l)} <= a[{l - 1}] = {value(l - 1)}"
     monotonic = ClauseResult(mono_fail is None, mono_fail)
 
-    # The run check decides within m triples, the sweep's own number of
-    # steps, or leaves it to the sweep, which also names the first pair.
-    viol = None if _runs_subadditive(num, m) else _first_subadditive_violation(num, m)
+    viol = _subadditive_violation(num)
     subadditive = ClauseResult(
         viol is None,
         None

@@ -482,36 +482,47 @@ def exact_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverSolut
             probe &= ~near[p]
         return count
 
-    def search(uncovered: int, chosen: list[int]) -> None:
+    def search() -> None:
+        """Depth-first from the origin translate. The stack holds each
+        open node's uncovered points and untried coverers, and chosen one
+        slot per open node, so Python's recursion limit does not cap the
+        depth."""
         nonlocal nodes, exhausted, best
-        nodes += 1
-        if nodes > budget - moves:
-            exhausted = True
-            return
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        slack = len(best) - len(chosen)
-        if (
-            ceil_div(uncovered.bit_count(), dpow) >= slack
-            or packing_bound(uncovered) >= slack
-        ):
-            return
-        target = (uncovered & -uncovered).bit_length() - 1
-        order = sorted(
-            coverers_of(target),
-            key=lambda ti: (-(masks[ti] & uncovered).bit_count(), ti),
-        )
-        for ti in order:
-            chosen.append(ti)
-            search(uncovered & ~masks[ti], chosen)
-            chosen.pop()
-            if exhausted or len(best) == lower:
+        uncovered, chosen = full & ~masks[0], [0]
+        stack = []
+        while True:
+            nodes += 1
+            if nodes > budget - moves:
+                exhausted = True
                 return
+            slack = len(best) - len(chosen)
+            if not uncovered:
+                if slack > 0:
+                    best = list(chosen)
+                    if len(best) == lower:
+                        return
+            elif (
+                ceil_div(uncovered.bit_count(), dpow) < slack
+                and packing_bound(uncovered) < slack
+            ):
+                target = (uncovered & -uncovered).bit_length() - 1
+                order = sorted(
+                    coverers_of(target),
+                    key=lambda ti: (-(masks[ti] & uncovered).bit_count(), ti),
+                )
+                stack.append((uncovered, iter(order)))
+                chosen.append(-1)
+            # Back up to the deepest open node with a coverer left to try.
+            while stack and (ti := next(stack[-1][1], None)) is None:
+                stack.pop()
+                chosen.pop()
+            if not stack:
+                return
+            chosen[-1] = ti
+            uncovered = stack[-1][0] & ~masks[ti]
 
     if len(best) > lower:
-        search(full & ~masks[0], [0])
+        search()
 
     cover = [translates[i] for i in best]
     if exhausted:

@@ -2,10 +2,11 @@
 
 Any subset of {0..k}^n with more than k^n elements contains k+1 points
 x^0..x^k with max-norm distance |s-t| between x^s and x^t. The extractor
-below is the constructive induction behind that fact: a head-shift map
-pushes mass toward larger last coordinates, a majority class is recursed
-on, and preimages are pulled back. General gap patterns reduce to the
-unit case through anchor value sets on each axis.
+below is the constructive induction behind that fact, run as a loop: a
+head-shift map pushes mass toward larger last coordinates, a class above
+the counting threshold goes on with one axis fewer, and preimages are
+pulled back. General gap patterns reduce to the unit case through anchor
+value sets on each axis.
 """
 
 from __future__ import annotations
@@ -64,42 +65,52 @@ def _require_dense(count: int, top: int, n: int) -> None:
         raise PreconditionError(f"need more than {top}^{n} points, got {count}")
 
 
-def _extract(elems: set[IntVec], n: int, k: int) -> list[IntVec]:
-    """Ordered points x^0..x^k with ||x^s - x^t|| = |s-t|, all from elems."""
-    if n == 1:
+def _extract(elems, n: int, k: int) -> list[IntVec]:
+    """Ordered points x^0..x^k with ||x^s - x^t|| = |s-t|, all from elems.
+
+    Each step peels the last axis and goes on with the tails of a dense
+    class, each mapped to its point; the chain the last step finds is
+    pulled back through those maps. No call stack: Python's recursion
+    limit does not cap n.
+    """
+    levels: list[dict[IntVec, IntVec]] = []
+    while n > 1:
+        fibers: dict[IntVec, set[int]] = {}
+        for e in elems:
+            fibers.setdefault(e[:-1], set()).add(e[-1])
+
+        full = sorted(t for t, heads in fibers.items() if len(heads) == k + 1)
+        if full:
+            chain = [full[0] + (i,) for i in range(k + 1)]
+            break
+
+        # No full fiber: shift, partition the image by last coordinate, go
+        # on with a class that stays above the counting threshold.
+        preimage: dict[IntVec, IntVec] = {}
+        classes: dict[int, set[IntVec]] = {i: set() for i in range(k + 1)}
+        for e in elems:
+            img = _shifted(e, fibers[e[:-1]], k)
+            assert img not in preimage, "shift map lost injectivity"
+            preimage[img] = e
+            classes[img[-1]].add(img)
+
+        assert not classes[0], "image class at head 0 must be empty"
+        threshold = k ** (n - 1)
+        target = next(
+            (i for i in range(1, k + 1) if len(classes[i]) > threshold), None
+        )
+        assert target is not None, "pigeonhole guarantees a dense class"
+
+        tails = {y[:-1]: preimage[y] for y in classes[target]}
+        assert len(tails) == len(classes[target])
+        levels.append(tails)
+        elems, n = tails.keys(), n - 1
+    else:
         assert len(elems) == k + 1, "one-dimensional dense set must be full"
-        return [(i,) for i in range(k + 1)]
-
-    fibers: dict[IntVec, set[int]] = {}
-    for e in elems:
-        fibers.setdefault(e[:-1], set()).add(e[-1])
-
-    full = sorted(t for t, heads in fibers.items() if len(heads) == k + 1)
-    if full:
-        tail = full[0]
-        return [tail + (i,) for i in range(k + 1)]
-
-    # No full fiber: shift, partition the image by last coordinate, recurse
-    # on a class that stays above the counting threshold.
-    preimage: dict[IntVec, IntVec] = {}
-    classes: dict[int, set[IntVec]] = {i: set() for i in range(k + 1)}
-    for e in elems:
-        img = _shifted(e, fibers[e[:-1]], k)
-        assert img not in preimage, "shift map lost injectivity"
-        preimage[img] = e
-        classes[img[-1]].add(img)
-
-    assert not classes[0], "image class at head 0 must be empty"
-    threshold = k ** (n - 1)
-    target = next(
-        (i for i in range(1, k + 1) if len(classes[i]) > threshold), None
-    )
-    assert target is not None, "pigeonhole guarantees a dense class"
-
-    tails = {e[:-1] for e in classes[target]}
-    assert len(tails) == len(classes[target])
-    sub = _extract(tails, n - 1, k)
-    return [preimage[y + (target,)] for y in sub]
+        chain = [(i,) for i in range(k + 1)]
+    for tails in reversed(levels):
+        chain = [tails[y] for y in chain]
+    return chain
 
 
 def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
@@ -168,7 +179,7 @@ def extract_general_baton(
 
     # Some axis runs 0..top along the chain, upward, so the marks select
     # it forward: the base and full-fiber cases run upward on the last
-    # axis, and a recursive step pulls back only the last coordinate.
+    # axis, and each peeled axis pulls back only the last coordinate.
     witness = next(
         j for j in range(n) if {chain[0][j], chain[-1][j]} == {0, top}
     )

@@ -1,19 +1,16 @@
 """The Fraction forms of the anchor-sequence computations, kept as oracles
 for the integer ones in maxram.anchors: the combination set, the first
 admissible denominator and every verification clause computed on
-Fraction values."""
+Fraction values. Subadditivity is decided by an exact all-pairs lane
+sweep, the slow counterpart of the package's check on triples of affine
+runs: it names the lexicographically first violating pair."""
 
 import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from maxram.anchors import (
-    ClauseResult,
-    VerificationReport,
-    _first_subadditive_violation,
-    check_combination_count,
-)
+from maxram.anchors import ClauseResult, VerificationReport, check_combination_count
 from maxram.errors import PreconditionError
 
 
@@ -23,6 +20,43 @@ class GammaSet(NamedTuple):
 
     values: tuple[Fraction, ...]
     gamma_next: Fraction
+
+
+def first_subadditive_violation(a: tuple[Fraction, ...], m: int):
+    """Lexicographically first (l, r), l <= r, with a[l+r] > a[l] + a[r].
+
+    One exact broadword sweep (Knuth, TAOCP 4A, 7.1.3). The scaled values,
+    shifted to t[i] = s[i] - min(s) in [0, D], sit in fixed-width lanes of
+    one int. For each l, lane r of
+
+        bias + packed + s[l]*ones - (packed >> w*l)
+
+    holds bias + s[l] + s[r] - s[l+r]. Clamping s[l] to [-(D+1), D+1]
+    keeps the sign of that sum and keeps every lane in [0, 2^w), so no
+    lane borrows from the next, and the lane's top bit is clear exactly
+    when (l, r) violates subadditivity.
+    """
+    if m < 2:
+        return None
+    denom = math.lcm(*(v.denominator for v in a))
+    scaled = [v.numerator * (denom // v.denominator) for v in a]
+    low = min(scaled)
+    spread = max(scaled) - low
+    lane_bytes = ((2 * spread + 1).bit_length() + 8) // 8
+    width = 8 * lane_bytes
+    packed = int.from_bytes(
+        b"".join((v - low).to_bytes(lane_bytes, "little") for v in scaled), "little"
+    )
+    ones = int.from_bytes((b"\x01" + bytes(lane_bytes - 1)) * (m + 1), "little")
+    flags = ones << (width - 1)
+    base = packed + flags
+    for l in range(1, m // 2 + 1):
+        shift = min(max(scaled[l], -spread - 1), spread + 1)
+        lanes = (base + shift * ones - (packed >> width * l)) >> width * l
+        missing = ~lanes & (flags & ((1 << width * (m - 2 * l + 1)) - 1))
+        if missing:
+            return l, l + ((missing & -missing).bit_length() - 1) // width
+    return None
 
 
 def fraction_round(q: int, gamma: Fraction) -> int:
@@ -86,7 +120,7 @@ def fraction_verify_anchor_sequence(seq, baton) -> VerificationReport:
                 break
     monotonic = ClauseResult(mono_fail is None, mono_fail)
 
-    viol = _first_subadditive_violation(a, m)
+    viol = first_subadditive_violation(a, m)
     subadditive = ClauseResult(
         viol is None,
         None

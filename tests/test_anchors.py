@@ -1,11 +1,13 @@
 """Anchor sequences: combination sets, rational approximation, verification."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from anchor_oracles import (
     GammaSet,
+    first_subadditive_violation,
     fraction_first_admissible_q,
     fraction_gamma_set,
     fraction_round,
@@ -14,16 +16,14 @@ from anchor_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import maxram.anchors
 from maxram.anchors import (
     AnchorSequence,
     ClauseResult,
     _affine_runs,
     _combinations,
-    _first_subadditive_violation,
     _numerators_at,
     _rounded,
-    _runs_subadditive,
+    _subadditive_violation,
     _threshold_q0,
     anchor_sequence_at,
     build_anchor_sequence,
@@ -434,7 +434,7 @@ def test_clauses_mapping_matches_the_report():
     assert all(bool(c) for c in clauses.values())
 
 
-# -- the subadditivity sweep ---------------------------------------------------
+# -- the lane sweep oracle ----------------------------------------------------
 
 
 def naive_first_subadditive_violation(a, m):
@@ -466,7 +466,7 @@ def test_sweep_agrees_with_brute_force(gaps, data):
         a[idx] += a[-1] * 2
     a = tuple(a)
     m = len(a) - 1
-    assert _first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
+    assert first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
 
 
 SWEEP_VALUES = st.one_of(
@@ -499,14 +499,14 @@ def sweep_sequences(draw):
 @example((F(0), F(2**65), F(2**66) + 1))  # past 2^62: violation at (1, 1)
 def test_lane_sweep_matches_the_all_pairs_loop(a):
     m = len(a) - 1
-    assert _first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
+    assert first_subadditive_violation(a, m) == naive_first_subadditive_violation(a, m)
 
 
 def test_lane_sweep_sees_both_outcomes():
     concave = tuple(F(l * (120 - l), 7) for l in range(61))
-    assert _first_subadditive_violation(concave, 60) is None
+    assert first_subadditive_violation(concave, 60) is None
     bumped = concave[:40] + (concave[40] + 20,) + concave[41:]
-    assert _first_subadditive_violation(bumped, 60) == (1, 39)
+    assert first_subadditive_violation(bumped, 60) == (1, 39)
     assert naive_first_subadditive_violation(bumped, 60) == (1, 39)
 
 
@@ -514,9 +514,9 @@ def test_sweep_is_exact_above_int64():
     """Numerators past 2^63 sit in wider lanes; the result is unchanged."""
     big = F(2**63)
     a = (F(0), F(2**61), big)
-    assert _first_subadditive_violation(a, 2) == (1, 1)
+    assert first_subadditive_violation(a, 2) == (1, 1)
     ok = (F(0), F(2**61), F(2**62))
-    assert _first_subadditive_violation(ok, 2) is None
+    assert first_subadditive_violation(ok, 2) is None
 
 
 # -- the integer verifier against the Fraction oracle --------------------------
@@ -542,15 +542,32 @@ def mutated(seq, data):
     return seq._replace(q=seq.q + off)
 
 
+def assert_names_a_violation(clause: ClauseResult, a) -> None:
+    """The clause fails, and its counterexample a[l+r] > a[l] + a[r], with
+    1 <= l <= r and l + r within a, holds in Fractions."""
+    assert not clause.passed
+    pattern = r"a\[(\d+)\] > a\[(\d+)\] \+ a\[(\d+)\]"
+    total, l, r = map(int, re.fullmatch(pattern, clause.counterexample).groups())
+    assert 1 <= l <= r and total == l + r < len(a)
+    assert F(a[total]) > F(a[l]) + F(a[r])
+
+
 @given(st.one_of(integer_batons(), small_batons()), st.booleans(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_integer_verifier_matches_the_fraction_oracle(baton, faithful, data):
     """On built sequences, fast path and faithful, and on mutated copies,
-    every clause and counterexample string is the Fraction verifier's."""
+    every clause but subadditivity and its counterexample string is the
+    Fraction verifier's. Subadditivity has the oracle's verdict, and a
+    pair it names violates in Fractions."""
     seq = build_anchor_sequence(baton, faithful=faithful)
     for checked in (seq, mutated(seq, data)):
-        want = fraction_verify_anchor_sequence(checked, baton)
-        assert verify_anchor_sequence(checked, baton)._asdict() == want._asdict()
+        want = fraction_verify_anchor_sequence(checked, baton)._asdict()
+        got = verify_anchor_sequence(checked, baton)._asdict()
+        subadditive = got.pop("subadditive")
+        assert subadditive.passed == want.pop("subadditive").passed
+        if not subadditive:
+            assert_names_a_violation(subadditive, checked.a)
+        assert got == want
 
 
 # -- the run check ----------------------------------------------------------------
@@ -618,13 +635,18 @@ def violated_at(l, r) -> ClauseResult:
 
 
 def check_run_check(s):
+    """The run check's verdict is the all-pairs loop's, and the pair it
+    names is the one the clause reports and violates."""
     m = len(s) - 1
     assert _affine_runs(s) == naive_affine_runs(s)
-    first = naive_first_subadditive_violation(s, m)
-    # A budget above any number of run triples: the runs decide alone.
-    assert _runs_subadditive(s, len(s) ** 3) == (first is None)
-    want = ClauseResult(True) if first is None else violated_at(*first)
-    assert subadditive_clause(s) == want
+    pair = _subadditive_violation(s)
+    assert (pair is None) == (naive_first_subadditive_violation(s, m) is None)
+    clause = subadditive_clause(s)
+    if pair is None:
+        assert clause == ClauseResult(True)
+    else:
+        assert clause == violated_at(*pair)
+        assert_names_a_violation(clause, s)
 
 
 @given(piecewise_affine())
@@ -669,22 +691,14 @@ def test_run_check_reads_every_kind_of_corner(s):
     check_run_check(s)
 
 
-def test_a_concave_sequence_of_many_runs_reaches_the_sweep(monkeypatch):
-    """Every difference differs, so 31 runs give more than m = 60
-    triples: the run check gives up and the sweep decides."""
+def test_the_run_check_alone_decides_a_concave_sequence_of_many_runs():
+    """Every difference differs, so the 31 runs give more than m = 60
+    triples of runs; the run check still decides, both ways."""
     concave = tuple(l * (120 - l) for l in range(61))
     assert len(_affine_runs(concave)) == 31
-    assert _runs_subadditive(concave, 60) is None
-    assert _runs_subadditive(concave, 61**3) is True
-    swept = []
-
-    def sweep(a, m):
-        swept.append(m)
-        return _first_subadditive_violation(a, m)
-
-    monkeypatch.setattr(maxram.anchors, "_first_subadditive_violation", sweep)
+    assert _subadditive_violation(concave) is None
     assert subadditive_clause(concave) == ClauseResult(True)
-    assert swept == [60]
     bumped = concave[:40] + (concave[40] + 100,) + concave[41:]
+    assert _subadditive_violation(bumped) == (1, 39)
     assert subadditive_clause(bumped) == violated_at(1, 39)
     assert naive_first_subadditive_violation(bumped, 60) == (1, 39)

@@ -196,6 +196,26 @@ def test_extract_refuses_a_flag_of_the_other_mode(tmp_path, capsys, flags, err):
     assert (captured.err, captured.out) == (f"error: {err}\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, make",
+    [
+        ([], lambda rows: {"k": 1, "n": len(rows[0]), "elements": rows}),
+        (["--baton", "1"], lambda rows: {"points": rows}),
+    ],
+    ids=["subset", "baton"],
+)
+def test_extract_runs_past_the_recursion_limit(tmp_path, capsys, argv, make):
+    """Two opposite corners of {0,1}^n are dense (2 > 1^n), and the
+    extractor peels one axis per step: n = 2,000 runs past Python's
+    default recursion limit of 1,000."""
+    n = 2000
+    subset, out = tmp_path / "subset.json", tmp_path / "embedding.json"
+    write_json(subset, make([[0] * n, [1] * n]))
+    assert main(["extract", "--subset", str(subset), *argv, "-o", str(out)]) == 0
+    assert main(["validate", str(out)]) == 0
+    assert "ok: copy_embedding" in capsys.readouterr().out
+
+
 # -- anchors ---------------------------------------------------------------
 
 

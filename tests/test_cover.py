@@ -1,6 +1,7 @@
 """Torus coverings by cube translates: masks, greedy, random, exact search."""
 
 import math
+import sys
 
 import pytest
 from cover_oracles import (
@@ -561,6 +562,29 @@ def test_exact_matches_the_rescan_oracle_field_by_field(instance):
 def test_exact_cover_single_translate_instance():
     sol = exact_cover(CoverInstance(2, 2, 3))
     assert sol.size == 1 and sol.optimal and sol.translates == [(0, 0, 0)]
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_exact_cover_runs_past_the_recursion_limit():
+    """The branch and bound keeps its own stack: on (21, 2, 2) it goes 117
+    levels deep, and a recursion limit 60 frames above the caller's
+    changes nothing."""
+    inst = CoverInstance(21, 2, 2)
+    want = exact_cover(inst, budget=30000)
+    assert (want.size, want.lower_bound) == (120, 116)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        got = exact_cover(inst, budget=30000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 # -- the c(n) table ------------------------------------------------------------

@@ -3,8 +3,9 @@ from the module that defines it, so the package root re-exports only what
 the benchmark's tests import from it, no module, in the package or among
 the tests, imports a name it never uses, the package imports nothing
 outside the standard library and not dataclasses, and only the classes
-that hold outside input (and CoverSolution) define __init__. Which
-modules each command loads is checked in a fresh interpreter."""
+that hold outside input (and CoverSolution) define __init__, and no
+package function calls itself. Which modules each command loads is
+checked in a fresh interpreter."""
 
 import ast
 import importlib
@@ -258,3 +259,27 @@ def test_every_public_name_is_used_in_the_package():
         if name not in used
     ]
     assert unused == []
+
+
+def test_no_package_function_calls_itself():
+    """A recursive function fails past Python's recursion limit, so every
+    deep search in the package keeps its own stack. A self-call is a call
+    of the function's own name, or of self.<name> in a method."""
+    recursive = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = node.func if isinstance(node, ast.Call) else None
+                if (
+                    isinstance(callee, ast.Name)
+                    and callee.id == func.name
+                    or isinstance(callee, ast.Attribute)
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                    and callee.attr == func.name
+                ):
+                    recursive.append(f"{path.name}:{func.name}")
+                    break
+    assert recursive == []
