@@ -13,7 +13,10 @@ diameter reaches the window and whose bottleneck connectivity fits under
 the gap can then never appear monochromatically. Every coloring comes
 from one recipe: window/(window + gap) = a/b in lowest terms names the
 torus (Z_b)^n and its a-cubes, each torus cell a box of side period/b.
-"""
+A coloring is kept as the translates that own a cell, not as its boxes:
+each class is its cube's mask less the earlier cubes', expanded to boxes
+only where the certificate is written, so the class count alone (bounds)
+never lists a box."""
 
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .cover import (
     cover_mask,
     mask_cells,
     random_cover_within_expectation,
+    torus_point,
     torus_points,
 )
 from .errors import DomainError
@@ -33,61 +37,80 @@ from .metric import FiniteMetricSpace, connectivity_threshold, diameter
 
 
 class PeriodicColoring(NamedTuple):
-    """A periodic box coloring given by ownership of lattice cells.
+    """A periodic box coloring given by the translates that own its cells.
 
     The fundamental domain [0, period)^n splits into half-open boxes of
     side box_size on the box lattice; a box is named by its integer index
-    vector, its lower corner divided by box_size. classes[i] lists the
-    boxes owned by color i, and window_anchors[i] is the index of the
-    corner of a half-open window of side `window` that contains all of
-    them modulo the period. Periodicity extends the assignment to all of
-    R^n. Built unchecked: avoidance_coloring colors from a cover, and the
-    validator checks a stated coloring class by class and axis by axis
-    (validate._check_coloring).
+    vector, its lower corner divided by box_size, so the boxes are the
+    cells of the torus (Z_c)^n, c = cells_per_axis. Color i owns
+    the cells of the half-open window of side `window` cornered at
+    window_anchors[i], modulo the period, that no earlier window covers;
+    every anchor owns at least one cell. Periodicity extends the
+    assignment to all of R^n. Built unchecked: avoidance_coloring colors
+    from a cover, and the validator reads a stated coloring into the same
+    record, its boxes held beside it, and checks it class by class and
+    axis by axis (validate._check_coloring).
     """
 
     dim: int
     period: Fraction
     box_size: Fraction
-    classes: tuple[tuple[IntVec, ...], ...]
     window: Fraction
     window_anchors: tuple[IntVec, ...]
     warnings: tuple[str, ...] = ()
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.window_anchors)
 
     @property
     def cells_per_axis(self) -> int:
         return int(self.period / self.box_size)
 
+    @property
+    def torus(self) -> CoverInstance:
+        """The torus of box cells with the window's cube. The window must
+        be a whole number of boxes, as in every coloring
+        avoidance_coloring builds."""
+        return CoverInstance(
+            self.cells_per_axis, int(self.window / self.box_size), self.dim
+        )
 
-def _ownership_classes(
-    inst: CoverInstance, translates
-) -> tuple[tuple[tuple[IntVec, ...], ...], tuple[IntVec, ...]]:
-    """Group torus cells by the first covering translate that reaches them.
+    def owned_masks(self):
+        """Each class's owned cells as a bitmask over the torus, in class
+        order: its window's cube mask less the cells of earlier windows."""
+        torus = self.torus
+        covered = 0
+        for anchor in self.window_anchors:
+            mask = cover_mask(torus, anchor)
+            yield mask & ~covered
+            covered |= mask
 
-    Each translate owns the cells of its cube mask that no earlier
-    translate covers, listed in index order. Translates shadowed entirely
-    by earlier ones own nothing and contribute no class.
-    """
-    cells = torus_points(inst)  # in index order
+    @property
+    def classes(self) -> tuple[tuple[IntVec, ...], ...]:
+        """The boxes each class owns, in index order, expanded from its
+        owned mask."""
+        cells = torus_points(self.torus)
+        return tuple(tuple(mask_cells(mask, cells)) for mask in self.owned_masks())
+
+
+def _owning_translates(inst: CoverInstance, translates) -> tuple[IntVec, ...]:
+    """The translates that own a torus cell: those whose cube reaches a
+    cell no earlier translate covers. Translates shadowed entirely by
+    earlier ones own nothing and are dropped; a cell that no translate
+    covers is refused."""
     covered = 0
-    classes = []
     anchors = []
     for t in translates:
-        owned = cover_mask(inst, t) & ~covered
-        if not owned:
-            continue
-        covered |= owned
-        classes.append(tuple(mask_cells(owned, cells)))
-        anchors.append(tuple(t))
+        mask = cover_mask(inst, t)
+        if mask & ~covered:
+            covered |= mask
+            anchors.append(tuple(t))
     uncovered = ~covered & ((1 << inst.point_count) - 1)
     if uncovered:
-        cell = cells[(uncovered & -uncovered).bit_length() - 1]
+        cell = torus_point(inst, (uncovered & -uncovered).bit_length() - 1)
         raise DomainError(f"cell {cell} not covered by any translate")
-    return tuple(classes), tuple(anchors)
+    return tuple(anchors)
 
 
 def avoidance_coloring(
@@ -121,7 +144,7 @@ def avoidance_coloring(
     inst = CoverInstance(m=ratio.denominator, d=ratio.numerator, n=n)
 
     solution, met = random_cover_within_expectation(inst, seed)
-    classes, anchors = _ownership_classes(inst, solution.translates)
+    anchors = _owning_translates(inst, solution.translates)
     warnings = []
     if gap >= window:
         warnings.append(
@@ -133,7 +156,6 @@ def avoidance_coloring(
         dim=n,
         period=period,
         box_size=period / ratio.denominator,
-        classes=classes,
         window=window,
         window_anchors=anchors,
         warnings=tuple(warnings),

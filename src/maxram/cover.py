@@ -117,17 +117,23 @@ def torus_points(inst: CoverInstance) -> list[IntVec]:
     return list(itertools.product(range(inst.m), repeat=inst.n))
 
 
+def torus_point(inst: CoverInstance, index: int) -> IntVec:
+    """The point whose bit is index, its coordinates the base-m digits."""
+    m, n = inst.m, inst.n
+    return tuple(index // m ** (n - 1 - j) % m for j in range(n))
+
+
+# '0' -> 0 and '1' -> 1: a mask's binary digits as compress selectors.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_cells(mask: int, cells):
-    """The cells whose bits are set in mask, in index order; cells is
-    torus_points(inst), or range(point_count) for the indices. Only the
-    set bits are visited."""
-    bits = format(mask, "b")[::-1]
-    found = []
-    index = bits.find("1")
-    while index >= 0:
-        found.append(cells[index])
-        index = bits.find("1", index + 1)
-    return found
+    """The cells whose bits are set in mask, in index order; cells lists
+    the torus cells in index order, such as torus_points(inst), or is
+    range(point_count) for the indices. The reversed binary digits
+    become a 0/1 byte string that itertools.compress walks in C."""
+    selectors = format(mask, "b")[::-1].encode().translate(_SELECTORS)
+    return list(itertools.compress(cells, selectors))
 
 
 def _repeated(block: int, period: int, count: int) -> int:
@@ -291,7 +297,7 @@ def random_translates_cover(inst: CoverInstance, seed: int = 0) -> CoverSolution
         covered |= cover_mask(inst, v)
     full = (1 << inst.point_count) - 1
     for i in mask_cells(full & ~covered, range(inst.point_count)):
-        point = tuple(i // m ** (n - 1 - j) % m for j in range(n))
+        point = torus_point(inst, i)
         chosen.append(point)
         covered |= cover_mask(inst, point)
     assert covered == full

@@ -9,6 +9,7 @@ such as warnings or search statistics stays out of them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import TYPE_CHECKING
@@ -204,16 +205,22 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
 def periodic_coloring_certificate(
     coloring: PeriodicColoring, space: FiniteMetricSpace
 ) -> dict:
-    """Boxes and anchors go out as corners: lattice index times box_size."""
+    """Boxes and anchors go out as corners: lattice index times box_size.
+    The torus cells are built once as corner lists, and each class is
+    its owned mask expanded over them."""
+    from .cover import mask_cells
+
     corner = [
         format_rational(i * coloring.box_size) for i in range(coloring.cells_per_axis)
     ]
+    # Lists, not tuples, so that the certificate equals the one read back.
+    cells = list(map(list, itertools.product(corner, repeat=coloring.dim)))
     return {
         "kind": "periodic_coloring",
         "dim": coloring.dim,
         "period": format_rational(coloring.period),
         "box_size": format_rational(coloring.box_size),
-        "classes": [[[corner[c] for c in v] for v in vecs] for vecs in coloring.classes],
+        "classes": [mask_cells(mask, cells) for mask in coloring.owned_masks()],
         "class_count": coloring.class_count,
         "window": format_rational(coloring.window),
         "anchors": [[corner[c] for c in a] for a in coloring.window_anchors],

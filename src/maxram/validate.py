@@ -162,23 +162,24 @@ def _lattice_flats(classes, index: _LatticeIndex) -> list[list]:
     return flats
 
 
-def _check_coloring(coloring: PeriodicColoring, flats) -> list[str]:
+def _check_coloring(coloring: PeriodicColoring, classes, flats) -> list[str]:
     """Check a stated coloring: a malformed one fails once, under coloring:.
     Otherwise every box of the fundamental domain must be owned exactly
     once (classes:) and each box must lie in its class's window (anchors:).
 
-    flats[i] lists the lattice indices of class i, box after box; classes
-    are read only for their box counts and lengths. The checks run per
-    class and axis, on strided slices of flats[i]. Only a class that fails
-    one is scanned box by box, so each failure names the first box, in
-    class and box order, that fails it.
+    classes[i] lists the boxes stated for class i, and flats[i] their
+    lattice indices, box after box; classes are read only for their box
+    counts and lengths. The checks run per class and axis, on strided
+    slices of flats[i]. Only a class that fails one is scanned box by
+    box, so each failure names the first box, in class and box order,
+    that fails it.
 
     Box o sits in the window at a exactly when its offset (o - a) mod
     cells, counted in boxes, is below window // box_size: the box's far
     edge must not pass the window's.
     """
     dim, box_size, window = coloring.dim, coloring.box_size, coloring.window
-    classes, anchors = coloring.classes, coloring.window_anchors
+    anchors = coloring.window_anchors
     if dim < 1:
         return ["coloring: coloring needs dim >= 1"]
     if not 0 < box_size <= window <= coloring.period:
@@ -278,7 +279,6 @@ def _check_periodic_coloring(obj) -> list[str]:
             dim=_int_field(obj, "dim"),
             period=parse_rational(obj["period"]),
             box_size=box_size,
-            classes=classes,
             window=parse_rational(obj["window"]),
             # Each anchor is read as a class of one box.
             window_anchors=tuple(
@@ -291,7 +291,7 @@ def _check_periodic_coloring(obj) -> list[str]:
     except ValueError as exc:
         failures.append(f"coloring: {exc}")
         return failures
-    found = _check_coloring(coloring, flats)
+    found = _check_coloring(coloring, classes, flats)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
         return failures

@@ -1,20 +1,26 @@
 """Oracles for periodic colorings, shared by the test modules: a
-Fraction-level color lookup, and the box-by-box check of a stated
-coloring that validate's column checks must match line for line."""
+Fraction-level color lookup, the per-box certificate writer, and the
+box-by-box check of a stated coloring that validate's column checks must
+match line for line.
+
+A stated coloring is a PeriodicColoring for its fields with its classes
+held beside it, as the validator reads one; a built coloring's classes
+are its derived ones."""
 
 from fractions import Fraction
 
 from maxram.colorings import PeriodicColoring
 from maxram.errors import DomainError, PreconditionError
-from maxram.io import _int_field, _list_field, metric_space_from_obj, vec_from_obj
+from maxram.io import _int_field, _list_field, matrix_to_obj, metric_space_from_obj
+from maxram.io import vec_from_obj
 from maxram.metric import connectivity_threshold, diameter
-from maxram.rational import parse_rational
+from maxram.rational import format_rational, parse_rational
 
 
-def owner_table(coloring) -> dict[tuple[int, ...], int]:
+def owner_table(classes) -> dict[tuple[int, ...], int]:
     """Box index vector -> owning color; a box owned twice is refused."""
     table = {}
-    for color, vecs in enumerate(coloring.classes):
+    for color, vecs in enumerate(classes):
         for vec in vecs:
             if vec in table:
                 raise DomainError(f"box {vec} owned twice")
@@ -22,17 +28,40 @@ def owner_table(coloring) -> dict[tuple[int, ...], int]:
     return table
 
 
-def color_of(coloring, point) -> int:
-    """Color of an arbitrary point of R^dim, by periodicity."""
+def color_of(coloring, point, classes=None) -> int:
+    """Color of an arbitrary point of R^dim, by periodicity; classes
+    defaults to the coloring's own."""
     if len(point) != coloring.dim:
         raise PreconditionError("point dimension mismatch")
     cell = tuple(
         int(Fraction(c) % coloring.period // coloring.box_size) for c in point
     )
-    owner = owner_table(coloring).get(cell)
+    if classes is None:
+        classes = coloring.classes
+    owner = owner_table(classes).get(cell)
     if owner is None:
         raise DomainError(f"box {cell} has no color")
     return owner
+
+
+def periodic_coloring_certificate_naive(coloring, classes, space) -> dict:
+    """The certificate of the coloring with the given classes, written box
+    by box: each index vector of each class mapped to its corner strings.
+    Oracle for io.periodic_coloring_certificate, byte for byte."""
+    corner = [
+        format_rational(i * coloring.box_size) for i in range(coloring.cells_per_axis)
+    ]
+    return {
+        "kind": "periodic_coloring",
+        "dim": coloring.dim,
+        "period": format_rational(coloring.period),
+        "box_size": format_rational(coloring.box_size),
+        "classes": [[[corner[c] for c in v] for v in vecs] for vecs in classes],
+        "class_count": len(classes),
+        "window": format_rational(coloring.window),
+        "anchors": [[corner[c] for c in a] for a in coloring.window_anchors],
+        "distance_matrix": matrix_to_obj(space),
+    }
 
 
 def lattice_vec(items, index) -> tuple:
@@ -68,7 +97,7 @@ def lattice_index(box_size):
     return index
 
 
-def check_coloring_naive(coloring) -> list[str]:
+def check_coloring_naive(coloring, classes) -> list[str]:
     """Check a stated coloring: a malformed one fails once, under coloring:.
     Otherwise one pass over the boxes checks that every box of the
     fundamental domain is owned exactly once (classes:) and that each box
@@ -79,7 +108,7 @@ def check_coloring_naive(coloring) -> list[str]:
     edge must not pass the window's.
     """
     dim, box_size, window = coloring.dim, coloring.box_size, coloring.window
-    classes, anchors = coloring.classes, coloring.window_anchors
+    anchors = coloring.window_anchors
     if dim < 1:
         return ["coloring: coloring needs dim >= 1"]
     if not 0 < box_size <= window <= coloring.period:
@@ -156,7 +185,6 @@ def check_periodic_coloring_naive(obj) -> list[str]:
             dim=_int_field(obj, "dim"),
             period=parse_rational(obj["period"]),
             box_size=box_size,
-            classes=classes,
             window=parse_rational(obj["window"]),
             window_anchors=tuple(
                 lattice_vec(v, index) for v in _list_field(obj, "anchors")
@@ -165,7 +193,7 @@ def check_periodic_coloring_naive(obj) -> list[str]:
     except ValueError as exc:
         failures.append(f"coloring: {exc}")
         return failures
-    found = check_coloring_naive(coloring)
+    found = check_coloring_naive(coloring, classes)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
         return failures

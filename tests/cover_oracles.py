@@ -20,6 +20,19 @@ def set_box_mask(inst: CoverInstance, corner, side: int) -> int:
     return mask
 
 
+def find_mask_cells(mask: int, cells) -> list:
+    """The cells whose bits are set in mask, in index order, found one set
+    bit at a time with str.find on the reversed binary digits; oracle for
+    mask_cells."""
+    bits = format(mask, "b")[::-1]
+    found = []
+    index = bits.find("1")
+    while index >= 0:
+        found.append(cells[index])
+        index = bits.find("1", index + 1)
+    return found
+
+
 def counting_lower_bound(inst: CoverInstance) -> int:
     """ceil(m^n / d^n): each translate covers exactly d^n points."""
     return ceil_div(inst.point_count, inst.d**inst.n)

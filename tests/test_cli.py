@@ -18,6 +18,7 @@ import maxram.chromatic
 import maxram.cli
 from maxram.anchors import MAX_COMBINATIONS, MAX_M
 from maxram.cli import build_parser, main
+from maxram.colorings import avoidance_coloring
 from maxram.cover import MAX_TABLE_POINTS, MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 from maxram.metric import MAX_GRID_POINTS, Baton, grid_points
@@ -339,6 +340,18 @@ def test_bounds_csv(capsys):
     assert capsys.readouterr().out == "k,n,lower,upper\n2,2,3,4\n"
     assert main(["bounds", "--k", "1", "--n", "3"]) == 0
     assert capsys.readouterr().out == "k,n,lower,upper\n1,3,8,8\n"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bounds_upper_column_is_the_class_count_of_color(capsys, b2_metric, n):
+    """The upper column counts the owning translates of the unit 2-baton's
+    coloring, the classes that color writes for it."""
+    assert main(["bounds", "--k", "2", "--n", str(n)]) == 0
+    upper = int(capsys.readouterr().out.splitlines()[1].split(",")[3])
+    assert upper == len(avoidance_coloring(B2, n).window_anchors)
+    code, cert = run_json(capsys, ["color", "--metric", b2_metric, "--n", str(n)])
+    assert code == 0
+    assert upper == cert["class_count"] == len(cert["classes"])
 
 
 def test_bounds_rejects_bad_parameters(capsys):

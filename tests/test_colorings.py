@@ -6,14 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coloring_oracles import check_coloring_naive, color_of, owner_table
+from coloring_oracles import (
+    check_coloring_naive,
+    color_of,
+    owner_table,
+    periodic_coloring_certificate_naive,
+)
 from maxram.chromatic import pigeonhole_lower_bound
 from maxram.colorings import (
     PeriodicColoring,
-    _ownership_classes,
+    _owning_translates,
     avoidance_coloring,
 )
 from maxram.cover import (
@@ -24,7 +29,7 @@ from maxram.cover import (
     torus_points,
 )
 from maxram.errors import DomainError, PreconditionError
-from maxram.io import periodic_coloring_certificate
+from maxram.io import dump_json, periodic_coloring_certificate
 from maxram.metric import (
     Baton,
     FiniteMetricSpace,
@@ -42,11 +47,14 @@ B2 = Baton.unit(2).as_metric_space()
 HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
 
 
-def check_coloring(col: PeriodicColoring) -> list[str]:
-    """The validator's check, with each class's lattice indices read off
-    its own boxes."""
-    flats = [list(itertools.chain.from_iterable(vecs)) for vecs in col.classes]
-    return _check_coloring(col, flats)
+def check_coloring(col: PeriodicColoring, classes=None) -> list[str]:
+    """The validator's check of the stated classes, by default the
+    coloring's own, with each class's lattice indices read off its own
+    boxes."""
+    if classes is None:
+        classes = col.classes
+    flats = [list(itertools.chain.from_iterable(vecs)) for vecs in classes]
+    return _check_coloring(col, classes, flats)
 
 
 # -- PeriodicColoring --------------------------------------------------------
@@ -116,17 +124,16 @@ def test_coloring_validation_errors():
         dim=1,
         period=F(2),
         box_size=one,
-        classes=(((0,),), ((1,),)),
         window=one,
         window_anchors=((0,), (1,)),
     )
 
-    def refused(**bad):
-        failures = check_coloring(PeriodicColoring(**{**good, **bad}))
+    def refused(classes=(((0,),), ((1,),)), **bad):
+        failures = check_coloring(PeriodicColoring(**{**good, **bad}), classes)
         assert len(failures) == 1 and failures[0].startswith("coloring: ")
         return failures[0]
 
-    assert check_coloring(PeriodicColoring(**good)) == []
+    assert check_coloring(PeriodicColoring(**good), (((0,),), ((1,),))) == []
     assert "dim" in refused(dim=0)
     assert "box_size" in refused(window=F(1, 2))
     assert "whole number" in refused(period=F(3, 2), window=F(3, 2))
@@ -142,22 +149,23 @@ def test_coloring_validation_errors():
 
 def test_partition_check_catches_double_and_missing_ownership():
     base = dict(dim=1, period=F(2), box_size=F(1), window=F(1))
-    doubled = PeriodicColoring(
-        classes=(((0,),), ((0,),)),
-        window_anchors=((0,), (0,)),
-        **base,
-    )
-    assert check_coloring(doubled) == ["classes: box (0,) owned twice"]
-    short = PeriodicColoring(classes=(((0,),),), window_anchors=((0,),), **base)
-    assert check_coloring(short) == ["classes: 1 owned boxes, expected 2"]
+    doubled = PeriodicColoring(window_anchors=((0,), (0,)), **base)
+    assert check_coloring(doubled, (((0,),), ((0,),))) == [
+        "classes: box (0,) owned twice"
+    ]
+    short = PeriodicColoring(window_anchors=((0,),), **base)
+    assert check_coloring(short, (((0,),),)) == [
+        "classes: 1 owned boxes, expected 2"
+    ]
     # Boxes 2 and 1 are both doubled; box 2 repeats first.
     twice = PeriodicColoring(
-        dim=1, period=F(4), box_size=F(1), window=F(4),
-        classes=(((2,), (1,)), ((2,), (1,))), window_anchors=((0,), (0,)),
+        dim=1, period=F(4), box_size=F(1), window=F(4), window_anchors=((0,), (0,)),
     )
-    assert check_coloring(twice) == ["classes: box (2,) owned twice"]
+    assert check_coloring(twice, (((2,), (1,)), ((2,), (1,)))) == [
+        "classes: box (2,) owned twice"
+    ]
     with pytest.raises(DomainError, match="no color"):
-        color_of(short, (F(3, 2),))
+        color_of(short, (F(3, 2),), (((0,),),))
 
 
 def test_window_check_catches_a_stray_box():
@@ -165,11 +173,10 @@ def test_window_check_catches_a_stray_box():
         dim=1,
         period=F(3),
         box_size=F(1),
-        classes=(((0,), (2,)), ((1,),)),
         window=F(1),
         window_anchors=((0,), (1,)),
     )
-    assert check_coloring(stray) == [
+    assert check_coloring(stray, (((0,), (2,)), ((1,),))) == [
         "anchors: class 0: box (2,) outside window at (0,)"
     ]
 
@@ -189,28 +196,28 @@ def fraction_corner(col, vec):
     return tuple(c * col.box_size for c in vec)
 
 
-def fraction_owner(col):
+def fraction_owner(col, classes):
     """The ownership table keyed by Fraction box corners; oracle for the
     classes: check of _check_coloring and for owner_table."""
     table = {}
-    for color, vecs in enumerate(col.classes):
+    for color, vecs in enumerate(classes):
         for vec in vecs:
             corner = fraction_corner(col, vec)
             if corner in table:
                 raise DomainError(f"box {corner} owned twice")
             table[corner] = color
-    total = sum(len(vecs) for vecs in col.classes)
+    total = sum(len(vecs) for vecs in classes)
     if total != col.cells_per_axis**col.dim:
         raise DomainError(f"{total} owned boxes")
     return table
 
 
-def fraction_check_windows(col):
+def fraction_check_windows(col, classes):
     """Window containment on Fraction corners: a box fits when its corner
     lies at most window - box_size past the anchor, modulo the period.
     Oracle for the anchors: check of _check_coloring."""
     slack = col.window - col.box_size
-    for vecs, anchor in zip(col.classes, col.window_anchors):
+    for vecs, anchor in zip(classes, col.window_anchors):
         a = fraction_corner(col, anchor)
         for vec in vecs:
             o = fraction_corner(col, vec)
@@ -224,7 +231,7 @@ def small_colorings(draw):
     """Colorings with box p/q (p, q <= 4), at most 6 cells per axis, and a
     window in twelfths, so windows that are not a whole number of boxes
     come up often. Boxes land near their class's window edge, and may be
-    doubled or missing."""
+    doubled or missing. Drawn as (coloring, stated classes)."""
     box = F(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     cells = draw(st.integers(1, 6))
     dim = draw(st.integers(1, 2))
@@ -239,47 +246,47 @@ def small_colorings(draw):
         classes.append(
             tuple(tuple((c + o) % cells for c, o in zip(a, v)) for v in vecs)
         )
-    return PeriodicColoring(
+    coloring = PeriodicColoring(
         dim=dim,
         period=cells * box,
         box_size=box,
-        classes=tuple(classes),
         window=window,
         window_anchors=tuple(anchors),
     )
+    return coloring, tuple(classes)
 
 
 @given(small_colorings())
 @settings(max_examples=300, deadline=None)
-def test_integer_checks_match_the_fraction_oracle(col):
-    failures = check_coloring(col)
-    assert failures == check_coloring_naive(col)
+def test_integer_checks_match_the_fraction_oracle(stated):
+    col, classes = stated
+    failures = check_coloring(col, classes)
+    assert failures == check_coloring_naive(col, classes)
     labels = {failure.split(":")[0] for failure in failures}
     assert labels <= {"classes", "anchors"}
-    assert ("anchors" not in labels) == fraction_check_windows(col)
+    assert ("anchors" not in labels) == fraction_check_windows(col, classes)
     try:
-        owner = fraction_owner(col)
+        owner = fraction_owner(col, classes)
     except DomainError:
         owner = None
     assert ("classes" not in labels) == (owner is not None)
     if owner is not None:
-        for vec in owner_table(col):
+        for vec in owner_table(classes):
             corner = fraction_corner(col, vec)
-            assert color_of(col, corner) == owner[corner]
+            assert color_of(col, corner, classes) == owner[corner]
 
 
 def test_window_of_one_and_a_half_boxes_holds_one_neighbour():
     """Box 1, window 3/2: a box one cell past the anchor ends at 2 > 3/2."""
     base = dict(dim=1, period=F(3), box_size=F(1), window=F(3, 2))
-    inside = PeriodicColoring(
-        classes=(((0,),), ((1,),), ((2,),)), window_anchors=((0,), (1,), (2,)), **base
-    )
-    assert check_coloring(inside) == [] and fraction_check_windows(inside)
-    stray = PeriodicColoring(
-        classes=(((0,), (1,)), ((2,),)), window_anchors=((0,), (2,)), **base
-    )
-    assert not fraction_check_windows(stray)
-    assert check_coloring(stray) == [
+    inside = PeriodicColoring(window_anchors=((0,), (1,), (2,)), **base)
+    singles = (((0,),), ((1,),), ((2,),))
+    assert check_coloring(inside, singles) == []
+    assert fraction_check_windows(inside, singles)
+    stray = PeriodicColoring(window_anchors=((0,), (2,)), **base)
+    pair = (((0,), (1,)), ((2,),))
+    assert not fraction_check_windows(stray, pair)
+    assert check_coloring(stray, pair) == [
         "anchors: class 0: box (1,) outside window at (0,)"
     ]
 
@@ -295,7 +302,7 @@ def test_covering_of_torus_covers():
 def loop_ownership_classes(inst, translates):
     """The cell-by-cell ownership loop: each cell of the torus goes to the
     first translate t with (c - t) % m < d on every axis. Oracle for
-    _ownership_classes."""
+    _owning_translates and the classes derived from its translates."""
     m, d = inst.m, inst.d
     owned = [[] for _ in translates]
     for cell in torus_points(inst):
@@ -313,6 +320,23 @@ def loop_ownership_classes(inst, translates):
     return tuple(classes), tuple(anchors)
 
 
+def owned_coloring(inst, translates, unit=F(1)) -> PeriodicColoring:
+    """The coloring owned by the translates that own a cell of the torus,
+    each cell a box of side unit."""
+    return PeriodicColoring(
+        dim=inst.n,
+        period=inst.m * unit,
+        box_size=unit,
+        window=inst.d * unit,
+        window_anchors=_owning_translates(inst, translates),
+    )
+
+
+def derived_ownership(inst, translates):
+    col = owned_coloring(inst, translates)
+    return col.classes, col.window_anchors
+
+
 def ownership_or_error(fn, inst, translates):
     try:
         return fn(inst, translates)
@@ -321,8 +345,8 @@ def ownership_or_error(fn, inst, translates):
 
 
 @st.composite
-def ownership_inputs(draw):
-    m = draw(st.integers(1, 6))
+def ownership_inputs(draw, max_m=6):
+    m = draw(st.integers(1, max_m))
     n = draw(st.integers(1, 3 if m <= 5 else 2))
     d = draw(st.integers(1, m))
     inst = CoverInstance(m=m, d=d, n=n)
@@ -336,7 +360,7 @@ def ownership_inputs(draw):
 @given(ownership_inputs())
 @settings(max_examples=150, deadline=None)
 def test_ownership_matches_the_cell_by_cell_loop(args):
-    assert ownership_or_error(_ownership_classes, *args) == ownership_or_error(
+    assert ownership_or_error(derived_ownership, *args) == ownership_or_error(
         loop_ownership_classes, *args
     )
 
@@ -350,16 +374,8 @@ def test_ownership_matches_the_loop_on_coloring_covers(m, d, n, unit):
     inst = CoverInstance(m=m, d=d, n=n)
     translates = random_cover_within_expectation(inst, seed=0)[0].translates
     expected = loop_ownership_classes(inst, translates)
-    classes, anchors = _ownership_classes(inst, translates)
-    assert (classes, anchors) == expected
-    col = PeriodicColoring(
-        dim=n,
-        period=m * unit,
-        box_size=unit,
-        classes=classes,
-        window=d * unit,
-        window_anchors=anchors,
-    )
+    col = owned_coloring(inst, translates, unit)
+    assert (col.classes, col.window_anchors) == expected
     cert = periodic_coloring_certificate(col, B2)
 
     def corners(vec):
@@ -371,35 +387,53 @@ def test_ownership_matches_the_loop_on_coloring_covers(m, d, n, unit):
 
 def test_ownership_drops_fully_shadowed_translates():
     inst = CoverInstance(m=2, d=2, n=1)
-    classes, anchors = _ownership_classes(inst, [(0,), (1,)])
-    assert classes == (((0,), (1,)),)
-    assert anchors == ((0,),)
+    assert _owning_translates(inst, [(0,), (1,)]) == ((0,),)
+    assert owned_coloring(inst, [(0,), (1,)]).classes == (((0,), (1,)),)
 
 
 def test_ownership_rejects_uncovered_cells():
     inst = CoverInstance(m=3, d=1, n=1)
-    with pytest.raises(DomainError, match="not covered"):
-        _ownership_classes(inst, [(0,)])
+    with pytest.raises(DomainError, match=r"cell \(1,\) not covered"):
+        _owning_translates(inst, [(0,)])
 
 
 def test_ownership_scales_cells_by_the_unit():
     """Ownership works on cell indices; the certificate scales them by the
     box size into corner strings."""
-    inst = CoverInstance(m=2, d=1, n=1)
-    classes, anchors = _ownership_classes(inst, [(0,), (1,)])
-    assert classes == (((0,),), ((1,),))
-    assert anchors == ((0,), (1,))
-    col = PeriodicColoring(
-        dim=1,
-        period=F(3),
-        box_size=F(3, 2),
-        classes=classes,
-        window=F(3, 2),
-        window_anchors=anchors,
-    )
+    col = owned_coloring(CoverInstance(m=2, d=1, n=1), [(0,), (1,)], F(3, 2))
+    assert col.classes == (((0,),), ((1,),))
+    assert col.window_anchors == ((0,), (1,))
+    assert (col.period, col.window) == (3, F(3, 2))
     cert = periodic_coloring_certificate(col, HALF_PAIR)
     assert cert["classes"] == [[["0"]], [["3/2"]]]
     assert cert["anchors"] == [["0"], ["3/2"]]
+
+
+def assert_written_as_the_per_box_writer(col, space) -> None:
+    """The certificate matches, byte for byte, the per-box writer over the
+    classes the cell-by-cell loop gives the coloring's anchors."""
+    classes, anchors = loop_ownership_classes(col.torus, col.window_anchors)
+    assert anchors == col.window_anchors
+    assert dump_json(periodic_coloring_certificate(col, space)) == dump_json(
+        periodic_coloring_certificate_naive(col, classes, space)
+    )
+
+
+@given(
+    ownership_inputs(max_m=8),
+    st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4),
+    st.sampled_from([B1, B2, HALF_PAIR]),
+)
+@example((CoverInstance(3, 3, 2), [(1, 2), (0, 0)]), F(1), B2)  # d = m
+@example((CoverInstance(8, 5, 3), [(7, 7, 7), (6, 6, 6)]), F(1, 3), B1)
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_the_per_box_writer_on_small_tori(args, unit, space):
+    """Any covering translates of a torus with m <= 8 and n <= 3, shadowed
+    ones among them, at any box side."""
+    inst, translates = args
+    translates = translates + translates[:1] + torus_points(inst)  # shadowed
+    col = owned_coloring(inst, translates, unit)
+    assert_written_as_the_per_box_writer(col, space)
 
 
 # -- avoidance colorings ------------------------------------------------------
@@ -483,6 +517,26 @@ def test_one_recipe_colors_rational_spaces_in_lowest_terms(data, dim, n, asympto
     assert a.denominator == 1 and math.gcd(a.numerator, b) == 1
     assert col.box_size * b == col.period
     assert validate_certificate(periodic_coloring_certificate(col, space)).ok
+
+
+@given(st.data(), st.integers(1, 2), st.integers(1, 2), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_writer_matches_the_per_box_writer_on_avoidance_colorings(
+    data, dim, n, asymptotic, integral
+):
+    """Integral and half-integer spaces, in both modes."""
+    coords = [F(c) for c in range(4)] if integral else HALVES
+    grid = list(itertools.product(coords, repeat=dim))
+    points = data.draw(
+        st.lists(st.sampled_from(grid), min_size=2, max_size=4, unique=True)
+    )
+    space = FiniteMetricSpace.from_points(PointSet(dim, tuple(points)))
+    window, gap = diameter(space), connectivity_threshold(space)
+    if asymptotic:
+        window, gap = window * F(63, 64), gap * F(65, 64)
+    assume((window / (window + gap)).denominator ** n <= 4096)
+    col = avoidance_coloring(space, n=n, asymptotic=asymptotic)
+    assert_written_as_the_per_box_writer(col, space)
 
 
 @given(st.integers(0, 30), st.integers(1, 2))

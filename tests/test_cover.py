@@ -7,6 +7,7 @@ import pytest
 from cover_oracles import (
     counting_lower_bound,
     draw_count,
+    find_mask_cells,
     naive_minimum_cover,
     random_draws,
     set_box_mask,
@@ -440,6 +441,17 @@ def test_mask_cells_lists_the_set_bits_in_index_order(inst, data):
     assert mask_cells(mask, cells) == [
         p for idx, p in enumerate(cells) if (mask >> idx) & 1
     ]
+
+
+@given(st.integers(0, 2**700 - 1), st.booleans())
+@example(0, True)
+@example(1 << 699, False)
+@settings(max_examples=60, deadline=None)
+def test_mask_cells_matches_the_find_loop(mask, indices):
+    """Masks over 700 cells, the empty mask and the last cell alone
+    among them, listed as cells or as indices."""
+    cells = range(700) if indices else [(i, -i) for i in range(700)]
+    assert mask_cells(mask, cells) == find_mask_cells(mask, cells)
 
 
 def test_random_cover_is_deterministic_per_seed():

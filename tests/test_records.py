@@ -36,8 +36,8 @@ RECORDS = {
         {},
     ),
     PeriodicColoring: (
-        {"dim": 1, "period": F(2), "box_size": F(1), "classes": (((0,),), ((1,),)),
-         "window": F(1), "window_anchors": ((0,), (1,))},
+        {"dim": 1, "period": F(2), "box_size": F(1), "window": F(1),
+         "window_anchors": ((0,), (1,))},
         {"warnings": ()},
     ),
     CoverInstance: ({"m": 3, "d": 2, "n": 2}, {}),

@@ -25,6 +25,7 @@ from maxram.validate import validate_certificate
 
 from cert_fixtures import canonical_certificates
 from coloring_oracles import check_periodic_coloring_naive
+from coloring_oracles import periodic_coloring_certificate_naive
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +302,12 @@ def random_coloring_certificate(rng: random.Random) -> dict:
         dim=dim,
         period=cells * box,
         box_size=box,
-        classes=tuple(tuple(classes[i]) for i in kept),
         window=box * reach,
         window_anchors=tuple(anchors[i] for i in kept),
     )
-    return periodic_coloring_certificate(coloring, rng.choice(SPACES))
+    return periodic_coloring_certificate_naive(
+        coloring, [classes[i] for i in kept], rng.choice(SPACES)
+    )
 
 
 def literal_value(literal) -> Fraction:
