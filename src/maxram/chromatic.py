@@ -6,19 +6,26 @@ proper when no hyperedge is monochromatic, and the chromatic number is
 found by iterative deepening with a shared node budget: once every level
 below t is exhausted, a coloring found at level t is provably optimal.
 
-The search relabels the vertices by their position in one static order,
-so each edge is checked once, at its last position, and the colors go
-back to vertex order in the certificate. When every edge has three
-vertices (a 3-point space, such as a two-step baton) one set
-comprehension reads the colors a position's closing edges block; other
-hypergraphs use a general loop.
+The search colors one vertex at a time, always the uncolored one with
+the most distinct blocked colors (DSATUR: Brelaz, "New methods to color
+the vertices of a graph", CACM 1979), ties going to the earliest in one
+static decreasing-degree order. Vertices are relabeled by their position
+in that order, and the colors go back to vertex order in the
+certificate. Per color, a mask holds the positions where the color
+would complete a monochromatic edge; each coloring updates one mask and
+an explicit stack undoes it. How a coloring blocks depends on the edge
+size: a 2-point edge blocks the partner, a 3-point edge the third point
+of a table keyed by the pair, and larger edges are counted in
+bit-sliced per-color counters over the edge index.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import chain, repeat
+from operator import or_
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
@@ -67,32 +74,47 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _blocked(rests, colors) -> set[int]:
-    """Colors that would complete a monochromatic edge, given the rests of
-    the edges the vertex closes (all of them already colored)."""
-    blocked = set()
-    for rest in rests:
-        c = colors[rest[0]]
-        for u in rest:
-            if colors[u] != c:
-                break
-        else:
-            blocked.add(c)
-    return blocked
+def _bit_rows(columns: list, count: int) -> list[int]:
+    """count masks over len(columns) bits, mask i having bit j set when i
+    is in columns[j], built through byte arrays rather than one big-int
+    OR per bit."""
+    rows = [bytearray((len(columns) + 7) >> 3) for _ in range(count)]
+    for j, column in enumerate(columns):
+        byte, flag = j >> 3, 1 << (j & 7)
+        for i in column:
+            rows[i][byte] |= flag
+    return [int.from_bytes(row, "little") for row in rows]
 
 
-def _blocked_by_pairs(rests, colors) -> set[int]:
-    """_blocked for rests of two vertices: the edges of a 3-point space."""
-    return {colors[a] for a, b in rests if colors[a] == colors[b]}
+def _count_up(slices: list[int], mask: int) -> None:
+    """Add one to the bit-sliced counters at the bits of mask."""
+    for i, level in enumerate(slices):
+        slices[i] = level ^ mask
+        mask &= level
+        if not mask:
+            return
 
 
-def _greedy_clique(vertex_count: int, pair_adj) -> int:
-    order = sorted(range(vertex_count), key=lambda v: (-len(pair_adj[v]), v))
-    clique: list[int] = []
-    for v in order:
-        if all(u in pair_adj[v] for u in clique):
-            clique.append(v)
-    return len(clique)
+def _count_down(slices: list[int], mask: int) -> None:
+    """Subtract one from the bit-sliced counters at the bits of mask."""
+    for i, level in enumerate(slices):
+        slices[i] = level ^ mask
+        mask &= ~level
+        if not mask:
+            return
+
+
+def _greedy_clique(partners: list[int], position: list[int]) -> int:
+    """A clique of the 2-point edges, grown greedily over the vertices by
+    decreasing pair degree, ties by vertex; partners holds each position's
+    pair neighbours as a mask."""
+    degree = [partners[p].bit_count() for p in position]
+    clique = 0
+    for v in sorted(range(len(position)), key=lambda v: -degree[v]):
+        p = position[v]
+        if not clique & ~partners[p]:
+            clique |= 1 << p
+    return clique.bit_count()
 
 
 def exact_chromatic(
@@ -103,15 +125,15 @@ def exact_chromatic(
     """Minimum colors with no monochromatic edge, within a node budget.
 
     Levels are tried in increasing order starting from the best known
-    lower bound, with vertices relabeled by their position in decreasing
-    degree order and new colors only introduced one at a time. Each edge
-    is checked once, at its last position (by one set comprehension when
-    all edges have three vertices). The budget counts every color tried,
-    including blocked ones. known_bound lets callers feed in an externally
-    proved bound and its witness (it is trusted for the starting level but
-    cross-checked against any coloring found). If the budget runs out, the
-    first-fit coloring in the same vertex order is returned, with the
-    largest level actually exhausted as the proven lower bound.
+    lower bound. Each step colors the uncolored position with the most
+    distinct blocked colors (DSATUR), ties going to the lowest position
+    in decreasing degree order, and tries its colors in increasing order,
+    a new color only one past those used. The budget counts every color
+    tried, including blocked ones. known_bound lets callers feed in an
+    externally proved bound and its witness (it is trusted for the
+    starting level but cross-checked against any coloring found). If the
+    budget runs out, the first descent with no color limit is returned,
+    with the largest level actually exhausted as the proven lower bound.
     """
     n = hypergraph.vertex_count
     if n < 1:
@@ -126,22 +148,42 @@ def exact_chromatic(
             lower_bound_witness="trivial:1",
         )
 
-    pair_adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in (edge for edge in edges if len(edge) == 2):
-        pair_adj[a].add(b)
-        pair_adj[b].add(a)
     # Decreasing degree; the sort is stable, so ties keep vertex order.
     degree = Counter(chain.from_iterable(edges))
     order = sorted(range(n), key=degree.__getitem__, reverse=True)
     position = sorted(range(n), key=order.__getitem__)  # order's inverse
-    # closing[p]: the other positions of each edge whose last position is p
-    closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    bits = [1 << p for p in range(n)]
+    partners = [0] * n  # 2-point edges: each position's partners
+    thirds: dict[int, list[int]] = {}  # 3-point edges: lo * n + hi -> the thirds
+    larger: list[list[int]] = []  # edges of 4 or more points, as positions
     for places in map(sorted, map(map, repeat(position.__getitem__), edges)):
-        last = places.pop()
-        closing[last].append(tuple(places))
-    read = _blocked_by_pairs if set(map(len, edges)) == {3} else _blocked
+        if len(places) == 3:
+            a, b, c = places
+            thirds.setdefault(a * n + b, []).append(c)
+            thirds.setdefault(a * n + c, []).append(b)
+            thirds.setdefault(b * n + c, []).append(a)
+        elif len(places) == 2:
+            a, b = places
+            partners[a] |= bits[b]
+            partners[b] |= bits[a]
+        else:
+            larger.append(places)
+    # pair_nb[p]: the positions that share a 3-point edge with p
+    shared: list[list[int]] = [[] for _ in range(n)]
+    for a, b in map(divmod, thirds, repeat(n)):
+        shared[a].append(b)
+        shared[b].append(a)
+    pair_nb = _bit_rows(shared, n)
+    # Larger edges are counted over their index: per color, bit-sliced
+    # counters of the points each edge still needs in that color before it
+    # blocks its last one, size - 1 at the start.
+    incident = _bit_rows(larger, n)
+    sizes = set(map(len, larger))
+    depth = (max(sizes, default=1) - 1).bit_length()
+    ones = {s: [i for i in range(depth) if s - 1 >> i & 1] for s in sizes}
+    need_start = _bit_rows([ones[len(e)] for e in larger], depth)
 
-    clique = _greedy_clique(n, pair_adj)
+    clique = _greedy_clique(partners, position)
     # The first of equal bounds names the witness: clique, then edge.
     candidates = [(2, "edge:2"), known_bound]
     if clique >= 2:
@@ -150,41 +192,87 @@ def exact_chromatic(
     if base_lb > n:
         raise DomainError("supplied lower bound exceeds the vertex count")
 
-    colors = [-1] * n
+    colors = [0] * n
     nodes = 0
 
     def descend(limit: int) -> bool:
-        """Depth-first search for a coloring with at most limit colors. A
-        position reached afresh has color -1 and tries the colors above its
-        own. No call stack: Python's recursion limit does not cap n."""
+        """Depth-first search for a coloring with at most limit colors.
+        blocked[c] holds the positions where color c would complete a
+        monochromatic edge (and may hold colored ones, which no step
+        reads). An explicit stack undoes each coloring, so Python's
+        recursion limit does not cap n."""
         nonlocal nodes
-        used = [0] * (n + 1)  # used[pos]: colors used before position pos
-        blocked: list[set[int]] = [set()] * n
-        pos = 0
-        while pos < n:
-            c = colors[pos] + 1
-            if c == 0:
-                blocked[pos] = read(closing[pos], colors)
-            skip = blocked[pos]
-            seen = used[pos]
-            top = seen + 1 if seen < limit else limit
-            while c < top:
+        blocked = [0] * limit
+        members = [0] * limit  # the positions of each color
+        needs = [need_start[:] for _ in range(limit)]
+        uncolored = (1 << n) - 1
+        used = 0  # colors 0..used-1 are in use
+        stack: list[tuple[int, int, int, int]] = []  # p, c, used, blocked[c]
+        width = limit.bit_length()
+        p = -1
+        while True:
+            if p < 0:
+                if not uncolored:
+                    return True
+                # The most saturated positions: count each position's
+                # blocked colors in bit slices, then keep the uncolored
+                # ones with the top count.
+                levels = [0] * width
+                for mask in blocked[:used]:
+                    _count_up(levels, mask)
+                top = uncolored
+                for level in reversed(levels):
+                    if top & level:
+                        top &= level
+                p = (top & -top).bit_length() - 1
+                c = 0
+            bit = bits[p]
+            end = used + 1 if used < limit else limit
+            while c < end:
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetExceeded
-                if c not in skip:
+                if not blocked[c] & bit:
                     break
                 c += 1
             else:
-                colors[pos] = -1
-                pos -= 1
-                if pos < 0:
+                if not stack:
                     return False
+                p, c, used, blocked[c] = stack.pop()
+                bit = bits[p]
+                members[c] ^= bit
+                uncolored |= bit
+                if incident[p]:
+                    _count_up(needs[c], incident[p])
+                c += 1
                 continue
-            colors[pos] = c
-            used[pos + 1] = c + 1 if c >= seen else seen
-            pos += 1
-        return True
+            stack.append((p, c, used, blocked[c]))
+            colors[p] = c
+            uncolored ^= bit
+            if c == used:
+                used += 1
+            same = members[c]
+            members[c] = same | bit
+            block = blocked[c] | partners[p]
+            near = pair_nb[p] & same
+            while near:
+                q = near.bit_length() - 1
+                for r in thirds[p * n + q if p < q else q * n + p]:
+                    block |= bits[r]
+                near ^= bits[q]
+            if incident[p]:
+                need = needs[c]
+                _count_down(need, incident[p])
+                # Edges through p that need no more of color c block the
+                # one point not of that color; all their points go in.
+                done = incident[p] & ~reduce(or_, need)
+                while done:
+                    j = done.bit_length() - 1
+                    for r in larger[j]:
+                        block |= bits[r]
+                    done ^= 1 << j
+            blocked[c] = block
+            p = -1
 
     level = base_lb
     exhausted = False
@@ -193,8 +281,8 @@ def exact_chromatic(
             level += 1
     except _BudgetExceeded:
         # At limit n the next new color is never blocked, so the first
-        # descent never backs up: it is the first-fit coloring.
-        exhausted, budget, colors = True, math.inf, [-1] * n
+        # descent never backs up.
+        exhausted, budget = True, math.inf
         descend(n)
     used = max(colors) + 1
     if used < base_lb and not exhausted:

@@ -130,10 +130,19 @@ _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 def mask_cells(mask: int, cells):
     """The cells whose bits are set in mask, in index order; cells lists
     the torus cells in index order, such as torus_points(inst), or is
-    range(point_count) for the indices. The reversed binary digits
-    become a 0/1 byte string that itertools.compress walks in C."""
-    selectors = format(mask, "b")[::-1].encode().translate(_SELECTORS)
-    return list(itertools.compress(cells, selectors))
+    range(point_count) for the indices. A sparse mask, fewer than one
+    set bit in 16 up to its highest, is walked one set bit at a time by
+    str.find on its reversed binary digits; a denser one's digits become
+    a 0/1 byte string that itertools.compress walks in C."""
+    digits = format(mask, "b")[::-1]
+    if mask.bit_count() * 16 < len(digits):
+        found = []
+        index = digits.find("1")
+        while index >= 0:
+            found.append(cells[index])
+            index = digits.find("1", index + 1)
+        return found
+    return list(itertools.compress(cells, digits.encode().translate(_SELECTORS)))
 
 
 def _repeated(block: int, period: int, count: int) -> int:

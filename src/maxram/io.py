@@ -46,8 +46,11 @@ def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
 def dump_json(obj) -> str:
     """obj as compact canonical JSON, written by json's C encoder: sorted
     keys, no whitespace between tokens (the whitespace rule of RFC 8785),
-    ASCII escapes, and a trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    ASCII escapes, and a trailing newline. Only the program builds what
+    it writes, so nothing holds a cycle and the encoder skips that check."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), check_circular=False
+    ) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -24,7 +24,7 @@ def load_rows():
 
 def test_table_is_nonempty_and_well_formed():
     rows = load_rows()
-    assert len(rows) == 9
+    assert len(rows) == 10
     for row in rows:
         assert set(row) == {"k", "n", "metric_id", "chi", "lower", "upper"}
         assert row["metric_id"] == "unit_baton"

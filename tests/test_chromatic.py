@@ -64,11 +64,26 @@ class _OracleBudgetExceeded(Exception):
     pass
 
 
-def _rescan_blocks(vertex, color, colors, edges_of) -> bool:
-    for edge in edges_of[vertex]:
-        if all(v == vertex or colors[v] == color for v in edge):
-            return True
-    return False
+def _rescan_blocked(vertex, colors, rests_of) -> set[int]:
+    """The colors that would complete a monochromatic edge at the vertex,
+    found by rescanning every edge incident to it. rests_of[vertex] maps
+    a size to the other vertices of each such edge with that many of
+    them, laid end to end."""
+    blocked = set()
+    for size, flat in rests_of[vertex].items():
+        for seen in set(zip(*[iter(map(colors.__getitem__, flat))] * size)):
+            if seen[0] >= 0 and seen.count(seen[0]) == size:
+                blocked.add(seen[0])
+    return blocked
+
+
+def _most_saturated(order, colors, rests_of) -> tuple[int, set[int]]:
+    """The uncolored vertex with the most blocked colors, the earliest in
+    order among ties, and its blocked colors, rescanning every uncolored
+    vertex."""
+    uncolored = [v for v in order if colors[v] < 0]
+    scanned = [(v, _rescan_blocked(v, colors, rests_of)) for v in uncolored]
+    return max(scanned, key=lambda scan: len(scan[1]))
 
 
 def rescan_chromatic(
@@ -76,9 +91,12 @@ def rescan_chromatic(
     budget: int = DEFAULT_BUDGET,
     known_bound: tuple[int, str] = (1, "trivial:1"),
 ) -> ColoringCertificate:
-    """Reference search: every candidate color rescans every edge incident
-    to the vertex. It keeps exact_chromatic's vertex order, node count,
-    budget cut and greedy fallback, so the two agree field by field."""
+    """Reference search: every step rescans every edge incident to every
+    uncolored vertex, then colors the most saturated one, ties to the
+    earliest in decreasing degree order, then vertex. It keeps
+    exact_chromatic's vertex choice, node count, budget cut and fallback
+    (the first descent with no color limit), so the two agree field by
+    field."""
     n = hypergraph.vertex_count
     if n < 1:
         raise PreconditionError("hypergraph needs at least one vertex")
@@ -93,11 +111,11 @@ def rescan_chromatic(
         )
     degree = [0] * n
     pair_adj: list[set[int]] = [set() for _ in range(n)]
-    edges_of: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    rests_of: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for edge in edges:
         for v in edge:
             degree[v] += 1
-            edges_of[v].append(edge)
+            rests_of[v].setdefault(len(edge) - 1, []).extend(u for u in edge if u != v)
         if len(edge) == 2:
             pair_adj[edge[0]].add(edge[1])
             pair_adj[edge[1]].add(edge[0])
@@ -121,18 +139,18 @@ def rescan_chromatic(
     colors = [-1] * n
     nodes = 0
 
-    def assign(pos: int, used: int, limit: int) -> bool:
+    def assign(colored: int, used: int, limit: int) -> bool:
         nonlocal nodes
-        if pos == n:
+        if colored == n:
             return True
-        v = order[pos]
+        v, blocked = _most_saturated(order, colors, rests_of)
         for c in range(min(used + 1, limit)):
             nodes += 1
             if nodes > budget:
                 raise _OracleBudgetExceeded
-            if not _rescan_blocks(v, c, colors, edges_of):
+            if c not in blocked:
                 colors[v] = c
-                if assign(pos + 1, max(used, c + 1), limit):
+                if assign(colored + 1, max(used, c + 1), limit):
                     return True
                 colors[v] = -1
         return False
@@ -160,11 +178,9 @@ def rescan_chromatic(
         proven = level if level > base_lb else base_lb
         witness = f"exhausted:{level - 1}" if level > base_lb else base_witness
         fallback = [-1] * n
-        for v in order:
-            c = 0
-            while _rescan_blocks(v, c, fallback, edges_of):
-                c += 1
-            fallback[v] = c
+        for _ in range(n):
+            v, blocked = _most_saturated(order, fallback, rests_of)
+            fallback[v] = min(set(range(n)) - blocked)
         used = max(fallback) + 1
         return ColoringCertificate(
             colors=tuple(fallback),
@@ -391,9 +407,9 @@ def test_exact_matches_the_rescan_oracle_field_by_field(instance):
 def grid_instances(draw):
     """The copy hypergraph of {0..k}^n, at most 64 points, against a unit
     1-, 2- or 3-baton or 2-4 points of {0..2}^2 in the max norm: edges of
-    two or four vertices run the general loop, edges of three the set
-    comprehension. A budget of 1 to 5,000 nodes or 10^7, with the
-    pigeonhole bound supplied or not."""
+    two vertices block through partner masks, of three through the pair
+    table, of four through the per-color edge counters. A budget of 1 to
+    5,000 nodes or 10^7, with the pigeonhole bound supplied or not."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, max(k for k in range(1, 8) if (k + 1) ** n <= 64)))
     if draw(st.booleans()):
@@ -407,15 +423,25 @@ def grid_instances(draw):
     return copy_hypergraph(grid_points(k, n), space), budget, extra
 
 
+# Cut just after a backtrack: {0..2}^2 against the unit 2-baton exhausts
+# level 2 in its 19th try, and only if each backtrack restores the color
+# count; {0..3}^2 against the unit 3-baton, cut at 50 tries, needs the
+# 4-point edges' counters restored.
+UNIT2_ON_2_PLANE = copy_hypergraph(grid_points(2, 2), Baton.unit(2).as_metric_space())
+UNIT3_ON_3_PLANE = copy_hypergraph(grid_points(3, 2), Baton.unit(3).as_metric_space())
+
+
 @given(grid_instances())
+@example((UNIT2_ON_2_PLANE, 19, 1))
+@example((UNIT3_ON_3_PLANE, 50, 1))
 @settings(max_examples=200, deadline=None)
 def test_exact_matches_the_rescan_oracle_on_grid_copy_hypergraphs(instance):
     hg, budget, extra = instance
     if budget == 10**7:
-        # The oracle rescans every incident edge at every node, so an
-        # unlimited budget runs only on searches that end within 20,000
-        # nodes: {0..3}^3 against the unit 2- or 3-baton takes more than
-        # 200,000.
+        # The oracle rescans every incident edge of every uncolored vertex
+        # at every node, so an unlimited budget runs only on searches that
+        # end within 20,000 nodes: {0..3}^3 against the unit 3-baton is
+        # not proved within 100,000.
         probe = _outcome(exact_chromatic, hg, 20_000, extra)
         assume(not (isinstance(probe, ColoringCertificate) and probe.budget_exhausted))
     got = _outcome(exact_chromatic, hg, budget, extra)
@@ -478,6 +504,20 @@ def test_grid_chromatic_proves_chi_4_for_the_one_two_baton_on_the_5_plane():
     assert not cert.budget_exhausted
     assert cert.lower_bound_witness == "exhausted:3"
     assert is_proper(copy_hypergraph(grid_points(5, 2), space), cert.colors)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_grid_chromatic_proves_chi_4_for_the_unit_2_baton_in_space_within_10_4_tries(k):
+    """{0..3}^3 and {0..5}^3 against the unit 2-baton: the most saturated
+    vertex first finds a 4-coloring and exhausts level 3 within 10^4
+    tries (1,401 and 1,478 of them). No pigeonhole bound seeds either
+    search: it applies only to the baton's own grid {0..2}^3."""
+    space = Baton.unit(2).as_metric_space()
+    cert = grid_chromatic(k, 3, space, budget=10**4)
+    assert not cert.budget_exhausted
+    assert (cert.color_count, cert.optimal) == (4, True)
+    assert cert.lower_bound_witness == "exhausted:3"
+    assert is_proper(copy_hypergraph(grid_points(k, 3), space), cert.colors)
 
 
 # -- the validator's per-class check ---------------------------------------------

@@ -393,24 +393,24 @@ def test_chi_with_custom_metric(tmp_path, capsys, b2_metric):
     "argv, code, digest",
     [
         (["chi", "--grid", "3,3", "--metric", "{unit2}", "--budget", "1000"], 3,
-         "ab47496eab9e0f68bd6cbffeba8c1333c819fb21d34781663df223b4d8ef3d9d"),
-        (["chi", "--grid", "5,2", "--metric", "{baton12}", "--budget", "30000"], 3,
-         "5954c67a3ac9b5473bfd6653608199f98d105d2b7379be0c1d5f34b676286d6e"),
+         "71a321f2c3824dd69b2a91cd96ab4b45d5a2be9da7272cd8a590bf1d95564efa"),
+        (["chi", "--grid", "5,2", "--metric", "{baton12}", "--budget", "30000"], 0,
+         "9cafe6aa120c68d38f41bf5eb0f54cd4f99fd853ebd77c1ba27fcd70fbe5e933"),
         (["copies", "--metric", "{unit2}", "--points", "{grid}", "--distinct-supports"],
          0, "017059f2b0225e997007dde4e97a0530707cb59511a911f2824033570c4a8862"),
         (["chi", "--grid", "5,2", "--metric", "{baton12}"], 0,
-         "35ae8751176bc254ca4206f00e7c75524b70759d24dfe444a1ca2e0b9aebb027"),
+         "9cafe6aa120c68d38f41bf5eb0f54cd4f99fd853ebd77c1ba27fcd70fbe5e933"),
         (["copies", "--metric", "{square}", "--points", "{grid}", "--distinct-supports"],
          0, "4370693409d186e2e147973b1a99ab41f1aa981462aa3e7ab6b7f44c2f08f4f7"),
     ],
 )
 def test_copy_search_artifact_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     """Copy order drives the edge order and the colors a search finds, so
-    these artifacts pin it byte for byte: two capped chi searches, the unit
-    2-baton's distinct-support copies in the grid {0..3}^2, the
-    (1,2)-baton's full proof of chi = 4 on {0..5}^2, and the
-    distinct-support copies of the unit square's corners (|Aut| = 24) in
-    {0..3}^2."""
+    these artifacts pin it byte for byte: two capped chi searches (the
+    second proves chi = 4 within its cap), the unit 2-baton's
+    distinct-support copies in the grid {0..3}^2, the (1,2)-baton's full
+    proof of chi = 4 on {0..5}^2, and the distinct-support copies of the
+    unit square's corners (|Aut| = 24) in {0..3}^2."""
     inputs = {
         "unit2": [["0"], ["1"], ["2"]],
         "baton12": [["0"], ["1"], ["3"]],

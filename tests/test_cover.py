@@ -443,13 +443,28 @@ def test_mask_cells_lists_the_set_bits_in_index_order(inst, data):
     ]
 
 
-@given(st.integers(0, 2**700 - 1), st.booleans())
+def _mask_of(bits) -> int:
+    return sum(1 << i for i in bits)
+
+
+@given(
+    st.one_of(
+        st.integers(0, 2**700 - 1),
+        st.sets(st.integers(0, 699), max_size=120).map(_mask_of),
+    ),
+    st.booleans(),
+)
 @example(0, True)
 @example(1 << 699, False)
-@settings(max_examples=60, deadline=None)
+@example(_mask_of({31, 0}), True)  # 2 set bits in 32: walked by compress
+@example(1 << 31, False)  # 1 set bit in 32: walked bit by bit
+@example(_mask_of({32, 0}), True)  # 2 set bits in 33: walked bit by bit
+@settings(max_examples=100, deadline=None)
 def test_mask_cells_matches_the_find_loop(mask, indices):
-    """Masks over 700 cells, the empty mask and the last cell alone
-    among them, listed as cells or as indices."""
+    """Masks over 700 cells, dense or of at most 120 set bits, so on both
+    sides of the sparse walk (under one set bit in 16 up to the highest),
+    the empty mask and the last cell alone among them, listed as cells or
+    as indices."""
     cells = range(700) if indices else [(i, -i) for i in range(700)]
     assert mask_cells(mask, cells) == find_mask_cells(mask, cells)
 
