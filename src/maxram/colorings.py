@@ -3,12 +3,13 @@
 A coloring here is an exact partition of space: the fundamental cell
 [0, period)^n is tiled by half-open boxes of a fixed side, and every box
 is owned by exactly one color class. Boxes and window anchors are integer
-box-lattice indices (corner / box side); rationals appear only where a
-certificate is written or read. Classes built from a torus covering
-have all their boxes inside one anchored window per period, which is the
-whole certificate: two same-colored points either share a window copy
-(every coordinate differs by less than the window) or straddle periods
-(some coordinate differs by more than the gap). A finite space whose
+box-lattice indices (corner / box side), in memory and in certificates
+alike; rationals appear only in the period, box side and window. Classes
+built from a torus covering have all their boxes inside one anchored
+window per period, which is the whole certificate: two same-colored
+points either share a window copy (every coordinate differs by less
+than the window) or straddle periods (some coordinate differs by more
+than the gap). A finite space whose
 diameter reaches the window and whose bottleneck connectivity fits under
 the gap can then never appear monochromatically. Every coloring comes
 from one recipe: window/(window + gap) = a/b in lowest terms names the

@@ -208,16 +208,15 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
 def periodic_coloring_certificate(
     coloring: PeriodicColoring, space: FiniteMetricSpace
 ) -> dict:
-    """Boxes and anchors go out as corners: lattice index times box_size.
-    The torus cells are built once as corner lists, and each class is
-    its owned mask expanded over them."""
+    """Boxes and anchors go out as their box-lattice indices (corner /
+    box_size), JSON integers in [0, cells_per_axis), one per axis. The
+    torus cells are built once as index lists, and each class is its
+    owned mask expanded over them."""
     from .cover import mask_cells
 
-    corner = [
-        format_rational(i * coloring.box_size) for i in range(coloring.cells_per_axis)
-    ]
     # Lists, not tuples, so that the certificate equals the one read back.
-    cells = list(map(list, itertools.product(corner, repeat=coloring.dim)))
+    axis = range(coloring.cells_per_axis)
+    cells = list(map(list, itertools.product(axis, repeat=coloring.dim)))
     return {
         "kind": "periodic_coloring",
         "dim": coloring.dim,
@@ -226,7 +225,7 @@ def periodic_coloring_certificate(
         "classes": [mask_cells(mask, cells) for mask in coloring.owned_masks()],
         "class_count": coloring.class_count,
         "window": format_rational(coloring.window),
-        "anchors": [[corner[c] for c in a] for a in coloring.window_anchors],
+        "anchors": [list(a) for a in coloring.window_anchors],
         "distance_matrix": matrix_to_obj(space),
     }
 

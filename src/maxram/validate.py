@@ -12,7 +12,6 @@ small enough. Failures name the offending field or pair.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
 from typing import NamedTuple
@@ -122,57 +121,32 @@ def _check_anchor_sequence(obj) -> list[str]:
     return failures
 
 
-class _LatticeIndex(dict):
-    """Coordinate literal -> box-lattice index, value / scale: an int on
-    the lattice, else the Fraction.
-
-    A str literal is parsed at its first lookup and stored. Any other
-    value, such as an int or a bool that parse_rational must reject, is
-    parsed at every lookup, so True never finds an entry of 1. An
-    unhashable value raises TypeError before any parse.
-    """
-
-    scale: Fraction
-
-    def __missing__(self, literal):
-        q = parse_rational(literal) / self.scale
-        found = q.numerator if q.denominator == 1 else q
-        if type(literal) is str:
-            self[literal] = found
-        return found
+def _box_list(vecs, label) -> list:
+    """vecs, stated as a list of boxes, each a list of box indices; what
+    is not is refused under label. _check_coloring checks the indices."""
+    if not isinstance(vecs, list) or not all(map(isinstance, vecs, repeat(list))):
+        raise ParseError(f"{label} must be a list of index lists")
+    return vecs
 
 
-def _lattice_flats(classes, index: _LatticeIndex) -> list[list]:
-    """Each stated class's coordinates, box after box, as lattice indices.
-
-    A class, box or coordinate that the per-box parse (vec_from_obj on
-    each box, in order) refuses raises what that parse raises first.
-    """
-    flats = []
-    try:
-        for vecs in classes:
-            if not all(map(isinstance, vecs, repeat((list, tuple)))):
-                raise TypeError("a box is not a coordinate list")
-            flats.append(list(map(index.__getitem__, chain.from_iterable(vecs))))
-    except (TypeError, ValueError):
-        for vecs in classes:
-            for v in vecs:
-                vec_from_obj(v)
-        raise
-    return flats
+def _columns(vecs, dim: int) -> list[list]:
+    """The axis-x indices of the boxes vecs, for each axis x: strided
+    slices of their concatenation, exact when every box has dim entries."""
+    flat = list(chain.from_iterable(vecs))
+    return [flat[x::dim] for x in range(dim)]
 
 
-def _check_coloring(coloring: PeriodicColoring, classes, flats) -> list[str]:
+def _check_coloring(coloring: PeriodicColoring, classes) -> list[str]:
     """Check a stated coloring: a malformed one fails once, under coloring:.
     Otherwise every box of the fundamental domain must be owned exactly
     once (classes:) and each box must lie in its class's window (anchors:).
 
-    classes[i] lists the boxes stated for class i, and flats[i] their
-    lattice indices, box after box; classes are read only for their box
-    counts and lengths. The checks run per class and axis, on strided
-    slices of flats[i]. Only a class that fails one is scanned box by
+    classes[i] lists the boxes stated for class i, each a sequence of
+    box-lattice indices. The checks run per class and axis, on the
+    class's index columns. Only a class that fails one is scanned box by
     box, so each failure names the first box, in class and box order,
-    that fails it.
+    that fails it. An index is tested for its type before its range, so
+    a value that is not an int, a bool among them, fails as one.
 
     Box o sits in the window at a exactly when its offset (o - a) mod
     cells, counted in boxes, is below window // box_size: the box's far
@@ -199,10 +173,10 @@ def _check_coloring(coloring: PeriodicColoring, classes, flats) -> list[str]:
         if len(vec) != dim:
             return "coloring: offset dimension mismatch"
         for c in vec:
-            if not 0 <= c < cells:
-                return "coloring: offsets must lie in [0, period)"
             if type(c) is not int:
-                return "coloring: offsets must sit on the box lattice"
+                return "coloring: box indices must be integers"
+            if not 0 <= c < cells:
+                return f"coloring: box indices must lie in [0, {cells})"
         return None
 
     for anchor in anchors:
@@ -215,17 +189,15 @@ def _check_coloring(coloring: PeriodicColoring, classes, flats) -> list[str]:
     # and a repeat leaves some box unmarked.
     owned = bytearray(expected) if total == expected else None
     stray = None
-    for color, (vecs, flat, anchor) in enumerate(zip(classes, flats, anchors)):
-        cols = [flat[x::dim] for x in range(dim)]  # the axis-x indices
+    for color, (vecs, anchor) in enumerate(zip(classes, anchors)):
+        cols = _columns(vecs, dim)
         if not all(map(dim.__eq__, map(len, vecs))) or not all(
             {*map(type, col)} == {int} and 0 <= min(col) and max(col) < cells
             for col in cols
         ):
-            start = 0
             for vec in vecs:
-                if failure := malformed(flat[start : start + len(vec)]):
+                if failure := malformed(vec):
                     return [failure]
-                start += len(vec)
         # Each distinct index of a column is tested once.
         if stray is None and not all(
             (c - a) % cells < reach for col, a in zip(cols, anchor) for c in set(col)
@@ -243,7 +215,7 @@ def _check_coloring(coloring: PeriodicColoring, classes, flats) -> list[str]:
     elif owned.count(0):  # name the first box that repeats
         seen = bytearray(expected)
         for key in chain.from_iterable(
-            _row_major([flat[x::dim] for x in range(dim)], cells) for flat in flats
+            _row_major(_columns(vecs, dim), cells) for vecs in classes
         ):
             if seen[key]:
                 break
@@ -264,34 +236,28 @@ def _row_major(cols, cells: int):
 
 
 def _check_periodic_coloring(obj) -> list[str]:
+    """Boxes and anchors are stated as box-lattice indices, JSON integers
+    in [0, cells_per_axis), one per axis."""
     failures: list[str] = []
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
-    box_size = parse_rational(obj["box_size"])
-    index = _LatticeIndex()
-    # A non-positive box_size scales nothing; _check_coloring rejects it.
-    index.scale = box_size if box_size > 0 else 1
-    classes = _list_field(obj, "classes")
-    flats = _lattice_flats(classes, index)
+    classes = [
+        _box_list(vecs, f"classes[{i}]")
+        for i, vecs in enumerate(_list_field(obj, "classes"))
+    ]
     if _int_field(obj, "class_count") != len(classes):
         failures.append("class_count: does not match the classes")
     try:
         coloring = PeriodicColoring(
             dim=_int_field(obj, "dim"),
             period=parse_rational(obj["period"]),
-            box_size=box_size,
+            box_size=parse_rational(obj["box_size"]),
             window=parse_rational(obj["window"]),
-            # Each anchor is read as a class of one box.
-            window_anchors=tuple(
-                tuple(flat)
-                for flat in _lattice_flats(
-                    [[v] for v in _list_field(obj, "anchors")], index
-                )
-            ),
+            window_anchors=tuple(map(tuple, _box_list(obj["anchors"], "anchors"))),
         )
     except ValueError as exc:
         failures.append(f"coloring: {exc}")
         return failures
-    found = _check_coloring(coloring, classes, flats)
+    found = _check_coloring(coloring, classes)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
         return failures

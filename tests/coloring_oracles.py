@@ -10,9 +10,8 @@ are its derived ones."""
 from fractions import Fraction
 
 from maxram.colorings import PeriodicColoring
-from maxram.errors import DomainError, PreconditionError
+from maxram.errors import DomainError, ParseError, PreconditionError
 from maxram.io import _int_field, _list_field, matrix_to_obj, metric_space_from_obj
-from maxram.io import vec_from_obj
 from maxram.metric import connectivity_threshold, diameter
 from maxram.rational import format_rational, parse_rational
 
@@ -46,55 +45,32 @@ def color_of(coloring, point, classes=None) -> int:
 
 def periodic_coloring_certificate_naive(coloring, classes, space) -> dict:
     """The certificate of the coloring with the given classes, written box
-    by box: each index vector of each class mapped to its corner strings.
+    by box: each index vector of each class as a list of its indices.
     Oracle for io.periodic_coloring_certificate, byte for byte."""
-    corner = [
-        format_rational(i * coloring.box_size) for i in range(coloring.cells_per_axis)
-    ]
     return {
         "kind": "periodic_coloring",
         "dim": coloring.dim,
         "period": format_rational(coloring.period),
         "box_size": format_rational(coloring.box_size),
-        "classes": [[[corner[c] for c in v] for v in vecs] for vecs in classes],
+        "classes": [[list(v) for v in vecs] for vecs in classes],
         "class_count": len(classes),
         "window": format_rational(coloring.window),
-        "anchors": [[corner[c] for c in a] for a in coloring.window_anchors],
+        "anchors": [list(a) for a in coloring.window_anchors],
         "distance_matrix": matrix_to_obj(space),
     }
 
 
-def lattice_vec(items, index) -> tuple:
-    """A stated box as lattice indices; a bad entry raises what
-    vec_from_obj raises."""
-    vec_from_obj(items)
-    return tuple(map(index, items))
-
-
-def lattice_index(box_size):
-    """Read a coordinate as its box-lattice index, value / box_size.
-
-    Each distinct string literal is parsed once. Only str keys are
-    stored, so other values, such as a bool that parse_rational must
-    reject, miss the memo and are parsed every time. An off-lattice value
-    stays a Fraction and a non-positive box_size scales nothing, so
-    check_coloring_naive rejects either with its own message.
-    """
-    scale = box_size if box_size > 0 else 1
-    memo: dict[str, object] = {}
-
-    def index(value):
-        try:
-            return memo[value]
-        except (KeyError, TypeError):  # TypeError: an unhashable list
-            pass
-        q = parse_rational(value) / scale
-        found = q.numerator if q.denominator == 1 else q
-        if isinstance(value, str):
-            memo[value] = found
-        return found
-
-    return index
+def index_vecs(vecs, label) -> tuple:
+    """A stated list of boxes as index tuples, box by box; a value that is
+    not a list, or a box that is not one, is refused under label."""
+    if not isinstance(vecs, list):
+        raise ParseError(f"{label} must be a list of index lists")
+    boxes = []
+    for vec in vecs:
+        if not isinstance(vec, list):
+            raise ParseError(f"{label} must be a list of index lists")
+        boxes.append(tuple(vec))
+    return tuple(boxes)
 
 
 def check_coloring_naive(coloring, classes) -> list[str]:
@@ -128,10 +104,10 @@ def check_coloring_naive(coloring, classes) -> list[str]:
         if len(vec) != dim:
             return "coloring: offset dimension mismatch"
         for c in vec:
-            if not 0 <= c < cells:
-                return "coloring: offsets must lie in [0, period)"
             if type(c) is not int:
-                return "coloring: offsets must sit on the box lattice"
+                return "coloring: box indices must be integers"
+            if not 0 <= c < cells:
+                return f"coloring: box indices must lie in [0, {cells})"
         return None
 
     for anchor in anchors:
@@ -172,11 +148,9 @@ def check_coloring_naive(coloring, classes) -> list[str]:
 def check_periodic_coloring_naive(obj) -> list[str]:
     failures: list[str] = []
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
-    box_size = parse_rational(obj["box_size"])
-    index = lattice_index(box_size)
     classes = tuple(
-        tuple(lattice_vec(v, index) for v in vecs)
-        for vecs in _list_field(obj, "classes")
+        index_vecs(vecs, f"classes[{i}]")
+        for i, vecs in enumerate(_list_field(obj, "classes"))
     )
     if _int_field(obj, "class_count") != len(classes):
         failures.append("class_count: does not match the classes")
@@ -184,11 +158,9 @@ def check_periodic_coloring_naive(obj) -> list[str]:
         coloring = PeriodicColoring(
             dim=_int_field(obj, "dim"),
             period=parse_rational(obj["period"]),
-            box_size=box_size,
+            box_size=parse_rational(obj["box_size"]),
             window=parse_rational(obj["window"]),
-            window_anchors=tuple(
-                lattice_vec(v, index) for v in _list_field(obj, "anchors")
-            ),
+            window_anchors=index_vecs(obj["anchors"], "anchors"),
         )
     except ValueError as exc:
         failures.append(f"coloring: {exc}")

@@ -281,9 +281,9 @@ def test_color_randomized_coloring_validates(capsys, b2_metric):
     "argv, digest",
     [
         (["--n", "2", "--asymptotic"],
-         "773c5f6eba03962a4eff487e4858a8ada2f46a3128ee592cf841d438dd425472"),
+         "5c70b6c59a490f3f5f7599be042c488f16eb5485694bbba8ac4e73e9bc0cb94d"),
         (["--n", "5", "--seed", "1"],
-         "c042ca27c2dfd35b7fdc85a00b8d82f44464611b2796c2905ff9a3e4fad689e0"),
+         "9de8133c44d53c3b0ae077422f45edf7a8c89550bb3a784505fb86b7984590d0"),
     ],
 )
 def test_color_artifact_bytes_are_pinned(tmp_path, capsys, argv, digest):

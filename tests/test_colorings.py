@@ -37,7 +37,7 @@ from maxram.metric import (
     connectivity_threshold,
     diameter,
 )
-from maxram.rational import format_rational
+from maxram.rational import format_rational, parse_rational
 from maxram.validate import _check_coloring, validate_certificate
 
 F = Fraction
@@ -45,16 +45,15 @@ F = Fraction
 B1 = Baton.unit(1).as_metric_space()
 B2 = Baton.unit(2).as_metric_space()
 HALF_PAIR = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(3, 2),))))
+ZERO_TWO_FOUR = FiniteMetricSpace.from_points(
+    PointSet(1, ((F(0),), (F(2),), (F(4),)))
+)
 
 
 def check_coloring(col: PeriodicColoring, classes=None) -> list[str]:
     """The validator's check of the stated classes, by default the
-    coloring's own, with each class's lattice indices read off its own
-    boxes."""
-    if classes is None:
-        classes = col.classes
-    flats = [list(itertools.chain.from_iterable(vecs)) for vecs in classes]
-    return _check_coloring(col, classes, flats)
+    coloring's own."""
+    return _check_coloring(col, col.classes if classes is None else classes)
 
 
 # -- PeriodicColoring --------------------------------------------------------
@@ -140,11 +139,11 @@ def test_coloring_validation_errors():
     assert "anchor" in refused(window_anchors=((0,),))
     assert "empty" in refused(classes=(((0,),), ()))
     assert "dimension" in refused(classes=(((0,),), ((1, 0),)))
-    # boxes are integer lattice indices: any other value is off the lattice
-    for off in (F(1, 2), F(1), 1.0):
-        assert "lattice" in refused(classes=(((0,),), ((off,),)))
-    assert "period" in refused(window_anchors=((0,), (2,)))
-    assert "period" in refused(window_anchors=((0,), (-1,)))
+    # boxes are int box-lattice indices: any other value is refused by type
+    for off in (F(1, 2), F(1), 1.0, True, "1", [1]):
+        assert "must be integers" in refused(classes=(((0,),), ((off,),)))
+    assert "[0, 2)" in refused(window_anchors=((0,), (2,)))
+    assert "[0, 2)" in refused(window_anchors=((0,), (-1,)))
 
 
 def test_partition_check_catches_double_and_missing_ownership():
@@ -370,19 +369,15 @@ def test_ownership_matches_the_cell_by_cell_loop(args):
 )
 def test_ownership_matches_the_loop_on_coloring_covers(m, d, n, unit):
     """Ownership matches the loop, and the certificate lists each owned
-    cell as its corner, the cell scaled by the unit."""
+    cell as its index vector, at any unit."""
     inst = CoverInstance(m=m, d=d, n=n)
     translates = random_cover_within_expectation(inst, seed=0)[0].translates
     expected = loop_ownership_classes(inst, translates)
     col = owned_coloring(inst, translates, unit)
     assert (col.classes, col.window_anchors) == expected
     cert = periodic_coloring_certificate(col, B2)
-
-    def corners(vec):
-        return [format_rational(c * unit) for c in vec]
-
-    assert cert["classes"] == [[corners(v) for v in vecs] for vecs in expected[0]]
-    assert cert["anchors"] == [corners(a) for a in expected[1]]
+    assert cert["classes"] == [[list(v) for v in vecs] for vecs in expected[0]]
+    assert cert["anchors"] == [list(a) for a in expected[1]]
 
 
 def test_ownership_drops_fully_shadowed_translates():
@@ -398,15 +393,16 @@ def test_ownership_rejects_uncovered_cells():
 
 
 def test_ownership_scales_cells_by_the_unit():
-    """Ownership works on cell indices; the certificate scales them by the
-    box size into corner strings."""
+    """Ownership works on cell indices, and the unit scales only the
+    period, window and box size: the certificate lists the indices."""
     col = owned_coloring(CoverInstance(m=2, d=1, n=1), [(0,), (1,)], F(3, 2))
     assert col.classes == (((0,),), ((1,),))
     assert col.window_anchors == ((0,), (1,))
     assert (col.period, col.window) == (3, F(3, 2))
     cert = periodic_coloring_certificate(col, HALF_PAIR)
-    assert cert["classes"] == [[["0"]], [["3/2"]]]
-    assert cert["anchors"] == [["0"], ["3/2"]]
+    assert cert["classes"] == [[[0]], [[1]]]
+    assert cert["anchors"] == [[0], [1]]
+    assert cert["box_size"] == "3/2"
 
 
 def assert_written_as_the_per_box_writer(col, space) -> None:
@@ -434,6 +430,50 @@ def test_writer_matches_the_per_box_writer_on_small_tori(args, unit, space):
     translates = translates + translates[:1] + torus_points(inst)  # shadowed
     col = owned_coloring(inst, translates, unit)
     assert_written_as_the_per_box_writer(col, space)
+
+
+def corner_certificate(cert: dict, corner) -> dict:
+    """cert with each box and anchor index i written as corner(i * box_size),
+    the form certificates took before they listed indices."""
+    box = parse_rational(cert["box_size"])
+
+    def corners(vec):
+        return [corner(i * box) for i in vec]
+
+    return {
+        **cert,
+        "classes": [[corners(v) for v in vecs] for vecs in cert["classes"]],
+        "anchors": [corners(a) for a in cert["anchors"]],
+    }
+
+
+def json_number(q: Fraction):
+    return q.numerator if q.denominator == 1 else float(q)
+
+
+@pytest.mark.parametrize(
+    "space, asymptotic, box, cells",
+    [(ZERO_TWO_FOUR, False, F(2), 3), (B2, True, F(1, 64), 191)],
+    ids=["0-2-4", "unit2-asymptotic"],
+)
+def test_certificates_list_box_indices_where_they_differ_from_corners(
+    space, asymptotic, box, cells
+):
+    """Box i is cornered at i * box_size. At box side 2 (the points 0, 2, 4
+    color Z_3) and 1/64 (the asymptotic unit 2-baton colors Z_191), the
+    certificate lists i, not the corner; the same certificate with its
+    corners, as "p/q" strings or as JSON numbers, reads invalid."""
+    col = avoidance_coloring(space, n=1, asymptotic=asymptotic)
+    assert (col.box_size, col.cells_per_axis) == (box, cells)
+    cert = periodic_coloring_certificate(col, space)
+    assert sorted(v for vecs in cert["classes"] for [v] in vecs) == list(range(cells))
+    assert cert["classes"] == [[list(v) for v in vecs] for vecs in col.classes]
+    assert cert["anchors"] == [list(a) for a in col.window_anchors]
+    assert validate_certificate(cert).ok
+    for corner in (format_rational, json_number):
+        report = validate_certificate(corner_certificate(cert, corner))
+        assert not report.ok
+        assert any(f.startswith("coloring: ") for f in report.failures), report
 
 
 # -- avoidance colorings ------------------------------------------------------
@@ -488,8 +528,7 @@ def test_asymptotic_default_margins_shrink_the_window():
 def test_a_common_factor_of_window_and_gap_becomes_the_box_size():
     """The points 0, 2, 4 have d = 4 and l = 2: the ratio 2/3 colors the
     torus Z_3 at box side 2, not Z_6 at box side 1."""
-    space = FiniteMetricSpace.from_points(PointSet(1, ((F(0),), (F(2),), (F(4),))))
-    col = avoidance_coloring(space, n=2)
+    col = avoidance_coloring(ZERO_TWO_FOUR, n=2)
     assert col.period == 6 and col.box_size == 2 and col.window == 4
     assert col.cells_per_axis == 3
     assert check_coloring(col) == []

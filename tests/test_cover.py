@@ -586,6 +586,20 @@ def test_exact_matches_the_rescan_oracle_field_by_field(instance):
     assert is_cover(inst, got.translates)
 
 
+def test_the_branch_and_bound_improves_on_the_tabu_incumbent():
+    """On (33, 2, 2) the tabu search ends at 289 translates. Within 10^5
+    nodes the branch and bound goes on to 288, still above the slice
+    bound 281, so the cover is not proved."""
+    inst = CoverInstance(33, 2, 2)
+    lower = slice_lower_bound(inst)
+    translates, masks = _coverage_table(inst)
+    start, _ = _incumbent(inst, masks, _coverers_of(inst, translates), lower, 10**5)
+    sol = exact_cover(inst, budget=10**5)
+    assert (len(start), sol.size, sol.lower_bound) == (289, 288, 281)
+    assert sol.budget_exhausted and not sol.optimal
+    assert is_cover(inst, sol.translates)
+
+
 def test_exact_cover_single_translate_instance():
     sol = exact_cover(CoverInstance(2, 2, 3))
     assert sol.size == 1 and sol.optimal and sol.translates == [(0, 0, 0)]

@@ -213,7 +213,7 @@ def test_periodic_coloring_rejections(certs):
     assert "classes" in failing(cert, stretch_period)
 
     def move_box(c):
-        c["classes"][0][0][0] = "1"
+        c["classes"][0][0][0] = 1
 
     assert "twice" in failing(cert, move_box)
 
@@ -226,21 +226,30 @@ def test_periodic_coloring_rejections(certs):
 # Verdicts on malformed and non-canonical coloring certificates, as
 # (id, path to the edited field, new value, expected). None means the
 # certificate still validates; a string is part of the reported failure.
+# Boxes and anchors are JSON integers: any other index, a rational string
+# that states an integer included, is refused by its type.
 BOX = ("classes", 1, 0, 0)
+NOT_INT = "box indices must be integers"
 COLORING_VERDICTS = [
-    ("json int coordinate", BOX, 1, None),
-    ("zero over five", ("classes", 0, 0, 0), "0/5", None),
-    ("leading zero", ("anchors", 1, 0), "01", None),
-    ("bool coordinate", BOX, True, "expected rational, got bool"),
+    ("json int coordinate", BOX, 1, None),  # the form the writer uses
+    ("zero over five", ("classes", 0, 0, 0), "0/5", NOT_INT),
+    ("leading zero", ("anchors", 1, 0), "01", NOT_INT),
+    ("corner string", BOX, "1", NOT_INT),
+    ("bool coordinate", BOX, True, NOT_INT),
     # True == 1 with the same hash: a bool read after the int 1 is still a bool
-    ("bool after int one", ("classes", 1), [[1], [True]], "expected rational, got bool"),
-    ("off the lattice", BOX, "1/2", "box lattice"),
-    ("past the period", BOX, "2", "[0, period)"),
+    ("bool after int one", ("classes", 1), [[1], [True]], NOT_INT),
+    ("off the lattice", BOX, "1/2", NOT_INT),
+    ("float coordinate", BOX, 1.5, NOT_INT),
+    ("integral float", BOX, 1.0, NOT_INT),
+    ("list coordinate", BOX, [1], NOT_INT),
+    ("past the period", BOX, 2, "box indices must lie in [0, 2)"),
+    ("negative index", ("anchors", 0, 0), -1, "box indices must lie in [0, 2)"),
     ("zero box", ("box_size",), "0", "need 0 < box_size"),
     ("negative box", ("box_size",), "-1", "need 0 < box_size"),
     ("classes not a list", ("classes",), 5, "classes must be a list"),
-    ("class is an int", ("classes", 0), 5, "malformed"),
-    ("vector is a string", ("classes", 0, 0), "0", "expected a coordinate list"),
+    ("class is an int", ("classes", 0), 5, "malformed: classes[0] must be a list"),
+    ("vector is a string", ("classes", 0, 0), "0", "classes[0] must be a list of index"),
+    ("anchor is a string", ("anchors", 1), "1", "anchors must be a list of index"),
     ("bool dim", ("dim",), True, "dim must be an integer"),
     ("huge dim", ("dim",), 10**6, "offset dimension mismatch"),
     ("float period", ("period",), 2.0, "expected rational"),
@@ -318,6 +327,11 @@ def literal_value(literal) -> Fraction:
         return Fraction(0)
 
 
+def index_value(c) -> int:
+    """The box index c states, or 0 for a value that is not an int."""
+    return c if type(c) is int else 0
+
+
 def mutate_coloring_certificate(rng: random.Random, cert: dict) -> None:
     """Apply one random edit of a box, a coordinate, a class or a field;
     earlier edits may have broken any of them."""
@@ -325,16 +339,16 @@ def mutate_coloring_certificate(rng: random.Random, cert: dict) -> None:
     if not isinstance(anchors, list):
         anchors = []
     box = literal_value(cert.get("box_size"))
-    period = literal_value(cert.get("period"))
+    cells = literal_value(cert.get("period")) / box if box else 0
     literals = [
-        lambda c: format_rational(literal_value(c) + box / 2),  # off the lattice
-        lambda c: format_rational(box * rng.randint(0, 3)),  # on it, maybe in range
+        lambda c: format_rational(index_value(c) * box),  # its corner string
+        lambda c: rng.randint(0, 3),  # maybe in range
         lambda c: rng.choice([True, False]),
         lambda c: [c],
-        lambda c: format_rational(-box * rng.randint(1, 2)),
-        lambda c: format_rational(period + box * rng.randint(0, 1)),
-        lambda c: int(literal_value(c)),  # a JSON number
-        lambda c: rng.choice(["x", "1/0", None, 1.5, {}]),
+        lambda c: -rng.randint(1, 2),
+        lambda c: int(cells) + rng.randint(0, 1),  # at or past the end
+        lambda c: index_value(c) + rng.choice([0.0, 0.5]),  # a JSON float
+        lambda c: rng.choice(["x", "1/0", "0/5", "01", None, 1.5, {}]),
     ]
     lists = [i for i, vecs in enumerate(classes) if isinstance(vecs, list)]
     boxes = [(i, j) for i in lists for j, vec in enumerate(classes[i])]
@@ -350,7 +364,7 @@ def mutate_coloring_certificate(rng: random.Random, cert: dict) -> None:
         if vec and rng.random() < 0.5:
             vec.pop()
         else:
-            vec.append("0")
+            vec.append(0)
     elif edit == 2 and boxes and lists:  # doubled
         i, j = rng.choice(boxes)
         classes[rng.choice(lists)].append(copy.deepcopy(classes[i][j]))
