@@ -16,18 +16,17 @@ would complete a monochromatic edge; each coloring updates one mask and
 an explicit stack undoes it. How a coloring blocks depends on the edge
 size: a 2-point edge blocks the partner, a 3-point edge the third point
 of a table keyed by the pair, and larger edges are counted in
-bit-sliced per-color counters over the edge index.
+per-color `bits` counters over the edge index, as is the saturation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
 from itertools import chain, repeat
-from operator import or_
 from typing import NamedTuple
 
+from .bits import bit_rows, count_down, count_up, nonzero, planes_of
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
 from .rational import ceil_div
@@ -72,36 +71,6 @@ class ColoringCertificate(NamedTuple):
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _bit_rows(columns: list, count: int) -> list[int]:
-    """count masks over len(columns) bits, mask i having bit j set when i
-    is in columns[j], built through byte arrays rather than one big-int
-    OR per bit."""
-    rows = [bytearray((len(columns) + 7) >> 3) for _ in range(count)]
-    for j, column in enumerate(columns):
-        byte, flag = j >> 3, 1 << (j & 7)
-        for i in column:
-            rows[i][byte] |= flag
-    return [int.from_bytes(row, "little") for row in rows]
-
-
-def _count_up(slices: list[int], mask: int) -> None:
-    """Add one to the bit-sliced counters at the bits of mask."""
-    for i, level in enumerate(slices):
-        slices[i] = level ^ mask
-        mask &= level
-        if not mask:
-            return
-
-
-def _count_down(slices: list[int], mask: int) -> None:
-    """Subtract one from the bit-sliced counters at the bits of mask."""
-    for i, level in enumerate(slices):
-        slices[i] = level ^ mask
-        mask &= ~level
-        if not mask:
-            return
 
 
 def _greedy_clique(partners: list[int], position: list[int]) -> int:
@@ -173,15 +142,12 @@ def exact_chromatic(
     for a, b in map(divmod, thirds, repeat(n)):
         shared[a].append(b)
         shared[b].append(a)
-    pair_nb = _bit_rows(shared, n)
+    pair_nb = bit_rows(shared, n)
     # Larger edges are counted over their index: per color, bit-sliced
     # counters of the points each edge still needs in that color before it
     # blocks its last one, size - 1 at the start.
-    incident = _bit_rows(larger, n)
-    sizes = set(map(len, larger))
-    depth = (max(sizes, default=1) - 1).bit_length()
-    ones = {s: [i for i in range(depth) if s - 1 >> i & 1] for s in sizes}
-    need_start = _bit_rows([ones[len(e)] for e in larger], depth)
+    incident = bit_rows(larger, n)
+    need_start = planes_of([len(e) - 1 for e in larger])
 
     clique = _greedy_clique(partners, position)
     # The first of equal bounds names the witness: clique, then edge.
@@ -208,7 +174,6 @@ def exact_chromatic(
         uncolored = (1 << n) - 1
         used = 0  # colors 0..used-1 are in use
         stack: list[tuple[int, int, int, int]] = []  # p, c, used, blocked[c]
-        width = limit.bit_length()
         p = -1
         while True:
             if p < 0:
@@ -217,9 +182,9 @@ def exact_chromatic(
                 # The most saturated positions: count each position's
                 # blocked colors in bit slices, then keep the uncolored
                 # ones with the top count.
-                levels = [0] * width
+                levels: list[int] = []
                 for mask in blocked[:used]:
-                    _count_up(levels, mask)
+                    count_up(levels, mask)
                 top = uncolored
                 for level in reversed(levels):
                     if top & level:
@@ -243,7 +208,7 @@ def exact_chromatic(
                 members[c] ^= bit
                 uncolored |= bit
                 if incident[p]:
-                    _count_up(needs[c], incident[p])
+                    count_up(needs[c], incident[p])
                 c += 1
                 continue
             stack.append((p, c, used, blocked[c]))
@@ -262,10 +227,10 @@ def exact_chromatic(
                 near ^= bits[q]
             if incident[p]:
                 need = needs[c]
-                _count_down(need, incident[p])
+                count_down(need, incident[p])
                 # Edges through p that need no more of color c block the
                 # one point not of that color; all their points go in.
-                done = incident[p] & ~reduce(or_, need)
+                done = incident[p] & ~nonzero(need)
                 while done:
                     j = done.bit_length() - 1
                     for r in larger[j]:

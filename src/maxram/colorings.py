@@ -24,11 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .bits import mask_cells
 from .cover import (
     CoverInstance,
     IntVec,
     cover_mask,
-    mask_cells,
     random_cover_within_expectation,
     torus_point,
     torus_points,

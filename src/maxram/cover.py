@@ -11,7 +11,8 @@ whose expected leftover count is below (m/d)^n, and minimum covers
 solved from both sides. Below, the slice
 bound; above, a seeded tabu search from the greedy cover, then a branch
 and bound with a node budget. The solve ends as soon as the two meet.
-Each construction reports the slice bound as its lower bound.
+Each construction reports the slice bound as its lower bound. Cover
+counts per point are `bits` counters.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .bits import count_down, count_up, exactly_one, mask_cells, nonzero
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .rational import ceil_div, floor_times_log
 
@@ -123,28 +125,6 @@ def torus_point(inst: CoverInstance, index: int) -> IntVec:
     return tuple(index // m ** (n - 1 - j) % m for j in range(n))
 
 
-# '0' -> 0 and '1' -> 1: a mask's binary digits as compress selectors.
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-
-
-def mask_cells(mask: int, cells):
-    """The cells whose bits are set in mask, in index order; cells lists
-    the torus cells in index order, such as torus_points(inst), or is
-    range(point_count) for the indices. A sparse mask, fewer than one
-    set bit in 16 up to its highest, is walked one set bit at a time by
-    str.find on its reversed binary digits; a denser one's digits become
-    a 0/1 byte string that itertools.compress walks in C."""
-    digits = format(mask, "b")[::-1]
-    if mask.bit_count() * 16 < len(digits):
-        found = []
-        index = digits.find("1")
-        while index >= 0:
-            found.append(cells[index])
-            index = digits.find("1", index + 1)
-        return found
-    return list(itertools.compress(cells, digits.encode().translate(_SELECTORS)))
-
-
 def _repeated(block: int, period: int, count: int) -> int:
     """count copies of block, period bits apart, by doubling."""
     result, width = 0, period
@@ -219,44 +199,13 @@ def is_cover(inst: CoverInstance, translates) -> bool:
     return acc == full
 
 
-def _add_mask(planes: list[int], mask: int) -> None:
-    """Add one to the cover count of every point of mask. The counts are
-    bit-sliced: bit p of planes[j] is bit j of point p's count."""
-    carry = mask
-    for j, plane in enumerate(planes):
-        planes[j] = plane ^ carry
-        carry &= plane
-        if not carry:
-            return
-    planes.append(carry)
-
-
-def _remove_mask(planes: list[int], mask: int) -> None:
-    """Subtract one from the cover count of every point of mask; each of
-    those counts must be positive."""
-    borrow = mask
-    for j, plane in enumerate(planes):
-        planes[j] = plane ^ borrow
-        borrow &= ~plane
-        if not borrow:
-            return
-
-
-def _covered_once(planes: list[int]) -> int:
-    """The points whose cover count is exactly one."""
-    more = 0
-    for plane in planes[1:]:
-        more |= plane
-    return planes[0] & ~more if planes else 0
-
-
 def redundant_translate(inst: CoverInstance, translates) -> int | None:
     """The index of the first translate that covers no point alone, so
     that the others cover what the list covers; None if there is none."""
     planes: list[int] = []
     for v in translates:
-        _add_mask(planes, cover_mask(inst, tuple(v)))
-    once = _covered_once(planes)
+        count_up(planes, cover_mask(inst, tuple(v)))
+    once = exactly_one(planes)
     for i, v in enumerate(translates):
         if not cover_mask(inst, tuple(v)) & once:
             return i
@@ -389,19 +338,19 @@ def _incumbent(
     planes: list[int] = []
 
     def drop(positions) -> int:
-        once = _covered_once(planes)
+        once = exactly_one(planes)
         losses = [(masks[held[i]] & once).bit_count() for i in positions]
         fewest = min(losses)
         i = rng.choice([i for i, loss in zip(positions, losses) if loss == fewest])
         removed = held.pop(i)
-        _remove_mask(planes, masks[removed])
+        count_down(planes, masks[removed])
         return removed
 
     def restart() -> None:
         held[:] = best
         planes.clear()
         for t in held:
-            _add_mask(planes, masks[t])
+            count_up(planes, masks[t])
         drop(range(len(held)))
 
     restart()
@@ -409,10 +358,7 @@ def _incumbent(
     moves = 0
     while moves < min(_SEARCH_MOVES, budget):
         moves += 1
-        covered = 0
-        for plane in planes:
-            covered |= plane
-        uncovered = full & ~covered
+        uncovered = full & ~nonzero(planes)
         if not uncovered:
             best = list(held)
             if len(best) == lower:
@@ -435,7 +381,7 @@ def _incumbent(
         most = max(gains)
         added = rng.choice([a for a, gain in zip(options, gains) if gain == most])
         held.append(added)
-        _add_mask(planes, masks[added])
+        count_up(planes, masks[added])
         positions = range(len(held) - 1)
         removed = drop(
             [i for i in positions if frozen_until.get(held[i], 0) < moves] or positions

@@ -212,7 +212,7 @@ def periodic_coloring_certificate(
     box_size), JSON integers in [0, cells_per_axis), one per axis. The
     torus cells are built once as index lists, and each class is its
     owned mask expanded over them."""
-    from .cover import mask_cells
+    from .bits import mask_cells
 
     # Lists, not tuples, so that the certificate equals the one read back.
     axis = range(coloring.cells_per_axis)

@@ -15,6 +15,7 @@ from cover_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maxram.bits import mask_cells
 from maxram.cover import (
     CoverInstance,
     CoverSolution,
@@ -27,7 +28,6 @@ from maxram.cover import (
     exact_cover,
     greedy_cover,
     is_cover,
-    mask_cells,
     random_cover_within_expectation,
     random_translates_cover,
     redundant_translate,

@@ -92,8 +92,14 @@ def test_exact_cover_loads_no_module_it_does_not_run(tmp_path):
     argv = ["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
             "-o", str(tmp_path / "cover.json")]
     script = f"from maxram.cli import main\nassert main({argv!r}) == 0\n"
-    modules = ("cli", "errors", "cover", "rational", "io")
+    modules = ("cli", "errors", "bits", "cover", "rational", "io")
     assert loaded_after(script) == {"maxram", *(f"maxram.{m}" for m in modules)}
+
+
+def test_the_counter_module_loads_no_other_package_module():
+    """chromatic and cover share bits, so bits imports neither of them,
+    nor anything that would load the cover code into chi."""
+    assert loaded_after("import maxram.bits") == {"maxram", "maxram.bits"}
 
 
 def test_chi_loads_no_coloring_cover_anchor_or_validator_module():

@@ -10,7 +10,8 @@ import pytest
 import maxram.validate
 from maxram.chromatic import grid_chromatic
 from maxram.colorings import PeriodicColoring, avoidance_coloring
-from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover
+from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover, is_cover
+from maxram.cover import slice_lower_bound
 from maxram.cover import random_translates_cover
 from maxram.io import (
     chromatic_certificate,
@@ -532,6 +533,24 @@ def test_underclaiming_optimality_is_rejected_on_small_instances():
     assert "disagrees" in report.failures[0]
 
 
+def test_every_torus_of_at_most_30_points_has_a_cover_of_the_slice_bound():
+    """Why an optimal claim above the slice bound is refuted up to 30
+    points: on each torus Z_m^n with m^n <= 30 (m = 1 only at n = 1) and
+    every 1 <= d <= m, the exact solve finds a cover of that size."""
+    tori = [
+        CoverInstance(m, d, n)
+        for m in range(1, 31)
+        for n in range(1, 5)
+        if m**n <= 30 and (m >= 2 or n == 1)
+        for d in range(1, m + 1)
+    ]
+    assert len(tori) == 486
+    for inst in tori:
+        sol = exact_cover(inst)
+        assert sol.size == slice_lower_bound(inst), (inst.m, inst.d, inst.n)
+        assert is_cover(inst, sol.translates)
+
+
 def test_an_optimal_claim_above_the_slice_bound_is_resolved_or_refuted():
     """(3,2,4) has 81 points, past the re-solve limit, and a minimum of 8.
     The seed-1 random cover padded to 16 translates and claimed optimal
@@ -548,9 +567,9 @@ def test_an_optimal_claim_above_the_slice_bound_is_resolved_or_refuted():
     assert report.failures[0].startswith("optimal: translates[")
     assert report.failures[0].endswith("] is redundant")
 
-    small = CoverInstance(3, 2, 3)  # 27 points: re-solved
+    small = CoverInstance(3, 2, 3)  # 27 points: held to the slice bound
     sol = exact_cover(small)
     sol.translates.append((0, 0, 0))
     sol.size = sol.lower_bound = 6
     report = validate_certificate(torus_cover_certificate(small, sol))
-    assert report.failures == ("optimal: disagrees with an independent solve",)
+    assert report.failures == ("optimal: disagrees with the slice bound",)
