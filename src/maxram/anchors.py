@@ -47,6 +47,10 @@ MAX_COMBINATIONS = 10**5
 MAX_M = 2**22
 
 
+class TooManyValues(PreconditionError):
+    """An m past the cap max_m, refused before any value is built; .m is m."""
+
+
 def check_combination_count(steps) -> None:
     """Raise PreconditionError when the combination enumeration of the
     steps would visit more than MAX_COMBINATIONS coefficient tuples."""
@@ -172,7 +176,7 @@ def anchor_sequence_at(
     approximation bound; then m = sum(p), each combination gamma anchors
     at index round(q*gamma), and the values below an anchor interpolate
     up to it in increments of delta/(2m). With max_m given, an m above it
-    is refused before any of the m + 1 values is built. Raises
+    is refused (TooManyValues) before any of its values is built. Raises
     PreconditionError saying which condition q fails. The result is not
     verified.
     """
@@ -195,9 +199,11 @@ def _sequence_at(baton: Baton, params, q: int, max_m: int | None) -> AnchorSeque
             )
     m = sum(p)
     if max_m is not None and m > max_m:
-        raise PreconditionError(
+        refusal = TooManyValues(
             f"at q = {q} the half-up numerators give m = {m}, above {max_m}"
         )
+        refusal.m = m
+        raise refusal
     if fast:
         num, den = tuple(range(m + 1)), 1
     else:

@@ -5,8 +5,8 @@ x^0..x^k with max-norm distance |s-t| between x^s and x^t. The extractor
 below is the constructive induction behind that fact, run as a loop: a
 head-shift map pushes mass toward larger last coordinates, a class above
 the counting threshold goes on with one axis fewer, and preimages are
-pulled back. General gap patterns reduce to the unit case through anchor
-value sets on each axis.
+pulled back. One integer core serves both entries: the anchor entry maps
+values to indices first, so general gap patterns reduce to the unit case.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class GridSubset:
 
     def __len__(self) -> int:
         return len(self.elems)
-
-    def to_point_set(self) -> PointSet:
-        pts = tuple(tuple(Fraction(c) for c in e) for e in sorted(self.elems))
-        return PointSet(self.n, pts)
 
 
 def _shifted(x: IntVec, fiber: set[int], k: int) -> IntVec:
@@ -115,11 +111,11 @@ def _extract(elems, n: int, k: int) -> list[IntVec]:
 
 def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
     """Extract a unit-gap baton copy from a grid subset with > k^n points:
-    the general extractor on the anchor grid 0..k, every index marked."""
+    the core on the subset's own integers, checked over its k + 1 points."""
     n, k = subset.n, subset.k
-    _require_dense(len(subset), k, n)  # before k + 1 anchors: k may be huge
-    unit = AnchorSet(range(k + 1), range(k + 1))
-    return extract_general_baton(subset.to_point_set(), Baton.unit(k), unit)
+    _require_dense(len(subset), k, n)  # before the k steps: k may be huge
+    chain = PointSet(n, _extract(subset.elems, n, k))
+    return CopyEmbedding(Baton.unit(k).as_metric_space(), chain, range(k + 1))
 
 
 class AnchorSet(NamedTuple):

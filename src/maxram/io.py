@@ -1,8 +1,9 @@
 """JSON artifacts: exact serialization, parsing, and certificate formats.
 
-Rationals travel as "p" or "p/q" strings so artifacts stay exact, and
-every dump is compact canonical JSON (sorted keys, no whitespace between
-tokens, trailing newline) so identical inputs give byte-identical files.
+Rationals travel as "p" or "p/q" strings, or as JSON integers over one
+stated scale, so artifacts stay exact. Every dump is compact canonical
+JSON (sorted keys, no whitespace between tokens, trailing newline), so
+identical inputs give byte-identical files.
 Certificates carry only fields a validator can recheck; advisory data
 such as warnings or search statistics stays out of them.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
@@ -32,11 +32,11 @@ def vec_to_obj(vec) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def vec_from_obj(items, parse=parse_rational) -> Vec:
-    """The coordinate list items, each literal read by parse."""
+def vec_from_obj(items) -> Vec:
+    """The coordinate list items, each a rational literal."""
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(map(parse, items))
+    return tuple(map(parse_rational, items))
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -175,20 +175,10 @@ def copy_list_certificate(space: FiniteMetricSpace, embeddings) -> dict:
     }
 
 
-def _ratio_literals(nums, den: int) -> list[str]:
-    """format_rational(Fraction(n, den)) for each n, den >= 1: one gcd
-    per value and no Fraction."""
-    literals = []
-    for n in nums:
-        g = math.gcd(n, den)
-        literals.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-    return literals
-
-
 def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
-    """build_anchor_sequence returns only sequences that pass every clause
-    of verify_anchor_sequence, so each is recorded as passed; the
-    validator recomputes them all."""
+    """The values go out as held, integer numerators a over one den. Only
+    sequences that pass every clause of verify_anchor_sequence are built,
+    so each is recorded as passed; the validator recomputes them all."""
     from .anchors import VerificationReport
 
     return {
@@ -200,7 +190,8 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
         "q0": seq.q0,
         "delta": format_rational(seq.delta),
         "theta": format_rational(seq.theta),
-        "a": _ratio_literals(seq.num, seq.den),
+        "a": list(seq.num),
+        "den": seq.den,
         "verification": dict.fromkeys(VerificationReport._fields, True),
     }
 

@@ -5,8 +5,9 @@ claims from its own stated inputs and compares field by field. A policy
 trusts nothing it can recompute: a stated copy is checked pair by pair by
 CopyEmbedding, a chromatic coloring one color class at a time (it is
 proper when no class holds a copy), anchor sequences are rebuilt from
-their witness, coverings are held to the slice bound, which every torus
-of at most 30 points meets. Failures name the offending field or pair.
+their witness and their integer numerators compared cross-multiplied,
+coverings are held to the slice bound, which every torus of at most 30
+points meets. Failures name the offending field or pair.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import chain, repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .anchors import anchor_sequence_at, check_combination_count, verify_anchor_sequence
+from .anchors import TooManyValues, anchor_sequence_at, check_combination_count
+from .anchors import verify_anchor_sequence
 from .chromatic import copy_hypergraph, exact_chromatic
 from .colorings import PeriodicColoring
 from .cover import CoverInstance, is_cover, redundant_translate, slice_lower_bound
@@ -25,7 +27,7 @@ from .io import _bool_field, _int_field, _int_value, _list_field
 from .io import metric_space_from_obj, read_json, vec_from_obj
 from .metric import Baton, CopyEmbedding, PointSet, find_copies, grid_points
 from .metric import connectivity_threshold, diameter
-from .rational import parse_ratio, parse_rational
+from .rational import parse_rational
 
 # Node budget of the independent chromatic solve behind `optimal` claims;
 # a solve that runs out of it leaves the claim unchecked.
@@ -76,14 +78,15 @@ def _check_copy_list(obj) -> list[str]:
 
 
 def _check_anchor_sequence(obj) -> list[str]:
-    """Rebuild the sequence at the stated q and compare field by field."""
+    """Rebuild the sequence at the stated q and compare field by field;
+    a[l]/den, over any common den >= 1, is compared cross-multiplied."""
     failures: list[str] = []
-    baton = Baton(steps=vec_from_obj(obj["steps"]))
-    if baton.k < 1:
-        raise ParseError("steps must be non-empty")
     try:
+        baton = Baton(steps=vec_from_obj(obj["steps"]))
+        if baton.k < 1:
+            raise ParseError("must be non-empty")
         check_combination_count(baton.steps)
-    except PreconditionError as exc:
+    except ValueError as exc:  # also an int too long to print in the message
         return [f"steps: {exc}"]
     q = _int_field(obj, "q")
     stated = {
@@ -93,29 +96,32 @@ def _check_anchor_sequence(obj) -> list[str]:
         "delta": parse_rational(obj["delta"]),
         "theta": parse_rational(obj["theta"]),
     }
-    values = vec_from_obj(obj["a"], parse_ratio)
+    a = _list_field(obj, "a")
+    if not {*map(type, a)} <= {int}:
+        return ["a: numerators must be integers"]
+    if type(den := obj["den"]) is not int or den < 1:
+        return ["den: must be an integer of at least 1"]
     try:
         # The stated values bound the rebuild: a q whose numerators sum
         # past them is refused before its m + 1 values are built.
-        seq = anchor_sequence_at(baton, q, max_m=len(values) - 1)
-    except PreconditionError as exc:
+        seq = anchor_sequence_at(baton, q, max_m=len(a) - 1)
+    except ValueError as exc:  # also an int too long to print in the message
+        if isinstance(exc, TooManyValues) and exc.m == stated["m"]:  # a falls short
+            return [f"a: {len(a)} values stated, the rebuild at q = {q} has {exc.m + 1}"]
         return [f"q: {exc}"]
     where = "on the fast path" if seq.q0 == 0 else f"at q = {q}"
     for name, value in stated.items():
         if value != getattr(seq, name):
             failures.append(f"{name}: rebuild {where} differs")
-    # Each stated value, an unreduced pair, against num/den, cross-multiplied.
-    den = seq.den
-    if len(values) != len(seq.num) or any(
-        sn * den != n * sd for (sn, sd), n in zip(values, seq.num)
-    ):
+    if list(map(mul, a, repeat(seq.den))) != list(map(mul, seq.num, repeat(den))):
         failures.append(f"a: rebuild {where} differs")
     if failures:
         return failures
     report = verify_anchor_sequence(seq, baton)
     expected = {name: bool(result) for name, result in report._asdict().items()}
-    stored = obj["verification"]
-    if not isinstance(stored, dict) or stored != expected:
+    stored = obj["verification"]  # each a bool: 1 and 1.0 equal True
+    types = isinstance(stored, dict) and {*map(type, stored.values())}
+    if types != {bool} or stored != expected:
         failures.append("verification: recomputed clause results differ")
     return failures
 

@@ -74,7 +74,8 @@ def cells(k: int, n: int) -> list[tuple[int, ...]]:
 @criterion(1, "unit-extraction-exhaustive-small-grid")
 def test_c01_every_dense_plane_subset_yields_a_copy():
     """All 126 five-point subsets of {0..2}^2 produce a two-step unit
-    baton copy, and every copy reappears in the full copy enumeration."""
+    baton copy, and every copy reappears in the full copy enumeration
+    over the subset's own point set."""
     k, n = 2, 2
     started = time.perf_counter()
     baton_space = Baton.unit(k).as_metric_space()
@@ -82,8 +83,12 @@ def test_c01_every_dense_plane_subset_yields_a_copy():
     for combo in itertools.combinations(cells(k, n), k**n + 1):
         subset = GridSubset(n=n, k=k, elems=frozenset(combo))
         emb = extract_unit_baton(subset)
-        enumerated = set(find_copies(baton_space, emb.points))
-        assert emb.indices in enumerated, combo
+        points = PointSet(n, combo)
+        enumerated = {
+            tuple(points.points[i] for i in indices)
+            for indices in find_copies(baton_space, points)
+        }
+        assert emb.mapped_points() in enumerated, combo
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 126

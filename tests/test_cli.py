@@ -22,6 +22,7 @@ from maxram.colorings import avoidance_coloring
 from maxram.cover import MAX_TABLE_POINTS, MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 from maxram.metric import MAX_GRID_POINTS, Baton, grid_points
+from maxram.rational import format_rational
 from maxram.validate import validate_certificate
 
 F = Fraction
@@ -438,7 +439,7 @@ def seeded_dense_subset(seed: int) -> dict:
     "argv, code, digest",
     [
         (["anchors", "--steps", "1,1/2,1/3", "--faithful"], 0,
-         "08e27b7358a372f31baad7dd73b9f4e6774572e39449f5d55d9a74f8e931bf60"),
+         "69c05879df99d8cc79a4ba674933e629fc59c2659e64d0316838aefaf9beae6d"),
         (["extract", "--subset", "{subset}", "--k", "3"], 0,
          "c9c6a72ffd9f290c0bb610bafede6f022902e79c8246cdde2c9c554242401db5"),
         (["cover", "--m", "3", "--d", "2", "--n", "3", "--exact"], 0,
@@ -678,6 +679,41 @@ def test_validate_refuses_an_anchor_q_past_the_stated_values(tmp_path, capsys, q
     out = validate_edited(tmp_path, capsys, argv, {"q": q})
     assert out.startswith("invalid: anchor_sequence\n")
     assert f"  q: at q = {q} the half-up numerators give m = {5 * q // 2}" in out
+
+
+@pytest.mark.parametrize(
+    "steps, q, p",
+    [("1,1/2,1/3", 1338, [1338, 669, 446]), ("1,3/2", 28, [28, 42]),
+     ("1,3/2", 10**40, [10**40, 15 * 10**39])],
+)
+def test_validate_names_a_value_list_shorter_than_the_rebuild(
+    tmp_path, capsys, steps, q, p
+):
+    """With the stated m rebuilt at q, the short value list is what fails,
+    named with both counts. At q = 10^40 the refusal comes before any of
+    the 2.5 * 10^40 + 1 values is built."""
+    argv = ["anchors", "--steps", steps, "--faithful"]
+    out = validate_edited(tmp_path, capsys, argv, {"q": q, "p": p, "m": sum(p), "a": []})
+    assert out == (
+        "invalid: anchor_sequence\n"
+        f"  a: 0 values stated, the rebuild at q = {q} has {sum(p) + 1}\n"
+    )
+
+
+def test_validate_refuses_anchor_values_as_rational_strings(tmp_path, capsys):
+    """The anchors certificate states integer numerators a over den; the
+    same values as reduced "p/q" strings, with no den, read invalid."""
+    path = tmp_path / "anchors.json"
+    assert main(["anchors", "--steps", "1,1/2,1/3", "--faithful", "-o", str(path)]) == 0
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("ok: anchor_sequence\n")
+    obj = read_json(path)
+    den = obj.pop("den")
+    obj["a"] = [format_rational(Fraction(n, den)) for n in obj["a"]]
+    path.write_text(dump_json(obj))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "invalid: anchor_sequence\n  a: numerators must be integers\n"
 
 
 def test_validate_refuses_steps_with_too_many_combinations(tmp_path, capsys):

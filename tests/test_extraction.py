@@ -19,6 +19,7 @@ from maxram.extraction import (
 )
 from maxram.metric import Baton, PointSet
 from metric_oracles import chebyshev_distance
+from test_cli import seeded_dense_subset
 
 F = Fraction
 
@@ -41,11 +42,6 @@ def test_grid_subset_validation():
         GridSubset(1, 1, frozenset({(2,)}))
     with pytest.raises(PreconditionError):
         GridSubset(0, 1, frozenset())
-
-
-def test_grid_subset_to_point_set_is_sorted():
-    s = GridSubset(1, 2, frozenset({(2,), (0,)}))
-    assert s.to_point_set().points == ((F(0),), (F(2),))
 
 
 # -- the head-shift map -----------------------------------------------------
@@ -119,6 +115,36 @@ def test_extraction_on_a_set_with_no_full_fiber():
 @settings(max_examples=80, deadline=None)
 def test_extraction_on_random_dense_subsets(seed, n, k):
     check_unit_chain(dense_subset(random.Random(seed), n, k))
+
+
+def anchor_route(subset: GridSubset) -> tuple:
+    """The unit copy through the anchor entry: the subset as Fraction
+    points, every grid value its own marked anchor."""
+    points = PointSet(subset.n, tuple(sorted(subset.elems)))
+    grid = range(subset.k + 1)
+    emb = extract_general_baton(points, Baton.unit(subset.k), AnchorSet(grid, grid))
+    return emb.mapped_points()
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), st.integers(0, 10**6)
+)
+@settings(max_examples=120, deadline=None)
+def test_unit_extraction_matches_the_anchor_route(k, n, seed, extra):
+    """Any dense subset of {0..k}^n, from k^n + 1 points to the full grid."""
+    universe = list(itertools.product(range(k + 1), repeat=n))
+    size = k**n + 1 + extra % ((k + 1) ** n - k**n)
+    subset = GridSubset(n, k, frozenset(random.Random(seed).sample(universe, size)))
+    assert extract_unit_baton(subset).mapped_points() == anchor_route(subset)
+
+
+def test_unit_extraction_matches_the_anchor_route_on_seeded_subsets():
+    """The 244-point subsets of {0..3}^5 that the CLI tests and the
+    benchmark's extract command draw, seeds 1 to 29."""
+    for seed in range(1, 30):
+        obj = seeded_dense_subset(seed)
+        subset = GridSubset(obj["n"], obj["k"], frozenset(map(tuple, obj["elements"])))
+        assert extract_unit_baton(subset).mapped_points() == anchor_route(subset), seed
 
 
 # -- AnchorSet -------------------------------------------------------------

@@ -175,6 +175,7 @@ def test_certificates_carry_only_checkable_fields():
         "delta",
         "theta",
         "a",
+        "den",
         "verification",
     }
     # advisory output (warnings, witnesses, budget flags) must stay out

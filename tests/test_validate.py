@@ -3,9 +3,14 @@
 import copy
 import itertools
 import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import maxram.validate
 from maxram.chromatic import grid_chromatic
@@ -13,8 +18,10 @@ from maxram.colorings import PeriodicColoring, avoidance_coloring
 from maxram.cover import MAX_TORUS_POINTS, CoverInstance, exact_cover, is_cover
 from maxram.cover import slice_lower_bound
 from maxram.cover import random_translates_cover
+from maxram.cli import main
 from maxram.io import (
     chromatic_certificate,
+    dump_json,
     periodic_coloring_certificate,
     torus_cover_certificate,
     write_json,
@@ -143,7 +150,7 @@ def test_anchor_sequence_rejections(certs):
     assert "q: must exceed" in failing(cert, lambda c: c.update(q=26, q0=26))
 
     def bump_a(c):
-        c["a"][1] = "1"
+        c["a"][1] += 1
 
     assert "a: rebuild" in failing(cert, bump_a)
 
@@ -159,29 +166,52 @@ def test_anchor_sequence_rejections(certs):
     assert "p" in failing(cert, wrong_p)
 
 
+# The failure each anchor value field gives when it is not what the
+# writer states: integer numerators a over one integer denominator den >= 1.
+VALUE_FAILURES = {
+    "a": "a: numerators must be integers",
+    "den": "den: must be an integer of at least 1",
+}
+
+
 @pytest.mark.parametrize(
-    "literal, failure",
+    "field, value",
     [
-        ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
-        ("1e3", "bad rational literal '1e3': invalid literal for int() with base 10: '1e3'"),
-        (1.5, "expected rational, got 1.5"),
-        (True, "expected rational, got bool True"),
-        ("1/2/3", "expected rational, got '1/2/3'"),
+        ("a", "257/280"),  # the rational string form of the same value
+        ("a", "257"),
+        ("a", "1/0"),
+        ("a", "1e3"),
+        ("a", "1/2/3"),
+        ("a", 1.5),
+        ("a", 257.0),
+        ("a", True),
+        ("a", [257]),
+        ("a", None),
+        ("den", 0),
+        ("den", -280),
+        ("den", 280.0),
+        ("den", "280"),
+        ("den", True),
+        ("den", [280]),
     ],
 )
-def test_anchor_value_literals_are_refused_by_name(certs, literal, failure):
+def test_anchor_value_literals_are_refused_by_name(certs, field, value):
     def replace(c):
-        c["a"][5] = literal
+        if field == "a":
+            c["a"][5] = value
+        else:
+            c["den"] = value
 
-    assert failing(certs["anchor_sequence"], replace) == f"malformed: {failure}"
+    assert failing(certs["anchor_sequence"], replace) == VALUE_FAILURES[field]
 
 
 def test_anchor_values_need_not_be_reduced(certs):
-    """The stated values are compared as pairs: 514/560 and -129/-140
-    stand for the rebuilt 257/280 and 129/140."""
+    """Any common denominator is accepted: the numerators and den are
+    compared cross-multiplied, so a common factor of 3 changes nothing."""
     cert = copy.deepcopy(certs["anchor_sequence"])
-    assert cert["a"][5:7] == ["257/280", "129/140"]
-    cert["a"][5:7] = ["514/560", "-129/-140"]
+    assert (cert["a"][5:7], cert["den"]) == ([257, 258], 280)
+    cert["a"] = [3 * n for n in cert["a"]]
+    cert["den"] *= 3
     assert validate_certificate(cert).ok
 
 
@@ -197,10 +227,110 @@ def test_anchor_fast_path_rejections(certs):
     assert validate_certificate(cert).ok
     assert "q0" in failing(cert, lambda c: c.update(q0=1))
 
-    def break_a(c):
-        c["a"][2] = "3/2"
+    assert cert["den"] == 1
 
-    assert "fast path" in failing(cert, break_a)
+    def break_a(c):
+        c["a"][2] = 3
+
+    assert "a: rebuild on the fast path differs" in failing(cert, break_a)
+
+
+# -- malformed anchor sequences, fuzzed -------------------------------------
+
+# An int past the int string-conversion limit of 4,300 digits. json cannot
+# write it, so a file states it by its digits in place of a marker string.
+HUGE, HUGE_TEXT = 10**4400 - 1, "9" * 4400
+HUGE_MARK = "@huge@"
+FIELD_LABEL = re.compile(
+    r"(a|den|p|m|q|q0|delta|theta|steps|verification|malformed): \S"
+)
+junk = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), min_size=1, max_size=2),
+    st.sampled_from(["257/280", "1/2", "1/0", "1e3", "0x1"]),  # "p/q" among them
+    st.text(alphabet="xy/.- e", max_size=4),  # no digit: never a rational
+    st.just(HUGE_MARK),
+)
+ANCHOR_MUTATIONS = {
+    "a": ("whole", "entry", "short", "long"),
+    "p": ("whole", "entry", "short", "long"),
+    "steps": ("whole", "entry", "short", "long"),
+    "verification": ("whole", "entry", "short", "long"),
+    "q": ("whole",),
+    "den": ("whole", "missing"),
+}
+
+
+def mutate_anchor_field(cert, field, how, value, index) -> None:
+    """Replace the field, or one entry of it, by value; delete it; or
+    make it one entry short or long."""
+    if how == "missing":
+        del cert[field]
+    elif how == "whole":
+        cert[field] = value
+    else:
+        target = cert[field]
+        keys = list(target) if isinstance(target, dict) else range(len(target))
+        key = keys[index % len(keys)]
+        if how == "entry":
+            target[key] = value
+        elif how == "short":
+            del target[key]
+        elif isinstance(target, dict):
+            target["extra"] = True
+        else:
+            target.append(target[key])
+
+
+@given(
+    st.sampled_from(sorted(ANCHOR_MUTATIONS)).flatmap(
+        lambda field: st.tuples(
+            st.just(field), st.sampled_from(ANCHOR_MUTATIONS[field])
+        )
+    ),
+    junk | st.integers(max_value=0),
+    st.integers(0, 100),
+)
+@example(("a", "whole"), [], 0)
+@example(("den", "whole"), 0, 0)
+@example(("den", "whole"), -280, 0)
+@example(("den", "missing"), 0, 0)
+@example(("q", "whole"), HUGE_MARK, 0)
+@example(("a", "entry"), "257/280", 5)
+@example(("verification", "entry"), 1.0, 0)
+@settings(max_examples=300, deadline=None)
+def test_malformed_anchor_sequences_are_invalid_by_name(
+    certs, tmp_path_factory, mutation, value, index
+):
+    """Each mutation reads invalid, every failure line labelled by a field
+    or as malformed, and `maxram validate` on the file exits 1 with the
+    same lines. A file holding an int past the conversion limit is not
+    read: it exits 2 as invalid JSON."""
+    field, how = mutation
+    if field != "den" and isinstance(value, int) and not isinstance(value, bool):
+        value = HUGE_MARK  # ints are valid entries of p, so only huge ones
+    marked = copy.deepcopy(certs["anchor_sequence"])
+    mutate_anchor_field(marked, field, how, value, index)
+    assume(dump_json(marked) != dump_json(certs["anchor_sequence"]))  # True for True
+    mutant = copy.deepcopy(certs["anchor_sequence"])
+    mutate_anchor_field(mutant, field, how, HUGE if value == HUGE_MARK else value, index)
+    report = validate_certificate(mutant)
+    assert report.ok is False
+    assert report.failures and all(map(FIELD_LABEL.match, report.failures)), report
+
+    path = tmp_path_factory.getbasetemp() / "anchor_mutant.json"
+    path.write_text(dump_json(marked).replace(f'"{HUGE_MARK}"', HUGE_TEXT))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    if value == HUGE_MARK and how in ("whole", "entry"):
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith(f"error: {path}: invalid JSON: ")
+    else:
+        lines = "".join(f"  {failure}\n" for failure in report.failures)
+        assert (code, err.getvalue()) == (1, "")
+        assert out.getvalue() == "invalid: anchor_sequence\n" + lines
 
 
 def test_periodic_coloring_rejections(certs):
