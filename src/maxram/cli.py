@@ -132,6 +132,8 @@ def _cmd_bounds(args) -> int:
     from .cover import CoverInstance
     from .metric import Baton
 
+    if args.k < 1 or args.n < 1:
+        raise PreconditionError("need k >= 1 and n >= 1")
     # The upper column colors the torus Z_(k+1)^n, so its point cap bounds
     # n before either column forms a power.
     CoverInstance(args.k + 1, args.k, args.n)

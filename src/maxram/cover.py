@@ -1,18 +1,17 @@
 """Covering the discrete torus Z_m^n by translates of the cube {0..d-1}^n.
 
 Coverings are exact set-cover instances over bitmask coverage tables.
-Point (c_0, ..., c_{n-1}) is bit sum c_i * m^(n-1-i), and every box the
-module needs (cubes, the coverers of a point, the packing bound's
-neighbourhoods) comes from the one builder _box_mask, an AND of one
-turned slab per axis. Three constructions are provided: the
-lexicographic greedy, the randomized construction (floor(n * ln d *
-(m/d)^n) uniform translates plus one patch per point left uncovered)
-whose expected leftover count is below (m/d)^n, and minimum covers
-solved from both sides. Below, the slice
+Point (c_0, ..., c_{n-1}) is bit sum c_i * m^(n-1-i), and every cube the
+module needs (a translate's points, a point's coverers) comes from the
+one builder cover_mask, an AND of one turned slab per axis. Three
+constructions are provided: the lexicographic greedy, the randomized
+construction (floor(n * ln d * (m/d)^n) uniform translates plus one
+patch per point left uncovered) whose expected leftover count is below
+(m/d)^n, and minimum covers solved from both sides. Below, the slice
 bound; above, a seeded tabu search from the greedy cover, then a branch
-and bound with a node budget. The solve ends as soon as the two meet.
-Each construction reports the slice bound as its lower bound. Cover
-counts per point are `bits` counters.
+and bound, pruned by the counting bound, with a node budget. The solve
+ends as soon as the two meet. Each construction reports the slice bound
+as its lower bound. Cover counts per point are `bits` counters.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class CoverInstance:
                 limit = MAX_TORUS_POINTS.bit_length()
                 raise DomainError(f"the one-point torus needs n < {limit}")
             raise DomainError(f"the torus has more than {MAX_TORUS_POINTS} points")
-        # side -> _box_mask's per-axis slabs and the full mask, built once
-        self._slabs: dict[int, tuple[list[tuple[int, int, int]], int]] = {}
+        # cover_mask's per-axis slabs and the full mask, built on first use
+        self._slabs: tuple[list[tuple[int, int, int]], int] | None = None
 
     @property
     def point_count(self) -> int:
@@ -138,42 +137,37 @@ def _repeated(block: int, period: int, count: int) -> int:
     return result
 
 
-def _slabs(inst: CoverInstance, side: int) -> tuple[list[tuple[int, int, int]], int]:
+def _slabs(inst: CoverInstance) -> tuple[list[tuple[int, int, int]], int]:
     """Per axis i, (slab, period, stride): the points whose coordinate i
-    lies in 0..side-1, a pattern of period m * stride, stride =
-    m^(n-1-i), written one period past the m^n bits; and the full mask.
-    Built once per instance and side."""
-    if side not in inst._slabs:
+    lies in 0..d-1, a pattern of period m * stride, stride = m^(n-1-i),
+    written one period past the m^n bits; and the full mask. Built once
+    per instance."""
+    if inst._slabs is None:
         m, n, size = inst.m, inst.n, inst.point_count
         slabs = []
         for i in range(n):
             stride = m ** (n - 1 - i)
             period = m * stride
-            block = (1 << min(side, m) * stride) - 1
+            block = (1 << inst.d * stride) - 1
             slabs.append((_repeated(block, period, size // period + 1), period, stride))
-        inst._slabs[side] = slabs, (1 << size) - 1
-    return inst._slabs[side]
+        inst._slabs = slabs, (1 << size) - 1
+    return inst._slabs
 
 
-def _box_mask(inst: CoverInstance, corner: IntVec, side: int) -> int:
-    """Bitmask of the points corner + {0..side-1}^n (mod m), row-major.
+def cover_mask(inst: CoverInstance, corner: IntVec) -> int:
+    """Bitmask of the points corner + {0..d-1}^n (mod m), row-major.
 
     The AND over the axes i of the slab of points whose coordinate i lies
-    in 0..side-1, turned cyclically by corner_i on axis i, which is
+    in 0..d-1, turned cyclically by corner_i on axis i, which is
     c_i * m^(n-1-i) bits: the slab repeats with period m^(n-i), so a shift
-    of its copy one period longer turns it. A side of m or more is the
-    whole axis.
+    of its copy one period longer turns it. Any integer corner is taken
+    mod m.
     """
-    slabs, mask = _slabs(inst, side)
+    slabs, mask = _slabs(inst)
     m = inst.m
     for c, (slab, period, stride) in zip(corner, slabs):
         mask &= slab >> (period - c % m * stride)
     return mask
-
-
-def cover_mask(inst: CoverInstance, translate: IntVec) -> int:
-    """Bitmask of the points covered by translate + {0..d-1}^n (mod m)."""
-    return _box_mask(inst, translate, inst.d)
 
 
 def _check_table(inst: CoverInstance) -> None:
@@ -293,7 +287,7 @@ def _coverers_of(inst: CoverInstance, translates: list[IntVec]):
     def coverers_of(point: int) -> list[int]:
         if point not in coverers:
             corner = tuple(c - (d - 1) for c in translates[point])
-            coverers[point] = mask_cells(_box_mask(inst, corner, d), indices)
+            coverers[point] = mask_cells(cover_mask(inst, corner), indices)
         return coverers[point]
 
     return coverers_of
@@ -405,43 +399,19 @@ def exact_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverSolut
     torus is transitive, so some minimum cover contains it). Every point
     p has exactly d^n coverers, the translates p - {0..d-1}^n, so
     branching takes the lowest-index uncovered point and tries its
-    coverers by decreasing fresh coverage, ties by index. Pruning uses
-    the better of the counting bound on the uncovered points and a
-    greedy packing: uncovered points, taken in index order, whose
-    windows p + {-(d-1)..d-1}^n are pairwise disjoint, that is, each pair
-    more than 2(d-1) apart cyclically on some axis. No translate covers
-    two of them.
+    coverers by decreasing fresh coverage, ties by index. A node is
+    pruned when the counting bound, ceil(uncovered points / d^n) more
+    translates, leaves no room below the incumbent.
     """
-    d, n = inst.d, inst.n
     translates, masks = _coverage_table(inst)
     full = (1 << inst.point_count) - 1
-    dpow = d**n
+    dpow = inst.d**inst.n
     lower = slice_lower_bound(inst)
     coverers_of = _coverers_of(inst, translates)
 
     best, moves = _incumbent(inst, masks, coverers_of, lower, budget)
     nodes = 0
     exhausted = False
-
-    # near[p]: the points whose windows meet p's window, those within
-    # cyclic distance 2(d-1) of p on every axis; kept per point. Translate
-    # i sits at point i, so translates[p] is p's coordinates.
-    reach = 2 * (d - 1)
-    near: dict[int, int] = {}
-
-    def packing_bound(uncovered: int) -> int:
-        """Take the lowest uncovered point that no taken point is near,
-        until none is left; O(1) big-int steps per point taken."""
-        count = 0
-        probe = uncovered
-        while probe:
-            count += 1
-            p = (probe & -probe).bit_length() - 1
-            if p not in near:
-                corner = tuple(c - reach for c in translates[p])
-                near[p] = _box_mask(inst, corner, 2 * reach + 1)
-            probe &= ~near[p]
-        return count
 
     def search() -> None:
         """Depth-first from the origin translate. The stack holds each
@@ -462,10 +432,7 @@ def exact_cover(inst: CoverInstance, budget: int = DEFAULT_BUDGET) -> CoverSolut
                     best = list(chosen)
                     if len(best) == lower:
                         return
-            elif (
-                ceil_div(uncovered.bit_count(), dpow) < slack
-                and packing_bound(uncovered) < slack
-            ):
+            elif ceil_div(uncovered.bit_count(), dpow) < slack:
                 target = (uncovered & -uncovered).bit_length() - 1
                 order = sorted(
                     coverers_of(target),

@@ -64,9 +64,11 @@ def _check_copy_embedding(obj) -> list[str]:
 def _check_copy_list(obj) -> list[str]:
     failures: list[str] = []
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
-    copies = [
-        [vec_from_obj(p) for p in copy] for copy in _list_field(obj, "copies")
-    ]
+    copies = []
+    for idx, copy in enumerate(_list_field(obj, "copies")):
+        if not isinstance(copy, list):
+            return [f"copies[{idx}]: must be a list of points"]
+        copies.append([vec_from_obj(p) for p in copy])
     if _int_field(obj, "count") != len(copies):
         failures.append("count: does not match the number of copies")
     for idx, points in enumerate(copies):
@@ -326,7 +328,10 @@ def _check_torus_cover(obj) -> list[str]:
         return [f"m, n: {exc}"]
     translates = []
     for idx, row in enumerate(_list_field(obj, "translates")):
-        vec = tuple(_int_value(v, "translates") for v in row)
+        if not isinstance(row, list) or not {*map(type, row)} <= {int}:
+            failures.append(f"translates[{idx}]: must be a list of integers")
+            continue
+        vec = tuple(row)
         if len(vec) != inst.n or not all(0 <= c < inst.m for c in vec):
             failures.append(f"translates[{idx}]: outside the torus")
         translates.append(vec)

@@ -356,7 +356,11 @@ def test_bounds_upper_column_is_the_class_count_of_color(capsys, b2_metric, n):
 
 
 def test_bounds_rejects_bad_parameters(capsys):
-    assert main(["bounds", "--k", "0", "--n", "2"]) == 2
+    """k or n below 1 is refused by name, not as the torus Z_(k+1)^n."""
+    for k, n in [(0, 2), (-1, 2), (2, 0), (2, -3), (0, 0)]:
+        assert main(["bounds", "--k", str(k), "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: need k >= 1 and n >= 1\n")
 
 
 # -- chi ---------------------------------------------------------------

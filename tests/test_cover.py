@@ -19,7 +19,6 @@ from maxram.bits import mask_cells
 from maxram.cover import (
     CoverInstance,
     CoverSolution,
-    _box_mask,
     _coverage_table,
     _coverers_of,
     _incumbent,
@@ -279,46 +278,31 @@ def test_box_mask_matches_the_product_index_builders():
                 if m**n > 150:
                     continue
                 inst = CoverInstance(m, d, n)
-                points = torus_points(inst)
-                windows = product_window_masks(inst, points)
-                for p, window in zip(points, windows):
-                    assert _box_mask(inst, p, d) == product_cover_mask(inst, p)
-                    corner = tuple(c - (d - 1) for c in p)
-                    assert _box_mask(inst, corner, 2 * d - 1) == window, (inst, p)
+                for p in torus_points(inst):
+                    assert cover_mask(inst, p) == product_cover_mask(inst, p)
 
 
 @st.composite
 def tori_and_boxes(draw):
-    """A torus of at most 4 axes and 1,296 points, m = 1 among them, and
-    boxes of any side from 1 to 2m + 1 (a side of m or more is the whole
-    axis) at corners from -2m to 2m."""
+    """A torus of at most 4 axes and 1,296 points, m = 1 among them, with
+    any d from 1 to m, and cube corners from -2m to 2m."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 6))
     inst = CoverInstance(m, draw(st.integers(1, m)), n)
-    boxes = draw(
-        st.lists(
-            st.tuples(
-                st.tuples(*[st.integers(-2 * m, 2 * m)] * n),
-                st.one_of(st.just(inst.d), st.integers(1, 2 * m + 1)),
-            ),
-            min_size=1,
-            max_size=4,
-        )
+    corners = draw(
+        st.lists(st.tuples(*[st.integers(-2 * m, 2 * m)] * n), min_size=1, max_size=4)
     )
-    return inst, boxes
+    return inst, corners
 
 
 @given(tori_and_boxes())
 @settings(max_examples=200, deadline=None)
-@example((CoverInstance(1, 1, 4), [((0, -1, 2, 0), 1), ((0, 0, 0, 0), 3)]))
-@example((CoverInstance(3, 3, 2), [((2, -5), 3), ((1, 1), 4)]))
+@example((CoverInstance(1, 1, 4), [(0, -1, 2, 0), (0, 0, 0, 0)]))
+@example((CoverInstance(3, 3, 2), [(2, -5), (1, 1)]))
 def test_box_masks_match_the_set_oracle(case):
-    inst, boxes = case
-    for corner, side in boxes:
-        assert _box_mask(inst, corner, side) == set_box_mask(inst, corner, side)
-    for corner, _ in boxes:
-        translate = tuple(c % inst.m for c in corner)
-        assert cover_mask(inst, translate) == set_box_mask(inst, translate, inst.d)
+    inst, corners = case
+    for corner in corners:
+        assert cover_mask(inst, corner) == set_box_mask(inst, corner, inst.d)
 
 
 def test_is_cover_fixtures():
@@ -573,11 +557,13 @@ def budgeted_instances(draw):
 
 
 @given(budgeted_instances())
-@example((CoverInstance(3, 2, 3), 10**5))  # 2d-1 >= m: every window is the torus
-@example((CoverInstance(5, 2, 2), 10**5))  # 4d-3 >= m > 2d-1: near boxes wrap
-@example((CoverInstance(7, 2, 2), 10**5))  # neither wraps
+@example((CoverInstance(3, 2, 3), 10**5))  # three axes: one tabu move meets the bound
+@example((CoverInstance(5, 2, 2), 10**5))  # the tabu search meets the slice bound
+@example((CoverInstance(7, 2, 2), 10**5))  # the same, after 650 moves
 @example((CoverInstance(9, 2, 2), 1))  # budget cut within the local search
 @example((CoverInstance(5, 3, 2), 10**5))  # greedy meets the slice bound
+@example((CoverInstance(16, 3, 2), 10**5))  # the tree runs out of budget in the plane
+@example((CoverInstance(7, 2, 3), 10**5))  # the same in three axes
 @settings(max_examples=100, deadline=None)
 def test_exact_matches_the_rescan_oracle_field_by_field(instance):
     inst, budget = instance

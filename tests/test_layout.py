@@ -4,8 +4,8 @@ the benchmark's tests import from it, no module, in the package or among
 the tests, imports a name it never uses, the package imports nothing
 outside the standard library and not dataclasses, and only the classes
 that hold outside input (and CoverSolution) define __init__, and no
-package function calls itself. Which modules each command loads is
-checked in a fresh interpreter."""
+package function calls itself, and every module parses as Python 3.10.
+Which modules each command loads is checked in a fresh interpreter."""
 
 import ast
 import importlib
@@ -289,3 +289,11 @@ def test_no_package_function_calls_itself():
                     recursive.append(f"{path.name}:{func.name}")
                     break
     assert recursive == []
+
+
+def test_every_module_parses_as_python_3_10():
+    """The package states requires-python >= 3.10, so no module, in the
+    package or among the tests, may use syntax newer than 3.10."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in paths:
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))

@@ -139,6 +139,12 @@ def test_copy_list_rejections(certs):
         c["count"] += 1
 
     assert "distinct_supports" in failing(cert, duplicate)
+    assert failing(cert, lambda c: c.update(copies=[5])) == (
+        "copies[0]: must be a list of points"
+    )
+    assert failing(cert, lambda c: c["copies"].append(None)) == (
+        "copies[2]: must be a list of points"
+    )
 
 
 def test_anchor_sequence_rejections(certs):
@@ -331,6 +337,79 @@ def test_malformed_anchor_sequences_are_invalid_by_name(
         lines = "".join(f"  {failure}\n" for failure in report.failures)
         assert (code, err.getvalue()) == (1, "")
         assert out.getvalue() == "invalid: anchor_sequence\n" + lines
+
+
+# -- malformed torus covers, fuzzed --------------------------------------------
+
+COVER_LABEL = re.compile(
+    r"(m|d|n|translates|translates\[\d+\]|size|optimal|lower_bound|malformed): \S"
+)
+PYTHON_ERROR_TEXT = re.compile(r"object|not supported|unhashable|argument")
+cover_junk = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+COVER_MUTATIONS = [
+    *((field, how) for field in ("m", "d", "n", "size", "optimal", "lower_bound")
+      for how in ("whole", "missing")),
+    ("translates", "whole"),
+    ("translates", "entry"),
+    ("translates", "coordinate"),
+]
+
+
+def mutate_cover_field(cert, field, how, value, index) -> None:
+    """Replace the field, one translate or one coordinate by value, or
+    delete the field."""
+    if how == "missing":
+        del cert[field]
+    elif how == "whole":
+        cert[field] = value
+    else:
+        rows = cert[field]
+        row = index % len(rows)
+        if how == "entry":
+            rows[row] = value
+        else:
+            rows[row][index // len(rows) % len(rows[row])] = value
+
+
+@given(st.sampled_from(COVER_MUTATIONS), cover_junk, st.integers(0, 100))
+@example(("translates", "entry"), None, 0)
+@example(("translates", "entry"), 5, 1)
+@example(("translates", "coordinate"), True, 0)
+@example(("m", "whole"), {"3": 3}, 0)
+@example(("optimal", "whole"), False, 0)
+@example(("lower_bound", "whole"), [[3]], 0)
+@settings(max_examples=300, deadline=None)
+def test_malformed_torus_covers_are_invalid_by_name(
+    certs, tmp_path_factory, mutation, value, index
+):
+    """Each mutation of the (3, 2, 2) cover reads invalid, every failure
+    line labelled by a field or as malformed and none a Python error
+    text, and `maxram validate` on the file exits 1 with the same lines
+    and nothing on stderr."""
+    field, how = mutation
+    mutant = copy.deepcopy(certs["torus_cover"])
+    mutate_cover_field(mutant, field, how, value, index)
+    assume(dump_json(mutant) != dump_json(certs["torus_cover"]))  # optimal: True
+    report = validate_certificate(mutant)
+    assert report.ok is False
+    assert report.failures and all(map(COVER_LABEL.match, report.failures)), report
+    assert not any(map(PYTHON_ERROR_TEXT.search, report.failures)), report
+
+    path = tmp_path_factory.getbasetemp() / "cover_mutant.json"
+    path.write_text(dump_json(mutant))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    lines = "".join(f"  {failure}\n" for failure in report.failures)
+    assert (code, err.getvalue()) == (1, "")
+    assert out.getvalue() == "invalid: torus_cover\n" + lines
 
 
 def test_periodic_coloring_rejections(certs):
@@ -601,6 +680,14 @@ def test_torus_cover_rejections(certs):
         c["translates"][0] = [5, 0]
 
     assert "outside the torus" in failing(cert, shift_translate)
+    assert failing(cert, lambda c: c.update(translates=[None, [2]])) == (
+        "translates[0]: must be a list of integers | translates[1]: outside the torus"
+    )
+
+    def quote_coordinate(c):
+        c["translates"][1][0] = "1"
+
+    assert failing(cert, quote_coordinate) == "translates[1]: must be a list of integers"
 
     def grow_cube(c):
         c["d"] = 3
