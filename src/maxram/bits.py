@@ -1,5 +1,6 @@
 """Big-int bitmasks: bit-sliced counters, masks built by rows, and the
-cells a mask selects.
+cells a mask selects; and ceil_div, the integer ceiling that the searches'
+counting bounds share.
 
 A bit-sliced counter is a list of planes, bit p of planes[j] being bit j
 of position p's count, so adding or subtracting one at every position of
@@ -11,6 +12,11 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import or_
+
+
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0, in integers."""
+    return -((-a) // b)
 
 
 def count_up(planes: list[int], mask: int) -> None:

@@ -14,9 +14,10 @@ in that order, and the colors go back to vertex order in the
 certificate. Per color, a mask holds the positions where the color
 would complete a monochromatic edge; each coloring updates one mask and
 an explicit stack undoes it. How a coloring blocks depends on the edge
-size: a 2-point edge blocks the partner, a 3-point edge the third point
-of a table keyed by the pair, and larger edges are counted in
-per-color `bits` counters over the edge index, as is the saturation.
+size: a 2-point edge blocks the partner, a 3-point edge the thirds held
+as one mask under the pair, and larger edges are counted in per-color
+`bits` counters over the edge index. The saturation is a `bits` counter
+too, kept across steps and moved by what each coloring and undo changes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .bits import bit_rows, count_down, count_up, nonzero, planes_of
+from .bits import bit_rows, ceil_div, count_down, count_up, nonzero, planes_of
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
 from .metric import Baton, FiniteMetricSpace, PointSet, find_copies, grid_points
-from .rational import ceil_div
 
 # Building a copy hypergraph peaks at about 175 bytes per edge ({0..3}^4
 # against the unit 3-baton: 1,203,320 edges in 226 MB), so 2^22 edges stay
@@ -123,14 +123,14 @@ def exact_chromatic(
     position = sorted(range(n), key=order.__getitem__)  # order's inverse
     bits = [1 << p for p in range(n)]
     partners = [0] * n  # 2-point edges: each position's partners
-    thirds: dict[int, list[int]] = {}  # 3-point edges: lo * n + hi -> the thirds
+    thirds: dict[int, int] = {}  # 3-point edges: lo * n + hi -> mask of the thirds
     larger: list[list[int]] = []  # edges of 4 or more points, as positions
     for places in map(sorted, map(map, repeat(position.__getitem__), edges)):
         if len(places) == 3:
             a, b, c = places
-            thirds.setdefault(a * n + b, []).append(c)
-            thirds.setdefault(a * n + c, []).append(b)
-            thirds.setdefault(b * n + c, []).append(a)
+            thirds[a * n + b] = thirds.get(a * n + b, 0) | bits[c]
+            thirds[a * n + c] = thirds.get(a * n + c, 0) | bits[b]
+            thirds[b * n + c] = thirds.get(b * n + c, 0) | bits[a]
         elif len(places) == 2:
             a, b = places
             partners[a] |= bits[b]
@@ -165,10 +165,14 @@ def exact_chromatic(
         """Depth-first search for a coloring with at most limit colors.
         blocked[c] holds the positions where color c would complete a
         monochromatic edge (and may hold colored ones, which no step
-        reads). An explicit stack undoes each coloring, so Python's
+        reads); it is 0 for every color not in use. levels counts, per
+        position, the colors that block it, in bit slices: each coloring
+        and each undo moves it by the bits its blocked mask gains or
+        loses. An explicit stack undoes each coloring, so Python's
         recursion limit does not cap n."""
         nonlocal nodes
         blocked = [0] * limit
+        levels: list[int] = []
         members = [0] * limit  # the positions of each color
         needs = [need_start[:] for _ in range(limit)]
         uncolored = (1 << n) - 1
@@ -179,12 +183,8 @@ def exact_chromatic(
             if p < 0:
                 if not uncolored:
                     return True
-                # The most saturated positions: count each position's
-                # blocked colors in bit slices, then keep the uncolored
-                # ones with the top count.
-                levels: list[int] = []
-                for mask in blocked[:used]:
-                    count_up(levels, mask)
+                # The most saturated positions: the uncolored ones with
+                # the top count of blocked colors.
                 top = uncolored
                 for level in reversed(levels):
                     if top & level:
@@ -203,7 +203,9 @@ def exact_chromatic(
             else:
                 if not stack:
                     return False
-                p, c, used, blocked[c] = stack.pop()
+                p, c, used, old = stack.pop()
+                count_down(levels, blocked[c] & ~old)
+                blocked[c] = old
                 bit = bits[p]
                 members[c] ^= bit
                 uncolored |= bit
@@ -222,8 +224,7 @@ def exact_chromatic(
             near = pair_nb[p] & same
             while near:
                 q = near.bit_length() - 1
-                for r in thirds[p * n + q if p < q else q * n + p]:
-                    block |= bits[r]
+                block |= thirds[p * n + q if p < q else q * n + p]
                 near ^= bits[q]
             if incident[p]:
                 need = needs[c]
@@ -236,6 +237,7 @@ def exact_chromatic(
                     for r in larger[j]:
                         block |= bits[r]
                     done ^= 1 << j
+            count_up(levels, block & ~blocked[c])
             blocked[c] = block
             p = -1
 

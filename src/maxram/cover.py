@@ -12,17 +12,19 @@ bound; above, a seeded tabu search from the greedy cover, then a branch
 and bound, pruned by the counting bound, with a node budget. The solve
 ends as soon as the two meet. Each construction reports the slice bound
 as its lower bound. Cover counts per point are `bits` counters.
+
+The greedy and exact covers work in integers only: loading this module
+loads no rational arithmetic, and only the random construction's draw
+count, a floor of n * ln d * (m/d)^n, imports it when called.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
-from .bits import count_down, count_up, exactly_one, mask_cells, nonzero
+from .bits import ceil_div, count_down, count_up, exactly_one, mask_cells, nonzero
 from .errors import DEFAULT_BUDGET, DomainError, PreconditionError
-from .rational import ceil_div, floor_times_log
 
 IntVec = tuple[int, ...]
 
@@ -213,22 +215,36 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
 
 
 def _greedy(inst: CoverInstance, masks: list[int]) -> list[int]:
-    """The greedy cover as translate indices; translate i sits at point i."""
+    """The greedy cover as translate indices; translate i sits at point i.
+
+    Each round takes the lowest-index translate with the most fresh
+    coverage. No translate covers more than min(d^n, uncovered points)
+    fresh ones, so the scan stops at the first that reaches it.
+    """
     uncovered = (1 << inst.point_count) - 1
+    dpow = inst.d**inst.n
     chosen: list[int] = []
     while uncovered:
+        most = min(dpow, uncovered.bit_count())
         best_i, best_gain = -1, -1
         for i, mask in enumerate(masks):
             gain = (mask & uncovered).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
+                if gain == most:
+                    break
         chosen.append(best_i)
         uncovered &= ~masks[best_i]
     return chosen
 
 
 def _draw_count(inst: CoverInstance) -> int:
-    """s = floor(n * ln d * (m/d)^n), the random construction's draws."""
+    """s = floor(n * ln d * (m/d)^n), the random construction's draws: the
+    module's one rational step, so it imports rational arithmetic itself."""
+    from fractions import Fraction
+
+    from .rational import floor_times_log
+
     return floor_times_log(inst.n * Fraction(inst.m, inst.d) ** inst.n, inst.d)
 
 
@@ -264,8 +280,7 @@ def random_cover_within_expectation(
 ) -> tuple[CoverSolution, bool]:
     """Retry seeds until total size <= s + ceil((m/d)^n), the integer form
     of the expectation guarantee. Returns (best solution, met)."""
-    ratio = Fraction(inst.m, inst.d) ** inst.n
-    target = _draw_count(inst) + ceil_div(ratio.numerator, ratio.denominator)
+    target = _draw_count(inst) + ceil_div(inst.point_count, inst.d**inst.n)
     best: CoverSolution | None = None
     for attempt in range(_MAX_RETRIES):
         sol = random_translates_cover(inst, seed + attempt)
@@ -319,7 +334,8 @@ def _incumbent(
     dropped. The search stops when the best cover meets lower, or after
     min(_SEARCH_MOVES, budget) steps, each move, drop and restart
     counted. Cover counts are kept bit-sliced, so a move costs
-    O(d^n + size) big-int operations.
+    O(d^n + size) big-int operations; tabu tenures sit in a list indexed
+    by translate.
     """
     best = _greedy(inst, masks)
     if len(best) == lower:
@@ -327,7 +343,8 @@ def _incumbent(
     full = (1 << inst.point_count) - 1
     points = range(inst.point_count)
     rng = random.Random(_SEARCH_SEED)
-    frozen_until: dict[int, int] = {}
+    # frozen_until[t]: the last move on which translate t is tabu
+    frozen_until = [0] * inst.point_count
     held: list[int] = []
     planes: list[int] = []
 
@@ -370,7 +387,7 @@ def _incumbent(
         else:
             stalled += 1
         options = coverers_of(rng.choice(targets))
-        options = [a for a in options if frozen_until.get(a, 0) < moves] or options
+        options = [a for a in options if frozen_until[a] < moves] or options
         gains = [(masks[a] & uncovered).bit_count() for a in options]
         most = max(gains)
         added = rng.choice([a for a, gain in zip(options, gains) if gain == most])
@@ -378,7 +395,7 @@ def _incumbent(
         count_up(planes, masks[added])
         positions = range(len(held) - 1)
         removed = drop(
-            [i for i in positions if frozen_until.get(held[i], 0) < moves] or positions
+            [i for i in positions if frozen_until[held[i]] < moves] or positions
         )
         frozen_until[added] = frozen_until[removed] = moves + _TABU_TENURE
     return best, moves

@@ -15,10 +15,11 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .rational import format_rational, parse_rational
 
-# Annotations only. A function that builds one of these objects imports
-# its class itself, so importing io loads no module its caller did not.
+# Annotations only. A function that builds one of these objects, or
+# reads or writes a rational, imports what it needs itself, so importing
+# io loads no module its caller did not: a torus_cover certificate, all
+# integers, loads no rational arithmetic.
 if TYPE_CHECKING:
     from .anchors import AnchorSequence
     from .chromatic import ColoringCertificate
@@ -29,11 +30,15 @@ if TYPE_CHECKING:
 
 
 def vec_to_obj(vec) -> list[str]:
+    from .rational import format_rational
+
     return [format_rational(c) for c in vec]
 
 
 def vec_from_obj(items) -> Vec:
     """The coordinate list items, each a rational literal."""
+    from .rational import parse_rational
+
     if not isinstance(items, (list, tuple)):
         raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
     return tuple(map(parse_rational, items))
@@ -180,6 +185,7 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
     sequences that pass every clause of verify_anchor_sequence are built,
     so each is recorded as passed; the validator recomputes them all."""
     from .anchors import VerificationReport
+    from .rational import format_rational
 
     return {
         "kind": "anchor_sequence",
@@ -204,6 +210,7 @@ def periodic_coloring_certificate(
     torus cells are built once as index lists, and each class is its
     owned mask expanded over them."""
     from .bits import mask_cells
+    from .rational import format_rational
 
     # Lists, not tuples, so that the certificate equals the one read back.
     axis = range(coloring.cells_per_axis)

@@ -32,6 +32,10 @@ def parse_ratio(value) -> tuple[int, int]:
             if den == 0:
                 raise ParseError(f"bad rational literal {value!r}: Fraction({num}, 0)")
             return num, den
+    if isinstance(value, (list, dict)):
+        # Named, not echoed: a container's repr can be as long as the file,
+        # and a dict's follows its key order.
+        raise ParseError(f"expected rational, got a {type(value).__name__}")
     raise ParseError(f"expected rational, got {value!r}")
 
 
@@ -68,7 +72,3 @@ def floor_times_log(r: Fraction, d: int) -> int:
         if low == math.floor(r * (Fraction(ln) + ulp)):
             return low
         prec *= 2
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)

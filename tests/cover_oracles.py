@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
-from maxram.rational import ceil_div, floor_times_log
+from maxram.bits import ceil_div
+from maxram.rational import floor_times_log
 
 
 def set_box_mask(inst: CoverInstance, corner, side: int) -> int:
@@ -52,6 +53,22 @@ def random_draws(inst: CoverInstance, seed: int) -> list[tuple[int, ...]]:
     for _ in range(draw_count(inst)):
         drawn[tuple(rng.randrange(inst.m) for _ in range(inst.n))] = None
     return list(drawn)
+
+
+def full_scan_greedy(inst: CoverInstance) -> list[tuple[int, ...]]:
+    """The greedy cover with no early stop: each round scans every
+    translate and takes the lowest-index one with the most fresh
+    coverage; oracle for greedy_cover."""
+    translates = torus_points(inst)
+    masks = [cover_mask(inst, v) for v in translates]
+    uncovered = (1 << inst.point_count) - 1
+    chosen = []
+    while uncovered:
+        gains = [(mask & uncovered).bit_count() for mask in masks]
+        best = gains.index(max(gains))
+        chosen.append(translates[best])
+        uncovered &= ~masks[best]
+    return chosen
 
 
 def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:

@@ -32,6 +32,7 @@ from cover_oracles import (
 from metric_generators import random_metric_space
 from metric_oracles import chebyshev_distance
 from maxram.anchors import build_anchor_sequence, verify_anchor_sequence
+from maxram.bits import ceil_div
 from maxram.chromatic import grid_chromatic, pigeonhole_lower_bound
 from maxram.colorings import avoidance_coloring
 from maxram.cover import (
@@ -45,7 +46,6 @@ from maxram.cover import (
 )
 from maxram.extraction import GridSubset, extract_general_baton, extract_unit_baton
 from maxram.metric import Baton, PointSet, find_copies, frechet_embed
-from maxram.rational import ceil_div
 from maxram.validate import validate_certificate
 
 

@@ -1,9 +1,10 @@
-"""Bit-sliced counters against one integer count per bit."""
+"""Bit-sliced counters against one integer count per bit, and ceil_div."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram.bits import count_down, count_up, exactly_one, nonzero, planes_of
+from maxram.bits import ceil_div, count_down, count_up, exactly_one, nonzero
+from maxram.bits import planes_of
 
 # Past 64 bits, so that the planes are multi-word ints.
 WIDTH = 70
@@ -46,3 +47,10 @@ def test_counters_match_per_bit_counts(start, steps):
         assert read_counts(planes) == counts
         assert nonzero(planes) == bits_where(counts, lambda c: c >= 1)
         assert exactly_one(planes) == bits_where(counts, lambda c: c == 1)
+
+
+def test_ceil_div():
+    assert ceil_div(9, 4) == 3
+    assert ceil_div(8, 4) == 2
+    assert ceil_div(1, 5) == 1
+    assert ceil_div(-3, 2) == -1

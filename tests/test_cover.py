@@ -8,6 +8,7 @@ from cover_oracles import (
     counting_lower_bound,
     draw_count,
     find_mask_cells,
+    full_scan_greedy,
     naive_minimum_cover,
     random_draws,
     set_box_mask,
@@ -15,7 +16,7 @@ from cover_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxram.bits import mask_cells
+from maxram.bits import ceil_div, mask_cells
 from maxram.cover import (
     CoverInstance,
     CoverSolution,
@@ -34,7 +35,6 @@ from maxram.cover import (
     torus_points,
 )
 from maxram.errors import DomainError, PreconditionError
-from maxram.rational import ceil_div
 
 
 # -- oracles -------------------------------------------------------------------
@@ -353,6 +353,29 @@ def test_greedy_always_covers():
         sol = greedy_cover(inst)
         assert is_cover(inst, sol.translates)
         assert sol.size == len(sol.translates)
+
+
+# Every torus with m^n <= 4,096 in 1 to 4 axes, and every d: n = 1 up to
+# m = 40, n = 2 up to 24, n = 3 up to 12, n = 4 up to 8.
+GREEDY_SWEEP = [
+    (m, d, n)
+    for n, top in ((1, 40), (2, 24), (3, 12), (4, 8))
+    for m in range(1, top + 1)
+    for d in range(1, m + 1)
+]
+
+
+@given(st.sampled_from(GREEDY_SWEEP))
+@example((45, 15, 2))  # the bench's torus: each round stops early
+@example((8, 2, 4))  # the last rounds cover fewer than d^n points
+@example((7, 7, 3))  # one translate covers everything
+@settings(max_examples=80, deadline=None)
+def test_greedy_stops_early_at_the_full_scan_choice(mdn):
+    """Each round's scan stops at the first translate whose fresh
+    coverage reaches min(d^n, uncovered points); the cover equals the one
+    a scan of every translate takes, lowest index first among the best."""
+    inst = CoverInstance(*mdn)
+    assert greedy_cover(inst).translates == full_scan_greedy(inst)
 
 
 # -- randomized -----------------------------------------------------------

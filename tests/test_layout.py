@@ -89,11 +89,28 @@ def test_help_loads_only_the_cli_and_its_errors():
 
 
 def test_exact_cover_loads_no_module_it_does_not_run(tmp_path):
-    argv = ["cover", "--m", "3", "--d", "2", "--n", "3", "--exact",
-            "-o", str(tmp_path / "cover.json")]
-    script = f"from maxram.cli import main\nassert main({argv!r}) == 0\n"
-    modules = ("cli", "errors", "bits", "cover", "rational", "io")
-    assert loaded_after(script) == {"maxram", *(f"maxram.{m}" for m in modules)}
+    """cover --exact, --greedy and cover table do integer work only: they
+    load no rational arithmetic, neither maxram.rational nor fractions or
+    decimal (unless the bare interpreter already loads them), and only
+    the table, which writes CSV, leaves io unloaded."""
+    runs = {
+        "--exact": ("cli", "errors", "bits", "cover", "io"),
+        "--greedy": ("cli", "errors", "bits", "cover", "io"),
+        "table": ("cli", "errors", "bits", "cover"),
+    }
+    bare = modules_after("pass")
+    for mode, modules in runs.items():
+        if mode == "table":
+            argv = ["cover", "table", "--max", "3"]
+        else:
+            argv = ["cover", "--m", "3", "--d", "2", "--n", "3", mode]
+        argv += ["-o", str(tmp_path / "cover.out")]
+        script = f"from maxram.cli import main\nassert main({argv!r}) == 0\n"
+        loaded = modules_after(script)
+        assert {m for m in loaded if m.split(".")[0] == "maxram"} == {
+            "maxram", *(f"maxram.{m}" for m in modules)
+        }, mode
+        assert {"fractions", "decimal"}.isdisjoint(loaded - bare), mode
 
 
 def test_the_counter_module_loads_no_other_package_module():

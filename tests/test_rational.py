@@ -9,13 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxram.errors import ParseError
-from maxram.rational import (
-    ceil_div,
-    floor_times_log,
-    format_rational,
-    parse_ratio,
-    parse_rational,
-)
+from maxram.rational import floor_times_log, format_rational, parse_ratio
+from maxram.rational import parse_rational
 
 F = Fraction
 
@@ -92,13 +87,6 @@ def test_format_rational_matches_the_wire_format():
 @given(st.fractions(max_denominator=10**6))
 def test_round_trip(x):
     assert parse_rational(format_rational(x)) == x
-
-
-def test_ceil_div():
-    assert ceil_div(9, 4) == 3
-    assert ceil_div(8, 4) == 2
-    assert ceil_div(1, 5) == 1
-    assert ceil_div(-3, 2) == -1
 
 
 @given(

@@ -364,7 +364,8 @@ COVER_MUTATIONS = [
 
 def mutate_cover_field(cert, field, how, value, index) -> None:
     """Replace the field, one translate or one coordinate by value, or
-    delete the field."""
+    delete the field; also one entry or one cell of a chromatic
+    certificate's colors or matrix."""
     if how == "missing":
         del cert[field]
     elif how == "whole":
@@ -410,6 +411,103 @@ def test_malformed_torus_covers_are_invalid_by_name(
     lines = "".join(f"  {failure}\n" for failure in report.failures)
     assert (code, err.getvalue()) == (1, "")
     assert out.getvalue() == "invalid: torus_cover\n" + lines
+
+
+# -- malformed chromatic certificates, fuzzed ----------------------------------
+
+CHROMATIC_LABEL = re.compile(
+    r"(k|n|colors|color_count|optimal|lower_bound|distance_matrix|malformed): \S"
+)
+chromatic_junk = st.one_of(
+    cover_junk,
+    st.integers(-3, 6),
+    st.lists(st.integers(-1, 4), max_size=5),
+    st.sampled_from(["0", "1", "2", "1/2", "-1", "1/0"]),
+    st.lists(
+        st.lists(st.sampled_from(["0", "1", "2", "1/2", 0, 1]), min_size=2, max_size=3),
+        min_size=2,
+        max_size=3,
+    ),
+)
+CHROMATIC_MUTATIONS = [
+    *((field, how) for field in ("k", "n", "color_count", "optimal", "lower_bound")
+      for how in ("whole", "missing")),
+    *((field, how) for field in ("colors", "distance_matrix")
+      for how in ("whole", "entry", "missing")),
+    ("distance_matrix", "coordinate"),  # one cell of the matrix
+]
+
+
+def restates(mutant, cert, field) -> bool:
+    """Whether the mutant makes the certificate's claim in other words:
+    the same JSON; the four colors relabeled by a bijection, which stays
+    proper since each pair of points of {0,1}^2 lies at distance 1; or a
+    matrix of other literals for the same rationals."""
+
+    def rationals(matrix):
+        rows = isinstance(matrix, list) and all(
+            map(isinstance, matrix, itertools.repeat(list))
+        )
+        if not rows:
+            return None
+        try:
+            return [list(map(parse_rational, row)) for row in matrix]
+        except ParseError:
+            return None
+
+    if dump_json(mutant) == dump_json(cert):
+        return True
+    if field not in mutant:
+        return False
+    value = mutant[field]
+    if field == "colors":
+        ints = isinstance(value, list) and {*map(type, value)} <= {int}
+        return ints and sorted(value) == sorted(cert["colors"])
+    if field == "distance_matrix":
+        return rationals(value) == rationals(cert["distance_matrix"])
+    return False
+
+
+@given(st.sampled_from(CHROMATIC_MUTATIONS), chromatic_junk, st.integers(0, 100))
+@example(("colors", "whole"), [0, 1, 2], 0)  # one point short
+@example(("colors", "entry"), 3, 0)  # two points share color 3
+@example(("colors", "entry"), True, 1)
+@example(("k", "whole"), 0, 0)
+@example(("n", "whole"), 3, 0)  # 8 grid points, 4 colors
+@example(("color_count", "whole"), 5, 0)
+@example(("lower_bound", "whole"), 3, 0)
+@example(("optimal", "whole"), False, 0)
+@example(("distance_matrix", "whole"), [["0", "2"], ["2", "0"]], 0)
+@example(("distance_matrix", "whole"), [["0"]], 0)
+@example(("distance_matrix", "entry"), ["0", "1", "1"], 0)
+@example(("distance_matrix", "coordinate"), "1/2", 1)
+@example(("distance_matrix", "coordinate"), {"0": 0, "": 0}, 0)  # named, not echoed
+@settings(max_examples=300, deadline=None)
+def test_malformed_chromatic_certificates_are_invalid_by_name(
+    certs, tmp_path_factory, mutation, value, index
+):
+    """Each mutation of the {0,1}^2 certificate that does not restate it
+    reads invalid, every failure line labelled by a field or as
+    malformed and none a Python error text, and `maxram validate` on the
+    file exits 1 with the same lines and nothing on stderr."""
+    field, how = mutation
+    cert = certs["chromatic"]
+    mutant = copy.deepcopy(cert)
+    mutate_cover_field(mutant, field, how, value, index)
+    assume(not restates(mutant, cert, field))
+    report = validate_certificate(mutant)
+    assert report.ok is False
+    assert report.failures and all(map(CHROMATIC_LABEL.match, report.failures)), report
+    assert not any(map(PYTHON_ERROR_TEXT.search, report.failures)), report
+
+    path = tmp_path_factory.getbasetemp() / "chromatic_mutant.json"
+    path.write_text(dump_json(mutant))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    lines = "".join(f"  {failure}\n" for failure in report.failures)
+    assert (code, err.getvalue()) == (1, "")
+    assert out.getvalue() == "invalid: chromatic\n" + lines
 
 
 def test_periodic_coloring_rejections(certs):
