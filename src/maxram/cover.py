@@ -3,15 +3,17 @@
 Coverings are exact set-cover instances over bitmask coverage tables.
 Point (c_0, ..., c_{n-1}) is bit sum c_i * m^(n-1-i), and every cube the
 module needs (a translate's points, a point's coverers) comes from the
-one builder cover_mask, an AND of one turned slab per axis. Three
-constructions are provided: the lexicographic greedy, the randomized
-construction (floor(n * ln d * (m/d)^n) uniform translates plus one
-patch per point left uncovered) whose expected leftover count is below
-(m/d)^n, and minimum covers solved from both sides. Below, the slice
-bound; above, a seeded tabu search from the greedy cover, then a branch
-and bound, pruned by the counting bound, with a node budget. The solve
-ends as soon as the two meet. Each construction reports the slice bound
-as its lower bound. Cover counts per point are `bits` counters.
+one builder cover_mask, an AND of one turned slab per axis. The
+coverage table holds cover_mask's box for every translate; it turns
+each slab once per offset and shares the ANDs of row-major prefixes.
+Three constructions are provided: the lexicographic greedy, the
+randomized construction (floor(n * ln d * (m/d)^n) uniform translates
+plus one patch per point left uncovered) whose expected leftover count
+is below (m/d)^n, and minimum covers solved from both sides. Below, the
+slice bound; above, a seeded tabu search from the greedy cover, then a
+branch and bound, pruned by the counting bound, with a node budget. The
+solve ends as soon as the two meet. Each construction reports the slice
+bound as its lower bound. Cover counts per point are `bits` counters.
 
 The greedy and exact covers work in integers only: loading this module
 loads no rational arithmetic, and only the random construction's draw
@@ -21,6 +23,7 @@ count, a floor of n * ln d * (m/d)^n, imports it when called.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .bits import ceil_div, count_down, count_up, exactly_one, mask_cells, nonzero
@@ -180,9 +183,25 @@ def _check_table(inst: CoverInstance) -> None:
 
 
 def _coverage_table(inst: CoverInstance) -> tuple[list[IntVec], list[int]]:
+    """Every translate in row-major order, each with its cover_mask.
+
+    cover_mask turns one slab per axis for each translate; here each
+    axis's slab is turned once per offset, n * m shifts in all, and the
+    masks are ANDed axis by axis, each translate's prefix over the first
+    axes shared by the m translates that extend it. A prefix is let go
+    as soon as it is extended, so the table's own masks set the peak
+    memory: (3, 2, 10) holds 59,049 masks of 7.4 KB.
+    """
     _check_table(inst)
-    translates = torus_points(inst)
-    return translates, [cover_mask(inst, v) for v in translates]
+    slabs, full = _slabs(inst)
+    masks = [full]
+    for slab, period, stride in slabs:
+        turned = [slab >> (period - c * stride) for c in range(inst.m)]
+        prefixes, masks = masks[::-1], []
+        while prefixes:
+            prefix = prefixes.pop()
+            masks += [prefix & box for box in turned]
+    return torus_points(inst), masks
 
 
 def is_cover(inst: CoverInstance, translates) -> bool:
@@ -219,16 +238,22 @@ def _greedy(inst: CoverInstance, masks: list[int]) -> list[int]:
 
     Each round takes the lowest-index translate with the most fresh
     coverage. No translate covers more than min(d^n, uncovered points)
-    fresh ones, so the scan stops at the first that reaches it.
+    fresh ones, so the scan stops at the first that reaches it. The
+    uncovered points only shrink, so a translate with no fresh coverage
+    never gains any again: each round's scan starts past the leading run
+    of such translates, and that start only moves forward.
     """
     uncovered = (1 << inst.point_count) - 1
     dpow = inst.d**inst.n
     chosen: list[int] = []
+    start = 0
     while uncovered:
+        while not masks[start] & uncovered:
+            start += 1
         most = min(dpow, uncovered.bit_count())
         best_i, best_gain = -1, -1
-        for i, mask in enumerate(masks):
-            gain = (mask & uncovered).bit_count()
+        for i in range(start, len(masks)):
+            gain = (masks[i] & uncovered).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
                 if gain == most:
@@ -336,24 +361,48 @@ def _incumbent(
     counted. Cover counts are kept bit-sliced, so a move costs
     O(d^n + size) big-int operations; tabu tenures sit in a list indexed
     by translate.
+
+    No step lists the uncovered points or the scores. The random point
+    is drawn as a rank among the uncovered bits and reached by clearing
+    the lower ones; each choice scores its candidates, passes over the
+    tabu ones and gathers the ties in one loop, in candidate order. As
+    rng.randrange(k) draws what rng.choice draws from a list of k, the
+    search makes the draws, and so the moves, of one that lists them.
     """
     best = _greedy(inst, masks)
     if len(best) == lower:
         return best, 0
     full = (1 << inst.point_count) - 1
-    points = range(inst.point_count)
     rng = random.Random(_SEARCH_SEED)
     # frozen_until[t]: the last move on which translate t is tabu
     frozen_until = [0] * inst.point_count
     held: list[int] = []
     planes: list[int] = []
 
-    def drop(positions) -> int:
-        once = exactly_one(planes)
-        losses = [(masks[held[i]] & once).bit_count() for i in positions]
-        fewest = min(losses)
-        i = rng.choice([i for i, loss in zip(positions, losses) if loss == fewest])
-        removed = held.pop(i)
+    def pick(candidates: list[int], wanted: int, move: float) -> int:
+        """Among candidates, a translate with the most points in wanted,
+        at random among ties; those tabu on move are passed over unless
+        all are."""
+        most, ties = -1, []
+        for tabu_from in (move, math.inf):
+            for t in candidates:
+                if frozen_until[t] < tabu_from:
+                    score = (masks[t] & wanted).bit_count()
+                    if score > most:
+                        most, ties = score, [t]
+                    elif score == most:
+                        ties.append(t)
+            if ties:
+                break
+        return rng.choice(ties)
+
+    def drop(candidates: list[int], move: float = math.inf) -> int:
+        """Drop the candidate whose removal uncovers the fewest points:
+        every held translate covers d^n points, so it is the one with the
+        most points covered twice or more."""
+        removed = pick(candidates, full ^ exactly_one(planes), move)
+        # held has no repeats: a move adds a coverer of an uncovered point
+        held.remove(removed)
         count_down(planes, masks[removed])
         return removed
 
@@ -362,7 +411,7 @@ def _incumbent(
         planes.clear()
         for t in held:
             count_up(planes, masks[t])
-        drop(range(len(held)))
+        drop(held)
 
     restart()
     fewest_uncovered, stalled = None, 0
@@ -374,29 +423,25 @@ def _incumbent(
             best = list(held)
             if len(best) == lower:
                 break
-            drop(range(len(held)))
+            drop(held)
             fewest_uncovered, stalled = None, 0
             continue
-        targets = mask_cells(uncovered, points)
-        if fewest_uncovered is None or len(targets) < fewest_uncovered:
-            fewest_uncovered, stalled = len(targets), 0
+        count = uncovered.bit_count()
+        if fewest_uncovered is None or count < fewest_uncovered:
+            fewest_uncovered, stalled = count, 0
         elif stalled == _STALL_MOVES:
             restart()
             fewest_uncovered, stalled = None, 0
             continue
         else:
             stalled += 1
-        options = coverers_of(rng.choice(targets))
-        options = [a for a in options if frozen_until[a] < moves] or options
-        gains = [(masks[a] & uncovered).bit_count() for a in options]
-        most = max(gains)
-        added = rng.choice([a for a, gain in zip(options, gains) if gain == most])
+        rest = uncovered
+        for _ in range(rng.randrange(count)):
+            rest &= rest - 1
+        added = pick(coverers_of((rest & -rest).bit_length() - 1), uncovered, moves)
         held.append(added)
         count_up(planes, masks[added])
-        positions = range(len(held) - 1)
-        removed = drop(
-            [i for i in positions if frozen_until[held[i]] < moves] or positions
-        )
+        removed = drop(held[:-1], moves)
         frozen_until[added] = frozen_until[removed] = moves + _TABU_TENURE
     return best, moves
 

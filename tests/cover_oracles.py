@@ -4,8 +4,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from maxram.cover import CoverInstance, CoverSolution, cover_mask, torus_points
-from maxram.bits import ceil_div
+from maxram.bits import ceil_div, count_down, count_up, exactly_one, mask_cells, nonzero
+from maxram.cover import (
+    _SEARCH_MOVES,
+    _SEARCH_SEED,
+    _STALL_MOVES,
+    _TABU_TENURE,
+    CoverInstance,
+    CoverSolution,
+    _greedy,
+    cover_mask,
+    torus_points,
+)
 from maxram.rational import floor_times_log
 
 
@@ -89,3 +99,91 @@ def naive_minimum_cover(inst: CoverInstance) -> CoverSolution:
                     lower_bound=size,
                 )
     raise AssertionError("full translate set always covers")
+
+
+def listing_incumbent(
+    inst: CoverInstance, masks: list[int], coverers_of, lower: int, budget: int
+) -> tuple[list[int], int]:
+    """The greedy cover, improved by a tabu search (Glover, "Tabu Search -
+    Part I", ORSA J. Computing 1989) unless it already meets lower.
+    Returns the cover as translate indices and the number of moves spent.
+
+    The search holds one translate fewer than the best cover found. Each move
+    adds, among the non-tabu coverers of a random uncovered point, one
+    with the most fresh coverage, then drops the non-tabu held translate
+    whose removal uncovers the fewest points; ties are broken at random.
+    When nothing is left uncovered the holding becomes the best cover,
+    and the translate whose removal uncovers the fewest points is
+    dropped. The search stops when the best cover meets lower, or after
+    min(_SEARCH_MOVES, budget) steps, each move, drop and restart
+    counted. Cover counts are kept bit-sliced, so a move costs
+    O(d^n + size) big-int operations; tabu tenures sit in a list indexed
+    by translate.
+
+    The listing form of the search, the oracle for _incumbent: every
+    uncovered point is listed for rng.choice, and each choice's
+    candidates are filtered, scored and searched for ties in separate
+    passes.
+    """
+    best = _greedy(inst, masks)
+    if len(best) == lower:
+        return best, 0
+    full = (1 << inst.point_count) - 1
+    points = range(inst.point_count)
+    rng = random.Random(_SEARCH_SEED)
+    # frozen_until[t]: the last move on which translate t is tabu
+    frozen_until = [0] * inst.point_count
+    held: list[int] = []
+    planes: list[int] = []
+
+    def drop(positions) -> int:
+        once = exactly_one(planes)
+        losses = [(masks[held[i]] & once).bit_count() for i in positions]
+        fewest = min(losses)
+        i = rng.choice([i for i, loss in zip(positions, losses) if loss == fewest])
+        removed = held.pop(i)
+        count_down(planes, masks[removed])
+        return removed
+
+    def restart() -> None:
+        held[:] = best
+        planes.clear()
+        for t in held:
+            count_up(planes, masks[t])
+        drop(range(len(held)))
+
+    restart()
+    fewest_uncovered, stalled = None, 0
+    moves = 0
+    while moves < min(_SEARCH_MOVES, budget):
+        moves += 1
+        uncovered = full & ~nonzero(planes)
+        if not uncovered:
+            best = list(held)
+            if len(best) == lower:
+                break
+            drop(range(len(held)))
+            fewest_uncovered, stalled = None, 0
+            continue
+        targets = mask_cells(uncovered, points)
+        if fewest_uncovered is None or len(targets) < fewest_uncovered:
+            fewest_uncovered, stalled = len(targets), 0
+        elif stalled == _STALL_MOVES:
+            restart()
+            fewest_uncovered, stalled = None, 0
+            continue
+        else:
+            stalled += 1
+        options = coverers_of(rng.choice(targets))
+        options = [a for a in options if frozen_until[a] < moves] or options
+        gains = [(masks[a] & uncovered).bit_count() for a in options]
+        most = max(gains)
+        added = rng.choice([a for a, gain in zip(options, gains) if gain == most])
+        held.append(added)
+        count_up(planes, masks[added])
+        positions = range(len(held) - 1)
+        removed = drop(
+            [i for i in positions if frozen_until[held[i]] < moves] or positions
+        )
+        frozen_until[added] = frozen_until[removed] = moves + _TABU_TENURE
+    return best, moves

@@ -1,6 +1,7 @@
 """Torus coverings by cube translates: masks, greedy, random, exact search."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from cover_oracles import (
     draw_count,
     find_mask_cells,
     full_scan_greedy,
+    listing_incumbent,
     naive_minimum_cover,
     random_draws,
     set_box_mask,
@@ -305,6 +307,32 @@ def test_box_masks_match_the_set_oracle(case):
         assert cover_mask(inst, corner) == set_box_mask(inst, corner, inst.d)
 
 
+@st.composite
+def table_tori(draw):
+    """A torus of 1 to 4 axes and at most 2,000 points, with any d from 1
+    to m; most of the m drawn do not divide 64."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, math.floor(2000 ** (1 / n) + 1e-9)))
+    return CoverInstance(m, draw(st.integers(1, m)), n)
+
+
+@given(table_tori())
+@settings(max_examples=100, deadline=None)
+@example(CoverInstance(1, 1, 1))  # one point
+@example(CoverInstance(40, 7, 1))  # one axis
+@example(CoverInstance(6, 1, 4))  # d = 1: every mask one point
+@example(CoverInstance(5, 5, 3))  # d = m: every mask the whole torus
+@example(CoverInstance(9, 2, 3))  # 729 points, m odd
+@example(CoverInstance(45, 15, 2))  # the bench's torus
+def test_coverage_table_matches_cover_mask(inst):
+    """The table turns each slab once per offset and shares the ANDs of
+    each prefix; it holds cover_mask's box for every translate, in
+    row-major order."""
+    translates, masks = _coverage_table(inst)
+    assert translates == torus_points(inst)
+    assert masks == [cover_mask(inst, v) for v in translates]
+
+
 def test_is_cover_fixtures():
     inst = CoverInstance(3, 2, 1)
     assert not is_cover(inst, [(0,)])
@@ -369,6 +397,7 @@ GREEDY_SWEEP = [
 @example((45, 15, 2))  # the bench's torus: each round stops early
 @example((8, 2, 4))  # the last rounds cover fewer than d^n points
 @example((7, 7, 3))  # one translate covers everything
+@example((6, 1, 4))  # d = 1: each scan starts at the first uncovered point
 @settings(max_examples=80, deadline=None)
 def test_greedy_stops_early_at_the_full_scan_choice(mdn):
     """Each round's scan stops at the first translate whose fresh
@@ -550,6 +579,13 @@ def test_exact_cover_budget_exhaustion_keeps_the_incumbent():
     assert full.size <= sol.size
 
 
+# The moves the seeded local search spends to meet the slice bound: its
+# draws are part of its answer, so any change to them shows here.
+LOCAL_SEARCH_MOVES = {
+    (9, 2, 2): 1099, (3, 2, 4): 146, (3, 2, 5): 177, (3, 2, 6): 3, (11, 2, 2): 1394,
+}
+
+
 @pytest.mark.parametrize(
     "m, d, n, greedy, value",
     [(9, 2, 2, 25, 23), (3, 2, 4, 9, 8), (3, 2, 5, 16, 12), (3, 2, 6, 21, 18),
@@ -564,8 +600,25 @@ def test_local_search_meets_the_slice_bound(m, d, n, greedy, value):
     start, moves = _incumbent(inst, masks, _coverers_of(inst, translates), lower, 10**7)
     assert greedy_cover(inst).size == greedy
     assert len(start) == lower == value
-    assert 0 < moves < 10**7
+    assert moves == LOCAL_SEARCH_MOVES[m, d, n]
     assert is_cover(inst, [translates[i] for i in start])
+
+
+@given(
+    st.integers(0, 2**64),
+    st.lists(st.integers(1, sys.maxsize), min_size=1, max_size=20),
+)
+@example(0, [1])
+@example(5, [2**32 - 1, 2**32, 2**32 + 1, 3, sys.maxsize])  # k past one 32-bit word
+@settings(max_examples=200, deadline=None)
+def test_randrange_draws_what_choice_over_a_range_draws(seed, ks):
+    """rng.randrange(k) and rng.choice(range(k)) both draw _randbelow(k),
+    so two generators of one seed stay in step over any run of k >= 1:
+    _incumbent draws an uncovered point's rank where a listing of the
+    points would be chosen from."""
+    ranks, chosen = random.Random(seed), random.Random(seed)
+    for k in ks:
+        assert ranks.randrange(k) == chosen.choice(range(k))
 
 
 @st.composite
@@ -593,6 +646,23 @@ def test_exact_matches_the_rescan_oracle_field_by_field(instance):
     got = exact_cover(inst, budget=budget)
     assert got == rescanned_exact_cover(inst, budget)
     assert is_cover(inst, got.translates)
+
+
+@given(budgeted_instances())
+@example((CoverInstance(9, 2, 2), 20_000))  # meets the slice bound after 1,099 moves
+@example((CoverInstance(7, 4, 3), 20_000))  # 64 coverers per point, all 20,000 moves
+@example((CoverInstance(33, 2, 2), 20_000))  # about 290 held, all 20,000 moves
+@settings(max_examples=100, deadline=None)
+def test_incumbent_matches_the_listing_oracle(instance):
+    """The tabu search that never lists the uncovered points or the
+    scores makes the listing oracle's draws: the same cover, translate
+    order included, after the same number of moves."""
+    inst, budget = instance
+    translates, masks = _coverage_table(inst)
+    lower = slice_lower_bound(inst)
+    got = _incumbent(inst, masks, _coverers_of(inst, translates), lower, budget)
+    want = listing_incumbent(inst, masks, _coverers_of(inst, translates), lower, budget)
+    assert got == want
 
 
 def test_the_branch_and_bound_improves_on_the_tabu_incumbent():
