@@ -15,7 +15,8 @@ validator rebuilds at the stated q through the same function.
 
 All arithmetic is exact and, inside, integer: combinations are scaled by
 the lcm of the step denominators, and a sequence holds its values as
-numerators over one common denominator. A built sequence is affine on
+numerators over one common denominator, which its anchor_set hands on
+to the baton extractor as they are. A built sequence is affine on
 about one maximal run per combination, so subadditivity is decided on
 triples of runs (I, J, K): on {l in I, r in J, l + r in K} the excess
 a_{l+r} - a_l - a_r is affine and the vertices are integer points (the
@@ -127,17 +128,12 @@ class AnchorSequence(NamedTuple):
     q: int
 
     @property
-    def a(self) -> tuple[Fraction, ...]:
-        """The values as Fractions, built at each access."""
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.num)
-
-    @property
     def anchor_set(self) -> AnchorSet:
-        """The values a, marked at the partial sums of p: the positions
-        where the original steps are realized. This is what the general
-        baton extractor reads."""
-        return AnchorSet(self.a, tuple(itertools.accumulate(self.p, initial=0)))
+        """The values num / den, marked at the partial sums of p: the
+        positions where the original steps are realized. This is what the
+        general baton extractor reads."""
+        marks = tuple(itertools.accumulate(self.p, initial=0))
+        return AnchorSet(self.num, self.den, marks)
 
 
 def _threshold_q0(delta: Fraction, theta: Fraction, k: int) -> int:

@@ -40,7 +40,7 @@ def _emit_json(obj, output: str | None) -> None:
 
 def _parse_steps(text: str):
     from .metric import Baton
-    from .rational import parse_rational
+    from .io import parse_rational
 
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:

@@ -17,7 +17,8 @@ bound as its lower bound. Cover counts per point are `bits` counters.
 
 The greedy and exact covers work in integers only: loading this module
 loads no rational arithmetic, and only the random construction's draw
-count, a floor of n * ln d * (m/d)^n, imports it when called.
+count, a floor of n * ln d * (m/d)^n certified by floor_times_log,
+imports it when called.
 """
 
 from __future__ import annotations
@@ -263,12 +264,38 @@ def _greedy(inst: CoverInstance, masks: list[int]) -> list[int]:
     return chosen
 
 
+def floor_times_log(r, d: int) -> int:
+    """Certified floor(r * ln(d)) for rational r >= 0 and integer d >= 1.
+
+    A float floor cannot be trusted near an integer boundary. Decimal.ln
+    at p significant digits is correctly rounded, so ln(d) lies within
+    one unit in its last place. Both ends of that bracket must floor to
+    the same integer; until they do, p doubles from 30. Terminates
+    because r * ln(d) is irrational for r != 0, d >= 2. Imports its
+    rational arithmetic itself, like _draw_count.
+    """
+    from decimal import Context
+    from fractions import Fraction
+
+    r = Fraction(r)
+    if r < 0 or d < 1:
+        raise ValueError("floor_times_log needs r >= 0 and d >= 1")
+    if d == 1 or r == 0:
+        return 0
+    prec = 30
+    while True:
+        ln = Context(prec=prec).ln(d)
+        ulp = Fraction(10) ** (ln.adjusted() + 1 - prec)
+        low = math.floor(r * (Fraction(ln) - ulp))
+        if low == math.floor(r * (Fraction(ln) + ulp)):
+            return low
+        prec *= 2
+
+
 def _draw_count(inst: CoverInstance) -> int:
     """s = floor(n * ln d * (m/d)^n), the random construction's draws: the
     module's one rational step, so it imports rational arithmetic itself."""
     from fractions import Fraction
-
-    from .rational import floor_times_log
 
     return floor_times_log(inst.n * Fraction(inst.m, inst.d) ** inst.n, inst.d)
 

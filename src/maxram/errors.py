@@ -17,9 +17,5 @@ class DomainError(ValueError):
     """An input lies outside the domain the operation works on."""
 
 
-class DimensionMismatch(PreconditionError):
-    """Two vectors or point sets disagree on dimension."""
-
-
 class ParseError(ValueError):
     """A serialized artifact could not be parsed; message carries context."""

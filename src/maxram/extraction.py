@@ -6,12 +6,12 @@ below is the constructive induction behind that fact, run as a loop: a
 head-shift map pushes mass toward larger last coordinates, a class above
 the counting threshold goes on with one axis fewer, and preimages are
 pulled back. One integer core serves both entries: the anchor entry maps
-values to indices first, so general gap patterns reduce to the unit case.
+each coordinate to its anchor index first, comparing integer numerators
+cross-multiplied, so general gap patterns reduce to the unit case.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
@@ -119,27 +119,19 @@ def extract_unit_baton(subset: GridSubset) -> CopyEmbedding:
 
 
 class AnchorSet(NamedTuple):
-    """Strictly increasing values starting at 0, with marked positions
-    running from 0 to the last index.
+    """Strictly increasing values num[i] / den starting at 0, with marked
+    positions running from 0 to the last index.
 
     The marked indices select the extraction steps that realize a target
     gap pattern: consecutive marked values differ by the pattern's steps.
-    An anchor set comes from a verified anchor sequence (its anchor_set)
-    or is the unit grid 0..k, every index marked.
+    An anchor set comes from a verified anchor sequence (its anchor_set,
+    which passes on the sequence's own integer numerators and den) or is
+    the unit grid 0..k over den 1, every index marked.
     """
 
-    values: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
     marks: tuple[int, ...]
-
-    @property
-    def top_index(self) -> int:
-        return len(self.values) - 1
-
-    def marked_steps(self) -> tuple[Fraction, ...]:
-        return tuple(
-            self.values[b] - self.values[a]
-            for a, b in zip(self.marks, self.marks[1:])
-        )
 
 
 def extract_general_baton(
@@ -149,29 +141,38 @@ def extract_general_baton(
 
     Each coordinate of every point must be one of the anchor values (an
     anchor sequence supplies its values through `.anchor_set`); with more
-    than (len(values)-1)^n points a copy is guaranteed. The copy is found
+    than (len(num)-1)^n points a copy is guaranteed. The copy is found
     by pulling the subset back to the integer grid, extracting a unit
     baton, and pushing the marked positions forward.
+
+    All of it runs in integers: the subset's coordinates, scaled by their
+    common denominator, meet the anchor numerators cross-multiplied, so a
+    coordinate c/scale is anchor i exactly when c * den == num[i] * scale.
     """
-    values, marks = anchors.values, anchors.marks
+    num, den, marks = anchors
     if baton.k + 1 != len(marks):
         raise PreconditionError("anchor marks do not match the baton length")
-    if anchors.marked_steps() != baton.steps:
+    if any(
+        (num[b] - num[a]) * s.denominator != s.numerator * den
+        for a, b, s in zip(marks, marks[1:], baton.steps)
+    ):
         raise PreconditionError("anchor marked gaps do not match the baton steps")
-    index_of_value = {v: i for i, v in enumerate(values)}
-    top = anchors.top_index
+    top = len(num) - 1
     n = subset.dim
     _require_dense(len(subset), top, n)
 
-    grid_elems = set()
-    for p in subset.points:
+    scale, coords = subset.scaled_coords
+    index_of_value = {v * scale: i for i, v in enumerate(num)}
+    where: dict[IntVec, int] = {}
+    for j, p in enumerate(coords):
         try:
-            grid_elems.add(tuple(index_of_value[c] for c in p))
+            where[tuple(index_of_value[c * den] for c in p)] = j
         except KeyError:
+            point = ", ".join(map(str, subset.points[j]))
             raise DomainError(
-                f"point ({', '.join(map(str, p))}) has a coordinate outside the anchors"
-            )
-    chain = _extract(grid_elems, n, top)
+                f"point ({point}) has a coordinate outside the anchors"
+            ) from None
+    chain = _extract(where.keys(), n, top)
 
     # Some axis runs 0..top along the chain, upward, so the marks select
     # it forward: the base and full-fiber cases run upward on the last
@@ -181,7 +182,5 @@ def extract_general_baton(
     )
     assert all(chain[s][witness] == s for s in range(top + 1))
 
-    selected = [chain[i] for i in marks]
-    mapped = [tuple(values[c] for c in x) for x in selected]
-    indices = tuple(subset.index_of(p) for p in mapped)
+    indices = tuple(where[chain[i]] for i in marks)
     return CopyEmbedding(baton.as_metric_space(), subset, indices)

@@ -1,9 +1,12 @@
 """JSON artifacts: exact serialization, parsing, and certificate formats.
 
 Rationals travel as "p" or "p/q" strings, or as JSON integers over one
-stated scale, so artifacts stay exact. Every dump is compact canonical
-JSON (sorted keys, no whitespace between tokens, trailing newline), so
-identical inputs give byte-identical files.
+stated scale, so artifacts stay exact. This module owns the literal:
+parse_ratio reads one as an integer pair, and parse_rational and
+format_rational convert to and from Fraction, loading fractions only
+when called. Every dump is compact canonical JSON (sorted keys, no
+whitespace between tokens, trailing newline), so identical inputs give
+byte-identical files.
 Certificates carry only fields a validator can recheck; advisory data
 such as warnings or search statistics stays out of them.
 """
@@ -21,6 +24,8 @@ from .errors import ParseError
 # io loads no module its caller did not: a torus_cover certificate, all
 # integers, loads no rational arithmetic.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .anchors import AnchorSequence
     from .chromatic import ColoringCertificate
     from .colorings import PeriodicColoring
@@ -29,19 +34,60 @@ if TYPE_CHECKING:
     from .metric import Baton, CopyEmbedding, FiniteMetricSpace, PointSet, Vec
 
 
-def vec_to_obj(vec) -> list[str]:
-    from .rational import format_rational
+def parse_ratio(value) -> tuple[int, int]:
+    """Parse an int, or a string "p" / "p/q", into the integer pair (p, q),
+    unreduced, with q != 0."""
+    if isinstance(value, bool):
+        raise ParseError(f"expected rational, got bool {value!r}")
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, str):
+        parts = value.split("/")
+        if len(parts) <= 2:
+            try:
+                num = int(parts[0])
+                den = int(parts[1]) if len(parts) == 2 else 1
+            except ValueError:
+                raise ParseError(f"bad rational literal {value!r}") from None
+            if den == 0:
+                raise ParseError(f"bad rational literal {value!r}: zero denominator")
+            return num, den
+    if isinstance(value, (list, dict)):
+        # Named, not echoed: a container's repr can be as long as the file,
+        # and a dict's follows its key order.
+        raise ParseError(f"expected rational, got a {type(value).__name__}")
+    raise ParseError(f"expected rational, got {value!r}")
 
+
+def parse_rational(value) -> Fraction:
+    """Parse an int, or a string "p" / "p/q", into a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*parse_ratio(value))
+
+
+def format_rational(x: Fraction) -> str:
+    from fractions import Fraction
+
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def vec_to_obj(vec) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def vec_from_obj(items) -> Vec:
-    """The coordinate list items, each a rational literal."""
-    from .rational import parse_rational
-
+def vec_from_obj(items, label: str) -> Vec:
+    """The coordinate list items, each a rational literal; a failure
+    names label."""
     if not isinstance(items, (list, tuple)):
-        raise ParseError(f"expected a coordinate list, got {type(items).__name__}")
-    return tuple(map(parse_rational, items))
+        raise ParseError(f"{label}: expected a list of rationals")
+    try:
+        return tuple(map(parse_rational, items))
+    except ParseError as exc:
+        raise ParseError(f"{label}: {exc}") from None
 
 
 def matrix_to_obj(space: FiniteMetricSpace) -> list[list[str]]:
@@ -118,7 +164,9 @@ def metric_space_from_obj(obj) -> FiniteMetricSpace:
         rows = obj["distance_matrix"]
         if not isinstance(rows, list) or not rows:
             raise ParseError("distance_matrix must be a non-empty list of rows")
-        dist = tuple(vec_from_obj(row) for row in rows)
+        dist = tuple(
+            vec_from_obj(row, f"distance_matrix[{i}]") for i, row in enumerate(rows)
+        )
         check_metric(dist)
         return FiniteMetricSpace(dist)
     if "points" in obj:
@@ -134,7 +182,7 @@ def point_set_from_obj(obj) -> PointSet:
     rows = obj["points"]
     if not isinstance(rows, list) or not rows:
         raise ParseError("points must be a non-empty list")
-    points = tuple(vec_from_obj(row) for row in rows)
+    points = tuple(vec_from_obj(row, f"points[{i}]") for i, row in enumerate(rows))
     return PointSet(dim=len(points[0]), points=points)
 
 
@@ -185,7 +233,6 @@ def anchor_sequence_certificate(baton: Baton, seq: AnchorSequence) -> dict:
     sequences that pass every clause of verify_anchor_sequence are built,
     so each is recorded as passed; the validator recomputes them all."""
     from .anchors import VerificationReport
-    from .rational import format_rational
 
     return {
         "kind": "anchor_sequence",
@@ -210,7 +257,6 @@ def periodic_coloring_certificate(
     torus cells are built once as index lists, and each class is its
     owned mask expanded over them."""
     from .bits import mask_cells
-    from .rational import format_rational
 
     # Lists, not tuples, so that the certificate equals the one read back.
     axis = range(coloring.cells_per_axis)

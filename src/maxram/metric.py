@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 Vec = tuple[Fraction, ...]
 
@@ -112,7 +112,7 @@ class PointSet:
         self.points = pts = tuple(_as_vec(p) for p in points)
         for p in pts:
             if len(p) != dim:
-                raise DimensionMismatch(
+                raise PreconditionError(
                     f"point ({', '.join(map(str, p))}) has dimension {len(p)}, "
                     f"expected {dim}"
                 )
@@ -121,9 +121,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_of(self, point) -> int:
-        return self.points.index(_as_vec(point))
 
     @cached_property
     def scaled_coords(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -24,10 +24,9 @@ from .colorings import PeriodicColoring
 from .cover import CoverInstance, is_cover, redundant_translate, slice_lower_bound
 from .errors import DomainError, ParseError, PreconditionError
 from .io import _bool_field, _int_field, _int_value, _list_field
-from .io import metric_space_from_obj, read_json, vec_from_obj
+from .io import metric_space_from_obj, parse_rational, read_json, vec_from_obj
 from .metric import Baton, CopyEmbedding, PointSet, find_copies, grid_points
 from .metric import connectivity_threshold, diameter
-from .rational import parse_rational
 
 # Node budget of the independent chromatic solve behind `optimal` claims;
 # a solve that runs out of it leaves the claim unchecked.
@@ -56,7 +55,8 @@ def _check_copy_embedding(obj) -> list[str]:
     space = metric_space_from_obj({"distance_matrix": obj["distance_matrix"]})
     if obj.get("distances_checked") is not True:
         failures.append("distances_checked: must be true")
-    points = [vec_from_obj(p) for p in _list_field(obj, "points")]
+    rows = _list_field(obj, "points")
+    points = [vec_from_obj(p, f"points[{i}]") for i, p in enumerate(rows)]
     _check_copy(space, points, "points", failures)
     return failures
 
@@ -68,7 +68,9 @@ def _check_copy_list(obj) -> list[str]:
     for idx, copy in enumerate(_list_field(obj, "copies")):
         if not isinstance(copy, list):
             return [f"copies[{idx}]: must be a list of points"]
-        copies.append([vec_from_obj(p) for p in copy])
+        copies.append(
+            [vec_from_obj(p, f"copies[{idx}][{i}]") for i, p in enumerate(copy)]
+        )
     if _int_field(obj, "count") != len(copies):
         failures.append("count: does not match the number of copies")
     for idx, points in enumerate(copies):
@@ -83,8 +85,9 @@ def _check_anchor_sequence(obj) -> list[str]:
     """Rebuild the sequence at the stated q and compare field by field;
     a[l]/den, over any common den >= 1, is compared cross-multiplied."""
     failures: list[str] = []
+    steps = vec_from_obj(obj["steps"], "steps")
     try:
-        baton = Baton(steps=vec_from_obj(obj["steps"]))
+        baton = Baton(steps=steps)
         if baton.k < 1:
             raise ParseError("must be non-empty")
         check_combination_count(baton.steps)
@@ -267,6 +270,9 @@ def _check_periodic_coloring(obj) -> list[str]:
     found = _check_coloring(coloring, classes)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
+        return failures
+    if space.size < 2:
+        failures.append("distance_matrix: the avoided space needs at least 2 points")
         return failures
     if coloring.window > diameter(space):
         failures.append("window: exceeds the diameter of the avoided space")

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from anchor_sets import anchor_values
 from maxram.anchors import ClauseResult, VerificationReport, check_combination_count
 from maxram.errors import PreconditionError
 
@@ -105,9 +106,9 @@ def fraction_gamma_set(baton) -> GammaSet:
 
 
 def fraction_verify_anchor_sequence(seq, baton) -> VerificationReport:
-    """verify_anchor_sequence on the Fraction values seq.a, clause by
+    """verify_anchor_sequence on the Fraction values of seq, clause by
     clause, with the lane sweep deciding subadditivity on its own."""
-    a, m, p, q = seq.a, seq.m, seq.p, seq.q
+    a, m, p, q = anchor_values(seq), seq.m, seq.p, seq.q
     gammas = fraction_gamma_set(baton)
 
     mono_fail = None

@@ -1,9 +1,23 @@
-"""Hand-built anchor sets, shared by the test modules."""
+"""Hand-built anchor sets, and the Fraction values of any anchor set or
+sequence, shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 from maxram.errors import PreconditionError
 from maxram.extraction import AnchorSet
+
+
+def anchor_values(anchors) -> tuple[Fraction, ...]:
+    """The values num[i] / den of an AnchorSet or AnchorSequence."""
+    return tuple(Fraction(n, anchors.den) for n in anchors.num)
+
+
+def marked_steps(anchors: AnchorSet) -> tuple[Fraction, ...]:
+    """The gaps between consecutive marked values."""
+    values = anchor_values(anchors)
+    marks = anchors.marks
+    return tuple(values[b] - values[a] for a, b in zip(marks, marks[1:]))
 
 
 def anchor_set_one_alpha(alpha) -> AnchorSet:
@@ -11,7 +25,8 @@ def anchor_set_one_alpha(alpha) -> AnchorSet:
 
     ceil(alpha) + 2 values: 0, then an arithmetic ramp from 1 to alpha,
     then alpha + 1. Consecutive values differ by at most 1, so a value
-    gap above 1 forces an index gap of at least 2.
+    gap above 1 forces an index gap of at least 2. They are stated over
+    the least common denominator.
     """
     alpha = Fraction(alpha)
     if alpha <= 1:
@@ -21,4 +36,6 @@ def anchor_set_one_alpha(alpha) -> AnchorSet:
     for l in range(1, m + 1):
         values.append(1 + Fraction(l - 1, m - 1) * (alpha - 1))
     values.append(alpha + 1)
-    return AnchorSet(tuple(values), (0, 1, m + 1))
+    den = math.lcm(*(v.denominator for v in values))
+    num = tuple(v.numerator * (den // v.denominator) for v in values)
+    return AnchorSet(num, den, (0, 1, m + 1))

@@ -13,7 +13,7 @@ from maxram.colorings import PeriodicColoring
 from maxram.errors import DomainError, ParseError, PreconditionError
 from maxram.io import _int_field, _list_field, matrix_to_obj, metric_space_from_obj
 from maxram.metric import connectivity_threshold, diameter
-from maxram.rational import format_rational, parse_rational
+from maxram.io import format_rational, parse_rational
 
 
 def owner_table(classes) -> dict[tuple[int, ...], int]:
@@ -168,6 +168,9 @@ def check_periodic_coloring_naive(obj) -> list[str]:
     found = check_coloring_naive(coloring, classes)
     failures += found
     if any(failure.startswith("coloring:") for failure in found):
+        return failures
+    if space.size < 2:
+        failures.append("distance_matrix: the avoided space needs at least 2 points")
         return failures
     if coloring.window > diameter(space):
         failures.append("window: exceeds the diameter of the avoided space")

@@ -16,7 +16,7 @@ from maxram.cover import (
     cover_mask,
     torus_points,
 )
-from maxram.rational import floor_times_log
+from maxram.cover import floor_times_log
 
 
 def set_box_mask(inst: CoverInstance, corner, side: int) -> int:

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from maxram.errors import DimensionMismatch, PreconditionError
+from maxram.errors import PreconditionError
 
 
 def chebyshev_distance(x, y) -> Fraction:
     """Max-coordinate distance between two equal-length rational vectors."""
     if len(x) != len(y):
-        raise DimensionMismatch(f"dimension mismatch: {len(x)} vs {len(y)}")
+        raise PreconditionError(f"dimension mismatch: {len(x)} vs {len(y)}")
     best = Fraction(0)
     for a, b in zip(x, y):
         diff = abs(Fraction(a) - Fraction(b))

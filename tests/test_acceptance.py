@@ -21,7 +21,7 @@ from cert_fixtures import (
     leaf_paths,
     mutate_leaf,
 )
-from anchor_sets import anchor_set_one_alpha
+from anchor_sets import anchor_set_one_alpha, anchor_values
 from coloring_oracles import color_of
 from cover_oracles import (
     counting_lower_bound,
@@ -229,15 +229,16 @@ def test_c07_one_alpha_anchor_sets_are_tight_and_extract():
     for alpha in [Fraction(3, 2), Fraction(2), Fraction(5, 2)]:
         anchors = anchor_set_one_alpha(alpha)
         ceil_alpha = ceil_div(alpha.numerator, alpha.denominator)
-        assert len(anchors.values) == ceil_alpha + 2
+        values = anchor_values(anchors)
+        assert len(values) == ceil_alpha + 2
         baton = Baton((Fraction(1), alpha))
 
-        line = PointSet(1, tuple((v,) for v in anchors.values))
+        line = PointSet(1, tuple((v,) for v in values))
         emb = extract_general_baton(line, baton, anchors)
         assert len(emb.indices) == 3
 
-        top = len(anchors.values) - 1
-        plane = list(itertools.product(anchors.values, repeat=2))
+        top = len(values) - 1
+        plane = list(itertools.product(values, repeat=2))
         need = top**2 + 1
         failures = 0
         for _ in range(500):

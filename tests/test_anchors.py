@@ -13,6 +13,7 @@ from anchor_oracles import (
     fraction_round,
     fraction_verify_anchor_sequence,
 )
+from anchor_sets import anchor_values, marked_steps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -258,8 +259,8 @@ def test_anchor_values_match_the_fraction_formula(baton, later):
     for i in range(1, len(values)):
         for l in range(bounds[i - 1] + 1, bounds[i] + 1):
             expected[l] = values[i] - (bounds[i] - l) * unit
-    assert seq.q0 < q and seq.a == tuple(expected)
-    assert all(type(v) is F for v in seq.a)
+    assert seq.q0 < q and anchor_values(seq) == tuple(expected)
+    assert all(type(v) is int for v in seq.num)
 
 
 def test_anchor_sequence_at_rejects_q_27_for_the_half_integer_pair():
@@ -275,17 +276,17 @@ def test_integer_steps_take_the_fast_path():
     assert (seq.q, seq.q0) == (1, 0)
     assert seq.p == (2, 3)
     assert seq.m == 5
-    assert seq.a == tuple(F(l) for l in range(6))
+    assert anchor_values(seq) == tuple(F(l) for l in range(6))
     assert seq.delta == 1
     assert seq.theta == F(5, 2)
     assert seq.anchor_set.marks == (0, 2, 5)
-    assert seq.anchor_set.marked_steps() == (F(2), F(3))
+    assert marked_steps(seq.anchor_set) == (F(2), F(3))
 
 
 def test_faithful_single_unit_step():
     seq = build_anchor_sequence(Baton((F(1),)), faithful=True)
     assert (seq.q, seq.q0, seq.p, seq.m) == (4, 3, (4,), 4)
-    assert seq.a == (F(0), F(5, 8), F(3, 4), F(7, 8), F(1))
+    assert anchor_values(seq) == (F(0), F(5, 8), F(3, 4), F(7, 8), F(1))
     assert verify_anchor_sequence(seq, Baton((F(1),))).ok
 
 
@@ -299,8 +300,8 @@ def test_faithful_half_integer_pair():
     # every bounded combination sits at its rounded index
     for gamma, index in ((F(1), 28), (F(3, 2), 42), (F(2), 56), (F(5, 2), 70)):
         assert fraction_round(seq.q, gamma) == index
-        assert seq.a[index] == gamma
-    assert seq.anchor_set.marked_steps() == baton.steps
+        assert anchor_values(seq)[index] == gamma
+    assert marked_steps(seq.anchor_set) == baton.steps
 
 
 def test_block_interpolation_gaps():
@@ -308,11 +309,12 @@ def test_block_interpolation_gaps():
     step into a block stays above delta/2."""
     seq = build_anchor_sequence(Baton((F(1), F(3, 2))), faithful=True)
     unit = seq.delta / (2 * seq.m)
+    a = anchor_values(seq)
     boundaries = [0, 28, 42, 56, 70]
     for lo, hi in zip(boundaries, boundaries[1:]):
         for l in range(lo + 2, hi + 1):
-            assert seq.a[l] - seq.a[l - 1] == unit
-        assert seq.a[lo + 1] - seq.a[lo] > seq.delta / 2
+            assert a[l] - a[l - 1] == unit
+        assert a[lo + 1] - a[lo] > seq.delta / 2
 
 
 def test_fractional_steps_force_the_slow_path_even_without_faithful():
@@ -338,8 +340,8 @@ def test_built_sequences_verify_and_realize_the_steps(baton):
     seq = build_anchor_sequence(baton)
     report = verify_anchor_sequence(seq, baton)
     assert report.ok
-    assert seq.anchor_set.marked_steps() == baton.steps
-    assert seq.anchor_set.values == seq.a
+    assert marked_steps(seq.anchor_set) == baton.steps
+    assert seq.anchor_set[:2] == (seq.num, seq.den)
 
 
 # -- AnchorSequence validation ------------------------------------------------
@@ -354,7 +356,7 @@ def test_anchor_sequence_field_validation(baton, faithful):
     for built in (seq, anchor_sequence_at(baton, seq.q)):
         assert built.p and all(type(v) is int and v >= 1 for v in built.p)
         assert built.m == sum(built.p)
-        assert len(built.a) == built.m + 1
+        assert len(built.num) == built.m + 1
         assert built.q >= 1
 
 
@@ -566,7 +568,7 @@ def test_integer_verifier_matches_the_fraction_oracle(baton, faithful, data):
         subadditive = got.pop("subadditive")
         assert subadditive.passed == want.pop("subadditive").passed
         if not subadditive:
-            assert_names_a_violation(subadditive, checked.a)
+            assert_names_a_violation(subadditive, anchor_values(checked))
         assert got == want
 
 

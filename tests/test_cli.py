@@ -22,7 +22,7 @@ from maxram.colorings import avoidance_coloring
 from maxram.cover import MAX_TABLE_POINTS, MAX_TORUS_POINTS
 from maxram.io import dump_json, matrix_to_obj, read_json, write_json
 from maxram.metric import MAX_GRID_POINTS, Baton, grid_points
-from maxram.rational import format_rational
+from maxram.io import format_rational
 from maxram.validate import validate_certificate
 
 F = Fraction
@@ -93,6 +93,24 @@ def test_errors_name_a_point_by_its_rational_coordinates(
     captured = capsys.readouterr()
     assert (captured.err, captured.out) == (err, "")
     assert "Fraction(" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "steps, points, err",
+    [
+        ("1e3", [["0"], ["1"]], "bad rational literal '1e3'"),
+        ("1/0", [["0"], ["1"]], "bad rational literal '1/0': zero denominator"),
+        ("1", [["0"], None], "points[1]: expected a list of rationals"),
+        ("1", [["0"], ["x"]], "points[1]: bad rational literal 'x'"),
+    ],
+)
+def test_bad_rational_literals_are_exit_2_by_name(tmp_path, capsys, steps, points, err):
+    """A literal on the command line or in a file is refused in the
+    program's words, never in Python's."""
+    path = tmp_path / "points.json"
+    write_json(path, {"points": points})
+    assert main(["extract", "--baton", steps, "--subset", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 # -- copies ---------------------------------------------------------------

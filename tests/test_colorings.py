@@ -37,7 +37,7 @@ from maxram.metric import (
     connectivity_threshold,
     diameter,
 )
-from maxram.rational import format_rational, parse_rational
+from maxram.io import format_rational, parse_rational
 from maxram.validate import _check_coloring, validate_certificate
 
 F = Fraction

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchor_sets import anchor_set_one_alpha
+from anchor_sets import anchor_set_one_alpha, anchor_values, marked_steps
+from extraction_oracles import fraction_extract_general_baton
 from maxram.errors import DomainError, PreconditionError
 from maxram.extraction import (
     AnchorSet,
@@ -121,8 +122,8 @@ def anchor_route(subset: GridSubset) -> tuple:
     """The unit copy through the anchor entry: the subset as Fraction
     points, every grid value its own marked anchor."""
     points = PointSet(subset.n, tuple(sorted(subset.elems)))
-    grid = range(subset.k + 1)
-    emb = extract_general_baton(points, Baton.unit(subset.k), AnchorSet(grid, grid))
+    grid = tuple(range(subset.k + 1))
+    emb = extract_general_baton(points, Baton.unit(subset.k), AnchorSet(grid, 1, grid))
     return emb.mapped_points()
 
 
@@ -152,22 +153,31 @@ def test_unit_extraction_matches_the_anchor_route_on_seeded_subsets():
 
 def test_anchor_set_validation():
     """AnchorSet checks nothing itself: the anchor sets of built sequences
-    start at 0, strictly increase, and mark indices 0 to the last."""
+    hold integer numerators over a den >= 1, start at 0, strictly
+    increase, and mark indices 0 to the last."""
     from maxram.anchors import build_anchor_sequence
 
     batons = [(F(1),), (F(1), F(3, 2)), (F(2), F(1, 2)), (F(1), F(1), F(2))]
     for steps, faithful in itertools.product(batons, (False, True)):
-        values, marks = build_anchor_sequence(Baton(steps), faithful).anchor_set
-        assert values[0] == 0
-        assert all(a < b for a, b in zip(values, values[1:]))
-        assert marks[0] == 0 and marks[-1] == len(values) - 1
+        num, den, marks = build_anchor_sequence(Baton(steps), faithful).anchor_set
+        assert type(den) is int and den >= 1
+        assert all(type(v) is int for v in num) and num[0] == 0
+        assert all(a < b for a, b in zip(num, num[1:]))
+        assert marks[0] == 0 and marks[-1] == len(num) - 1
         assert all(a < b for a, b in zip(marks, marks[1:]))
 
 
 def test_marked_steps_reads_gaps_between_marked_values():
-    a = AnchorSet((F(0), F(1), F(3, 2), F(5, 2)), (0, 1, 3))
-    assert a.top_index == 3
-    assert a.marked_steps() == (F(1), F(3, 2))
+    """The values 0, 1, 3/2, 5/2 over den 2, marked at 0, 1 and 3: the
+    extractor reads the marked gaps 1 and 3/2, and no other pattern."""
+    a = AnchorSet((0, 2, 3, 5), 2, (0, 1, 3))
+    assert marked_steps(a) == (F(1), F(3, 2))
+    line = PointSet(1, tuple((v,) for v in anchor_values(a)))
+    emb = extract_general_baton(line, Baton((F(1), F(3, 2))), a)
+    assert emb.mapped_points() == ((F(0),), (F(1),), (F(5, 2),))
+    for steps in ((F(1), F(2)), (F(3, 2), F(1)), (F(1, 2), F(3, 2))):
+        with pytest.raises(PreconditionError, match="baton steps"):
+            extract_general_baton(line, Baton(steps), a)
 
 
 @pytest.mark.parametrize(
@@ -180,9 +190,9 @@ def test_marked_steps_reads_gaps_between_marked_values():
 )
 def test_one_alpha_anchor_fixtures(alpha, values, marks):
     a = anchor_set_one_alpha(alpha)
-    assert a.values == values
+    assert anchor_values(a) == values
     assert a.marks == marks
-    assert a.marked_steps() == (F(1), alpha)
+    assert marked_steps(a) == (F(1), alpha)
 
 
 def test_one_alpha_rejects_alpha_at_most_one():
@@ -194,22 +204,22 @@ def test_one_alpha_rejects_alpha_at_most_one():
 
 @given(st.fractions(min_value=1, max_value=8, max_denominator=6).filter(lambda a: a > 1))
 def test_one_alpha_consecutive_gaps_never_exceed_one(alpha):
-    a = anchor_set_one_alpha(alpha)
-    gaps = [b - x for x, b in zip(a.values, a.values[1:])]
+    values = anchor_values(anchor_set_one_alpha(alpha))
+    gaps = [b - x for x, b in zip(values, values[1:])]
     assert all(0 < g <= 1 for g in gaps)
-    assert a.values[-1] == alpha + 1
+    assert values[-1] == alpha + 1
 
 
 # -- extract_general_baton ---------------------------------------------------
 
 
 def anchor_grid(anchors, n: int) -> list[tuple[Fraction, ...]]:
-    return list(itertools.product(anchors.values, repeat=n))
+    return list(itertools.product(anchor_values(anchors), repeat=n))
 
 
 def test_general_extraction_rejects_mismatched_anchors():
     anchors = anchor_set_one_alpha(F(3, 2))
-    subset = PointSet(1, tuple((v,) for v in anchors.values))
+    subset = PointSet(1, tuple((v,) for v in anchor_values(anchors)))
     with pytest.raises(PreconditionError, match="baton length"):
         extract_general_baton(subset, Baton((F(1),)), anchors)
     with pytest.raises(PreconditionError, match="baton steps"):
@@ -230,7 +240,7 @@ def test_general_extraction_rejects_sparse_or_off_grid_input():
 def test_general_extraction_whole_line_realizes_the_pattern():
     anchors = anchor_set_one_alpha(F(5, 2))
     baton = Baton((F(1), F(5, 2)))
-    subset = PointSet(1, tuple((v,) for v in anchors.values))
+    subset = PointSet(1, tuple((v,) for v in anchor_values(anchors)))
     emb = extract_general_baton(subset, baton, anchors)
     assert emb.mapped_points() == ((F(0),), (F(1),), (F(7, 2),))
 
@@ -241,7 +251,7 @@ def test_general_extraction_on_random_dense_planar_subsets(seed, alpha):
     anchors = anchor_set_one_alpha(alpha)
     baton = Baton((F(1), alpha))
     rng = random.Random(seed)
-    top = anchors.top_index
+    top = len(anchors.num) - 1
     sample = rng.sample(anchor_grid(anchors, 2), top**2 + 1)
     subset = PointSet(2, tuple(sample))
     emb = extract_general_baton(subset, baton, anchors)
@@ -259,7 +269,72 @@ def test_general_extraction_accepts_anchor_sequences_too():
     baton = Baton((F(1), F(3, 2)))
     anchors = build_anchor_sequence(baton).anchor_set
     assert isinstance(anchors, AnchorSet)
-    subset = PointSet(1, tuple((v,) for v in anchors.values))
+    subset = PointSet(1, tuple((v,) for v in anchor_values(anchors)))
     emb = extract_general_baton(subset, baton, anchors)
     pos = [p[0] for p in emb.mapped_points()]
     assert pos[1] - pos[0] == 1 and pos[2] - pos[1] == F(3, 2)
+
+
+def oracle_cases() -> list[tuple[Baton, AnchorSet]]:
+    """Batons with their anchor sets: one-alpha grids, and the anchor sets
+    of built sequences, fast path and faithful, over dens 1 to 228."""
+    from maxram.anchors import build_anchor_sequence
+
+    cases = [
+        (Baton((F(1), alpha)), anchor_set_one_alpha(alpha))
+        for alpha in (F(3, 2), F(2), F(5, 2), F(7, 3))
+    ]
+    built = [
+        ((F(1),), True), ((F(3, 2),), False), ((F(1, 2),), False),
+        ((F(2, 3),), False), ((F(5, 2),), False), ((F(2), F(3)), False),
+        ((F(1), F(1, 2)), False),
+    ]
+    for steps, faithful in built:
+        baton = Baton(steps)
+        cases.append((baton, build_anchor_sequence(baton, faithful).anchor_set))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+@given(
+    st.sampled_from(range(len(ORACLE_CASES))),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+@example(0, 2, True, False, 0)
+@example(5, 3, False, True, 0)
+@settings(max_examples=150, deadline=None)
+def test_integer_extraction_matches_the_fraction_oracle(
+    case, stretch, plane, off_anchor, seed
+):
+    """Random dense subsets of the anchor grid, on the line and in the
+    plane (where it has at most 121 points), give the oracle's copy. The
+    anchor numerators and den are stretched by a common factor, so past
+    factor 1 the subset's coordinate LCM differs from den. A point with
+    a coordinate between two anchors makes both refuse by name."""
+    baton, (num, den, marks) = ORACLE_CASES[case]
+    anchors = AnchorSet(tuple(stretch * v for v in num), stretch * den, marks)
+    values = anchor_values(anchors)
+    top = len(values) - 1
+    n = 2 if plane and top <= 10 else 1
+    rng = random.Random(seed)
+    grid = anchor_grid(anchors, n)
+    points = rng.sample(grid, rng.randint(top**n + 1, len(grid)))
+    if stretch > 1:  # the LCM divides the unstretched den
+        assert PointSet(n, tuple(points)).scaled_coords[0] != anchors.den
+    if off_anchor:
+        points.append(((values[0] + values[1]) / 2,) * n)
+    subset = PointSet(n, tuple(points))
+    if off_anchor:
+        for extract in (extract_general_baton, fraction_extract_general_baton):
+            with pytest.raises(DomainError, match="outside the anchors"):
+                extract(subset, baton, anchors)
+        return
+    got = extract_general_baton(subset, baton, anchors)
+    want = fraction_extract_general_baton(subset, baton, anchors)
+    assert got.indices == want.indices
+    assert got.mapped_points() == want.mapped_points()

@@ -33,9 +33,11 @@ F = Fraction
 def test_vec_round_trip():
     vec = (F(0), F(-3, 2), F(7))
     assert vec_to_obj(vec) == ["0", "-3/2", "7"]
-    assert vec_from_obj(vec_to_obj(vec)) == vec
-    with pytest.raises(ParseError):
-        vec_from_obj("not a list")
+    assert vec_from_obj(vec_to_obj(vec), "vec") == vec
+    with pytest.raises(ParseError, match=r"^vec: expected a list of rationals$"):
+        vec_from_obj("not a list", "vec")
+    with pytest.raises(ParseError, match=r"^vec: bad rational literal 'x'$"):
+        vec_from_obj(["1", "x"], "vec")
 
 
 def test_dump_json_is_canonical():

@@ -90,9 +90,9 @@ def test_help_loads_only_the_cli_and_its_errors():
 
 def test_exact_cover_loads_no_module_it_does_not_run(tmp_path):
     """cover --exact, --greedy and cover table do integer work only: they
-    load no rational arithmetic, neither maxram.rational nor fractions or
-    decimal (unless the bare interpreter already loads them), and only
-    the table, which writes CSV, leaves io unloaded."""
+    load no rational arithmetic, neither fractions nor decimal (unless
+    the bare interpreter already loads them), and only the table, which
+    writes CSV, leaves io unloaded."""
     runs = {
         "--exact": ("cli", "errors", "bits", "cover", "io"),
         "--greedy": ("cli", "errors", "bits", "cover", "io"),
@@ -120,15 +120,15 @@ def test_the_counter_module_loads_no_other_package_module():
 
 
 def test_chi_loads_no_coloring_cover_anchor_or_validator_module():
+    """chi loads the search, its metric and io, whose rational literals
+    need no module of their own."""
     script = (
         "import contextlib, io\nfrom maxram.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['chi', '--grid', '2,2']) == 0\n"
     )
-    loaded = loaded_after(script)
-    assert "maxram.chromatic" in loaded
-    unrun = ("colorings", "cover", "anchors", "extraction", "validate")
-    assert loaded.isdisjoint(f"maxram.{m}" for m in unrun)
+    run = ("cli", "errors", "bits", "chromatic", "metric", "io")
+    assert loaded_after(script) == {"maxram", *(f"maxram.{m}" for m in run)}
 
 
 def test_extract_k_loads_no_anchor_module(tmp_path):

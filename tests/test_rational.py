@@ -1,6 +1,7 @@
 """Rational parsing and formatting, and certified logarithm floors."""
 
 import math
+import re
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxram.errors import ParseError
-from maxram.rational import floor_times_log, format_rational, parse_ratio
-from maxram.rational import parse_rational
+from maxram.cover import floor_times_log
+from maxram.io import format_rational, parse_ratio, parse_rational
 
 F = Fraction
 
@@ -76,6 +77,7 @@ def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ParseError) as fraction:
         parse_rational(bad)
     assert str(pair.value) == str(fraction.value)
+    assert not re.search(r"int\(\)|Fraction\(", str(pair.value))
 
 
 def test_format_rational_matches_the_wire_format():

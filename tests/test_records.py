@@ -11,7 +11,7 @@ from maxram.anchors import AnchorSequence, ClauseResult, VerificationReport
 from maxram.chromatic import ColoringCertificate, CopyHypergraph
 from maxram.colorings import PeriodicColoring
 from maxram.cover import CoverInstance, CoverSolution
-from maxram.errors import DimensionMismatch, DomainError, PreconditionError
+from maxram.errors import DomainError, PreconditionError
 from maxram.extraction import AnchorSet, GridSubset
 from maxram.metric import Baton, CopyEmbedding, FiniteMetricSpace, PointSet
 from maxram.validate import ValidationReport
@@ -29,7 +29,7 @@ RECORDS = {
     Baton: ({"steps": (F(1), F(2))}, {}),
     CopyEmbedding: ({"source": PAIR, "points": LINE, "indices": (1, 0)}, {}),
     GridSubset: ({"n": 1, "k": 1, "elems": frozenset({(0,), (1,)})}, {}),
-    AnchorSet: ({"values": (F(0), F(1), F(3)), "marks": (0, 2)}, {}),
+    AnchorSet: ({"num": (0, 1, 3), "den": 1, "marks": (0, 2)}, {}),
     AnchorSequence: (
         {"p": (1, 2), "m": 3, "num": (0, 1, 2, 3), "den": 1, "delta": F(1),
          "theta": F(3), "q0": 0, "q": 1},
@@ -62,7 +62,7 @@ RECORDS = {
 
 # One bad field per type that checks its fields, and the exception it raises.
 REFUSED = [
-    (PointSet, {"dim": 2, "points": ((0,), (1,))}, DimensionMismatch),
+    (PointSet, {"dim": 2, "points": ((0,), (1,))}, PreconditionError),
     (Baton, {"steps": (1, 0)}, PreconditionError),
     (CopyEmbedding, {"source": PAIR, "points": LINE, "indices": (0, 0)},
      PreconditionError),

@@ -28,12 +28,13 @@ from maxram.io import (
 )
 from maxram.metric import Baton, FiniteMetricSpace, PointSet
 from maxram.errors import ParseError
-from maxram.rational import format_rational, parse_rational
+from maxram.io import format_rational, parse_rational
 from maxram.validate import validate_certificate
 
-from cert_fixtures import canonical_certificates
+from cert_fixtures import apply_mutation, canonical_certificates
 from coloring_oracles import check_periodic_coloring_naive
 from coloring_oracles import periodic_coloring_certificate_naive
+from metric_oracles import chebyshev_distance
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +345,9 @@ def test_malformed_anchor_sequences_are_invalid_by_name(
 COVER_LABEL = re.compile(
     r"(m|d|n|translates|translates\[\d+\]|size|optimal|lower_bound|malformed): \S"
 )
-PYTHON_ERROR_TEXT = re.compile(r"object|not supported|unhashable|argument")
+PYTHON_ERROR_TEXT = re.compile(
+    r"object|not supported|unhashable|argument|int\(\)|NoneType|Fraction\("
+)
 cover_junk = st.one_of(
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -438,23 +441,24 @@ CHROMATIC_MUTATIONS = [
 ]
 
 
+def rational_rows(rows) -> list[list[Fraction]] | None:
+    """rows read as lists of rationals, or None when they are not a list
+    of lists of rational literals."""
+    if not isinstance(rows, list):
+        return None
+    if not all(map(isinstance, rows, itertools.repeat(list))):
+        return None
+    try:
+        return [list(map(parse_rational, row)) for row in rows]
+    except ParseError:
+        return None
+
+
 def restates(mutant, cert, field) -> bool:
     """Whether the mutant makes the certificate's claim in other words:
     the same JSON; the four colors relabeled by a bijection, which stays
     proper since each pair of points of {0,1}^2 lies at distance 1; or a
     matrix of other literals for the same rationals."""
-
-    def rationals(matrix):
-        rows = isinstance(matrix, list) and all(
-            map(isinstance, matrix, itertools.repeat(list))
-        )
-        if not rows:
-            return None
-        try:
-            return [list(map(parse_rational, row)) for row in matrix]
-        except ParseError:
-            return None
-
     if dump_json(mutant) == dump_json(cert):
         return True
     if field not in mutant:
@@ -464,7 +468,7 @@ def restates(mutant, cert, field) -> bool:
         ints = isinstance(value, list) and {*map(type, value)} <= {int}
         return ints and sorted(value) == sorted(cert["colors"])
     if field == "distance_matrix":
-        return rationals(value) == rationals(cert["distance_matrix"])
+        return rational_rows(value) == rational_rows(cert["distance_matrix"])
     return False
 
 
@@ -510,6 +514,129 @@ def test_malformed_chromatic_certificates_are_invalid_by_name(
     assert out.getvalue() == "invalid: chromatic\n" + lines
 
 
+# -- malformed copy and coloring certificates, fuzzed ---------------------------
+
+FUZZED_FIELDS = {
+    "copy_embedding": ("distance_matrix", "points", "distances_checked"),
+    "copy_list": ("distance_matrix", "copies", "count", "distinct_supports"),
+    "periodic_coloring": (
+        "dim", "period", "box_size", "classes", "class_count", "window", "anchors",
+        "distance_matrix",
+    ),
+}
+FUZZED_LABEL = re.compile(
+    r"(distance_matrix|points|distances_checked|copies|copies\[\d+\]|count"
+    r"|distinct_supports|dim|period|box_size|classes|class_count|window|anchors"
+    r"|coloring|malformed): \S"
+)
+fuzzed_junk = chromatic_junk | st.sampled_from(["1e3", "0x1", "x/2", "2/1", "1/-1"])
+
+
+def node_paths(obj, path=()):
+    """The path of obj and of every list entry or dict value inside it."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from node_paths(value, path + (key,))
+
+
+def states_true_copies(cert) -> bool:
+    """Whether a copy_embedding or copy_list certificate, read naively,
+    states true copies: the matrix and each copy are lists of rational
+    lists, each copy's points are distinct, share one dimension and
+    realize the matrix in the max norm, and the flags and count agree."""
+    matrix = rational_rows(cert.get("distance_matrix"))
+    if cert["kind"] == "copy_embedding":
+        stated = [cert.get("points")]
+        flags = cert.get("distances_checked") is True
+    else:
+        stated = cert.get("copies")
+        stated = stated if isinstance(stated, list) else [None]
+        flags = type(cert.get("count")) is int and cert["count"] == len(stated)
+    copies = [rational_rows(points) for points in stated]
+    if not flags or not matrix or None in copies:
+        return False
+    for points in copies:
+        points = list(map(tuple, points))
+        if (
+            len(points) != len(matrix)
+            or len(set(points)) != len(points)
+            or len({*map(len, points)}) != 1
+            or any(len(row) != len(matrix) for row in matrix)
+            or any(
+                chebyshev_distance(x, y) != d
+                for x, row in zip(points, matrix)
+                for y, d in zip(points, row)
+            )
+        ):
+            return False
+    if cert["kind"] == "copy_list":
+        supports = [frozenset(map(tuple, points)) for points in copies]
+        return cert.get("distinct_supports") is (len(set(supports)) == len(supports))
+    return True
+
+
+def states_a_true_coloring(cert) -> bool:
+    """Whether the per-box oracle accepts a periodic_coloring certificate."""
+    return naive_failures(cert) == ()
+
+
+STATES_A_TRUE_CLAIM = {
+    "copy_embedding": states_true_copies,
+    "copy_list": states_true_copies,
+    "periodic_coloring": states_a_true_coloring,
+}
+
+
+@given(
+    st.sampled_from(sorted(FUZZED_FIELDS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.sampled_from(FUZZED_FIELDS[kind]))
+    ),
+    st.booleans(),
+    fuzzed_junk,
+    st.integers(0, 100),
+)
+@example(("copy_embedding", "points"), False, "1e3", 2)  # a bad literal
+@example(("copy_list", "copies"), False, "1/0", 3)  # a zero denominator
+@example(("copy_embedding", "distance_matrix"), False, None, 1)  # a null row
+@example(("copy_list", "copies"), False, None, 2)  # a null point
+@example(("periodic_coloring", "distance_matrix"), False, [["0"]], 0)  # one point
+@example(("periodic_coloring", "period"), False, "1e3", 0)
+@example(("periodic_coloring", "classes"), True, None, 0)
+@settings(max_examples=400, deadline=None)
+def test_malformed_copy_and_coloring_certificates_are_invalid_by_name(
+    certs, tmp_path_factory, mutation, missing, value, index
+):
+    """Each deletion of a field of a copy_embedding, copy_list or
+    periodic_coloring certificate, and each replacement of the field or of
+    one node inside it that does not state a true claim, reads invalid,
+    every failure line labelled by a field or as malformed and none a
+    Python error text, and `maxram validate` on the file exits 1 with the
+    same lines and nothing on stderr."""
+    kind, field = mutation
+    mutant = copy.deepcopy(certs[kind])
+    if missing:
+        del mutant[field]
+    else:
+        paths = list(node_paths(mutant))
+        paths = [path for path in paths if path[:1] == (field,)]
+        apply_mutation(mutant, paths[index % len(paths)], value)
+    assume(not STATES_A_TRUE_CLAIM[kind](mutant))
+    report = validate_certificate(mutant)
+    assert report.ok is False
+    assert report.failures and all(map(FUZZED_LABEL.match, report.failures)), report
+    assert not any(map(PYTHON_ERROR_TEXT.search, report.failures)), report
+
+    path = tmp_path_factory.getbasetemp() / f"{kind}_mutant.json"
+    path.write_text(dump_json(mutant))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    lines = "".join(f"  {failure}\n" for failure in report.failures)
+    assert (code, err.getvalue()) == (1, "")
+    assert out.getvalue() == f"invalid: {kind}\n" + lines
+
 def test_periodic_coloring_rejections(certs):
     cert = certs["periodic_coloring"]
     assert "class_count" in failing(cert, lambda c: c.update(class_count=5))
@@ -529,6 +656,9 @@ def test_periodic_coloring_rejections(certs):
         c["distance_matrix"] = [["0", "1/2"], ["1/2", "0"]]
 
     assert "window: exceeds" in failing(cert, weaken_space)
+    assert failing(cert, lambda c: c.update(distance_matrix=[["0"]])) == (
+        "distance_matrix: the avoided space needs at least 2 points"
+    )
 
 
 # Verdicts on malformed and non-canonical coloring certificates, as
